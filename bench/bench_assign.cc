@@ -5,10 +5,10 @@
 // Two questions, answered on the golden hurricane corpus (ε = 0.94,
 // MinLns = 5 — the configuration tests/golden/hurricane.golden pins):
 //
-//   * Cache leverage (ms): the grouping stage end-to-end, cold (fresh cache
-//     directory per iteration — compute + write) vs warm (pre-populated
-//     directory — pure load+serve) vs uncached. The ≥3× warm-vs-cold claim
-//     in README.md is this pair.
+//   * Cache leverage (ms): the whole pipeline (partition, group, represent),
+//     cold (fresh cache directory per iteration — compute + write) vs warm
+//     (pre-populated directory — grouping loads and serves the lists) vs
+//     uncached. The cold/warm ratio is the cache's end-to-end leverage.
 //   * Assignment throughput (segments/s and trajectories/s): snapshot
 //     AssignSegments over the full corpus store at 1 and 4 threads, and
 //     AssignTrajectory one trajectory at a time — the QPS figure of the
@@ -76,17 +76,17 @@ std::string FreshDir(const std::string& name) {
 }
 
 // Baseline: the full pipeline with no cache directory configured.
-void BM_GroupUncached(benchmark::State& state) {
+void BM_PipelineUncached(benchmark::State& state) {
   for (auto _ : state) {
     auto result = bench::RunPipeline(HurricaneConfig(), Hurricanes());
     benchmark::DoNotOptimize(result.clustering.labels.data());
   }
 }
-BENCHMARK(BM_GroupUncached)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineUncached)->Unit(benchmark::kMillisecond);
 
 // Cold: every iteration starts from an empty directory, so the run pays the
 // full neighborhood computation plus the file write.
-void BM_GroupCacheCold(benchmark::State& state) {
+void BM_PipelineCacheCold(benchmark::State& state) {
   const std::string dir = FreshDir("cold");
   for (auto _ : state) {
     state.PauseTiming();
@@ -97,12 +97,12 @@ void BM_GroupCacheCold(benchmark::State& state) {
     benchmark::DoNotOptimize(result.clustering.labels.data());
   }
 }
-BENCHMARK(BM_GroupCacheCold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineCacheCold)->Unit(benchmark::kMillisecond);
 
 // Warm: the directory is populated once up front; every timed iteration
-// serves the neighborhood lists from the file. warm ≥ 3× faster than cold
-// end-to-end is the acceptance bar this bench tracks.
-void BM_GroupCacheWarm(benchmark::State& state) {
+// serves the neighborhood lists from the file, so only partitioning, the
+// expansion and the representative sweep remain.
+void BM_PipelineCacheWarm(benchmark::State& state) {
   const std::string dir = FreshDir("warm");
   RunWithCacheDir(dir);  // Populate.
   for (auto _ : state) {
@@ -110,7 +110,7 @@ void BM_GroupCacheWarm(benchmark::State& state) {
     benchmark::DoNotOptimize(result.clustering.labels.data());
   }
 }
-BENCHMARK(BM_GroupCacheWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineCacheWarm)->Unit(benchmark::kMillisecond);
 
 // The frozen snapshot, built once from the golden run.
 const core::ClusterSnapshot& Snapshot() {

@@ -390,9 +390,11 @@ common::Result<std::vector<traj::Trajectory>> SweepRepresentativeStage::Run(
   o.gamma = options_.gamma;
   o.method = options_.method;
   o.use_weights = options_.use_weights;
+  o.num_threads = ctx.num_threads;
 
   Report(ctx, name(), 0.0);
-  // Fig. 4 lines 05-06, one independent sweep per cluster.
+  // Fig. 4 lines 05-06, one independent sweep per cluster; a large cluster's
+  // sweep also splits across the same pool.
   std::vector<traj::Trajectory> reps(clustering.clusters.size());
   const common::CancellationToken* cancel = ctx.cancellation;
   try {
@@ -421,16 +423,18 @@ SweepRepresentativeStage::RunChunked(
   o.gamma = options_.gamma;
   o.method = options_.method;
   o.use_weights = options_.use_weights;
+  o.num_threads = ctx.num_threads;
 
   Report(ctx, name(), 0.0);
   // Cluster-parallel across the run's pool: each iteration gathers one
-  // cluster's member segments (faulting chunks through the bounded cache,
-  // whose interior lock already serializes concurrent faults — pinned by
-  // the chunked-store fault-hammer test), freezes them into a member-local
-  // store, and sweeps that. Per-cluster work touches only its own
-  // index-addressed reps slot, and the sweep plus the average-direction
-  // axis read only member-indexed values plus cluster.id, so output is
-  // byte-identical to the serial walk for every thread count.
+  // cluster's member segments and sweeps them. It visits the members grouped
+  // by chunk, pinning one chunk at a time (the bounded cache's interior lock
+  // serializes concurrent faults), and writes each segment into its member
+  // position, so the sweep sees the members in cluster order. Per-cluster
+  // work touches only its own index-addressed reps slot, and the sweep plus
+  // the average-direction axis read only member-indexed values plus
+  // cluster.id, so output is byte-identical to the serial walk for every
+  // thread count.
   std::vector<traj::Trajectory> reps(clustering.clusters.size());
   common::Mutex error_mu;
   common::Status first_error;  // Guarded by error_mu (local — no annotation).
@@ -439,26 +443,39 @@ SweepRepresentativeStage::RunChunked(
         .ParallelFor(0, clustering.clusters.size(), [&](size_t i) {
           common::ThrowIfCancelled(ctx.cancellation);
           const cluster::Cluster& c = clustering.clusters[i];
-          std::vector<geom::Segment> members;
-          members.reserve(c.member_indices.size());
-          for (const size_t idx : c.member_indices) {
-            const size_t chunk_id = store.chunk_of(idx);
-            const auto chunk = store.Chunk(chunk_id);
-            if (!chunk.ok()) {
-              common::MutexLock lock(error_mu);
-              if (first_error.ok()) first_error = chunk.status();
-              return;
+          // Member positions in ascending global index: chunk by chunk.
+          std::vector<size_t> order(c.member_indices.size());
+          std::iota(order.begin(), order.end(), size_t{0});
+          std::sort(order.begin(), order.end(), [&c](size_t a, size_t b) {
+            return c.member_indices[a] < c.member_indices[b];
+          });
+          std::vector<geom::Segment> members(c.member_indices.size());
+          std::shared_ptr<const traj::SegmentStore> chunk;
+          size_t chunk_begin = 0;
+          for (const size_t pos : order) {
+            const size_t idx = c.member_indices[pos];
+            if (chunk == nullptr || idx >= chunk_begin + chunk->size()) {
+              const size_t chunk_id = store.chunk_of(idx);
+              auto pinned = store.Chunk(chunk_id);
+              if (!pinned.ok()) {
+                common::MutexLock lock(error_mu);
+                if (first_error.ok()) first_error = pinned.status();
+                return;
+              }
+              chunk = std::move(pinned).ValueOrDie();
+              chunk_begin = store.chunk_begin(chunk_id);
             }
-            members.push_back(
-                (*chunk)->segments()[idx - store.chunk_begin(chunk_id)]);
+            members[pos] = chunk->segment(idx - chunk_begin);
           }
+          chunk.reset();  // Unpin before the sweep.
           cluster::Cluster local;
           local.id = c.id;
           local.member_indices.resize(c.member_indices.size());
           std::iota(local.member_indices.begin(), local.member_indices.end(),
                     size_t{0});
-          reps[i] = cluster::RepresentativeTrajectory(
-              traj::SegmentStore(std::move(members)), local, o);
+          // The vector overload sums Segment::Direction(), which equals the
+          // store's cached direction column bit for bit; no freeze needed.
+          reps[i] = cluster::RepresentativeTrajectory(members, local, o);
         });
   } catch (const common::OperationCancelled&) {
     return CancelledIn(name());

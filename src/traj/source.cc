@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <string_view>
@@ -48,7 +49,11 @@ bool ParseDouble(std::string_view s, double* out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  // strtod accepts "nan" and "inf" without setting errno; neither is a
+  // coordinate, z or weight.
+  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }

@@ -251,6 +251,39 @@ TEST(CsvSourceFailureTest, MixedDimensionalityNamesItsLine) {
   EXPECT_NE(msg.find("same dimensionality"), std::string::npos) << msg;
 }
 
+TEST(CsvSourceFailureTest, NonFiniteValuesNameTheirLine) {
+  // strtod parses "nan" and "inf" without an error and saturates "1e400" to
+  // infinity; none of them is a coordinate, z or weight.
+  struct Row {
+    const char* prefix;  // Fields before the bad value.
+    const char* suffix;  // Fields after it.
+    const char* message;
+  };
+  const Row rows[] = {
+      {"1,", ",2", "bad coordinate"},
+      {"1,2,", "", "bad coordinate"},
+      {"1,2,3,", "", "bad weight"},
+      {"1,2,3,", ",1", "bad z or weight"},
+      {"1,2,3,4,", "", "bad z or weight"},
+  };
+  for (const char* bad : {"nan", "inf", "-inf", "1e400", "NAN", "-Infinity"}) {
+    for (const Row& row : rows) {
+      const bool three_d = std::string(row.message) == "bad z or weight";
+      const std::string good =
+          three_d ? "1,0,0,0,1\n1,1,1,1,1\n" : "1,0,0\n1,1,1\n";
+      const std::string csv = good + row.prefix + bad + row.suffix + "\n";
+      CsvStringSource source(csv);
+      Trajectory tr;
+      const auto more = source.Next(&tr);
+      ASSERT_FALSE(more.ok()) << csv;
+      EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument) << csv;
+      const std::string msg = more.status().ToString();
+      EXPECT_NE(msg.find("CSV line 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(row.message), std::string::npos) << msg;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DatabaseSource: the eager → streaming bridge.
 // ---------------------------------------------------------------------------
