@@ -1,8 +1,9 @@
 #include "cluster/chunked_neighborhood.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
+#include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -10,18 +11,9 @@ namespace traclus::cluster {
 
 namespace {
 
-// Same cell-key mixer as GridNeighborhoodIndex (collisions are harmless;
-// correctness never depends on the key).
-uint64_t Mix(int64_t x, int64_t y, int64_t z) {
-  const uint64_t a = static_cast<uint64_t>(x) * 0x9E3779B97F4A7C15ull;
-  const uint64_t b = static_cast<uint64_t>(y) * 0xC2B2AE3D27D4EB4Full;
-  const uint64_t c = static_cast<uint64_t>(z) * 0x165667B19E3779F9ull;
-  uint64_t h = a ^ (b >> 1) ^ (c << 1);
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDull;
-  h ^= h >> 33;
-  return h;
-}
+// Queries per NeighborsBatch slice of AllNeighbors / AllNeighborhoodSizes
+// (DBSCAN's default fetch block).
+constexpr size_t kSliceQueries = 1024;
 
 // Pins chunk c; a spill I/O failure has no channel to the provider API.
 std::shared_ptr<const traj::SegmentStore> PinChunk(
@@ -31,12 +23,59 @@ std::shared_ptr<const traj::SegmentStore> PinChunk(
   return *std::move(chunk);
 }
 
+// Per-thread state of candidate generation; see Candidates().
+struct CandidateScratch {
+  std::vector<uint32_t> visit_stamp;
+  uint32_t stamp = 0;
+  std::vector<uint32_t> chunk_count;
+  std::vector<size_t> found;
+  std::vector<size_t> touched;
+};
+
+// Copies the batch's query segments, in batch order, into one batch-local
+// store, pinning each query chunk once in ascending index order. The store
+// constructor recomputes every invariant from the same endpoint doubles, so
+// the columns are bit-exact copies of the chunk stores'.
+traj::SegmentStore GatherQueries(const traj::ChunkedSegmentStore& store,
+                                 const std::vector<size_t>& queries) {
+  std::vector<size_t> order(queries.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&queries](size_t a, size_t b) { return queries[a] < queries[b]; });
+  std::vector<geom::Segment> segments(queries.size());
+  std::shared_ptr<const traj::SegmentStore> chunk;
+  size_t pinned = 0;
+  for (const size_t k : order) {
+    const size_t c = store.chunk_of(queries[k]);
+    if (chunk == nullptr || c != pinned) {
+      chunk.reset();  // Drop the old pin first: one pin at a time.
+      chunk = PinChunk(store, c);
+      pinned = c;
+    }
+    segments[k] = chunk->segment(queries[k] - store.chunk_begin(c));
+  }
+  return traj::SegmentStore(std::move(segments));
+}
+
+// Serves every segment as NeighborsBatch slices of kSliceQueries queries,
+// handing each slice's lists to consume(first query, lists).
+template <typename Consume>
+void ForEachSlice(const ChunkedNeighborhood& provider, double eps,
+                  common::ThreadPool& pool, const Consume& consume) {
+  std::vector<size_t> slice;
+  for (size_t lo = 0; lo < provider.size(); lo += kSliceQueries) {
+    slice.resize(std::min(kSliceQueries, provider.size() - lo));
+    std::iota(slice.begin(), slice.end(), lo);
+    consume(lo, provider.NeighborsBatch(slice, eps, pool));
+  }
+}
+
 }  // namespace
 
-ChunkedGridNeighborhood::ChunkedGridNeighborhood(
-    const traj::ChunkedSegmentStore& store,
-    const distance::SegmentDistance& dist, double cell_size,
-    distance::BatchKernel kernel)
+ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
+                                         const distance::SegmentDistance& dist,
+                                         bool use_index, double cell_size,
+                                         distance::BatchKernel kernel)
     : store_(store),
       dist_(dist),
       // The shared resolve helper (distance::ResolveBatchKernel), not a
@@ -44,239 +83,198 @@ ChunkedGridNeighborhood::ChunkedGridNeighborhood(
       // with exactly the eager path's semantics.
       kernel_(distance::ResolveBatchKernel(kernel)) {
   TRACLUS_CHECK(store.finalized());
-  // Identical heuristic to GridNeighborhoodIndex, fed by the catalog MBRs
-  // (bit-identical to the monolithic store's): the cell population of this
-  // grid equals the monolithic grid's exactly.
-  double extent_sum = 0.0;
-  for (const geom::BBox& b : store_.bboxes()) {
-    for (int d = 0; d < b.dims(); ++d) extent_sum += b.Extent(d);
+  // The catalog MBRs are bit-identical to the monolithic store's, so this
+  // grid's cells equal GridNeighborhoodIndex's over the merged store.
+  if (use_index) grid_.emplace(store_.bboxes(), store_.dims(), cell_size);
+}
+
+void ChunkedNeighborhood::Candidates(size_t query, double radius,
+                                     std::vector<size_t>* out,
+                                     std::vector<Run>* runs) const {
+  // Per-thread scratch, reset lazily: dedup stamps over the catalog (one
+  // segment can span several cells) and per-chunk candidate counters.
+  thread_local CandidateScratch scratch;
+  scratch.visit_stamp.resize(store_.size(), 0u);
+  scratch.chunk_count.resize(store_.num_chunks(), 0u);
+  if (++scratch.stamp == 0) {  // Wrap-around: reset once every 2^32 queries.
+    std::fill(scratch.visit_stamp.begin(), scratch.visit_stamp.end(), 0u);
+    scratch.stamp = 1;
   }
-  dims_ = store_.dims();
+  const uint32_t stamp = scratch.stamp;
 
-  if (cell_size > 0.0) {
-    cell_size_ = cell_size;
-  } else {
-    const double denom =
-        std::max<size_t>(1, store_.size()) * std::max(1, dims_);
-    const double mean_extent = extent_sum / static_cast<double>(denom);
-    cell_size_ = std::max(2.0 * mean_extent, 1e-9);
+  // The monolithic grid walk and MBR prune, reading only catalog MBRs.
+  const geom::BBox& qbox = store_.bbox(query);
+  std::vector<size_t>& found = scratch.found;
+  std::vector<size_t>& touched = scratch.touched;
+  found.clear();
+  touched.clear();
+  grid_->ForEachInReach(qbox, radius, [&](size_t i) {
+    if (scratch.visit_stamp[i] == stamp) return;
+    scratch.visit_stamp[i] = stamp;
+    if (i == query || store_.bbox(i).MinDist(qbox) > radius) return;
+    const size_t c = store_.chunk_of(i);
+    if (scratch.chunk_count[c]++ == 0) touched.push_back(c);
+    found.push_back(i);
+  });
+
+  // Counting sort by chunk: one run per touched chunk, ascending, holding
+  // chunk-local indices. Order inside a run is irrelevant (lists are sorted
+  // at the end).
+  std::sort(touched.begin(), touched.end());
+  out->resize(found.size());
+  size_t offset = 0;
+  for (const size_t c : touched) {
+    const size_t count = scratch.chunk_count[c];
+    runs->push_back({c, offset, offset + count});
+    scratch.chunk_count[c] = static_cast<uint32_t>(offset);  // Cursor.
+    offset += count;
   }
+  for (const size_t i : found) {
+    const size_t c = store_.chunk_of(i);
+    (*out)[scratch.chunk_count[c]++] = i - store_.chunk_begin(c);
+  }
+  for (const size_t c : touched) scratch.chunk_count[c] = 0;
+}
 
-  for (size_t i = 0; i < store_.size(); ++i) {
-    const geom::BBox& b = store_.bbox(i);
-    const CellCoord lo = CellOf(b.lo(0), b.lo(1), dims_ == 3 ? b.lo(2) : 0.0);
-    const CellCoord hi = CellOf(b.hi(0), b.hi(1), dims_ == 3 ? b.hi(2) : 0.0);
-    for (int64_t cx = lo.x; cx <= hi.x; ++cx) {
-      for (int64_t cy = lo.y; cy <= hi.y; ++cy) {
-        for (int64_t cz = lo.z; cz <= hi.z; ++cz) {
-          cells_[CellKey({cx, cy, cz})].push_back(i);
-        }
-      }
-    }
+void ChunkedNeighborhood::ScanChunk(const traj::SegmentStore& query_store,
+                                    size_t k, size_t query, size_t c,
+                                    const traj::SegmentStore& chunk,
+                                    double eps,
+                                    const distance::BatchOptions& options,
+                                    std::vector<size_t>* out) const {
+  // The whole-chunk range, split around the query itself, which the batch
+  // appends last.
+  const size_t base = store_.chunk_begin(c);
+  const size_t m = chunk.size();
+  const size_t self = store_.chunk_of(query) == c ? query - base : m;
+  distance::EpsilonRefineCrossRange(query_store, dist_, k, chunk, 0, self, eps,
+                                    base, *out, options);
+  if (self + 1 < m) {
+    distance::EpsilonRefineCrossRange(query_store, dist_, k, chunk, self + 1,
+                                      m, eps, base, *out, options);
   }
 }
 
-ChunkedGridNeighborhood::CellCoord ChunkedGridNeighborhood::CellOf(
-    double x, double y, double z) const {
-  return CellCoord{static_cast<int64_t>(std::floor(x / cell_size_)),
-                   static_cast<int64_t>(std::floor(y / cell_size_)),
-                   static_cast<int64_t>(std::floor(z / cell_size_))};
+std::vector<size_t> ChunkedNeighborhood::Neighbors(size_t query_index,
+                                                   double eps) const {
+  TRACLUS_DCHECK(query_index < store_.size());
+  return std::move(
+      NeighborsBatch({query_index}, eps, common::SharedPool(1)).front());
 }
 
-uint64_t ChunkedGridNeighborhood::CellKey(const CellCoord& c) {
-  return Mix(c.x, c.y, c.z);
-}
-
-std::vector<size_t> ChunkedGridNeighborhood::Neighbors(size_t query_index,
-                                                       double eps) const {
-  // Concurrency contract: this class holds no mutex because it has no
-  // shared mutable state — the grid (`cells_`, `cell_size_`) is immutable
-  // after construction, and all query-time scratch is thread_local or
-  // caller-owned. Concurrent Neighbors() calls from pool workers are safe
-  // without locking; any future mutable caching must move behind a
-  // common::Mutex with TRACLUS_GUARDED_BY annotations (see
-  // cluster/neighborhood.h's bounded mode for the pattern).
-  thread_local QueryScratch per_thread_scratch;
-  return Neighbors(query_index, eps, &per_thread_scratch);
-}
-
-std::vector<std::vector<size_t>> ChunkedGridNeighborhood::AllNeighbors(
+std::vector<std::vector<size_t>> ChunkedNeighborhood::AllNeighbors(
     double eps, common::ThreadPool& pool) const {
   std::vector<std::vector<size_t>> lists(store_.size());
-  pool.ParallelForChunked(
-      0, store_.size(), [this, eps, &lists](size_t lo, size_t hi) {
-        QueryScratch scratch;
-        for (size_t i = lo; i < hi; ++i) {
-          lists[i] = Neighbors(i, eps, &scratch);
-        }
-      });
+  ForEachSlice(*this, eps, pool,
+               [&lists](size_t lo, std::vector<std::vector<size_t>> part) {
+                 std::move(part.begin(), part.end(), lists.begin() + lo);
+               });
   return lists;
 }
 
-std::vector<size_t> ChunkedGridNeighborhood::AllNeighborhoodSizes(
+std::vector<size_t> ChunkedNeighborhood::AllNeighborhoodSizes(
     double eps, common::ThreadPool& pool) const {
   std::vector<size_t> sizes(store_.size());
-  pool.ParallelForChunked(
-      0, store_.size(), [this, eps, &sizes](size_t lo, size_t hi) {
-        QueryScratch scratch;
-        for (size_t i = lo; i < hi; ++i) {
-          sizes[i] = Neighbors(i, eps, &scratch).size();
-        }
-      });
+  ForEachSlice(*this, eps, pool,
+               [&sizes](size_t lo, std::vector<std::vector<size_t>> part) {
+                 for (size_t k = 0; k < part.size(); ++k) {
+                   sizes[lo + k] = part[k].size();
+                 }
+               });
   return sizes;
 }
 
-std::vector<std::vector<size_t>> ChunkedGridNeighborhood::NeighborsBatch(
+std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
     const std::vector<size_t>& queries, double eps,
     common::ThreadPool& pool) const {
-  std::vector<std::vector<size_t>> lists(queries.size());
-  pool.ParallelForChunked(
-      0, queries.size(), [this, eps, &queries, &lists](size_t lo, size_t hi) {
-        QueryScratch scratch;
-        for (size_t k = lo; k < hi; ++k) {
-          lists[k] = Neighbors(queries[k], eps, &scratch);
-        }
-      });
-  return lists;
-}
-
-std::vector<size_t> ChunkedGridNeighborhood::Neighbors(
-    size_t query_index, double eps, QueryScratch* scratch) const {
-  TRACLUS_DCHECK(query_index < store_.size());
+  const size_t n = queries.size();
+  std::vector<std::vector<size_t>> lists(n);
+  if (n == 0) return lists;
+  const bool ascending = batches_.fetch_add(1) % 2 == 0;
+  distance::BatchOptions options;
+  options.kernel = kernel_;
   const double factor = dist_.LowerBoundFactor();
-  std::vector<size_t> out;
-  distance::BatchOptions refine_options;
-  refine_options.kernel = kernel_;
+  // No usable lower bound: the grid cannot prune, so every segment is a
+  // candidate — the scan configuration's schedule.
+  const bool scan = !grid_.has_value() || factor <= 0.0;
 
-  const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_base = store_.chunk_begin(query_chunk);
-  const std::shared_ptr<const traj::SegmentStore> query_store =
-      PinChunk(store_, query_chunk);
-
-  if (factor <= 0.0) {
-    // No usable lower bound: full scan, chunks in ascending order — the same
-    // ascending emission order as the monolithic whole-range refine.
-    for (size_t c = 0; c < store_.num_chunks(); ++c) {
-      const size_t base = store_.chunk_begin(c);
-      const size_t m = store_.chunk_size(c);
-      if (c == query_chunk) {
-        const size_t before = out.size();
-        distance::EpsilonRefineRange(*query_store, dist_,
-                                     query_index - query_base, 0, m, eps, out,
-                                     refine_options);
-        for (size_t k = before; k < out.size(); ++k) out[k] += base;
-        continue;
+  // 1. Candidates from the catalog, split into per-chunk runs, and the
+  //    chunks they touch.
+  const size_t num_chunks = store_.num_chunks();
+  std::vector<std::vector<size_t>> candidates;
+  std::vector<std::vector<Run>> runs;
+  std::vector<char> touched(num_chunks, scan ? 1 : 0);
+  if (!scan) {
+    candidates.resize(n);
+    runs.resize(n);
+    const double radius = eps / factor;
+    pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
+      for (size_t k = lo; k < hi; ++k) {
+        Candidates(queries[k], radius, &candidates[k], &runs[k]);
       }
-      const std::shared_ptr<const traj::SegmentStore> chunk =
-          PinChunk(store_, c);
-      distance::EpsilonRefineCrossRange(*query_store, dist_,
-                                        query_index - query_base, *chunk, 0,
-                                        m, eps, base, out, refine_options);
+    });
+    for (const std::vector<Run>& query_runs : runs) {
+      for (const Run& run : query_runs) touched[run.chunk] = 1;
     }
-    return out;
   }
-
-  const double radius = eps / factor;
-  const geom::BBox& qbox = store_.bbox(query_index);
-
-  std::vector<uint32_t>& visit_stamp = scratch->visit_stamp;
-  visit_stamp.resize(store_.size(), 0u);
-  ++scratch->stamp;
-  if (scratch->stamp == 0) {  // Wrap-around: reset once every 2^32 queries.
-    std::fill(visit_stamp.begin(), visit_stamp.end(), 0u);
-    scratch->stamp = 1;
+  std::vector<size_t> walk;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    if (touched[c]) walk.push_back(c);
   }
-  const uint32_t stamp = scratch->stamp;
+  if (!ascending) std::reverse(walk.begin(), walk.end());
 
-  // Candidate generation — identical to the monolithic grid walk, reading
-  // only catalog MBRs. Exact membership is decided by the refine below.
-  std::vector<size_t>& candidates = scratch->candidates;
-  candidates.clear();
-  const CellCoord lo = CellOf(qbox.lo(0) - radius, qbox.lo(1) - radius,
-                              dims_ == 3 ? qbox.lo(2) - radius : 0.0);
-  const CellCoord hi = CellOf(qbox.hi(0) + radius, qbox.hi(1) + radius,
-                              dims_ == 3 ? qbox.hi(2) + radius : 0.0);
-  for (int64_t cx = lo.x; cx <= hi.x; ++cx) {
-    for (int64_t cy = lo.y; cy <= hi.y; ++cy) {
-      for (int64_t cz = lo.z; cz <= hi.z; ++cz) {
-        const auto it = cells_.find(CellKey({cx, cy, cz}));
-        if (it == cells_.end()) continue;
-        for (const size_t i : it->second) {
-          if (visit_stamp[i] == stamp) continue;
-          visit_stamp[i] = stamp;
-          if (i == query_index) {
-            candidates.push_back(i);
-            continue;
+  // 2. The query side of every refine.
+  const traj::SegmentStore query_store = GatherQueries(store_, queries);
+
+  // 3. The touched candidate chunks in walk order, pinned from this thread
+  //    only, a window of up to max_resident_chunks at a time (pinning that
+  //    many distinct chunks evicts none of them, so every pin stays
+  //    cache-owned), each window refined in one pass across the pool. A
+  //    query's runs all go to one worker, so each list has one writer.
+  const size_t cap = store_.options().max_resident_chunks;
+  const size_t window = cap > 0 ? cap : num_chunks;
+  std::vector<std::shared_ptr<const traj::SegmentStore>> pinned(num_chunks);
+  for (size_t w0 = 0; w0 < walk.size(); w0 += window) {
+    const size_t w1 = std::min(walk.size(), w0 + window);
+    for (size_t w = w0; w < w1; ++w) {
+      pinned[walk[w]] = PinChunk(store_, walk[w]);
+    }
+    // The window's chunks are the touched chunks with ids in [first, last].
+    const size_t first = std::min(walk[w0], walk[w1 - 1]);
+    const size_t last = std::max(walk[w0], walk[w1 - 1]);
+    pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
+      for (size_t k = lo; k < hi; ++k) {
+        if (scan) {
+          for (size_t c = first; c <= last; ++c) {
+            ScanChunk(query_store, k, queries[k], c, *pinned[c], eps,
+                      options, &lists[k]);
           }
-          if (store_.bbox(i).MinDist(qbox) > radius) continue;
-          candidates.push_back(i);
+          continue;
+        }
+        const std::vector<Run>& query_runs = runs[k];
+        auto run = std::lower_bound(
+            query_runs.begin(), query_runs.end(), first,
+            [](const Run& r, size_t c) { return r.chunk < c; });
+        for (; run != query_runs.end() && run->chunk <= last; ++run) {
+          distance::EpsilonRefineCross(
+              query_store, dist_, k, *pinned[run->chunk],
+              common::Span<const size_t>(candidates[k].data() + run->begin,
+                                         run->end - run->begin),
+              eps, store_.chunk_begin(run->chunk), lists[k], options);
         }
       }
-    }
+    });
+    for (size_t w = w0; w < w1; ++w) pinned[walk[w]].reset();
   }
 
-  // Group candidates by chunk (ascending), faulting each candidate chunk
-  // once. Accept/reject decisions are order-independent and bit-identical to
-  // the monolithic refine; the final sort matches the monolithic path's and
-  // erases the grouping order entirely.
-  std::sort(candidates.begin(), candidates.end());
-  std::vector<size_t>& local = scratch->local;
-  size_t k = 0;
-  while (k < candidates.size()) {
-    const size_t c = store_.chunk_of(candidates[k]);
-    const size_t base = store_.chunk_begin(c);
-    size_t end = k;
-    while (end < candidates.size() && store_.chunk_of(candidates[end]) == c) {
-      ++end;
+  // 4. Definition 4 self-inclusion, then the monolithic ascending order.
+  pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      lists[k].push_back(queries[k]);
+      std::sort(lists[k].begin(), lists[k].end());
     }
-    local.clear();
-    for (size_t m = k; m < end; ++m) local.push_back(candidates[m] - base);
-    const common::Span<const size_t> span(local.data(), local.size());
-    if (c == query_chunk) {
-      const size_t before = out.size();
-      distance::EpsilonRefine(*query_store, dist_, query_index - query_base,
-                              span, eps, out, refine_options);
-      for (size_t m = before; m < out.size(); ++m) out[m] += base;
-    } else {
-      const std::shared_ptr<const traj::SegmentStore> chunk =
-          PinChunk(store_, c);
-      distance::EpsilonRefineCross(*query_store, dist_,
-                                   query_index - query_base, *chunk, span,
-                                   eps, base, out, refine_options);
-    }
-    k = end;
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<size_t> ChunkedBruteForceNeighborhood::Neighbors(
-    size_t query_index, double eps) const {
-  TRACLUS_DCHECK(query_index < store_.size());
-  std::vector<size_t> out;
-  distance::BatchOptions refine_options;
-  refine_options.kernel = kernel_;
-  const size_t query_chunk = store_.chunk_of(query_index);
-  const size_t query_base = store_.chunk_begin(query_chunk);
-  const std::shared_ptr<const traj::SegmentStore> query_store =
-      PinChunk(store_, query_chunk);
-  for (size_t c = 0; c < store_.num_chunks(); ++c) {
-    const size_t base = store_.chunk_begin(c);
-    const size_t m = store_.chunk_size(c);
-    if (c == query_chunk) {
-      const size_t before = out.size();
-      distance::EpsilonRefineRange(*query_store, dist_,
-                                   query_index - query_base, 0, m, eps, out,
-                                   refine_options);
-      for (size_t k = before; k < out.size(); ++k) out[k] += base;
-      continue;
-    }
-    const std::shared_ptr<const traj::SegmentStore> chunk = PinChunk(store_, c);
-    distance::EpsilonRefineCrossRange(*query_store, dist_,
-                                      query_index - query_base, *chunk, 0, m,
-                                      eps, base, out, refine_options);
-  }
-  return out;
+  });
+  return lists;
 }
 
 }  // namespace traclus::cluster

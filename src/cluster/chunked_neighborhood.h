@@ -1,138 +1,135 @@
 #ifndef TRACLUS_CLUSTER_CHUNKED_NEIGHBORHOOD_H_
 #define TRACLUS_CLUSTER_CHUNKED_NEIGHBORHOOD_H_
 
-// ε-neighborhood providers over a ChunkedSegmentStore — the query side of
-// the out-of-core grouping path.
+// ε-neighborhoods over a ChunkedSegmentStore — the query side of the
+// out-of-core grouping path.
 //
-// Both providers replicate their monolithic counterparts exactly:
+// One provider serves both the indexed configuration (the chunked analogue
+// of GridNeighborhoodIndex) and the Lemma 3 "no index" scan (the analogue of
+// BruteForceNeighborhood), with lists byte-identical to theirs for every
+// chunk capacity, residency cap, thread count and kernel:
 //
-//   * Candidate generation runs entirely on the chunked store's
-//     always-resident catalog (per-segment MBRs, midpoints, half-lengths).
-//     The grid is built from the same bboxes with the same cell-size
-//     heuristic and the same insertion order as GridNeighborhoodIndex over
-//     the merged store, so the cell population is identical.
-//   * Refinement faults payload chunks on demand: candidates are grouped by
-//     chunk, the query's own chunk refines through distance::EpsilonRefine
-//     (which owns the Definition 4 self-inclusion case), and every other
-//     chunk refines through distance::EpsilonRefineCross /
-//     EpsilonRefineCrossRange — the same blocked prune → batch pipeline,
-//     with cross-store scalar and AVX2 kernels. Chunk-local stores cache
-//     bit-identical invariants, so each accepted/rejected decision — prune
-//     included — matches the monolithic refine bit-for-bit, and the final
-//     per-query sort makes the emitted order independent of chunk grouping.
-//     Lists are therefore byte-identical to the monolithic provider's for
-//     every chunk capacity and residency cap.
+//   * Candidates come from the always-resident catalog alone: the same
+//     SegmentGrid and MBR prune as GridNeighborhoodIndex, or every segment
+//     for the scan (and for the grid when LowerBoundFactor() ≤ 0).
+//   * Refinement runs through distance::EpsilonRefineCross(Range) with a
+//     batch-local SegmentStore of the query segments on the query side.
+//     Every store is built by the same constructor from the same endpoint
+//     doubles, so each accept/reject decision, prune included, matches the
+//     monolithic refine bit for bit.
 //
-// Residency: one query pins at most two chunks at a time (the query's chunk
-// and the candidate chunk being refined); the store's LRU cache bounds
-// cache-owned residency at its cap throughout. A spill-file I/O failure
-// while faulting a chunk is a process-level failure (the provider interface
-// has no error channel); it aborts via TRACLUS_CHECK.
+// Schedule: queries are served in batches, chunk-major. NeighborsBatch
+//   1. generates every query's candidates across the pool and groups them
+//      by candidate chunk (a counting sort; the final sort fixes the order);
+//   2. gathers the query segments into the batch-local store, pinning each
+//      query chunk once, in ascending order;
+//   3. walks the touched candidate chunks once — ascending on even batches,
+//      descending on odd ones, so the chunks at the turn are still in the
+//      LRU — pinning them from the calling thread only, a window of up to
+//      max_resident_chunks at a time, and refines every query's candidates
+//      in the window in one pass across the pool (one worker per query, so
+//      each list has one writer);
+//   4. appends each query itself and sorts each list.
+// AllNeighbors and AllNeighborhoodSizes run this schedule over 1,024-query
+// slices of the index range; single-query Neighbors is a batch of one.
 //
-// Thread-safety contract: the providers hold no mutex and need no
-// capability annotations because they own no shared mutable state — the
-// grid and catalog references are immutable after construction, query
-// scratch is thread_local or caller-owned, and concurrent chunk faults
-// synchronize inside ChunkedSegmentStore (whose spill/LRU state is
-// TRACLUS_GUARDED_BY its internal common::Mutex). Concurrent Neighbors()
-// calls from pool workers are safe and byte-deterministic.
+// Residency and faults: the provider pins at most one window of chunks at a
+// time, all of them cache-owned (a window never exceeds the cap), so the
+// store's LRU cache bounds residency at its cap throughout. A batch faults
+// at most (query chunks + candidate chunks) ≤ 2 × num_chunks() chunks,
+// whatever the cap, and because only the calling thread pins, the fault
+// sequence — hence ChunkedSegmentStore::chunk_faults() — depends only on
+// the batch sequence, never on the thread count. (Walking each query's
+// candidate chunks in turn instead faults on nearly every query once the
+// cap is below the chunk count: the cyclic-LRU worst case.) A spill-file
+// I/O failure while faulting a chunk is a process-level failure (the
+// provider interface has no error channel); it aborts via TRACLUS_CHECK.
+//
+// Batch scratch is O(batch × mean candidates), plus per-thread dedup
+// stamps over the catalog.
+//
+// Thread-safety contract: the provider holds no mutex and needs no
+// capability annotations. The grid and catalog references are immutable
+// after construction, batch scratch is local to each call or thread_local,
+// the only mutable member is an atomic batch counter, and concurrent chunk
+// faults synchronize inside ChunkedSegmentStore (whose spill/LRU state is
+// TRACLUS_GUARDED_BY its internal common::Mutex). Concurrent calls are safe
+// and byte-deterministic; only the walk direction, and so the fault count,
+// depends on their interleaving.
 
+#include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "cluster/neighborhood.h"
-#include "geom/bbox.h"
+#include "cluster/segment_grid.h"
 #include "traj/chunked_store.h"
 
 namespace traclus::cluster {
 
-/// Grid-indexed exact ε-neighborhoods over a finalized ChunkedSegmentStore.
-/// The chunked analogue of GridNeighborhoodIndex: same cells, same prunes,
-/// byte-identical lists.
-class ChunkedGridNeighborhood : public NeighborhoodProvider {
+/// Exact ε-neighborhoods over a finalized ChunkedSegmentStore, served
+/// chunk-major (see the file comment).
+class ChunkedNeighborhood : public NeighborhoodProvider {
  public:
-  /// `store` (finalized) and `dist` must outlive the provider. `cell_size`
-  /// ≤ 0 selects the automatic heuristic (twice the mean catalog-MBR
-  /// extent); `kernel` selects the refinement kernel for same-chunk and
-  /// cross-chunk batches alike (results identical for every choice by the
-  /// SIMD lane-equivalence invariant).
-  ChunkedGridNeighborhood(
+  /// `store` (finalized) and `dist` must outlive the provider. `use_index`
+  /// selects the grid (true) or the whole-database scan (false); `cell_size`
+  /// ≤ 0 selects the grid's automatic heuristic (twice the mean catalog-MBR
+  /// extent). `kernel` selects the refinement kernel (results identical for
+  /// every choice by the SIMD lane-equivalence invariant).
+  ChunkedNeighborhood(
       const traj::ChunkedSegmentStore& store,
-      const distance::SegmentDistance& dist, double cell_size = 0.0,
+      const distance::SegmentDistance& dist, bool use_index = true,
+      double cell_size = 0.0,
       distance::BatchKernel kernel = distance::BatchKernel::kAuto);
 
-  /// Per-caller query state: dedup stamps, the gathered global candidates,
-  /// and chunk-local staging for the refine calls. One scratch must never be
-  /// used by two threads at once.
-  struct QueryScratch {
-    std::vector<uint32_t> visit_stamp;
-    uint32_t stamp = 0;
-    std::vector<size_t> candidates;
-    std::vector<size_t> local;
-  };
-
+  /// A batch of one, run inline on the calling thread.
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
-
-  /// Thread-safe query against caller-owned scratch.
-  std::vector<size_t> Neighbors(size_t query_index, double eps,
-                                QueryScratch* scratch) const;
 
   std::vector<std::vector<size_t>> AllNeighbors(
       double eps, common::ThreadPool& pool) const override;
   std::vector<size_t> AllNeighborhoodSizes(
       double eps, common::ThreadPool& pool) const override;
+  /// One chunk-major batch; entry k equals the monolithic provider's
+  /// Neighbors(queries[k], eps). Duplicate queries are allowed.
   std::vector<std::vector<size_t>> NeighborsBatch(
       const std::vector<size_t>& queries, double eps,
       common::ThreadPool& pool) const override;
 
   size_t size() const override { return store_.size(); }
 
-  double cell_size() const { return cell_size_; }
-  size_t NumCells() const { return cells_.size(); }
+  /// Batches served so far (every NeighborsBatch call, every slice of an
+  /// All* call, every single-query Neighbors call).
+  uint64_t batches() const { return batches_.load(); }
 
  private:
-  struct CellCoord {
-    int64_t x;
-    int64_t y;
-    int64_t z;
+  /// One query's candidates inside one chunk: the query's candidate list
+  /// [begin, end), as chunk-local indices.
+  struct Run {
+    size_t chunk;
+    size_t begin;
+    size_t end;
   };
 
-  CellCoord CellOf(double x, double y, double z) const;
-  static uint64_t CellKey(const CellCoord& c);
+  /// Grid candidates of segment `query`, the query itself excluded, grouped
+  /// by chunk into `out`; appends one Run per touched chunk, in ascending
+  /// chunk order.
+  void Candidates(size_t query, double radius, std::vector<size_t>* out,
+                  std::vector<Run>* runs) const;
+  /// Refines batch entry k (segment `query`) against every segment of chunk
+  /// c except the query itself, appending global indices to `out`.
+  void ScanChunk(const traj::SegmentStore& query_store, size_t k,
+                 size_t query, size_t c, const traj::SegmentStore& chunk,
+                 double eps, const distance::BatchOptions& options,
+                 std::vector<size_t>* out) const;
 
   const traj::ChunkedSegmentStore& store_;
   const distance::SegmentDistance& dist_;
   distance::BatchKernel kernel_;
-  double cell_size_ = 1.0;
-  int dims_ = 2;
-  std::unordered_map<uint64_t, std::vector<size_t>> cells_;
-};
-
-/// Whole-database-scan provider over a chunked store — the chunked analogue
-/// of BruteForceNeighborhood (the Lemma 3 "no index" configuration), walking
-/// chunks in ascending order so lists come out in the same ascending index
-/// order as the monolithic range scan. Byte-identical lists.
-class ChunkedBruteForceNeighborhood : public NeighborhoodProvider {
- public:
-  ChunkedBruteForceNeighborhood(
-      const traj::ChunkedSegmentStore& store,
-      const distance::SegmentDistance& dist,
-      distance::BatchKernel kernel = distance::BatchKernel::kAuto)
-      : store_(store),
-        dist_(dist),
-        kernel_(distance::ResolveBatchKernel(kernel)) {}
-
-  std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
-  size_t size() const override { return store_.size(); }
-
- private:
-  const traj::ChunkedSegmentStore& store_;
-  const distance::SegmentDistance& dist_;
-  /// Resolved through the shared distance::ResolveBatchKernel helper at
-  /// construction, so capped streaming runs honor the knob exactly like
-  /// eager runs (kAuto/kSimd degrade identically in every binary).
-  distance::BatchKernel kernel_;
+  /// Engaged in the indexed configuration.
+  std::optional<SegmentGrid> grid_;
+  /// Parity picks the candidate-chunk walk direction.
+  mutable std::atomic<uint64_t> batches_{0};
 };
 
 }  // namespace traclus::cluster

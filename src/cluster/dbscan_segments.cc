@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -36,12 +35,13 @@ double NeighborhoodMass(const SegmentSetView& view,
 // unclassified). The fetcher exploits that: on a cache miss it batches the
 // demanded query together with queries the loop is guaranteed to issue soon —
 // pending queue members, then upcoming unclassified seeds — computes the whole
-// block across the pool (one grid scratch per chunk, exact results), hands the
+// block through provider.NeighborsBatch (one batch, so a chunked provider
+// faults each payload chunk once per block, not once per query), hands the
 // demanded list back, and parks the rest. Parked lists are erased as they are
 // consumed, so residency never exceeds `block` and peak memory is
 // O(block · max|Nε|) rather than the O(Σ|Nε|) of a full up-front batch.
 // Because every served list equals provider.Neighbors(i, eps) exactly, labels
-// and cluster IDs are byte-identical to the serial path for any block size.
+// and cluster IDs do not depend on the block size or the thread count.
 class BlockedNeighborFetcher {
  public:
   BlockedNeighborFetcher(const NeighborhoodProvider& provider, double eps,
@@ -130,22 +130,17 @@ ClusteringResult DbscanSegments(const SegmentSetView& view,
   std::vector<Cluster> raw_clusters;
   std::deque<size_t> queue;
 
-  // With >1 thread, ε-neighborhood queries are computed across the pool in
-  // bounded blocks and served to the (inherently sequential) expansion loop
-  // below. Every served list equals what `provider` would return inline, so
-  // labels and cluster IDs are byte-identical at any thread count and block
-  // size; the serial path computes each query inline, exactly as the seed did.
-  const int num_threads = common::ResolveNumThreads(options.num_threads);
-  std::unique_ptr<BlockedNeighborFetcher> fetcher;
-  if (num_threads > 1) {
-    const size_t block =
-        options.batch_block > 0 ? options.batch_block : kDefaultBatchBlock;
-    fetcher = std::make_unique<BlockedNeighborFetcher>(
-        provider, options.eps, block, common::SharedPool(num_threads));
-  }
-  const auto fetch = [&](size_t i) -> std::vector<size_t> {
-    if (fetcher) return fetcher->Fetch(i, queue, result.labels);
-    return provider.Neighbors(i, options.eps);
+  // ε-neighborhood queries are computed in bounded blocks across the pool
+  // (inline on the calling thread when it has one thread) and served to the
+  // inherently sequential expansion loop below. Every served list equals
+  // provider.Neighbors(i, eps), so labels and cluster IDs are byte-identical
+  // at any thread count and block size.
+  BlockedNeighborFetcher fetcher(
+      provider, options.eps,
+      options.batch_block > 0 ? options.batch_block : kDefaultBatchBlock,
+      common::SharedPool(options.num_threads));
+  const auto fetch = [&](size_t i) {
+    return fetcher.Fetch(i, queue, result.labels);
   };
   const size_t progress_stride = std::max<size_t>(1, n / 64);
 

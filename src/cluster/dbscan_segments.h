@@ -25,16 +25,15 @@ struct DbscanOptions {
   /// contributes more density.
   bool use_weights = false;
   /// Worker threads for the ε-neighborhood queries (the Lemma 3 hot path):
-  /// queries are computed across a pool in bounded blocks and the sequential
-  /// expansion loop consumes them. 0 = hardware concurrency; 1 = query inline
-  /// during expansion, exactly the original single-threaded behavior.
-  /// Cluster IDs and labels are identical for every value.
+  /// queries are computed in bounded blocks through the provider's
+  /// NeighborsBatch and the sequential expansion loop consumes them.
+  /// 0 = hardware concurrency; 1 = the blocks run inline on the calling
+  /// thread. Cluster IDs and labels are identical for every value.
   int num_threads = 1;
-  /// Maximum number of ε-neighborhood lists resident at once in the batched
-  /// (num_threads > 1) path. Peak extra memory is O(batch_block · max|Nε|)
-  /// instead of the O(Σ|Nε|) a full up-front batch would hold; every list is
-  /// still computed exactly once, so labels are identical for every value.
-  /// 0 selects the default (1024).
+  /// Maximum number of ε-neighborhood lists resident at once. Peak extra
+  /// memory is O(batch_block · max|Nε|) instead of the O(Σ|Nε|) a full
+  /// up-front batch would hold; every list is still computed exactly once,
+  /// so labels are identical for every value. 0 selects the default (1024).
   size_t batch_block = 0;
   /// Optional cooperative cancellation, polled between seeds of the expansion
   /// loop (and hence between query blocks). When it fires, DbscanSegments

@@ -1,72 +1,17 @@
 #include "cluster/neighborhood_index.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace traclus::cluster {
-
-namespace {
-
-// Mixes three 21-bit-truncated cell coordinates into one key. Collisions are
-// harmless (cells just share a bucket); correctness never depends on the key.
-uint64_t Mix(int64_t x, int64_t y, int64_t z) {
-  const uint64_t a = static_cast<uint64_t>(x) * 0x9E3779B97F4A7C15ull;
-  const uint64_t b = static_cast<uint64_t>(y) * 0xC2B2AE3D27D4EB4Full;
-  const uint64_t c = static_cast<uint64_t>(z) * 0x165667B19E3779F9ull;
-  uint64_t h = a ^ (b >> 1) ^ (c << 1);
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDull;
-  h ^= h >> 33;
-  return h;
-}
-
-}  // namespace
 
 GridNeighborhoodIndex::GridNeighborhoodIndex(
     const traj::SegmentStore& store, const distance::SegmentDistance& dist,
     double cell_size, distance::BatchKernel kernel)
-    : store_(store), dist_(dist), kernel_(kernel) {
-  // Per-segment MBRs are an invariant the store already caches; the index
-  // only derives its cell size from them.
-  double extent_sum = 0.0;
-  for (const geom::BBox& b : store_.bboxes()) {
-    for (int d = 0; d < b.dims(); ++d) extent_sum += b.Extent(d);
-  }
-  dims_ = store_.dims();
-
-  if (cell_size > 0.0) {
-    cell_size_ = cell_size;
-  } else {
-    const double denom =
-        std::max<size_t>(1, store_.size()) * std::max(1, dims_);
-    const double mean_extent = extent_sum / static_cast<double>(denom);
-    cell_size_ = std::max(2.0 * mean_extent, 1e-9);
-  }
-
-  for (size_t i = 0; i < store_.size(); ++i) {
-    const geom::BBox& b = store_.bbox(i);
-    const CellCoord lo = CellOf(b.lo(0), b.lo(1), dims_ == 3 ? b.lo(2) : 0.0);
-    const CellCoord hi = CellOf(b.hi(0), b.hi(1), dims_ == 3 ? b.hi(2) : 0.0);
-    for (int64_t cx = lo.x; cx <= hi.x; ++cx) {
-      for (int64_t cy = lo.y; cy <= hi.y; ++cy) {
-        for (int64_t cz = lo.z; cz <= hi.z; ++cz) {
-          cells_[CellKey({cx, cy, cz})].push_back(i);
-        }
-      }
-    }
-  }
-}
-
-GridNeighborhoodIndex::CellCoord GridNeighborhoodIndex::CellOf(
-    double x, double y, double z) const {
-  return CellCoord{static_cast<int64_t>(std::floor(x / cell_size_)),
-                   static_cast<int64_t>(std::floor(y / cell_size_)),
-                   static_cast<int64_t>(std::floor(z / cell_size_))};
-}
-
-uint64_t GridNeighborhoodIndex::CellKey(const CellCoord& c) {
-  return Mix(c.x, c.y, c.z);
-}
+    : store_(store),
+      dist_(dist),
+      kernel_(kernel),
+      // Per-segment MBRs are an invariant the store already caches.
+      grid_(store.bboxes(), store.dims(), cell_size) {}
 
 std::vector<size_t> GridNeighborhoodIndex::Neighbors(size_t query_index,
                                                      double eps) const {
@@ -155,29 +100,13 @@ std::vector<size_t> GridNeighborhoodIndex::Neighbors(
   // reach. Exact membership is decided by the batched refine below.
   std::vector<size_t>& candidates = scratch->candidates;
   candidates.clear();
-  const CellCoord lo = CellOf(qbox.lo(0) - radius, qbox.lo(1) - radius,
-                              dims_ == 3 ? qbox.lo(2) - radius : 0.0);
-  const CellCoord hi = CellOf(qbox.hi(0) + radius, qbox.hi(1) + radius,
-                              dims_ == 3 ? qbox.hi(2) + radius : 0.0);
-  for (int64_t cx = lo.x; cx <= hi.x; ++cx) {
-    for (int64_t cy = lo.y; cy <= hi.y; ++cy) {
-      for (int64_t cz = lo.z; cz <= hi.z; ++cz) {
-        const auto it = cells_.find(CellKey({cx, cy, cz}));
-        if (it == cells_.end()) continue;
-        for (const size_t i : it->second) {
-          if (visit_stamp[i] == stamp) continue;
-          visit_stamp[i] = stamp;
-          if (i == query_index) {
-            candidates.push_back(i);
-            continue;
-          }
-          // Sound prune on cached MBRs.
-          if (store_.bbox(i).MinDist(qbox) > radius) continue;
-          candidates.push_back(i);
-        }
-      }
-    }
-  }
+  grid_.ForEachInReach(qbox, radius, [&](size_t i) {
+    if (visit_stamp[i] == stamp) return;
+    visit_stamp[i] = stamp;
+    // Sound prune on cached MBRs; the query itself always survives.
+    if (i != query_index && store_.bbox(i).MinDist(qbox) > radius) return;
+    candidates.push_back(i);
+  });
   distance::EpsilonRefine(
       store_, dist_, query_index,
       common::Span<const size_t>(candidates.data(), candidates.size()), eps,

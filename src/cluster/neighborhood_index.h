@@ -2,11 +2,10 @@
 #define TRACLUS_CLUSTER_NEIGHBORHOOD_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/neighborhood.h"
-#include "geom/bbox.h"
+#include "cluster/segment_grid.h"
 
 namespace traclus::cluster {
 
@@ -84,27 +83,16 @@ class GridNeighborhoodIndex : public NeighborhoodProvider {
 
   size_t size() const override { return store_.size(); }
 
-  double cell_size() const { return cell_size_; }
+  double cell_size() const { return grid_.cell_size(); }
 
   /// Number of grid cells materialized (diagnostics/tests).
-  size_t NumCells() const { return cells_.size(); }
+  size_t NumCells() const { return grid_.NumCells(); }
 
  private:
-  struct CellCoord {
-    int64_t x;
-    int64_t y;
-    int64_t z;
-  };
-
-  CellCoord CellOf(double x, double y, double z) const;
-  static uint64_t CellKey(const CellCoord& c);
-
   const traj::SegmentStore& store_;
   const distance::SegmentDistance& dist_;
   distance::BatchKernel kernel_;
-  double cell_size_ = 1.0;
-  int dims_ = 2;
-  std::unordered_map<uint64_t, std::vector<size_t>> cells_;
+  SegmentGrid grid_;
 };
 
 }  // namespace traclus::cluster

@@ -267,14 +267,8 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
 common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
     const traj::ChunkedSegmentStore& store, const RunContext& ctx) const {
   const distance::SegmentDistance dist(options_.distance);
-  std::unique_ptr<cluster::NeighborhoodProvider> provider;
-  if (options_.use_index) {
-    provider = std::make_unique<cluster::ChunkedGridNeighborhood>(
-        store, dist, /*cell_size=*/0.0, ctx.distance_kernel);
-  } else {
-    provider = std::make_unique<cluster::ChunkedBruteForceNeighborhood>(
-        store, dist, ctx.distance_kernel);
-  }
+  const cluster::ChunkedNeighborhood provider(
+      store, dist, options_.use_index, /*cell_size=*/0.0, ctx.distance_kernel);
 
   cluster::DbscanOptions o;
   o.eps = options_.eps;
@@ -296,7 +290,7 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
   try {
     // The same Fig. 12 walk as Run: expansion reads the catalog view, the
     // ε-queries fault payload chunks under the store's residency cap.
-    return cluster::DbscanSegments(CatalogView(store), *provider, o);
+    return cluster::DbscanSegments(CatalogView(store), provider, o);
   } catch (const common::OperationCancelled&) {
     return CancelledIn(name());
   }

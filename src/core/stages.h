@@ -108,7 +108,7 @@ struct RunContext {
   /// ones exactly, so results are byte-identical either way. Composes with
   /// sieve/sharded grouping: each effective query store (the sieve sample,
   /// each shard) hashes to its own cache file. Empty = disabled. Ignored by
-  /// the residency-capped RunChunked path (chunked providers stream a
+  /// the residency-capped RunChunked path (the chunked provider streams a
   /// different shape).
   std::string neighbor_cache_dir;
   /// Streaming runs only: residency cap of the chunked store's reader cache.
@@ -260,10 +260,11 @@ class DbscanGroupStage : public GroupStage {
       const traj::SegmentStore& store, const RunContext& ctx) const override;
   /// Out-of-core grouping: DBSCAN's density accounting and cardinality
   /// filter read the chunked store's always-resident catalog through a
-  /// cluster::SegmentSetView, and the ε-queries run over the chunked
-  /// neighborhood providers, which fault payload chunks on demand under the
-  /// store's residency cap. Labellings are byte-identical to Run on the
-  /// merged store.
+  /// cluster::SegmentSetView, and the ε-queries run in chunk-major batches
+  /// over cluster::ChunkedNeighborhood (grid or scan, per use_index), which
+  /// faults each payload chunk at most twice per batch under the store's
+  /// residency cap. Labellings are byte-identical to Run on the merged
+  /// store.
   common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store,
       const RunContext& ctx) const override;

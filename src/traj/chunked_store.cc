@@ -174,13 +174,13 @@ common::Status ChunkedSegmentStore::LoadRaw(
   if (std::fseek(spill_, chunk.spill_offset, SEEK_SET) != 0) {
     return common::Status::IOError("ChunkedSegmentStore: spill seek failed");
   }
-  for (size_t i = 0; i < chunk.count; ++i) {
-    SpillRecord r;
-    if (std::fread(&r, sizeof(r), 1, spill_) != 1) {
-      return common::Status::IOError("ChunkedSegmentStore: spill read failed");
-    }
-    out->push_back(FromRecord(r, dims_));
+  // One read per chunk: the chunk's records are contiguous in the file.
+  std::vector<SpillRecord> records(chunk.count);
+  if (std::fread(records.data(), sizeof(SpillRecord), records.size(),
+                 spill_) != records.size()) {
+    return common::Status::IOError("ChunkedSegmentStore: spill read failed");
   }
+  for (const SpillRecord& r : records) out->push_back(FromRecord(r, dims_));
   return common::Status::OK();
 }
 
@@ -203,6 +203,7 @@ common::Result<std::shared_ptr<const SegmentStore>> ChunkedSegmentStore::Chunk(
   }
   std::vector<geom::Segment> raw;
   TRACLUS_RETURN_NOT_OK(LoadRaw(c, &raw));
+  ++faults_;
   auto store = std::make_shared<const SegmentStore>(std::move(raw));
   // Evict before insert: the cache never owns more than the cap, so the
   // residency high-water mark cannot exceed it.
@@ -226,6 +227,11 @@ size_t ChunkedSegmentStore::resident_chunks() const {
 size_t ChunkedSegmentStore::peak_resident_chunks() const {
   common::MutexLock lock(mu_);
   return peak_resident_;
+}
+
+size_t ChunkedSegmentStore::chunk_faults() const {
+  common::MutexLock lock(mu_);
+  return faults_;
 }
 
 common::Result<SegmentStore> ChunkedSegmentStore::Merge() const {

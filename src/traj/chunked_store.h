@@ -164,6 +164,10 @@ class ChunkedSegmentStore {
   /// High-water mark of cache-owned chunks — bounded mode promises this
   /// stays ≤ max_resident_chunks (tests assert it).
   size_t peak_resident_chunks() const TRACLUS_EXCLUDES(mu_);
+  /// Chunk faults: Chunk() calls that missed the reader cache and rebuilt
+  /// the chunk store from its raw records (spilled or in memory). Merge()
+  /// reads every chunk without faulting any.
+  size_t chunk_faults() const TRACLUS_EXCLUDES(mu_);
 
   /// Rebuilds the monolithic SegmentStore from all chunks (in bounded mode,
   /// streaming the spill file). Bit-identical to freezing the same segments
@@ -229,6 +233,7 @@ class ChunkedSegmentStore {
   mutable std::unordered_map<size_t, CacheEntry> cache_
       TRACLUS_GUARDED_BY(mu_);
   mutable size_t peak_resident_ TRACLUS_GUARDED_BY(mu_) = 0;
+  mutable size_t faults_ TRACLUS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace traclus::traj

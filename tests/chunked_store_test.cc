@@ -211,6 +211,25 @@ TEST(ChunkedStoreTest, ResidencyNeverExceedsTheCap) {
   }
 }
 
+TEST(ChunkedStoreTest, ChunkFaultsCountCacheMisses) {
+  ChunkedStoreOptions options;
+  options.chunk_capacity = 4;
+  options.max_resident_chunks = 2;
+  ChunkedSegmentStore store(options);
+  ASSERT_TRUE(store.AppendAll(RandomSegments(12, 5)).ok());
+  ASSERT_TRUE(store.Finalize().ok());
+  EXPECT_EQ(store.chunk_faults(), 0u);
+
+  for (const size_t c : {0u, 0u, 1u, 0u, 2u, 1u, 0u}) {
+    ASSERT_TRUE(store.Chunk(c).ok());
+  }
+  // Misses: 0, 1, 2 (evicts 1), 1 (evicts 0), 0 (evicts 2).
+  EXPECT_EQ(store.chunk_faults(), 5u);
+  // Merge streams every chunk without entering the cache.
+  ASSERT_TRUE(store.Merge().ok());
+  EXPECT_EQ(store.chunk_faults(), 5u);
+}
+
 TEST(ChunkedStoreTest, CacheHitsKeepThePinnedChunkAlive) {
   ChunkedStoreOptions options;
   options.chunk_capacity = 4;

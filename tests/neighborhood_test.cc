@@ -1,15 +1,22 @@
-// Tests for ε-neighborhood providers: the brute-force oracle and the grid
-// index, including the exactness property that makes Lemma 3's index usable.
+// Tests for ε-neighborhood providers: the brute-force oracle, the grid
+// index, and the chunk-major provider over a residency-capped chunked store,
+// including the exactness property that makes Lemma 3's index usable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <numeric>
+#include <random>
 
+#include "cluster/chunked_neighborhood.h"
+#include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
 #include "cluster/rtree_index.h"
+#include "traj/chunked_store.h"
 #include "traj/segment_store.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -329,6 +336,151 @@ TEST(GridNeighborhoodIndexTest, NeighborsBatchMatchesPerQuery) {
   for (size_t k = 0; k < queries.size(); ++k) {
     EXPECT_EQ(lists[k], index.Neighbors(queries[k], eps)) << "query " << k;
   }
+}
+
+// --- ChunkedNeighborhood: chunk-major batches over a capped store ---------
+
+std::unique_ptr<traj::ChunkedSegmentStore> Chunked(
+    const traj::SegmentStore& segs, size_t chunk_capacity, size_t cap) {
+  traj::ChunkedStoreOptions options;
+  options.chunk_capacity = chunk_capacity;
+  options.max_resident_chunks = cap;
+  auto store = std::make_unique<traj::ChunkedSegmentStore>(options);
+  EXPECT_TRUE(store->AppendAll(segs.segments()).ok());
+  EXPECT_TRUE(store->Finalize().ok());
+  return store;
+}
+
+SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
+  SegmentSetView view;
+  view.count = store.size();
+  view.weights = store.weights();
+  view.trajectory_ids = store.trajectory_ids();
+  return view;
+}
+
+std::vector<distance::BatchKernel> CompiledKernels() {
+  std::vector<distance::BatchKernel> kernels = {
+      distance::BatchKernel::kScalar};
+  if (distance::SimdCompiled()) {
+    kernels.push_back(distance::BatchKernel::kSimd);
+  }
+  return kernels;
+}
+
+// Every batch shape must reproduce the monolithic provider's lists exactly:
+// the grid's for the indexed configuration, brute force's for the scan.
+void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
+                                  const SegmentDistance& dist, double eps) {
+  const size_t kCapacity = 40;
+  const size_t kCap = 3;
+  for (const distance::BatchKernel kernel : CompiledKernels()) {
+    for (const bool use_index : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "kernel " << distance::BatchKernelName(kernel)
+                   << (use_index ? " grid" : " scan"));
+      const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
+      const BruteForceNeighborhood brute(segs, dist, kernel);
+      const NeighborhoodProvider& mono =
+          use_index ? static_cast<const NeighborhoodProvider&>(grid) : brute;
+      std::vector<std::vector<size_t>> expect(segs.size());
+      for (size_t i = 0; i < segs.size(); ++i) {
+        expect[i] = mono.Neighbors(i, eps);
+      }
+
+      const auto store = Chunked(segs, kCapacity, kCap);
+      ASSERT_GT(store->num_chunks(), kCap);
+      const ChunkedNeighborhood chunked(*store, dist, use_index, 0.0, kernel);
+
+      std::vector<size_t> shuffled(segs.size());
+      std::iota(shuffled.begin(), shuffled.end(), size_t{0});
+      std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(7));
+      // Inside chunk 1, backwards, with a duplicate.
+      std::vector<size_t> one_chunk = {2 * kCapacity - 1};
+      for (size_t i = 2 * kCapacity; i-- > kCapacity;) one_chunk.push_back(i);
+      // One query from every chunk, the last segment included.
+      std::vector<size_t> every_chunk;
+      for (size_t c = 0; c < store->num_chunks(); ++c) {
+        every_chunk.push_back(store->chunk_begin(c) + c % 5);
+      }
+      every_chunk.push_back(segs.size() - 1);
+
+      for (const auto& queries : {shuffled, one_chunk, every_chunk,
+                                  std::vector<size_t>{}}) {
+        for (const int threads : {1, 4}) {
+          const auto lists =
+              chunked.NeighborsBatch(queries, eps, common::SharedPool(threads));
+          ASSERT_EQ(lists.size(), queries.size());
+          for (size_t k = 0; k < queries.size(); ++k) {
+            EXPECT_EQ(lists[k], expect[queries[k]])
+                << "query " << queries[k] << " threads " << threads;
+          }
+        }
+      }
+      for (const size_t i : every_chunk) {
+        EXPECT_EQ(chunked.Neighbors(i, eps), expect[i]) << "query " << i;
+      }
+      EXPECT_EQ(chunked.AllNeighbors(eps, common::SharedPool(4)), expect);
+      const auto sizes =
+          chunked.AllNeighborhoodSizes(eps, common::SharedPool(2));
+      for (size_t i = 0; i < segs.size(); ++i) {
+        EXPECT_EQ(sizes[i], expect[i].size()) << "query " << i;
+      }
+      EXPECT_LE(store->peak_resident_chunks(), kCap);
+    }
+  }
+}
+
+TEST(ChunkedNeighborhoodTest, BatchesMatchTheMonolithicProviders) {
+  const auto segs = RandomSegments(300, 60, 5, 71);
+  ExpectBatchesMatchMonolithic(segs, SegmentDistance(), 5.0);
+}
+
+TEST(ChunkedNeighborhoodTest, ZeroWeightGridScansWholeChunks) {
+  // w∥ = 0 kills the lower bound; the grid configuration falls back to the
+  // scan schedule and must still match.
+  const auto segs = RandomSegments(300, 60, 6, 72);
+  SegmentDistanceConfig cfg;
+  cfg.w_parallel = 0.0;
+  const SegmentDistance dist(cfg);
+  ASSERT_EQ(dist.LowerBoundFactor(), 0.0);
+  ExpectBatchesMatchMonolithic(segs, dist, 6.0);
+}
+
+TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
+  // Cap = chunks - 1 is the cyclic-LRU worst case: walking every query's
+  // candidate chunks in ascending order faults on nearly every query. The
+  // chunk-major batches fault each chunk at most twice per batch (once as a
+  // query chunk, once as a candidate chunk), from the calling thread only.
+  const auto segs = RandomSegments(2400, 120, 6, 73);
+  const SegmentDistance dist;
+  DbscanOptions options;
+  options.eps = 4.0;
+  options.min_lns = 4;
+  const GridNeighborhoodIndex grid(segs, dist);
+  const ClusteringResult eager = DbscanSegments(segs, grid, options);
+  ASSERT_GT(eager.clusters.size(), 0u);
+
+  std::vector<size_t> faults;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const auto store = Chunked(segs, 300, 7);
+    ASSERT_EQ(store->num_chunks(), 8u);
+    const ChunkedNeighborhood provider(*store, dist);
+    options.num_threads = threads;
+    const ClusteringResult capped =
+        DbscanSegments(CatalogView(*store), provider, options);
+    EXPECT_EQ(capped.labels, eager.labels);
+    EXPECT_EQ(capped.num_noise, eager.num_noise);
+
+    const size_t bound = 2 * store->num_chunks() * provider.batches();
+    // The bound is far below the one-fault-per-query regime.
+    EXPECT_LT(bound, segs.size());
+    EXPECT_LE(store->chunk_faults(), bound);
+    EXPECT_LE(store->peak_resident_chunks(), 7u);
+    faults.push_back(store->chunk_faults());
+  }
+  EXPECT_EQ(faults[0], faults[1]);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // coordinate — across the full matrix of chunk capacities {1, 7, 1024, ∞},
 // thread counts {1, 4}, and batch kernels {scalar, simd}. Bounded-residency
 // runs additionally pin peak_resident_chunks() ≤ cap on a database larger
-// than the cap, with result.store left unmaterialized.
+// than the cap, with result.store left unmaterialized — including caps one
+// short of the chunk count and a single-slot cap.
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,34 @@ TEST(StreamingGoldenTest, CappedOutOfCoreRunMatchesGolden) {
     EXPECT_EQ(run->store.size(), 0u);
 
     ExpectMatchesGolden(*run, golden);
+  }
+}
+
+TEST(StreamingGoldenTest, CappedRunsAtTheLruWorstCaseMatchGolden) {
+  // Nine 1,024-segment chunks behind 8 slots (one short of the working set:
+  // the cyclic-LRU worst case) and behind a single slot. The chunk-major
+  // ε-batches keep both byte-identical to the eager golden.
+  const GoldenRun golden = LoadGolden("hurricane_default.golden");
+  const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
+
+  for (const size_t cap : {size_t{8}, size_t{1}}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "cap " << cap << " threads " << threads);
+      const TraclusEngine engine = HurricaneEngine(threads);
+      traj::DatabaseSource source(db);
+      RunContext ctx;
+      ctx.chunk_capacity = 1024;
+      ctx.max_resident_chunks = cap;
+      const auto run = engine.Run(source, ctx);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ASSERT_NE(run->chunked_store, nullptr);
+      const auto& store = *run->chunked_store;
+      ASSERT_EQ(store.num_chunks(), 9u);
+      EXPECT_LE(store.peak_resident_chunks(), cap);
+      EXPECT_EQ(run->store.size(), 0u);
+      ExpectMatchesGolden(*run, golden);
+    }
   }
 }
 
