@@ -184,15 +184,24 @@ BENCHMARK(BM_EuclideanSegmentDistanceLowerBound);
 
 constexpr double kRefineEps = 5.0;
 
+// 0 .. n-1: the candidate index list of a one-vs-all row.
+std::vector<size_t> AllIndices(size_t n) {
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  return all;
+}
+
 // One full one-vs-all row through the scalar batch kernel.
 void BM_DistanceBatchScalar(benchmark::State& state) {
   const auto& store = StorePool();
   const distance::SegmentDistance dist;
+  const std::vector<size_t> all = AllIndices(store.size());
   std::vector<double> out(store.size());
   size_t q = 0;
   for (auto _ : state) {
-    distance::DistanceBatchRange(
-        store, dist, q % store.size(), 0, store.size(),
+    distance::DistanceBatch(
+        store, dist, q % store.size(),
+        common::Span<const size_t>(all.data(), all.size()),
         common::Span<double>(out.data(), out.size()),
         distance::BatchKernel::kScalar);
     benchmark::DoNotOptimize(out.data());
@@ -213,11 +222,13 @@ void BM_DistanceBatchSimd(benchmark::State& state) {
   }
   const auto& store = StorePool();
   const distance::SegmentDistance dist;
+  const std::vector<size_t> all = AllIndices(store.size());
   std::vector<double> out(store.size());
   size_t q = 0;
   for (auto _ : state) {
-    distance::DistanceBatchRange(
-        store, dist, q % store.size(), 0, store.size(),
+    distance::DistanceBatch(
+        store, dist, q % store.size(),
+        common::Span<const size_t>(all.data(), all.size()),
         common::Span<double>(out.data(), out.size()),
         distance::BatchKernel::kSimd);
     benchmark::DoNotOptimize(out.data());
@@ -319,7 +330,7 @@ BENCHMARK(BM_PairwiseDistanceMatrixStoreCached)->Arg(1)->Arg(2)->Arg(4)
 
 // --- Tiled vs row-batched matrix fill (many-vs-many tiles). --------------
 // RowBatchedPairwiseMatrix reproduces the pre-tile PairwiseDistanceMatrix
-// loop — one DistanceBatchRange per row plus a strided full-column mirror —
+// loop — one DistanceBatch per row plus a strided full-column mirror —
 // as the fixed baseline of the tiled fill. The headline ratio
 // BM_PairwiseMatrixRowBatched* / BM_PairwiseMatrixTiled* (same kernel, same
 // thread count) is the tile speedup tracked per commit in the CI JSON
@@ -331,12 +342,13 @@ common::Matrix RowBatchedPairwiseMatrix(const traj::SegmentStore& store,
                                         common::ThreadPool& pool,
                                         distance::BatchKernel kernel) {
   const size_t n = store.size();
+  const std::vector<size_t> all = AllIndices(n);
   common::Matrix m(n, n, 0.0);
   pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       if (i + 1 >= n) continue;
-      distance::DistanceBatchRange(
-          store, dist, i, i + 1, n,
+      distance::DistanceBatch(
+          store, dist, i, common::Span<const size_t>(&all[i + 1], n - i - 1),
           common::Span<double>(&m(i, i + 1), n - i - 1), kernel);
       for (size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
     }

@@ -119,10 +119,42 @@ common::Status ValidateClusteringAgainstSize(
   return common::Status::OK();
 }
 
-common::Status ValidateClusteringAgainst(
-    const cluster::ClusteringResult& clustering,
-    const traj::SegmentStore& store) {
-  return ValidateClusteringAgainstSize(clustering, store.size());
+// The DBSCAN options of one DbscanGroupStage run — shared by Run and
+// RunChunked.
+cluster::DbscanOptions MakeDbscanOptions(const DbscanGroupOptions& options,
+                                         const char* stage,
+                                         const RunContext& ctx) {
+  cluster::DbscanOptions o;
+  o.eps = options.eps;
+  o.min_lns = options.min_lns;
+  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
+  // each cross-border cluster, so the whole-database cardinality filter must
+  // wait for the halo merge — the sharded stage applies it once, globally.
+  o.min_trajectory_cardinality =
+      ctx.shard_local ? 0.0 : options.min_trajectory_cardinality;
+  o.use_weights = options.use_weights;
+  o.num_threads = ctx.num_threads;
+  o.batch_block = options.batch_block;
+  o.cancellation = ctx.cancellation;
+  if (ctx.progress) {
+    // The caller's ctx outlives the DBSCAN run these options configure.
+    const ProgressFn* sink = &ctx.progress;
+    o.progress = [sink, stage](double fraction) { (*sink)(stage, fraction); };
+  }
+  return o;
+}
+
+// The sweep options of one SweepRepresentativeStage run — shared by Run and
+// RunChunked.
+cluster::RepresentativeOptions MakeRepresentativeOptions(
+    const SweepRepresentativeOptions& options, const RunContext& ctx) {
+  cluster::RepresentativeOptions o;
+  o.min_lns = options.min_lns;
+  o.gamma = options.gamma;
+  o.method = options.method;
+  o.use_weights = options.use_weights;
+  o.num_threads = ctx.num_threads;
+  return o;
 }
 
 // The always-resident catalog columns of a chunked store, viewed the way
@@ -239,23 +271,7 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
       const ProviderBundle bundle,
       MakeRunProvider(store, dist, options_.use_index, options_.eps, ctx));
 
-  cluster::DbscanOptions o;
-  o.eps = options_.eps;
-  o.min_lns = options_.min_lns;
-  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
-  // each cross-border cluster, so the whole-database cardinality filter must
-  // wait for the halo merge — the sharded driver applies it once, globally.
-  o.min_trajectory_cardinality =
-      ctx.shard_local ? 0.0 : options_.min_trajectory_cardinality;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
-  o.batch_block = options_.batch_block;
-  o.cancellation = ctx.cancellation;
-  if (ctx.progress) {
-    const ProgressFn& sink = ctx.progress;
-    const char* stage = name();
-    o.progress = [&sink, stage](double fraction) { sink(stage, fraction); };
-  }
+  const cluster::DbscanOptions o = MakeDbscanOptions(options_, name(), ctx);
   try {
     // Fig. 4 line 04.
     return cluster::DbscanSegments(store, bundle.provider(), o);
@@ -270,23 +286,7 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
   const cluster::ChunkedNeighborhood provider(
       store, dist, options_.use_index, /*cell_size=*/0.0, ctx.distance_kernel);
 
-  cluster::DbscanOptions o;
-  o.eps = options_.eps;
-  o.min_lns = options_.min_lns;
-  // A shard-local run (ShardedGroupStage) sees only one shard's fragment of
-  // each cross-border cluster, so the whole-database cardinality filter must
-  // wait for the halo merge — the sharded driver applies it once, globally.
-  o.min_trajectory_cardinality =
-      ctx.shard_local ? 0.0 : options_.min_trajectory_cardinality;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
-  o.batch_block = options_.batch_block;
-  o.cancellation = ctx.cancellation;
-  if (ctx.progress) {
-    const ProgressFn& sink = ctx.progress;
-    const char* stage = name();
-    o.progress = [&sink, stage](double fraction) { sink(stage, fraction); };
-  }
+  const cluster::DbscanOptions o = MakeDbscanOptions(options_, name(), ctx);
   try {
     // The same Fig. 12 walk as Run: expansion reads the catalog view, the
     // ε-queries fault payload chunks under the store's residency cap.
@@ -377,14 +377,11 @@ common::Status SweepRepresentativeStage::Validate() const {
 common::Result<std::vector<traj::Trajectory>> SweepRepresentativeStage::Run(
     const traj::SegmentStore& store,
     const cluster::ClusteringResult& clustering, const RunContext& ctx) const {
-  TRACLUS_RETURN_NOT_OK(ValidateClusteringAgainst(clustering, store));
+  TRACLUS_RETURN_NOT_OK(
+      ValidateClusteringAgainstSize(clustering, store.size()));
 
-  cluster::RepresentativeOptions o;
-  o.min_lns = options_.min_lns;
-  o.gamma = options_.gamma;
-  o.method = options_.method;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
+  const cluster::RepresentativeOptions o =
+      MakeRepresentativeOptions(options_, ctx);
 
   Report(ctx, name(), 0.0);
   // Fig. 4 lines 05-06, one independent sweep per cluster; a large cluster's
@@ -412,12 +409,8 @@ SweepRepresentativeStage::RunChunked(
   TRACLUS_RETURN_NOT_OK(
       ValidateClusteringAgainstSize(clustering, store.size()));
 
-  cluster::RepresentativeOptions o;
-  o.min_lns = options_.min_lns;
-  o.gamma = options_.gamma;
-  o.method = options_.method;
-  o.use_weights = options_.use_weights;
-  o.num_threads = ctx.num_threads;
+  const cluster::RepresentativeOptions o =
+      MakeRepresentativeOptions(options_, ctx);
 
   Report(ctx, name(), 0.0);
   // Cluster-parallel across the run's pool: each iteration gathers one

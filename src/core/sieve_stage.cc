@@ -150,7 +150,7 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
           distance::NearestWithinEps(
               store, dist,
               common::Span<const size_t>(queries.data() + lo, hi - lo),
-              anchors, options_.eps,
+              store, anchors, options_.eps,
               common::Span<size_t>(nearest.data() + lo, hi - lo),
               common::Span<double>(nearest_dist.data() + lo, hi - lo),
               options);

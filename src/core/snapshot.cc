@@ -375,7 +375,7 @@ common::Status ClusterSnapshot::AssignSegments(
     query_idx.resize(hi - lo);
     std::iota(query_idx.begin(), query_idx.end(), lo);
     position.resize(hi - lo);
-    distance::NearestWithinEpsCross(
+    distance::NearestWithinEps(
         queries, dist,
         common::Span<const size_t>(query_idx.data(), query_idx.size()),
         candidates_,

@@ -9,7 +9,7 @@
 // a serving process reloads a clustering without rerunning the pipeline,
 // and (b) answers high-QPS "which cluster is this trajectory/segment
 // nearest to, within ε?" queries through the same batched distance kernels
-// the pipeline groups with (distance::NearestWithinEpsCross), so
+// the pipeline groups with (distance::NearestWithinEps), so
 // scalar/SIMD parity and cross-thread determinism carry over to the
 // serving path unchanged.
 //

@@ -46,13 +46,13 @@ struct PruneContext {
 
 PruneContext MakePruneContext(const traj::SegmentStore& store,
                               const SegmentDistance& dist, size_t query,
-                              double eps, bool enabled) {
+                              double eps) {
   PruneContext p;
   p.dims = store.dims();
   const double c = dist.LowerBoundFactor();
   // A zero factor (degenerate weights) or a non-finite/negative ε leaves no
   // provable prune; refine everything.
-  if (!enabled || !(c > 0.0) || !std::isfinite(eps) || eps < 0.0) return p;
+  if (!(c > 0.0) || !std::isfinite(eps) || eps < 0.0) return p;
   p.usable = true;
   p.reach = eps / c;
   p.half_q = store.half_length(query);
@@ -65,7 +65,10 @@ PruneContext MakePruneContext(const traj::SegmentStore& store,
 // True when candidate j is provably farther than ε from the query:
 //   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε
 // evaluated in squared form (no per-candidate sqrt) with the kPruneSlack
-// margin absorbing the bound's own rounding.
+// margin absorbing the bound's own rounding. Reads only the candidate
+// store's columns, so it serves one-store and two-store refines alike. It
+// never prunes the query against itself: the midpoint distance is then 0,
+// and 0 > x holds for no threshold x ≥ 0 (nor for NaN).
 inline bool PrunedFar(const PruneContext& p, const traj::SegmentStore& store,
                       size_t j) {
   if (!p.usable) return false;
@@ -80,41 +83,46 @@ inline bool PrunedFar(const PruneContext& p, const traj::SegmentStore& store,
   return dmid_sq > threshold * threshold * (1.0 + kPruneSlack);
 }
 
-// Exact pair distance through the shared canonical kernel — bit-identical to
-// SegmentDistance::operator()(store, q, j) by construction (same
-// canonicalization, same component expressions, same weighted fold).
-inline double PairDistanceScalar(const traj::SegmentStore& store,
-                                 const SegmentDistanceConfig& cfg,
-                                 size_t query, size_t j) {
-  size_t li = query;
-  size_t lj = j;
-  internal::CanonicalizeInStore(store, li, lj);
-  return internal::StoreWeightedCanonical(store, li, lj, cfg.directed,
-                                          cfg.w_perpendicular, cfg.w_parallel,
-                                          cfg.w_angle);
+// Exact pair distance: the query from qs, the candidate from cs (one-store
+// callers pass the same store twice). CrossCanonicalSwap resolves the Lemma 2
+// roles; the shared canonical kernel then runs on the selected roles, so the
+// result is bit-identical to SegmentDistance::operator()(store, q, j).
+// Chunk-local stores cache bit-identical invariants, so a pair evaluated
+// across two chunk stores gives the same bits as inside the monolithic one.
+inline double PairDistance(const traj::SegmentStore& qs, size_t query,
+                           const traj::SegmentStore& cs, size_t j,
+                           const SegmentDistanceConfig& cfg) {
+  const bool swap = internal::CrossCanonicalSwap(qs, query, cs, j);
+  return internal::CrossWeightedCanonical(
+      swap ? cs : qs, swap ? j : query, swap ? qs : cs, swap ? query : j,
+      cfg.directed, cfg.w_perpendicular, cfg.w_parallel, cfg.w_angle);
 }
 
-// Cross-store pair distance: query from qs, candidate from cs. Same
-// canonical role assignment and kernel as PairDistanceScalar (chunk-local
-// invariants are bit-identical to the monolithic columns, so the swap
-// decision and the arithmetic match the one-store path exactly).
-inline double PairDistanceScalarCross(const traj::SegmentStore& qs,
-                                      size_t query,
-                                      const traj::SegmentStore& cs, size_t j,
-                                      const SegmentDistanceConfig& cfg) {
-  if (internal::CrossCanonicalSwap(qs, query, cs, j)) {
-    return internal::CrossWeightedCanonical(cs, j, qs, query, cfg.directed,
-                                            cfg.w_perpendicular,
-                                            cfg.w_parallel, cfg.w_angle);
+// The SoA columns a lane gather or a row kernel reads, hoisted out of the
+// candidate loop once per call.
+struct StoreColumns {
+  const double* len;
+  const double* sqlen;
+  const double* start[geom::kMaxDims];
+  const double* end[geom::kMaxDims];
+  const double* dir[geom::kMaxDims];
+};
+
+inline StoreColumns ColumnsOf(const traj::SegmentStore& store) {
+  StoreColumns c{};
+  c.len = store.lengths().data();
+  c.sqlen = store.squared_lengths().data();
+  for (int d = 0; d < store.dims(); ++d) {
+    c.start[d] = store.start_coords(d).data();
+    c.end[d] = store.end_coords(d).data();
+    c.dir[d] = store.direction_coords(d).data();
   }
-  return internal::CrossWeightedCanonical(qs, query, cs, j, cfg.directed,
-                                          cfg.w_perpendicular, cfg.w_parallel,
-                                          cfg.w_angle);
+  return c;
 }
 
 // Canonical kernel over raw (Li, Lj) coordinate arrays: exactly the
 // floating-point expressions of internal::CrossComponentsCanonicalInto plus
-// the StoreWeightedCanonical fold, with the Point temporaries replaced by
+// the CrossWeightedCanonical fold, with the Point temporaries replaced by
 // compile-time-unrolled loops over D dimensions. Every sum accumulates in
 // ascending dimension order from 0.0 — the geom::Dot / Point::SquaredNorm
 // order — and the build forbids FP contraction, so results are bit-identical
@@ -197,38 +205,31 @@ inline double RawWeightedCanonical(const double* s, const double* e,
 
 // Contiguous-candidate scalar row kernel — the tile family's scalar inner
 // loop. Hoists the query's columns into registers once per row instead of
-// re-resolving them per pair through CanonicalizeInStore + segment(), and
+// re-resolving them per pair through CrossCanonicalSwap + segment(), and
 // resolves the Lemma 2 swap inline (the strict length compare covers almost
 // every pair; exact ties fall back to the full scalar tie-break).
 template <int D>
 void RangeScalarRow(const traj::SegmentStore& store,
                     const SegmentDistanceConfig& cfg, size_t query,
                     size_t first, size_t last, double* out) {
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[D];
-  const double* end_col[D];
-  const double* dir_col[D];
+  const StoreColumns col = ColumnsOf(store);
   double qs[D], qe[D], qd[D];
   for (int d = 0; d < D; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-    qs[d] = start_col[d][query];
-    qe[d] = end_col[d][query];
-    qd[d] = dir_col[d][query];
+    qs[d] = col.start[d][query];
+    qe[d] = col.end[d][query];
+    qd[d] = col.dir[d][query];
   }
-  const double q_den = sqlen_col[query];
-  const double q_len = len_col[query];
+  const double q_den = col.sqlen[query];
+  const double q_len = col.len[query];
 
   for (size_t j = first; j < last; ++j) {
     double cs[D], ce[D], cd[D];
     for (int d = 0; d < D; ++d) {
-      cs[d] = start_col[d][j];
-      ce[d] = end_col[d][j];
-      cd[d] = dir_col[d][j];
+      cs[d] = col.start[d][j];
+      ce[d] = col.end[d][j];
+      cd[d] = col.dir[d][j];
     }
-    const double c_len = len_col[j];
+    const double c_len = col.len[j];
     // Lemma 2 canonical roles: the candidate takes Li when strictly longer;
     // an exact length tie runs the id / lexicographic tie-break. NaN lengths
     // fail both compares, leaving the query as Li — CrossCanonicalSwap's
@@ -238,7 +239,7 @@ void RangeScalarRow(const traj::SegmentStore& store,
       swap = internal::CrossCanonicalSwap(store, query, store, j);
     }
     out[j - first] =
-        swap ? RawWeightedCanonical<D>(cs, ce, cd, sqlen_col[j], c_len, qs,
+        swap ? RawWeightedCanonical<D>(cs, ce, cd, col.sqlen[j], c_len, qs,
                                        qe, qd, q_len, cfg.directed,
                                        cfg.w_perpendicular, cfg.w_parallel,
                                        cfg.w_angle)
@@ -249,17 +250,17 @@ void RangeScalarRow(const traj::SegmentStore& store,
   }
 }
 
-// Blocked scalar batch kernel. `index(k)` maps batch position to segment
-// index (an array lookup for DistanceBatch, `first + k` for the Range
-// variants). Branch-light: the only data-dependent branches are the ones the
-// canonical kernel itself requires for bit-identity (degenerate-length and
-// angle-regime selection).
+// Scalar batch kernel: dist(qs[query], cs[index(k)]) → out[k]. `index(k)`
+// maps batch position to candidate index (an array lookup for the index
+// lists, `first + k` for the Range variants). Branch-light: the only
+// data-dependent branches are the ones the canonical kernel itself requires
+// for bit-identity (degenerate-length and angle-regime selection).
 template <typename IndexFn>
-void BatchScalar(const traj::SegmentStore& store,
+void BatchScalar(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
                  const SegmentDistanceConfig& cfg, size_t query, size_t n,
                  const IndexFn& index, double* out) {
   for (size_t k = 0; k < n; ++k) {
-    out[k] = PairDistanceScalar(store, cfg, query, index(k));
+    out[k] = PairDistance(qs, query, cs, index(k), cfg);
   }
 }
 
@@ -403,82 +404,8 @@ inline SimdWeights MakeSimdWeights(const SegmentDistanceConfig& cfg) {
   return w;
 }
 
-// Four-lane AVX2 batch kernel over the store's SoA coordinate columns: the
-// per-pair (longer, shorter) roles are resolved scalar-side during the lane
-// gather (Lemma 2 ordering, including the id / lexicographic tie-breaks,
-// which do not vectorize), after which CanonicalLanes runs the shared
-// straight-line arithmetic.
-template <typename IndexFn>
-void BatchSimd(const traj::SegmentStore& store,
-               const SegmentDistanceConfig& cfg, size_t query, size_t n,
-               const IndexFn& index, double* out) {
-  const int dims = store.dims();
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[geom::kMaxDims];
-  const double* end_col[geom::kMaxDims];
-  const double* dir_col[geom::kMaxDims];
-  for (int d = 0; d < dims; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-  }
-  const SimdWeights w = MakeSimdWeights(cfg);
-
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // Lane gather: canonicalize each pair scalar-side, then transpose the
-    // canonical (Li, Lj) scalars into lane-major form.
-    alignas(32) double s_l[geom::kMaxDims][4];   // Li start.
-    alignas(32) double e_l[geom::kMaxDims][4];   // Li end.
-    alignas(32) double se_l[geom::kMaxDims][4];  // Li direction (e − s).
-    alignas(32) double js_l[geom::kMaxDims][4];  // Lj start.
-    alignas(32) double je_l[geom::kMaxDims][4];  // Lj end.
-    alignas(32) double dj_l[geom::kMaxDims][4];  // Lj direction.
-    alignas(32) double den_l[4];                 // ‖Li direction‖².
-    alignas(32) double len_i_l[4];
-    alignas(32) double len_j_l[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      size_t li = query;
-      size_t lj = index(k + static_cast<size_t>(lane));
-      internal::CanonicalizeInStore(store, li, lj);
-      den_l[lane] = sqlen_col[li];
-      len_i_l[lane] = len_col[li];
-      len_j_l[lane] = len_col[lj];
-      for (int d = 0; d < dims; ++d) {
-        s_l[d][lane] = start_col[d][li];
-        e_l[d][lane] = end_col[d][li];
-        se_l[d][lane] = dir_col[d][li];
-        js_l[d][lane] = start_col[d][lj];
-        je_l[d][lane] = end_col[d][lj];
-        dj_l[d][lane] = dir_col[d][lj];
-      }
-    }
-
-    __m256d s_v[geom::kMaxDims], e_v[geom::kMaxDims], se_v[geom::kMaxDims];
-    __m256d js_v[geom::kMaxDims], je_v[geom::kMaxDims], dj_v[geom::kMaxDims];
-    for (int d = 0; d < dims; ++d) {
-      s_v[d] = _mm256_load_pd(s_l[d]);
-      e_v[d] = _mm256_load_pd(e_l[d]);
-      se_v[d] = _mm256_load_pd(se_l[d]);
-      js_v[d] = _mm256_load_pd(js_l[d]);
-      je_v[d] = _mm256_load_pd(je_l[d]);
-      dj_v[d] = _mm256_load_pd(dj_l[d]);
-    }
-    const __m256d total = CanonicalLanes(
-        dims, s_v, e_v, se_v, js_v, je_v, dj_v, _mm256_load_pd(den_l),
-        _mm256_load_pd(len_i_l), _mm256_load_pd(len_j_l), w);
-    _mm256_storeu_pd(out + k, total);
-  }
-
-  // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
-  for (; k < n; ++k) {
-    out[k] = PairDistanceScalar(store, cfg, query, index(k));
-  }
-}
-
 // Contiguous-candidate SIMD row kernel — the tile family's vector inner
-// loop. Instead of BatchSimd's per-lane scalar gather (which re-resolves the
+// loop. Instead of BatchSimd's per-lane scalar gather (which re-selects the
 // query's columns for every pair), the query side is broadcast ONCE per row
 // and each 4-candidate step is: unaligned column loads + a vectorized
 // Lemma 2 swap mask + role blends + the shared arithmetic body. The blends
@@ -488,34 +415,27 @@ void RangeSimd(const traj::SegmentStore& store,
                const SegmentDistanceConfig& cfg, size_t query, size_t first,
                size_t last, double* out) {
   const int dims = store.dims();
-  const double* len_col = store.lengths().data();
-  const double* sqlen_col = store.squared_lengths().data();
-  const double* start_col[geom::kMaxDims];
-  const double* end_col[geom::kMaxDims];
-  const double* dir_col[geom::kMaxDims];
+  const StoreColumns col = ColumnsOf(store);
   __m256d qs_v[geom::kMaxDims], qe_v[geom::kMaxDims], qd_v[geom::kMaxDims];
   for (int d = 0; d < dims; ++d) {
-    start_col[d] = store.start_coords(d).data();
-    end_col[d] = store.end_coords(d).data();
-    dir_col[d] = store.direction_coords(d).data();
-    qs_v[d] = _mm256_set1_pd(start_col[d][query]);
-    qe_v[d] = _mm256_set1_pd(end_col[d][query]);
-    qd_v[d] = _mm256_set1_pd(dir_col[d][query]);
+    qs_v[d] = _mm256_set1_pd(col.start[d][query]);
+    qe_v[d] = _mm256_set1_pd(col.end[d][query]);
+    qd_v[d] = _mm256_set1_pd(col.dir[d][query]);
   }
-  const __m256d q_den = _mm256_set1_pd(sqlen_col[query]);
-  const __m256d q_len = _mm256_set1_pd(len_col[query]);
+  const __m256d q_den = _mm256_set1_pd(col.sqlen[query]);
+  const __m256d q_len = _mm256_set1_pd(col.len[query]);
   const SimdWeights w = MakeSimdWeights(cfg);
 
   size_t j = first;
   for (; j + 4 <= last; j += 4) {
     __m256d cs_v[geom::kMaxDims], ce_v[geom::kMaxDims], cd_v[geom::kMaxDims];
     for (int d = 0; d < dims; ++d) {
-      cs_v[d] = _mm256_loadu_pd(start_col[d] + j);
-      ce_v[d] = _mm256_loadu_pd(end_col[d] + j);
-      cd_v[d] = _mm256_loadu_pd(dir_col[d] + j);
+      cs_v[d] = _mm256_loadu_pd(col.start[d] + j);
+      ce_v[d] = _mm256_loadu_pd(col.end[d] + j);
+      cd_v[d] = _mm256_loadu_pd(col.dir[d] + j);
     }
-    const __m256d c_den = _mm256_loadu_pd(sqlen_col + j);
-    const __m256d c_len = _mm256_loadu_pd(len_col + j);
+    const __m256d c_den = _mm256_loadu_pd(col.sqlen + j);
+    const __m256d c_len = _mm256_loadu_pd(col.len + j);
 
     // Lemma 2 swap mask: the candidate takes the Li role where the query is
     // strictly shorter. Exact length ties (and only those — NaN lengths fail
@@ -564,25 +484,30 @@ void RangeSimd(const traj::SegmentStore& store,
 
   // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
   for (; j < last; ++j) {
-    out[j - first] = PairDistanceScalar(store, cfg, query, j);
+    out[j - first] = PairDistance(store, query, store, j, cfg);
   }
 }
 
-// Cross-store four-lane kernel: the same shared arithmetic body as
-// BatchSimd, with the per-lane gather resolving the Lemma 2 roles across the
-// two stores (CrossCanonicalSwap — the exact decision PairDistanceScalarCross
-// makes), so the lanes are bit-identical to the scalar cross path for the
-// same reason the one-store lanes are: identical role assignment feeding
-// identical straight-line arithmetic.
+// Four-lane AVX2 batch kernel over the two stores' SoA coordinate columns:
+// the per-pair (longer, shorter) roles are resolved scalar-side during the
+// lane gather (CrossCanonicalSwap — the exact decision PairDistance makes,
+// including the id / lexicographic tie-breaks, which do not vectorize), after
+// which CanonicalLanes runs the shared straight-line arithmetic. Identical
+// role assignment feeding identical arithmetic is what makes the lanes
+// bit-identical to the scalar kernel.
 template <typename IndexFn>
-void BatchSimdCross(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
-                    const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                    const IndexFn& index, double* out) {
+void BatchSimd(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
+               const SegmentDistanceConfig& cfg, size_t query, size_t n,
+               const IndexFn& index, double* out) {
   const int dims = qs.dims();
+  const StoreColumns q_col = ColumnsOf(qs);
+  const StoreColumns c_col = ColumnsOf(cs);
   const SimdWeights w = MakeSimdWeights(cfg);
 
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
+    // Lane gather: pick each pair's roles scalar-side, then transpose the
+    // canonical (Li, Lj) scalars into lane-major form.
     alignas(32) double s_l[geom::kMaxDims][4];   // Li start.
     alignas(32) double e_l[geom::kMaxDims][4];   // Li end.
     alignas(32) double se_l[geom::kMaxDims][4];  // Li direction (e − s).
@@ -595,20 +520,20 @@ void BatchSimdCross(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
     for (int lane = 0; lane < 4; ++lane) {
       const size_t j = index(k + static_cast<size_t>(lane));
       const bool swap = internal::CrossCanonicalSwap(qs, query, cs, j);
-      const traj::SegmentStore& si = swap ? cs : qs;
-      const traj::SegmentStore& sj = swap ? qs : cs;
+      const StoreColumns& ci = swap ? c_col : q_col;
+      const StoreColumns& cj = swap ? q_col : c_col;
       const size_t li = swap ? j : query;
       const size_t lj = swap ? query : j;
-      den_l[lane] = si.squared_lengths()[li];
-      len_i_l[lane] = si.lengths()[li];
-      len_j_l[lane] = sj.lengths()[lj];
+      den_l[lane] = ci.sqlen[li];
+      len_i_l[lane] = ci.len[li];
+      len_j_l[lane] = cj.len[lj];
       for (int d = 0; d < dims; ++d) {
-        s_l[d][lane] = si.start_coords(d)[li];
-        e_l[d][lane] = si.end_coords(d)[li];
-        se_l[d][lane] = si.direction_coords(d)[li];
-        js_l[d][lane] = sj.start_coords(d)[lj];
-        je_l[d][lane] = sj.end_coords(d)[lj];
-        dj_l[d][lane] = sj.direction_coords(d)[lj];
+        s_l[d][lane] = ci.start[d][li];
+        e_l[d][lane] = ci.end[d][li];
+        se_l[d][lane] = ci.dir[d][li];
+        js_l[d][lane] = cj.start[d][lj];
+        je_l[d][lane] = cj.end[d][lj];
+        dj_l[d][lane] = cj.dir[d][lj];
       }
     }
 
@@ -628,9 +553,9 @@ void BatchSimdCross(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
     _mm256_storeu_pd(out + k, total);
   }
 
-  // Tail lanes (< 4 remaining) run the scalar cross kernel — same bits.
+  // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
   for (; k < n; ++k) {
-    out[k] = PairDistanceScalarCross(qs, query, cs, index(k), cfg);
+    out[k] = PairDistance(qs, query, cs, index(k), cfg);
   }
 }
 
@@ -638,112 +563,19 @@ void BatchSimdCross(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
 
 // Dispatches an already-resolved kernel choice.
 template <typename IndexFn>
-void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& store,
+void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& qs,
+                   const traj::SegmentStore& cs,
                    const SegmentDistanceConfig& cfg, size_t query, size_t n,
                    const IndexFn& index, double* out) {
 #if defined(__AVX2__)
   if (kernel == BatchKernel::kSimd) {
-    BatchSimd(store, cfg, query, n, index, out);
+    BatchSimd(qs, cs, cfg, query, n, index, out);
     return;
   }
 #else
   (void)kernel;
 #endif
-  BatchScalar(store, cfg, query, n, index, out);
-}
-
-// Cross-store scalar batch kernel: query from qs, candidates from cs.
-template <typename IndexFn>
-void BatchScalarCross(const traj::SegmentStore& qs,
-                      const traj::SegmentStore& cs,
-                      const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                      const IndexFn& index, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = PairDistanceScalarCross(qs, query, cs, index(k), cfg);
-  }
-}
-
-// Cross-store kernel dispatch, mirroring BatchDispatch.
-template <typename IndexFn>
-void BatchDispatchCross(BatchKernel kernel, const traj::SegmentStore& qs,
-                        const traj::SegmentStore& cs,
-                        const SegmentDistanceConfig& cfg, size_t query,
-                        size_t n, const IndexFn& index, double* out) {
-#if defined(__AVX2__)
-  if (kernel == BatchKernel::kSimd) {
-    BatchSimdCross(qs, cs, cfg, query, n, index, out);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  BatchScalarCross(qs, cs, cfg, query, n, index, out);
-}
-
-// Shared cross-store ε-refine pipeline: the blocked prune → batch →
-// threshold shape of EpsilonRefineImpl, minus the self-inclusion case
-// (cross-store candidates never contain the query — header contract). The
-// prune reads only the candidate store's midpoint/half-length columns, so
-// PrunedFar works unchanged across stores; emission is `out_base + j` in
-// candidate order (blocks ascend and order within a block is preserved), so
-// the output matches the old per-candidate loop exactly.
-template <typename IndexFn>
-size_t EpsilonRefineCrossImpl(const traj::SegmentStore& qs,
-                              const SegmentDistance& dist, size_t query,
-                              const traj::SegmentStore& cs, size_t n,
-                              const IndexFn& index, double eps,
-                              size_t out_base,
-                              std::vector<size_t>& out_indices,
-                              const BatchOptions& options,
-                              RefineStats* stats) {
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block =
-      options.block > 0 ? options.block : kDefaultRefineBlock;
-  const PruneContext prune =
-      MakePruneContext(qs, dist, query, eps, options.prune);
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  // Same thread_local staging story as EpsilonRefineImpl: the kernels read
-  // only the two stores' immutable columns and write only these buffers plus
-  // the caller-owned out_indices, so concurrent refines share nothing.
-  thread_local std::vector<size_t> survivors;
-  thread_local std::vector<double> distances;
-
-  size_t appended = 0;
-  size_t pruned = 0;
-  size_t refined = 0;
-  for (size_t base = 0; base < n; base += block) {
-    const size_t hi = std::min(n, base + block);
-    survivors.clear();
-    for (size_t k = base; k < hi; ++k) {
-      const size_t j = index(k);
-      TRACLUS_DCHECK(j < cs.size());
-      if (PrunedFar(prune, cs, j)) {
-        ++pruned;
-        continue;
-      }
-      survivors.push_back(j);
-    }
-    distances.resize(survivors.size());
-    BatchDispatchCross(
-        kernel, qs, cs, cfg, query, survivors.size(),
-        [&](size_t m) { return survivors[m]; }, distances.data());
-    refined += survivors.size();
-    for (size_t m = 0; m < survivors.size(); ++m) {
-      if (distances[m] <= eps) {
-        out_indices.push_back(out_base + survivors[m]);
-        ++appended;
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->candidates += n;
-    stats->pruned += pruned;
-    stats->refined += refined;
-    stats->accepted += appended;
-  }
-  return appended;
+  BatchScalar(qs, cs, cfg, query, n, index, out);
 }
 
 // Contiguous-candidate row kernel — the tile family's inner loop. Same
@@ -773,86 +605,91 @@ void RowRangeDispatch(BatchKernel kernel, const traj::SegmentStore& store,
   }
 }
 
-// Tile core for indexed candidate lists: candidate-block-major evaluation of
-// an M × N block. Each block of candidate columns is walked once per query
-// row while hot; per row the block is exactly a BatchDispatch call, so tile
-// results are bit-identical to the per-query batches (and the pair path) by
-// construction. Contiguous-range tiles take the faster RowRangeDispatch
-// inner loop instead.
-template <typename QueryFn, typename CandFn>
-void TileDispatch(BatchKernel kernel, const traj::SegmentStore& store,
-                  const SegmentDistanceConfig& cfg, size_t num_queries,
-                  const QueryFn& query_of, size_t num_candidates,
-                  const CandFn& cand_of, double* out, size_t ldo) {
-  for (size_t jb = 0; jb < num_candidates; jb += kTileCandidateBlock) {
-    const size_t je = std::min(num_candidates, jb + kTileCandidateBlock);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      BatchDispatch(
-          kernel, store, cfg, query_of(qi), je - jb,
-          [&](size_t k) { return cand_of(jb + k); }, out + qi * ldo + jb);
-    }
-  }
+size_t BlockSize(const BatchOptions& options) {
+  return options.block > 0 ? options.block : kDefaultRefineBlock;
 }
 
-// Shared ε-refine pipeline: blocked prune → batch distance → threshold.
-template <typename IndexFn>
-size_t EpsilonRefineImpl(const traj::SegmentStore& store,
-                         const SegmentDistance& dist, size_t query, size_t n,
-                         const IndexFn& index, double eps,
-                         std::vector<size_t>& out_indices,
-                         const BatchOptions& options, RefineStats* stats) {
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block =
-      options.block > 0 ? options.block : kDefaultRefineBlock;
-  const PruneContext prune =
-      MakePruneContext(store, dist, query, eps, options.prune);
-  const SegmentDistanceConfig& cfg = dist.config();
+void AddStats(const RefineStats& counts, RefineStats* stats) {
+  if (stats == nullptr) return;
+  stats->candidates += counts.candidates;
+  stats->pruned += counts.pruned;
+  stats->refined += counts.refined;
+  stats->accepted += counts.accepted;
+}
 
-  // Per-thread staging keeps the hot path allocation-free across calls;
-  // residency is bounded by the block size. thread_local is the whole
-  // concurrency story here: the kernels read only the immutable
-  // SegmentStore columns and write only these buffers plus the
-  // caller-owned out_indices, so concurrent refines on pool workers need
-  // no mutex (and hence no capability annotations) — nothing is shared.
+// "No candidate is the query" marker of RefineRow's `self` (the two-store
+// refines: their candidate lists never hold the query).
+constexpr size_t kNoSelf = static_cast<size_t>(-1);
+
+// The ε-refine pipeline for one query row, in blocks of `block` candidates:
+// lower-bound prune → batch distance → threshold. The query is qs[query];
+// the candidates are cs[index(0 .. n)]. Appends `out_base + j` for every
+// candidate j within ε, in candidate order (blocks ascend and order within a
+// block is preserved). Candidate `self` is appended whatever its distance —
+// Definition 4 self-inclusion for the one-store refines, which pass the
+// query; the two-store refines pass kNoSelf. Counters accumulate into
+// `counts`.
+//
+// Per-thread staging keeps the hot path allocation-free across calls;
+// residency is bounded by the block size. thread_local is the whole
+// concurrency story here: the kernels read only the immutable store columns
+// and write only these buffers plus the caller-owned `out`, so concurrent
+// refines on pool workers need no mutex (and hence no capability
+// annotations) — nothing is shared.
+template <typename IndexFn>
+void RefineRow(BatchKernel kernel, const PruneContext& prune,
+               const traj::SegmentStore& qs, const SegmentDistanceConfig& cfg,
+               size_t query, const traj::SegmentStore& cs, size_t n,
+               const IndexFn& index, double eps, size_t self, size_t out_base,
+               size_t block, std::vector<size_t>& out, RefineStats& counts) {
   thread_local std::vector<size_t> survivors;
   thread_local std::vector<double> distances;
 
-  size_t appended = 0;
-  size_t pruned = 0;
-  size_t refined = 0;
   for (size_t base = 0; base < n; base += block) {
     const size_t hi = std::min(n, base + block);
     survivors.clear();
     for (size_t k = base; k < hi; ++k) {
       const size_t j = index(k);
-      // The query itself always survives (Definition 4 self-inclusion).
-      if (j != query && PrunedFar(prune, store, j)) {
-        ++pruned;
+      TRACLUS_DCHECK(j < cs.size());
+      if (PrunedFar(prune, cs, j)) {
+        ++counts.pruned;
         continue;
       }
       survivors.push_back(j);
     }
     distances.resize(survivors.size());
     BatchDispatch(
-        kernel, store, cfg, query, survivors.size(),
+        kernel, qs, cs, cfg, query, survivors.size(),
         [&](size_t m) { return survivors[m]; }, distances.data());
-    refined += survivors.size();
+    counts.refined += survivors.size();
     for (size_t m = 0; m < survivors.size(); ++m) {
       const size_t j = survivors[m];
-      if (j == query || distances[m] <= eps) {
-        out_indices.push_back(j);
-        ++appended;
+      if (j == self || distances[m] <= eps) {
+        out.push_back(out_base + j);
+        ++counts.accepted;
       }
     }
   }
+  counts.candidates += n;
+}
 
-  if (stats != nullptr) {
-    stats->candidates += n;
-    stats->pruned += pruned;
-    stats->refined += refined;
-    stats->accepted += appended;
-  }
-  return appended;
+// One query against one candidate list or range: the body of every
+// EpsilonRefine* entry point.
+template <typename IndexFn>
+size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
+              size_t query, const traj::SegmentStore& cs, size_t n,
+              const IndexFn& index, double eps, size_t self, size_t out_base,
+              std::vector<size_t>& out, const BatchOptions& options,
+              RefineStats* stats) {
+  TRACLUS_DCHECK(query < qs.size());
+  TRACLUS_DCHECK_EQ(qs.dims(), cs.dims());
+  RefineStats counts;
+  RefineRow(ResolveBatchKernel(options.kernel),
+            MakePruneContext(qs, dist, query, eps), qs, dist.config(), query,
+            cs, n, index, eps, self, out_base, BlockSize(options), out,
+            counts);
+  AddStats(counts, stats);
+  return counts.accepted;
 }
 
 }  // namespace
@@ -898,20 +735,8 @@ void DistanceBatch(const traj::SegmentStore& store,
   TRACLUS_DCHECK_EQ(candidates.size(), out.size());
   const size_t* cand = candidates.data();
   BatchDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), query,
+      ResolveBatchKernel(kernel), store, store, dist.config(), query,
       candidates.size(), [cand](size_t k) { return cand[k]; }, out.data());
-}
-
-void DistanceBatchRange(const traj::SegmentStore& store,
-                        const SegmentDistance& dist, size_t query,
-                        size_t first, size_t last, common::Span<double> out,
-                        BatchKernel kernel) {
-  TRACLUS_DCHECK(query < store.size());
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  TRACLUS_DCHECK_EQ(last - first, out.size());
-  BatchDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), query, last - first,
-      [first](size_t k) { return first + k; }, out.data());
 }
 
 size_t EpsilonRefine(const traj::SegmentStore& store,
@@ -919,11 +744,23 @@ size_t EpsilonRefine(const traj::SegmentStore& store,
                      common::Span<const size_t> candidates, double eps,
                      std::vector<size_t>& out_indices,
                      const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < store.size());
   const size_t* cand = candidates.data();
-  return EpsilonRefineImpl(
-      store, dist, query, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, out_indices, options, stats);
+  return Refine(
+      store, dist, query, store, candidates.size(),
+      [cand](size_t k) { return cand[k]; }, eps, query, 0, out_indices,
+      options, stats);
+}
+
+size_t EpsilonRefineRange(const traj::SegmentStore& store,
+                          const SegmentDistance& dist, size_t query,
+                          size_t first, size_t last, double eps,
+                          std::vector<size_t>& out_indices,
+                          const BatchOptions& options, RefineStats* stats) {
+  TRACLUS_DCHECK(first <= last && last <= store.size());
+  return Refine(
+      store, dist, query, store, last - first,
+      [first](size_t k) { return first + k; }, eps, query, 0, out_indices,
+      options, stats);
 }
 
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
@@ -932,13 +769,11 @@ size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           common::Span<const size_t> candidates, double eps,
                           size_t out_base, std::vector<size_t>& out_indices,
                           const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < query_store.size());
-  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
   const size_t* cand = candidates.data();
-  return EpsilonRefineCrossImpl(
+  return Refine(
       query_store, dist, query, cand_store, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, out_base, out_indices,
-      options, stats);
+      [cand](size_t k) { return cand[k]; }, eps, kNoSelf, out_base,
+      out_indices, options, stats);
 }
 
 size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
@@ -949,26 +784,11 @@ size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
                                std::vector<size_t>& out_indices,
                                const BatchOptions& options,
                                RefineStats* stats) {
-  TRACLUS_DCHECK(query < query_store.size());
-  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
   TRACLUS_DCHECK(first <= last && last <= cand_store.size());
-  return EpsilonRefineCrossImpl(
+  return Refine(
       query_store, dist, query, cand_store, last - first,
-      [first](size_t k) { return first + k; }, eps, out_base, out_indices,
-      options, stats);
-}
-
-void DistanceTile(const traj::SegmentStore& store, const SegmentDistance& dist,
-                  common::Span<const size_t> queries,
-                  common::Span<const size_t> candidates, double* out,
-                  size_t ldo, BatchKernel kernel) {
-  TRACLUS_DCHECK(ldo >= candidates.size());
-  const size_t* q = queries.data();
-  const size_t* cand = candidates.data();
-  TileDispatch(
-      ResolveBatchKernel(kernel), store, dist.config(), queries.size(),
-      [q](size_t qi) { return q[qi]; }, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, out, ldo);
+      [first](size_t k) { return first + k; }, eps, kNoSelf, out_base,
+      out_indices, options, stats);
 }
 
 void DistanceTileRange(const traj::SegmentStore& store,
@@ -1000,77 +820,50 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
   TRACLUS_DCHECK(out_lists != nullptr);
   TRACLUS_DCHECK(first <= last && last <= store.size());
   const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
+  const size_t block = BlockSize(options);
   const SegmentDistanceConfig& cfg = dist.config();
 
   // One prune context per query, hoisted out of the block loop. Same
-  // thread_local staging story as EpsilonRefineImpl: everything else lives in
+  // thread_local staging story as RefineRow: everything else lives in
   // caller-owned out_lists, so concurrent tiles on pool workers share
   // nothing.
   thread_local std::vector<PruneContext> prune;
-  thread_local std::vector<size_t> survivors;
-  thread_local std::vector<double> distances;
   prune.clear();
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(store, dist, q, eps, options.prune));
+    prune.push_back(MakePruneContext(store, dist, q, eps));
   }
 
-  size_t appended = 0;
-  size_t pruned_total = 0;
-  size_t refined_total = 0;
   // Candidate-block-major: each block's columns serve every query while hot.
-  // Per query, blocks arrive in ascending order and emission within a block
-  // preserves candidate order, so out_lists[qi] matches EpsilonRefineRange's
-  // emission exactly.
+  // Per query, blocks arrive in ascending order and each is one RefineRow
+  // call, so out_lists[qi] matches EpsilonRefineRange's emission exactly.
+  RefineStats counts;
   for (size_t base = first; base < last; base += block) {
     const size_t hi = std::min(last, base + block);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t j = base; j < hi; ++j) {
-        // The query itself always survives (Definition 4 self-inclusion).
-        if (j != query && PrunedFar(prune[qi], store, j)) {
-          ++pruned_total;
-          continue;
-        }
-        survivors.push_back(j);
-      }
-      distances.resize(survivors.size());
-      BatchDispatch(
-          kernel, store, cfg, query, survivors.size(),
-          [&](size_t m) { return survivors[m]; }, distances.data());
-      refined_total += survivors.size();
-      for (size_t m = 0; m < survivors.size(); ++m) {
-        const size_t j = survivors[m];
-        if (j == query || distances[m] <= eps) {
-          out_lists[qi].push_back(j);
-          ++appended;
-        }
-      }
+      RefineRow(
+          kernel, prune[qi], store, cfg, queries[qi], store, hi - base,
+          [base](size_t k) { return base + k; }, eps, queries[qi], 0, block,
+          out_lists[qi], counts);
     }
   }
-
-  if (stats != nullptr) {
-    stats->candidates += queries.size() * (last - first);
-    stats->pruned += pruned_total;
-    stats->refined += refined_total;
-    stats->accepted += appended;
-  }
-  return appended;
+  AddStats(counts, stats);
+  return counts.accepted;
 }
 
-void NearestWithinEps(const traj::SegmentStore& store,
+void NearestWithinEps(const traj::SegmentStore& query_store,
                       const SegmentDistance& dist,
                       common::Span<const size_t> queries,
+                      const traj::SegmentStore& cand_store,
                       common::Span<const size_t> candidates, double eps,
                       common::Span<size_t> out_position,
                       common::Span<double> out_distance,
                       const BatchOptions& options) {
   TRACLUS_DCHECK_EQ(queries.size(), out_position.size());
   TRACLUS_DCHECK_EQ(queries.size(), out_distance.size());
+  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
   const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
+  const size_t block = BlockSize(options);
   const SegmentDistanceConfig& cfg = dist.config();
 
   thread_local std::vector<PruneContext> prune;
@@ -1078,8 +871,8 @@ void NearestWithinEps(const traj::SegmentStore& store,
   thread_local std::vector<double> distances;
   prune.clear();
   for (const size_t q : queries) {
-    TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(store, dist, q, eps, options.prune));
+    TRACLUS_DCHECK(q < query_store.size());
+    prune.push_back(MakePruneContext(query_store, dist, q, eps));
   }
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out_position[qi] = kNoNearest;
@@ -1099,71 +892,12 @@ void NearestWithinEps(const traj::SegmentStore& store,
       survivors.clear();
       for (size_t pos = base; pos < hi; ++pos) {
         const size_t j = candidates[pos];
-        TRACLUS_DCHECK(j < store.size());
-        if (j != query && PrunedFar(prune[qi], store, j)) continue;
-        survivors.push_back(pos);
-      }
-      distances.resize(survivors.size());
-      BatchDispatch(
-          kernel, store, cfg, query, survivors.size(),
-          [&](size_t m) { return candidates[survivors[m]]; },
-          distances.data());
-      for (size_t m = 0; m < survivors.size(); ++m) {
-        const double d = distances[m];
-        if (d <= eps && d < out_distance[qi]) {
-          out_distance[qi] = d;
-          out_position[qi] = survivors[m];
-        }
-      }
-    }
-  }
-}
-
-void NearestWithinEpsCross(const traj::SegmentStore& query_store,
-                           const SegmentDistance& dist,
-                           common::Span<const size_t> queries,
-                           const traj::SegmentStore& cand_store,
-                           common::Span<const size_t> candidates, double eps,
-                           common::Span<size_t> out_position,
-                           common::Span<double> out_distance,
-                           const BatchOptions& options) {
-  TRACLUS_DCHECK_EQ(queries.size(), out_position.size());
-  TRACLUS_DCHECK_EQ(queries.size(), out_distance.size());
-  const BatchKernel kernel = ResolveBatchKernel(options.kernel);
-  const size_t block = options.block > 0 ? options.block : kDefaultRefineBlock;
-  const SegmentDistanceConfig& cfg = dist.config();
-
-  thread_local std::vector<PruneContext> prune;
-  thread_local std::vector<size_t> survivors;  // Positions into `candidates`.
-  thread_local std::vector<double> distances;
-  prune.clear();
-  for (const size_t q : queries) {
-    TRACLUS_DCHECK(q < query_store.size());
-    prune.push_back(MakePruneContext(query_store, dist, q, eps, options.prune));
-  }
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out_position[qi] = kNoNearest;
-    out_distance[qi] = std::numeric_limits<double>::infinity();
-  }
-
-  // Candidate-block-major like the one-store tile. The prune context carries
-  // only the query's midpoint/half-length and reads only the candidate
-  // store's columns, so it is cross-store-correct as-is; the ε-only prune
-  // plus bit-identical distances make the strict-< argmin independent of
-  // block size, kernel, and evaluation order here too.
-  for (size_t base = 0; base < candidates.size(); base += block) {
-    const size_t hi = std::min(candidates.size(), base + block);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t pos = base; pos < hi; ++pos) {
-        const size_t j = candidates[pos];
         TRACLUS_DCHECK(j < cand_store.size());
         if (PrunedFar(prune[qi], cand_store, j)) continue;
         survivors.push_back(pos);
       }
       distances.resize(survivors.size());
-      BatchDispatchCross(
+      BatchDispatch(
           kernel, query_store, cand_store, cfg, query, survivors.size(),
           [&](size_t m) { return candidates[survivors[m]]; },
           distances.data());
@@ -1176,19 +910,6 @@ void NearestWithinEpsCross(const traj::SegmentStore& query_store,
       }
     }
   }
-}
-
-size_t EpsilonRefineRange(const traj::SegmentStore& store,
-                          const SegmentDistance& dist, size_t query,
-                          size_t first, size_t last, double eps,
-                          std::vector<size_t>& out_indices,
-                          const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < store.size());
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  return EpsilonRefineImpl(
-      store, dist, query, last - first,
-      [first](size_t k) { return first + k; }, eps, out_indices, options,
-      stats);
 }
 
 common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
@@ -1229,7 +950,7 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
-  const PruneContext p = MakePruneContext(store, dist, a, eps, true);
+  const PruneContext p = MakePruneContext(store, dist, a, eps);
   return a != b && PrunedFar(p, store, b);
 }
 

@@ -4,14 +4,26 @@
 // Batched distance kernels over the SegmentStore's flat arrays — the ε-query
 // hot path of the grouping phase (Lemma 3), the parameter heuristic
 // (§4.2/§4.4), and the all-pairs consumers (distance matrix, entropy profile,
-// k-medoids). Two shapes share one arithmetic core:
+// k-medoids). The public surface is ten entry points:
 //
-//   * one-query-vs-many-candidates batches (DistanceBatch / EpsilonRefine),
-//     the refinement half of every ε-query, and
-//   * many-vs-many tiles (DistanceTile / EpsilonRefineTile /
-//     NearestWithinEps), which evaluate an M-query × N-candidate block
-//     candidate-block-major so each block of SoA columns is loaded once and
-//     reused across all M query rows — the all-pairs consumers' shape.
+//   * one query vs an index list: DistanceBatch (distances), EpsilonRefine
+//     and EpsilonRefineCross (ε-neighbors);
+//   * one query vs a contiguous range: EpsilonRefineRange and
+//     EpsilonRefineCrossRange;
+//   * many queries vs many candidates, candidate-block-major so each block
+//     of SoA columns is loaded once and reused by every query row:
+//     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
+//     PairwiseDistanceMatrix overload below;
+//   * the prune predicate itself, PruneProvablyFar, for tests.
+//
+// Every operation has one implementation, written for two stores: the query
+// from one SegmentStore, the candidates from another. The one-store entry
+// points pass the same store twice; the Cross ones take two chunk-local
+// stores of a ChunkedSegmentStore. Chunk-local stores cache bit-identical
+// invariants, so both shapes execute the same floating-point operations on
+// the same bits. The only second algorithm is the hoisted row kernel behind
+// DistanceTileRange and PairwiseDistanceMatrix, chosen by the input's shape
+// (a contiguous range of one store rather than an index list).
 //
 // Every ε-query in the pipeline decomposes into candidate generation (an
 // index emits segment indices) followed by refinement (the exact §2.3
@@ -40,14 +52,19 @@
 //     lanes are bit-identical too (tests/segment_distance_test.cc pins all
 //     of this on randomized, degenerate, tied, and 3-D segments).
 //
-// Consumers: the neighborhood providers (BruteForce/Grid/StrRTree) generate
-// candidates and delegate refinement here; PairwiseDistanceMatrix, the
-// entropy NeighborhoodProfile, and the k-medoids baseline ride the tile
-// family; OPTICS streams blocked DistanceBatch calls; the sieve stage
-// (core::SieveGroupStage) assigns through NearestWithinEps. Kernel selection
-// is a per-run knob (core::RunContext::distance_kernel, CLI --kernel
-// auto|scalar|simd); ParseBatchKernel below is the single string→kernel
-// parsing path in the tree — callers must not grow private switches.
+// Consumers: the eager neighborhood providers (BruteForce/Grid/StrRTree)
+// generate candidates and refine them through EpsilonRefine(Range) and
+// EpsilonRefineTile; the chunked provider (cluster::ChunkedNeighborhood)
+// refines chunk pairs through EpsilonRefineCross(Range); the sharded stage
+// re-checks halos with EpsilonRefineTile. PairwiseDistanceMatrix, the
+// entropy NeighborhoodProfile, and the k-medoids baseline ride
+// DistanceTileRange; OPTICS streams blocked DistanceBatch calls; the sieve
+// stage (core::SieveGroupStage, one store passed twice) and the frozen
+// snapshot (core::ClusterSnapshot::AssignSegments, two stores) assign
+// through NearestWithinEps. Kernel selection is a per-run knob
+// (core::RunContext::distance_kernel, CLI --kernel auto|scalar|simd);
+// ParseBatchKernel below is the single string→kernel parsing path in the
+// tree — callers must not grow private switches.
 //
 // Thread-safety contract: every kernel here is lock-free by construction —
 // inputs are the store's immutable SoA columns, outputs go to caller-owned
@@ -111,16 +128,13 @@ struct RefineStats {
   size_t accepted = 0;    ///< Emitted into the neighborhood.
 };
 
-/// Tuning knobs of EpsilonRefine. Every setting yields identical output —
-/// the knobs trade only speed and scratch residency.
+/// Tuning knobs of the refine and nearest kernels. Every setting yields
+/// identical output — the knobs trade only speed and scratch residency.
 struct BatchOptions {
   BatchKernel kernel = BatchKernel::kAuto;
   /// Candidates staged per prune/refine block; bounds scratch memory at
   /// O(block). 0 = default (256).
   size_t block = 0;
-  /// Disables the lower-bound prune (diagnostics; the full distance is then
-  /// evaluated for every candidate).
-  bool prune = true;
 };
 
 /// dist(query, candidates[k]) → out[k] for every candidate, bit-identical to
@@ -131,13 +145,6 @@ void DistanceBatch(const traj::SegmentStore& store,
                    common::Span<const size_t> candidates,
                    common::Span<double> out,
                    BatchKernel kernel = BatchKernel::kAuto);
-
-/// Contiguous-candidate variant: dist(query, first + k) → out[k] for the
-/// index range [first, last). `out.size()` must equal `last - first`.
-void DistanceBatchRange(const traj::SegmentStore& store,
-                        const SegmentDistance& dist, size_t query,
-                        size_t first, size_t last, common::Span<double> out,
-                        BatchKernel kernel = BatchKernel::kAuto);
 
 /// The batched ε-refine: appends to `out_indices` every candidate within
 /// distance `eps` of `query` (the query itself always passes when listed,
@@ -178,11 +185,10 @@ size_t EpsilonRefineRange(const traj::SegmentStore& store,
 /// merged database.
 ///
 /// The candidates must not contain the query segment itself (Definition 4
-/// self-inclusion is a same-store concern; callers route the query's own
-/// chunk through EpsilonRefine). Runs the same blocked prune → batch →
-/// threshold pipeline as EpsilonRefine, with cross-store scalar and AVX2
-/// four-lane kernels (the lane gather resolves the Lemma 2 roles across the
-/// two stores); all kernels are bit-identical to the per-pair cross loop.
+/// self-inclusion is a same-store concern; callers exclude the query from
+/// its own chunk's candidates and append it themselves). This is the same
+/// blocked prune → batch → threshold pipeline EpsilonRefine runs, with no
+/// self-inclusion; every kernel is bit-identical to the per-pair loop.
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           const SegmentDistance& dist, size_t query,
                           const traj::SegmentStore& cand_store,
@@ -192,8 +198,8 @@ size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           RefineStats* stats = nullptr);
 
 /// Contiguous-candidate cross-store ε-refine over cand_store indices
-/// [first, last) — the whole-chunk scan of the chunked brute-force provider
-/// and the no-bound fallback, without materializing an index list. Appends
+/// [first, last) — the chunked provider's whole-chunk scan (no index, or no
+/// usable bound), without materializing an index list. Appends
 /// `out_base + j` for every accepted j, exactly like EpsilonRefineCross on
 /// the materialized range.
 size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
@@ -214,19 +220,11 @@ size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
 // to the corresponding per-query batch call and to the pair path.
 // ---------------------------------------------------------------------------
 
-/// M-query × N-candidate distance tile:
-///   dist(queries[qi], candidates[k]) → out[qi * ldo + k]
-/// for every query/candidate combination, bit-identical to DistanceBatch per
-/// row. `ldo` is the leading dimension (row stride, in doubles) of the
-/// caller's row-major output block; it must be ≥ candidates.size().
-void DistanceTile(const traj::SegmentStore& store, const SegmentDistance& dist,
-                  common::Span<const size_t> queries,
-                  common::Span<const size_t> candidates, double* out,
-                  size_t ldo, BatchKernel kernel = BatchKernel::kAuto);
-
 /// Contiguous-range tile: dist(query_first + qi, cand_first + k) →
 /// out[qi * ldo + k] over the index ranges [query_first, query_last) ×
-/// [cand_first, cand_last). `ldo` must be ≥ cand_last − cand_first.
+/// [cand_first, cand_last), bit-identical to DistanceBatch per row. `ldo`
+/// is the leading dimension (row stride, in doubles) of the caller's
+/// row-major output block; it must be ≥ cand_last − cand_first.
 void DistanceTileRange(const traj::SegmentStore& store,
                        const SegmentDistance& dist, size_t query_first,
                        size_t query_last, size_t cand_first, size_t cand_last,
@@ -252,44 +250,29 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
 /// "No candidate within ε" marker of NearestWithinEps.
 inline constexpr size_t kNoNearest = static_cast<size_t>(-1);
 
-/// Batch nearest-candidate assignment — the sieve stage's primitive
-/// (core::SieveGroupStage): for each query queries[qi], the candidate
-/// minimizing dist(store, query, candidates[·]) subject to dist ≤ eps, ties
-/// broken toward the earliest candidate in span order. Writes the winning
-/// *position within `candidates`* to out_position[qi] (kNoNearest when every
-/// candidate is farther than ε) and the winning distance to out_distance[qi]
-/// (+inf when none). Candidates are lower-bound pruned against ε only — never
-/// against the running minimum — so the refined set, and therefore the
-/// argmin, is independent of evaluation order; distances are bit-identical
-/// across kernels, so the assignment is too. Both out spans must have
-/// queries.size() entries.
-void NearestWithinEps(const traj::SegmentStore& store,
+/// Batch nearest-candidate assignment: queries index `query_store`,
+/// candidates index `cand_store`, and each query queries[qi] gets the
+/// candidate minimizing dist(query, candidates[·]) subject to dist ≤ eps,
+/// ties broken toward the earliest candidate in span order. Writes the
+/// winning *position within `candidates`* to out_position[qi] (kNoNearest
+/// when every candidate is farther than ε) and the winning distance to
+/// out_distance[qi] (+inf when none). Candidates are lower-bound pruned
+/// against ε only — never against the running minimum — so the refined set,
+/// and therefore the argmin, is independent of block size, kernel, and
+/// evaluation order; distances are bit-identical across kernels, so the
+/// assignment is too. Both out spans must have queries.size() entries.
+///
+/// The sieve stage (core::SieveGroupStage) passes one store twice; the
+/// frozen snapshot (core::ClusterSnapshot::AssignSegments) passes the
+/// caller's query store and its frozen candidate store.
+void NearestWithinEps(const traj::SegmentStore& query_store,
                       const SegmentDistance& dist,
                       common::Span<const size_t> queries,
+                      const traj::SegmentStore& cand_store,
                       common::Span<const size_t> candidates, double eps,
                       common::Span<size_t> out_position,
                       common::Span<double> out_distance,
                       const BatchOptions& options = {});
-
-/// Cross-store NearestWithinEps — the frozen-snapshot assignment primitive
-/// (core::ClusterSnapshot::AssignSegments): queries index `query_store`,
-/// candidates index `cand_store`, and each query gets the candidate
-/// minimizing dist(query, candidate) subject to dist ≤ eps, ties broken
-/// toward the earliest candidate in span order. Same contract as the
-/// one-store overload (kNoNearest / +inf when no candidate qualifies; the
-/// prune is against ε only, so the argmin is independent of block size,
-/// kernel, and evaluation order) minus the self-exclusion special case —
-/// cross-store candidate lists never contain the query. Bit-identical
-/// across scalar/SIMD kernels and thread counts for the same reasons as
-/// the one-store tile.
-void NearestWithinEpsCross(const traj::SegmentStore& query_store,
-                           const SegmentDistance& dist,
-                           common::Span<const size_t> queries,
-                           const traj::SegmentStore& cand_store,
-                           common::Span<const size_t> candidates, double eps,
-                           common::Span<size_t> out_position,
-                           common::Span<double> out_distance,
-                           const BatchOptions& options = {});
 
 /// Kernel-selecting overload of PairwiseDistanceMatrix (segment_distance.h):
 /// the same symmetric n×n matrix, filled through upper-triangle tiles — the

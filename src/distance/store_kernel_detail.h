@@ -170,8 +170,9 @@ inline void StoreComponentsCanonicalInto(const traj::SegmentStore& store,
 }
 
 // Full weighted distance across two stores for an already-canonicalized
-// (longer, shorter) role assignment; same left-to-right weighted fold as
-// StoreWeightedCanonical.
+// (longer, shorter) role assignment; the weighted sum folds left-to-right
+// exactly like SegmentDistance::operator(). One-store callers pass the same
+// store twice.
 inline double CrossWeightedCanonical(const traj::SegmentStore& si, size_t li,
                                      const traj::SegmentStore& sj, size_t lj,
                                      bool directed, double w_perpendicular,
@@ -179,23 +180,6 @@ inline double CrossWeightedCanonical(const traj::SegmentStore& si, size_t li,
   double total = 0.0;
   CrossComponentsCanonicalInto(
       si, li, sj, lj, directed,
-      [&](double perpendicular, double parallel, double angle) {
-        total = w_perpendicular * perpendicular + w_parallel * parallel +
-                w_angle * angle;
-      });
-  return total;
-}
-
-// Full weighted distance for an already-canonicalized (longer, shorter)
-// pair; the weighted sum folds left-to-right exactly like
-// SegmentDistance::operator().
-inline double StoreWeightedCanonical(const traj::SegmentStore& store,
-                                     size_t li, size_t lj, bool directed,
-                                     double w_perpendicular, double w_parallel,
-                                     double w_angle) {
-  double total = 0.0;
-  StoreComponentsCanonicalInto(
-      store, li, lj, directed,
       [&](double perpendicular, double parallel, double angle) {
         total = w_perpendicular * perpendicular + w_parallel * parallel +
                 w_angle * angle;

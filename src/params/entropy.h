@@ -44,7 +44,7 @@ class NeighborhoodProfile {
   /// `eps_grid` must be strictly increasing. O(n²) construction; the pairwise
   /// distance pass is spread over `num_threads` workers (0 = hardware
   /// concurrency). Each row's distances stream through the batched kernels
-  /// (distance::DistanceBatchRange) in bounded blocks rather than one
+  /// (distance::DistanceTileRange) in bounded blocks rather than one
   /// pair-at-a-time call per bucket insert; `kernel` selects scalar/SIMD
   /// (bit-identical values either way). Parallel workers do not stage whole
   /// grid × n count buffers: each streams its (grid position, segment)

@@ -58,6 +58,17 @@ bool ParseDouble(std::string_view s, double* out) {
   return true;
 }
 
+// Largest accepted |x|, |y| or |z|. The distance squares coordinate
+// differences and sums them over up to 3 dimensions; at this bound every
+// difference is at most 2e150, so every such sum stays below 1.3e301, far
+// from overflow (DBL_MAX ≈ 1.8e308). Weights are never squared and stay
+// unbounded.
+constexpr double kMaxCoordinate = 1e150;
+
+bool ParseCoordinate(std::string_view s, double* out) {
+  return ParseDouble(s, out) && std::fabs(*out) <= kMaxCoordinate;
+}
+
 bool ParseId(std::string_view s, int64_t* out) {
   s = Trim(s);
   if (s.empty()) return false;
@@ -97,7 +108,7 @@ common::Result<bool> CsvStreamSource::NextRow(Row* row) {
 
     double x = 0.0;
     double y = 0.0;
-    if (!ParseDouble(fields[1], &x) || !ParseDouble(fields[2], &y)) {
+    if (!ParseCoordinate(fields[1], &x) || !ParseCoordinate(fields[2], &y)) {
       return common::Status::InvalidArgument(
           "CSV line " + std::to_string(line_no_) + ": bad coordinate");
     }
@@ -112,7 +123,8 @@ common::Result<bool> CsvStreamSource::NextRow(Row* row) {
             "CSV line " + std::to_string(line_no_) + ": bad weight");
       }
     } else if (fields.size() >= 5) {
-      if (!ParseDouble(fields[3], &z) || !ParseDouble(fields[4], &weight)) {
+      if (!ParseCoordinate(fields[3], &z) ||
+          !ParseDouble(fields[4], &weight)) {
         return common::Status::InvalidArgument(
             "CSV line " + std::to_string(line_no_) + ": bad z or weight");
       }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -377,6 +378,15 @@ void ExpectBitEqual(double a, double b, const char* what, size_t q, size_t j) {
                     << "): " << a << " vs " << b;
 }
 
+// Chunk-local store over segments [lo, hi) of `store` — what a
+// ChunkedSegmentStore hands the two-store kernels for one chunk.
+traj::SegmentStore ChunkStore(const traj::SegmentStore& store, size_t lo,
+                              size_t hi) {
+  return traj::SegmentStore::FromSegments(std::vector<Segment>(
+      store.segments().begin() + static_cast<std::ptrdiff_t>(lo),
+      store.segments().begin() + static_cast<std::ptrdiff_t>(hi)));
+}
+
 TEST(BatchKernelTest, DistanceBatchBitIdenticalToCachedPairPath) {
   for (const bool three_d : {false, true}) {
     const traj::SegmentStore store = AdversarialStore(19, three_d);
@@ -401,26 +411,19 @@ TEST(BatchKernelTest, DistanceBatchBitIdenticalToCachedPairPath) {
   }
 }
 
-TEST(BatchKernelTest, DistanceBatchRangeMatchesIndexedBatch) {
-  const traj::SegmentStore store = AdversarialStore(23, false);
-  const SegmentDistance dist;
-  const size_t n = store.size();
-  for (const BatchKernel kernel : CompiledKernels()) {
-    std::vector<double> out(n - 5);
-    DistanceBatchRange(store, dist, 2, 5, n,
-                       common::Span<double>(out.data(), out.size()), kernel);
-    for (size_t j = 5; j < n; ++j) {
-      ExpectBitEqual(out[j - 5], dist(store, 2, j), "range", 2, j);
-    }
-  }
-}
-
 TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
   for (const bool three_d : {false, true}) {
     const traj::SegmentStore store = AdversarialStore(29, three_d);
     const size_t n = store.size();
     std::vector<size_t> all(n);
     for (size_t i = 0; i < n; ++i) all[i] = i;
+    // The same database cut into three chunk-local stores, for the
+    // two-store entry points.
+    const std::vector<size_t> bounds = {0, n / 3, 2 * n / 3, n};
+    std::vector<traj::SegmentStore> chunks;
+    for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+      chunks.push_back(ChunkStore(store, bounds[c], bounds[c + 1]));
+    }
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
       for (const double eps : {0.01, 2.0, 9.0, 40.0}) {
@@ -430,6 +433,15 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
           for (const size_t j : all) {
             if (j == q || dist(store, q, j) <= eps) expect.push_back(j);
           }
+          // The two-store refines never see the query among the candidates
+          // (their contract), so they must reproduce `expect` minus q.
+          std::vector<size_t> expect_cross;
+          for (const size_t j : expect) {
+            if (j != q) expect_cross.push_back(j);
+          }
+          size_t qc = 0;
+          while (q >= bounds[qc + 1]) ++qc;
+          const size_t q_local = q - bounds[qc];
           for (const BatchKernel kernel : CompiledKernels()) {
             for (const size_t block : {size_t{1}, size_t{2}, size_t{3},
                                        size_t{7}, size_t{256}}) {
@@ -447,6 +459,46 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               EXPECT_EQ(stats.candidates, n);
               EXPECT_EQ(stats.pruned + stats.refined, n);
               EXPECT_EQ(stats.accepted, got.size());
+
+              // Query from its chunk, candidates chunk by chunk, shifted by
+              // out_base = the chunk's first global index: once as index
+              // lists, once as ranges split around the query.
+              std::vector<size_t> got_list, got_range;
+              RefineStats list_stats, range_stats;
+              for (size_t c = 0; c < chunks.size(); ++c) {
+                const size_t len = chunks[c].size();
+                const bool own = c == qc;
+                std::vector<size_t> local;
+                for (size_t j = 0; j < len; ++j) {
+                  if (!own || j != q_local) local.push_back(j);
+                }
+                EpsilonRefineCross(
+                    chunks[qc], dist, q_local, chunks[c],
+                    common::Span<const size_t>(local.data(), local.size()),
+                    eps, bounds[c], got_list, options, &list_stats);
+                const size_t split = own ? q_local : len;
+                EpsilonRefineCrossRange(chunks[qc], dist, q_local, chunks[c],
+                                        0, split, eps, bounds[c], got_range,
+                                        options, &range_stats);
+                if (own) {
+                  EpsilonRefineCrossRange(chunks[qc], dist, q_local,
+                                          chunks[c], split + 1, len, eps,
+                                          bounds[c], got_range, options,
+                                          &range_stats);
+                }
+              }
+              EXPECT_EQ(got_list, expect_cross)
+                  << "cross " << BatchKernelName(kernel) << " block " << block
+                  << " eps " << eps << " query " << q;
+              EXPECT_EQ(got_range, expect_cross)
+                  << "cross-range " << BatchKernelName(kernel) << " block "
+                  << block << " eps " << eps << " query " << q;
+              for (const RefineStats& cross : {list_stats, range_stats}) {
+                EXPECT_EQ(cross.candidates, n - 1);
+                EXPECT_EQ(cross.pruned, stats.pruned);
+                EXPECT_EQ(cross.refined, stats.refined - 1);
+                EXPECT_EQ(cross.accepted, expect_cross.size());
+              }
             }
           }
         }
@@ -505,70 +557,51 @@ TEST(BatchKernelTest, PairwiseMatrixBatchedMatchesPerPair) {
   }
 }
 
-TEST(BatchKernelTest, DistanceTileBitIdenticalToBatchAndPairPath) {
-  // Every (query-block, candidate-block) shape — 1×1, ragged, skewed, full —
-  // must produce the same bits as the one-vs-many batch and the cached pair
-  // path. The tile is just a loop arrangement; splitting or regrouping a
-  // batch must never change a single bit.
+TEST(BatchKernelTest, DistanceTileRangeBitIdenticalToBatchAndPairPath) {
+  // The hoisted row kernels behind DistanceTileRange must produce, for
+  // every range shape — 1×1, ragged, skewed, full — the same bits as the
+  // indexed one-vs-many batch and the cached pair path. The tile is just a
+  // loop arrangement; splitting or regrouping a batch must never change a
+  // single bit.
   for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(53, three_d);
+    const traj::SegmentStore store = AdversarialStore(59, three_d);
     const size_t n = store.size();
-    const std::vector<std::pair<size_t, size_t>> shapes = {
-        {1, 1}, {1, n}, {n, 1}, {3, 7}, {5, n - 3}, {n, n}};
+    // {query_first, query_last, cand_first, cand_last}.
+    const std::vector<std::vector<size_t>> shapes = {
+        {0, 1, 0, 1}, {2, 3, 0, n}, {0, n, 5, 6},
+        {3, 6, 1, 8}, {2, n - 1, 1, n - 4}, {0, n, 0, n}};
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
       for (const BatchKernel kernel : CompiledKernels()) {
-        for (const auto& [mq, nc] : shapes) {
-          // Strided (and so possibly duplicated) index sets: tiles must not
-          // assume sorted or unique rows/columns.
-          std::vector<size_t> queries(mq), cands(nc);
-          for (size_t i = 0; i < mq; ++i) queries[i] = (i * 5 + 1) % n;
-          for (size_t j = 0; j < nc; ++j) cands[j] = (j * 3 + 2) % n;
+        for (const std::vector<size_t>& shape : shapes) {
+          const size_t q_first = shape[0], q_last = shape[1];
+          const size_t c_first = shape[2], c_last = shape[3];
+          const size_t mq = q_last - q_first, nc = c_last - c_first;
           const size_t ldo = nc + 3;  // Padded stride must be respected.
           std::vector<double> tile(mq * ldo, -1.0);
-          DistanceTile(store, dist,
-                       common::Span<const size_t>(queries.data(), mq),
-                       common::Span<const size_t>(cands.data(), nc),
-                       tile.data(), ldo, kernel);
+          DistanceTileRange(store, dist, q_first, q_last, c_first, c_last,
+                            tile.data(), ldo, kernel);
+          std::vector<size_t> cands(nc);
+          for (size_t k = 0; k < nc; ++k) cands[k] = c_first + k;
           std::vector<double> row(nc);
           for (size_t qi = 0; qi < mq; ++qi) {
-            DistanceBatch(store, dist, queries[qi],
+            const size_t q = q_first + qi;
+            DistanceBatch(store, dist, q,
                           common::Span<const size_t>(cands.data(), nc),
                           common::Span<double>(row.data(), nc), kernel);
-            for (size_t j = 0; j < nc; ++j) {
-              ExpectBitEqual(tile[qi * ldo + j], row[j], "tile-vs-batch", qi,
-                             j);
-              ExpectBitEqual(tile[qi * ldo + j],
-                             dist(store, queries[qi], cands[j]),
-                             "tile-vs-pair", qi, j);
+            for (size_t k = 0; k < nc; ++k) {
+              ExpectBitEqual(tile[qi * ldo + k], row[k], "tile-vs-batch", q,
+                             cands[k]);
+              ExpectBitEqual(tile[qi * ldo + k], dist(store, q, cands[k]),
+                             "tile-vs-pair", q, cands[k]);
             }
-            for (size_t j = nc; j < ldo; ++j) {
-              EXPECT_EQ(tile[qi * ldo + j], -1.0)
-                  << "tile wrote past row width at (" << qi << ", " << j
+            for (size_t k = nc; k < ldo; ++k) {
+              EXPECT_EQ(tile[qi * ldo + k], -1.0)
+                  << "tile wrote past row width at (" << qi << ", " << k
                   << ")";
             }
           }
         }
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, DistanceTileRangeMatchesIndexedTile) {
-  const traj::SegmentStore store = AdversarialStore(59, false);
-  const SegmentDistance dist;
-  const size_t n = store.size();
-  for (const BatchKernel kernel : CompiledKernels()) {
-    const size_t q_first = 2, q_last = n - 1, c_first = 1, c_last = n - 4;
-    const size_t mq = q_last - q_first, nc = c_last - c_first;
-    std::vector<double> got(mq * nc);
-    DistanceTileRange(store, dist, q_first, q_last, c_first, c_last,
-                      got.data(), nc, kernel);
-    for (size_t qi = 0; qi < mq; ++qi) {
-      for (size_t j = 0; j < nc; ++j) {
-        ExpectBitEqual(got[qi * nc + j],
-                       dist(store, q_first + qi, c_first + j), "tile-range",
-                       qi, j);
       }
     }
   }
@@ -619,6 +652,19 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
     for (size_t j = 0; j < n; j += 5) cands.push_back(j);
     std::vector<size_t> queries;
     for (size_t q = 0; q < n; ++q) queries.push_back(q);
+    // Two-store form: queries [0, q_hi) from one chunk-local store,
+    // candidates [c_lo, n) from another. The chunks overlap, so some pairs
+    // are one segment held by both stores.
+    const size_t q_hi = 2 * n / 3, c_lo = n / 3;
+    const traj::SegmentStore query_chunk = ChunkStore(store, 0, q_hi);
+    const traj::SegmentStore cand_chunk = ChunkStore(store, c_lo, n);
+    std::vector<size_t> chunk_queries, chunk_cands, global_cands;
+    for (size_t q = 0; q < q_hi; ++q) chunk_queries.push_back(q);
+    for (const size_t j : cands) {
+      if (j < c_lo) continue;
+      chunk_cands.push_back(j - c_lo);
+      global_cands.push_back(j);
+    }
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
       for (const double eps : {0.01, 2.0, 9.0, 1e300}) {
@@ -645,8 +691,8 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
             NearestWithinEps(
                 store, dist,
                 common::Span<const size_t>(queries.data(), queries.size()),
-                common::Span<const size_t>(cands.data(), cands.size()), eps,
-                common::Span<size_t>(pos.data(), pos.size()),
+                store, common::Span<const size_t>(cands.data(), cands.size()),
+                eps, common::Span<size_t>(pos.data(), pos.size()),
                 common::Span<double>(dmin.data(), dmin.size()), options);
             for (size_t k = 0; k < queries.size(); ++k) {
               EXPECT_EQ(pos[k], expect_pos[k])
@@ -656,6 +702,33 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
                 ExpectBitEqual(dmin[k], expect_dist[k], "nearest-dist", k,
                                expect_pos[k]);
               }
+            }
+
+            // The chunk-local call must match the one-store call over the
+            // same global segments: same positions, same distance bits.
+            std::vector<size_t> one_pos(q_hi), cross_pos(q_hi);
+            std::vector<double> one_dist(q_hi), cross_dist(q_hi);
+            NearestWithinEps(
+                store, dist,
+                common::Span<const size_t>(chunk_queries.data(), q_hi), store,
+                common::Span<const size_t>(global_cands.data(),
+                                           global_cands.size()),
+                eps, common::Span<size_t>(one_pos.data(), q_hi),
+                common::Span<double>(one_dist.data(), q_hi), options);
+            NearestWithinEps(
+                query_chunk, dist,
+                common::Span<const size_t>(chunk_queries.data(), q_hi),
+                cand_chunk,
+                common::Span<const size_t>(chunk_cands.data(),
+                                           chunk_cands.size()),
+                eps, common::Span<size_t>(cross_pos.data(), q_hi),
+                common::Span<double>(cross_dist.data(), q_hi), options);
+            for (size_t q = 0; q < q_hi; ++q) {
+              EXPECT_EQ(cross_pos[q], one_pos[q])
+                  << "cross " << BatchKernelName(kernel) << " block "
+                  << block << " eps " << eps << " query " << q;
+              ExpectBitEqual(cross_dist[q], one_dist[q], "nearest-cross", q,
+                             cross_pos[q]);
             }
           }
         }

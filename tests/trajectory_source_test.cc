@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -253,20 +255,25 @@ TEST(CsvSourceFailureTest, MixedDimensionalityNamesItsLine) {
 
 TEST(CsvSourceFailureTest, NonFiniteValuesNameTheirLine) {
   // strtod parses "nan" and "inf" without an error and saturates "1e400" to
-  // infinity; none of them is a coordinate, z or weight.
+  // infinity; none of them is a coordinate, z or weight. ±1e200 is finite
+  // but its squared extents overflow the distance: a bad coordinate or z,
+  // yet a valid weight (weights are never squared).
   struct Row {
     const char* prefix;  // Fields before the bad value.
     const char* suffix;  // Fields after it.
     const char* message;
+    bool weight;  // The value lands in the weight column.
   };
   const Row rows[] = {
-      {"1,", ",2", "bad coordinate"},
-      {"1,2,", "", "bad coordinate"},
-      {"1,2,3,", "", "bad weight"},
-      {"1,2,3,", ",1", "bad z or weight"},
-      {"1,2,3,4,", "", "bad z or weight"},
+      {"1,", ",2", "bad coordinate", false},
+      {"1,2,", "", "bad coordinate", false},
+      {"1,2,3,", "", "bad weight", true},
+      {"1,2,3,", ",1", "bad z or weight", false},
+      {"1,2,3,4,", "", "bad z or weight", true},
   };
-  for (const char* bad : {"nan", "inf", "-inf", "1e400", "NAN", "-Infinity"}) {
+  for (const char* bad : {"nan", "inf", "-inf", "1e400", "NAN", "-Infinity",
+                          "1e200", "-1e200"}) {
+    const bool finite = std::isfinite(std::strtod(bad, nullptr));
     for (const Row& row : rows) {
       const bool three_d = std::string(row.message) == "bad z or weight";
       const std::string good =
@@ -275,6 +282,13 @@ TEST(CsvSourceFailureTest, NonFiniteValuesNameTheirLine) {
       CsvStringSource source(csv);
       Trajectory tr;
       const auto more = source.Next(&tr);
+      if (finite && row.weight) {
+        // The whole file parses: trajectory 1 with three points.
+        ASSERT_TRUE(more.ok()) << csv << more.status().ToString();
+        EXPECT_TRUE(*more) << csv;
+        EXPECT_EQ(tr.size(), 3u) << csv;
+        continue;
+      }
       ASSERT_FALSE(more.ok()) << csv;
       EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument) << csv;
       const std::string msg = more.status().ToString();
