@@ -213,11 +213,11 @@ void BM_DistanceBatchScalar(benchmark::State& state) {
 BENCHMARK(BM_DistanceBatchScalar);
 
 // Same row through the AVX2 lanes (bit-identical results; only throughput
-// differs). Skipped — loudly — in binaries built without -mavx2 so the CI
-// history distinguishes "not compiled" from "slow".
+// differs). Skipped — loudly — on CPUs without AVX2 so the CI history
+// distinguishes "not available" from "slow".
 void BM_DistanceBatchSimd(benchmark::State& state) {
-  if (!distance::SimdCompiled()) {
-    state.SkipWithError("AVX2 kernels not compiled (build with TRACLUS_AVX2)");
+  if (!distance::SimdAvailable()) {
+    state.SkipWithError("this CPU has no AVX2");
     return;
   }
   const auto& store = StorePool();
@@ -266,8 +266,8 @@ BENCHMARK(BM_EpsilonRefinePairLoop);
 // wall time.
 void BM_EpsilonRefineBatch(benchmark::State& state) {
   const bool simd = state.range(0) != 0;
-  if (simd && !distance::SimdCompiled()) {
-    state.SkipWithError("AVX2 kernels not compiled (build with TRACLUS_AVX2)");
+  if (simd && !distance::SimdAvailable()) {
+    state.SkipWithError("this CPU has no AVX2");
     return;
   }
   const auto& store = StorePool();
@@ -358,8 +358,8 @@ common::Matrix RowBatchedPairwiseMatrix(const traj::SegmentStore& store,
 
 void BM_PairwiseMatrixRowBatched(benchmark::State& state,
                                  distance::BatchKernel kernel) {
-  if (kernel == distance::BatchKernel::kSimd && !distance::SimdCompiled()) {
-    state.SkipWithError("AVX2 kernels not compiled (build with TRACLUS_AVX2)");
+  if (kernel == distance::BatchKernel::kSimd && !distance::SimdAvailable()) {
+    state.SkipWithError("this CPU has no AVX2");
     return;
   }
   const auto& store = StorePool();
@@ -376,8 +376,8 @@ void BM_PairwiseMatrixRowBatched(benchmark::State& state,
 
 void BM_PairwiseMatrixTiled(benchmark::State& state,
                             distance::BatchKernel kernel) {
-  if (kernel == distance::BatchKernel::kSimd && !distance::SimdCompiled()) {
-    state.SkipWithError("AVX2 kernels not compiled (build with TRACLUS_AVX2)");
+  if (kernel == distance::BatchKernel::kSimd && !distance::SimdAvailable()) {
+    state.SkipWithError("this CPU has no AVX2");
     return;
   }
   const auto& store = StorePool();

@@ -142,17 +142,14 @@ void ChunkedNeighborhood::ScanChunk(const traj::SegmentStore& query_store,
                                     double eps,
                                     const distance::BatchOptions& options,
                                     std::vector<size_t>* out) const {
-  // The whole-chunk range, split around the query itself, which the batch
-  // appends last.
+  // The whole chunk, split around the query itself, which the batch appends
+  // last.
   const size_t base = store_.chunk_begin(c);
   const size_t m = chunk.size();
   const size_t self = store_.chunk_of(query) == c ? query - base : m;
-  distance::EpsilonRefineCrossRange(query_store, dist_, k, chunk, 0, self, eps,
-                                    base, *out, options);
-  if (self + 1 < m) {
-    distance::EpsilonRefineCrossRange(query_store, dist_, k, chunk, self + 1,
-                                      m, eps, base, *out, options);
-  }
+  const distance::IndexRun runs[] = {{0, self}, {std::min(self + 1, m), m}};
+  distance::EpsilonRefineRuns(query_store, dist_, k, chunk, {runs, 2}, eps,
+                              base, *out, options);
 }
 
 std::vector<size_t> ChunkedNeighborhood::Neighbors(size_t query_index,

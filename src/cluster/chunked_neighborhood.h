@@ -9,10 +9,10 @@
 // BruteForceNeighborhood), with lists byte-identical to theirs for every
 // chunk capacity, residency cap, thread count and kernel:
 //
-//   * Candidates come from the always-resident catalog alone: the same
-//     SegmentGrid and MBR prune as GridNeighborhoodIndex, or every segment
-//     for the scan (and for the grid when LowerBoundFactor() ≤ 0).
-//   * Refinement runs through distance::EpsilonRefineCross(Range) with a
+//   * Candidates come from the always-resident catalog alone: a
+//     SegmentGrid of segment MBRs with an MBR prune, or every segment for
+//     the scan (and for the grid when LowerBoundFactor() ≤ 0).
+//   * Refinement runs through distance::EpsilonRefineCross/Runs with a
 //     batch-local SegmentStore of the query segments on the query side.
 //     Every store is built by the same constructor from the same endpoint
 //     doubles, so each accept/reject decision, prune included, matches the

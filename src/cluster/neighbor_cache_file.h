@@ -97,7 +97,7 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
 /// Residency is bounded: only the offset table (O(n)) stays in memory;
 /// list payloads are read on demand through a seek behind an internal
 /// mutex, so concurrent queries are race-free and peak memory tracks the
-/// consumer's block size, like NeighborhoodCache bounded mode.
+/// consumer's block size.
 ///
 /// Bound to one ε at construction; querying a different ε is a programming
 /// error (checked).

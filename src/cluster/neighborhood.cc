@@ -1,20 +1,16 @@
 #include "cluster/neighborhood.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/span.h"
 
 namespace traclus::cluster {
-
-namespace {
-
-/// Queries materialized per slice while filling the eager cache: bounds the
-/// transient batch vector without changing what ends up resident.
-constexpr size_t kEagerFillSlice = 1024;
-
-}  // namespace
 
 std::vector<std::vector<size_t>> NeighborhoodProvider::AllNeighbors(
     double eps, common::ThreadPool& pool) const {
@@ -53,18 +49,9 @@ NeighborhoodCache::NeighborhoodCache(const NeighborhoodProvider& base,
       block_(block),
       size_(base.size()) {
   if (block_ == 0) {
-    // Eager: every list materialized, filled through bounded NeighborsBatch
-    // slices (each slice's scratch vector is the only transient overhead).
-    lists_.resize(size_);
-    std::vector<size_t> queries;
-    for (size_t lo = 0; lo < size_; lo += kEagerFillSlice) {
-      const size_t hi = std::min(size_, lo + kEagerFillSlice);
-      queries.resize(hi - lo);
-      for (size_t i = lo; i < hi; ++i) queries[i - lo] = i;
-      std::vector<std::vector<size_t>> slice =
-          base.NeighborsBatch(queries, eps_, pool);
-      for (size_t i = lo; i < hi; ++i) lists_[i] = std::move(slice[i - lo]);
-    }
+    // Eager: every list materialized through the base's whole-database
+    // batch and kept resident.
+    lists_ = base.AllNeighbors(eps_, pool);
     peak_resident_ = size_;
   } else {
     served_.assign(size_, 0);
@@ -166,45 +153,235 @@ std::vector<std::vector<size_t>> NeighborhoodCache::NeighborsBatch(
   return lists;
 }
 
-std::vector<size_t> BruteForceNeighborhood::Neighbors(size_t query_index,
-                                                      double eps) const {
-  TRACLUS_DCHECK(query_index < store_.size());
-  // Candidates are the whole database, in index order; the batched kernel
-  // prunes with the midpoint/half-length bound and refines the rest —
-  // exactly the per-pair scan's output, in the same ascending order.
-  std::vector<size_t> out;
-  distance::BatchOptions options;
-  options.kernel = kernel_;
-  distance::EpsilonRefineRange(store_, dist_, query_index, 0, store_.size(),
-                               eps, out, options);
-  return out;
+namespace {
+
+// Morton (Z-order) keys of the segments' midpoints: each axis quantized to
+// `bits` bits over the midpoints' bounding box, then interleaved from the
+// most significant bit down. A non-finite midpoint sorts last. The key only
+// orders the layout; no result depends on it.
+std::vector<uint64_t> MortonKeys(const traj::SegmentStore& store) {
+  const int dims = store.dims();
+  const int bits = 64 / dims;
+  const double cells = std::ldexp(1.0, bits) - 1.0;
+  double lo[geom::kMaxDims], scale[geom::kMaxDims];
+  for (int d = 0; d < dims; ++d) {
+    lo[d] = std::numeric_limits<double>::infinity();
+    double hi = -lo[d];
+    for (const double x : store.midpoint_coords(d)) {
+      if (!std::isfinite(x)) continue;
+      lo[d] = std::min(lo[d], x);
+      hi = std::max(hi, x);
+    }
+    scale[d] = hi > lo[d] ? cells / (hi - lo[d]) : 0.0;
+  }
+  std::vector<uint64_t> keys(store.size(), ~uint64_t{0});
+  for (size_t i = 0; i < store.size(); ++i) {
+    uint64_t q[geom::kMaxDims];
+    bool finite = true;
+    for (int d = 0; d < dims; ++d) {
+      const double x = store.midpoint_coords(d)[i];
+      finite = finite && std::isfinite(x);
+      q[d] = finite ? static_cast<uint64_t>(
+                          std::min(cells, (x - lo[d]) * scale[d]))
+                    : 0;
+    }
+    if (!finite) continue;
+    uint64_t key = 0;
+    for (int b = bits - 1; b >= 0; --b) {
+      for (int d = 0; d < dims; ++d) key = (key << 1) | ((q[d] >> b) & 1);
+    }
+    keys[i] = key;
+  }
+  return keys;
 }
 
-std::vector<std::vector<size_t>> BruteForceNeighborhood::NeighborsBatch(
-    const std::vector<size_t>& queries, double eps,
-    common::ThreadPool& pool) const {
-  std::vector<std::vector<size_t>> lists(queries.size());
+// Maps a list of layout positions to segment indices in ascending order
+// through a bitmap of the index span the list covers (one word per 64
+// indices, left zeroed for the next list): a counting sort, since a
+// comparison sort took about a third of the 1-thread elk-half join.
+void ToSortedIndices(const std::vector<size_t>& order,
+                     std::vector<size_t>& list, std::vector<uint64_t>& bits) {
+  if (list.empty()) return;
+  size_t lo = order[list.front()];
+  size_t hi = lo;
+  for (size_t& p : list) {
+    p = order[p];
+    lo = std::min(lo, p);
+    hi = std::max(hi, p);
+  }
+  const size_t w_lo = lo / 64;
+  const size_t words = hi / 64 - w_lo + 1;
+  if (bits.size() < words) bits.resize(words, 0);
+  for (const size_t i : list) bits[i / 64 - w_lo] |= uint64_t{1} << (i % 64);
+  list.clear();
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      list.push_back((w_lo + w) * 64 +
+                     static_cast<size_t>(__builtin_ctzll(word)));
+    }
+    bits[w] = 0;
+  }
+}
+
+}  // namespace
+
+const TileJoin::Layout& TileJoin::layout() const {
+  std::call_once(layout_once_, [this] { BuildLayout(); });
+  return layout_;
+}
+
+void TileJoin::BuildLayout() const {
+  const size_t n = store_.size();
+  Layout& l = layout_;
+  l.order.resize(n);
+  std::iota(l.order.begin(), l.order.end(), size_t{0});
+  l.store = &store_;
+  if (prune_blocks_) {
+    const std::vector<uint64_t> keys = MortonKeys(store_);
+    std::sort(l.order.begin(), l.order.end(), [&keys](size_t a, size_t b) {
+      return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+    });
+    std::vector<geom::Segment> segments;
+    segments.reserve(n);
+    for (const size_t i : l.order) segments.push_back(store_.segment(i));
+    l.sorted = traj::SegmentStore::FromSegments(std::move(segments));
+    l.store = &l.sorted;
+
+    const int dims = l.sorted.dims();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (size_t first = 0; first < n; first += kBlock) {
+      Block b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0};
+      double probe = 0.0;  // Sums every input: non-finite if any one is.
+      for (size_t p = first; p < std::min(n, first + kBlock); ++p) {
+        b.hmax = std::max(b.hmax, l.sorted.half_length(p));
+        probe += l.sorted.half_length(p);
+        for (int d = 0; d < dims; ++d) {
+          const double x = l.sorted.midpoint_coords(d)[p];
+          probe += x;
+          b.lo[d] = std::min(b.lo[d], x);
+          b.hi[d] = std::max(b.hi[d], x);
+        }
+      }
+      // A non-finite midpoint or length escapes the box, and a sum that
+      // overflows marks coordinates too large to bound safely; such a block
+      // is never skipped.
+      if (!std::isfinite(probe)) b.hmax = inf;
+      l.blocks.push_back(b);
+    }
+  }
+  l.rank.resize(n);
+  for (size_t p = 0; p < n; ++p) l.rank[l.order[p]] = p;
+}
+
+void TileJoin::CandidateRuns(const Layout& l, size_t a, double reach,
+                             std::vector<distance::IndexRun>& runs) const {
+  runs.clear();
+  const size_t n = l.order.size();
+  if (!prune_blocks_ || std::isinf(reach)) {
+    runs.push_back({0, n});
+    return;
+  }
+  const Block& qa = l.blocks[a];
+  const int dims = l.store->dims();
+  for (size_t b = 0; b < l.blocks.size(); ++b) {
+    const Block& cb = l.blocks[b];
+    // Squared mindist of the two midpoint MBRs, summed in dimension order
+    // like the per-pair midpoint distance it bounds from below.
+    double mind_sq = 0.0;
+    for (int d = 0; d < dims; ++d) {
+      const double gap =
+          std::max({0.0, cb.lo[d] - qa.hi[d], qa.lo[d] - cb.hi[d]});
+      mind_sq += gap * gap;
+    }
+    if (distance::ProvablyFar(mind_sq, reach, qa.hmax, cb.hmax)) continue;
+    const size_t first = b * kBlock;
+    const size_t last = std::min(n, first + kBlock);
+    if (!runs.empty() && runs.back().last == first) {
+      runs.back().last = last;
+    } else {
+      runs.push_back({first, last});
+    }
+  }
+}
+
+template <typename Emit>
+void TileJoin::Join(const std::vector<Entry>& entries, double eps,
+                    common::ThreadPool& pool, const Emit& emit) const {
+  const Layout& l = layout();
+  const double reach = distance::PruneReach(dist_, eps);
+  // Group boundaries: entries sharing a block form one tile row group.
+  std::vector<size_t> groups;
+  for (size_t e = 0; e < entries.size(); ++e) {
+    if (e == 0 || entries[e].first / kBlock != entries[e - 1].first / kBlock) {
+      groups.push_back(e);
+    }
+  }
+  groups.push_back(entries.size());
   distance::BatchOptions options;
   options.kernel = kernel_;
-  // Each chunk's queries share one ε-refine tile over the whole database;
-  // lists land in index-addressed slots, so the batch is identical for every
-  // thread count (the tile's staging is thread_local — nothing is shared).
-  pool.ParallelForChunked(
-      0, queries.size(), [this, eps, &queries, &lists, &options](
-                             size_t lo, size_t hi) {
-        distance::EpsilonRefineTile(
-            store_, dist_,
-            common::Span<const size_t>(queries.data() + lo, hi - lo), 0,
-            store_.size(), eps, lists.data() + lo, options);
-      });
+  pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
+    std::vector<distance::IndexRun> runs;
+    std::vector<uint64_t> bits;
+    for (size_t g = lo; g < hi; ++g) {
+      CandidateRuns(l, entries[groups[g]].first / kBlock, reach, runs);
+      for (size_t e = groups[g]; e < groups[g + 1]; ++e) {
+        std::vector<size_t> list;
+        distance::EpsilonRefineRuns(*l.store, dist_, entries[e].first,
+                                    *l.store, runs, eps, 0, list, options);
+        ToSortedIndices(l.order, list, bits);
+        emit(entries[e].second, std::move(list));
+      }
+    }
+  });
+}
+
+std::vector<TileJoin::Entry> TileJoin::AllEntries() const {
+  const Layout& l = layout();
+  std::vector<Entry> entries(l.order.size());
+  for (size_t p = 0; p < entries.size(); ++p) entries[p] = {p, l.order[p]};
+  return entries;
+}
+
+std::vector<size_t> TileJoin::Neighbors(size_t query_index,
+                                        double eps) const {
+  return NeighborsBatch({query_index}, eps, common::SharedPool(1)).front();
+}
+
+std::vector<std::vector<size_t>> TileJoin::NeighborsBatch(
+    const std::vector<size_t>& queries, double eps,
+    common::ThreadPool& pool) const {
+  const Layout& l = layout();
+  std::vector<Entry> entries(queries.size());
+  for (size_t k = 0; k < queries.size(); ++k) {
+    TRACLUS_DCHECK(queries[k] < store_.size());
+    entries[k] = {l.rank[queries[k]], k};
+  }
+  std::sort(entries.begin(), entries.end());
+  std::vector<std::vector<size_t>> lists(queries.size());
+  Join(entries, eps, pool, [&lists](size_t slot, std::vector<size_t>&& list) {
+    lists[slot] = std::move(list);
+  });
   return lists;
 }
 
-std::vector<std::vector<size_t>> BruteForceNeighborhood::AllNeighbors(
+std::vector<std::vector<size_t>> TileJoin::AllNeighbors(
     double eps, common::ThreadPool& pool) const {
-  std::vector<size_t> queries(store_.size());
-  for (size_t i = 0; i < queries.size(); ++i) queries[i] = i;
-  return NeighborsBatch(queries, eps, pool);
+  std::vector<std::vector<size_t>> lists(store_.size());
+  Join(AllEntries(), eps, pool,
+       [&lists](size_t slot, std::vector<size_t>&& list) {
+         lists[slot] = std::move(list);
+       });
+  return lists;
+}
+
+std::vector<size_t> TileJoin::AllNeighborhoodSizes(
+    double eps, common::ThreadPool& pool) const {
+  std::vector<size_t> sizes(store_.size());
+  Join(AllEntries(), eps, pool,
+       [&sizes](size_t slot, std::vector<size_t>&& list) {
+         sizes[slot] = list.size();
+       });
+  return sizes;
 }
 
 }  // namespace traclus::cluster

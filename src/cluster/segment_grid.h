@@ -11,10 +11,10 @@
 
 namespace traclus::cluster {
 
-/// Uniform grid over per-segment MBRs: the candidate generator shared by
-/// GridNeighborhoodIndex (monolithic store) and ChunkedNeighborhood (the
-/// chunked store's catalog). Both build it from bit-identical MBR columns in
-/// index order, so their cell populations — and candidate sets — are equal.
+/// Uniform grid over per-segment MBRs: the candidate generator of
+/// ChunkedNeighborhood, built from the chunked store's always-resident
+/// catalog. (The eager join, cluster::TileJoin, prunes Morton blocks
+/// instead.)
 ///
 /// The cell edge defaults to twice the mean MBR extent, keeping per-segment
 /// cell fan-out O(1) on the paper's workloads.
@@ -24,10 +24,6 @@ class SegmentGrid {
   /// heuristic.
   SegmentGrid(const std::vector<geom::BBox>& bboxes, int dims,
               double cell_size);
-
-  double cell_size() const { return cell_size_; }
-  /// Number of grid cells materialized.
-  size_t NumCells() const { return cells_.size(); }
 
   /// Calls visit(i) for every member i of every cell that `box` grown by
   /// `radius` overlaps, in cell order then insertion (index) order. A

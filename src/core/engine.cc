@@ -39,8 +39,8 @@ std::unique_ptr<cluster::NeighborhoodProvider> MakeProvider(
     const traj::SegmentStore& store, const distance::SegmentDistance& dist,
     bool use_index, distance::BatchKernel kernel) {
   if (use_index) {
-    return std::make_unique<cluster::GridNeighborhoodIndex>(
-        store, dist, /*cell_size=*/0.0, kernel);
+    return std::make_unique<cluster::GridNeighborhoodIndex>(store, dist,
+                                                            kernel);
   }
   return std::make_unique<cluster::BruteForceNeighborhood>(store, dist,
                                                            kernel);

@@ -211,7 +211,7 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
 
     // Shard-local store: owned segments then ghosts, each ascending. The
     // rebuilt invariant cache is bit-identical to the global store's for the
-    // same segments (CanonicalizeInStore is a pure per-segment function).
+    // same segments (CrossCanonicalSwap is a pure per-segment function).
     st.global_of.reserve(owned.size() + ghost.size());
     std::vector<geom::Segment> segments;
     segments.reserve(owned.size() + ghost.size());

@@ -90,7 +90,7 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
   }
 
   // Group the sample through the inner backend. The local store rebuilds its
-  // invariant cache from the gathered segments; CanonicalizeInStore is a pure
+  // invariant cache from the gathered segments; CrossCanonicalSwap is a pure
   // per-segment function, so local invariants are bit-identical to the global
   // store's for the same segments.
   std::vector<geom::Segment> sample_segments;

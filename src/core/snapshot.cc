@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "partition/approximate_partitioner.h"
 #include "partition/partitioner.h"
+#include "traj/source.h"
 
 namespace traclus::core {
 namespace {
@@ -66,6 +68,35 @@ common::Status Truncated(const std::string& path) {
 common::Status Corrupt(const std::string& path, const std::string& what) {
   return common::Status::InvalidArgument("corrupt snapshot file " + path +
                                          ": " + what);
+}
+
+// True when `count` records of `record_bytes` each fit between the read
+// position and the end of a `file_size`-byte file: a length field is checked
+// against this before anything is reserved, so a lying count cannot ask for
+// more memory than the file could fill.
+bool CountFits(std::ifstream& in, uint64_t file_size, uint64_t count,
+               uint64_t record_bytes) {
+  const std::streamoff pos = in.tellg();
+  if (pos < 0 || static_cast<uint64_t>(pos) > file_size) return false;
+  return count <= (file_size - static_cast<uint64_t>(pos)) / record_bytes;
+}
+
+common::Status CountTooLarge(const std::string& path, const char* what) {
+  return common::Status::IOError("truncated snapshot file " + path + ": " +
+                                 what + " count exceeds the bytes left");
+}
+
+// Reads `count` coordinates, each finite and within the CSV sources' bound
+// (traj::kMaxCoordinate).
+common::Status ReadCoordinates(std::ifstream& in, const std::string& path,
+                               uint64_t count, double* coords) {
+  for (uint64_t d = 0; d < count; ++d) {
+    if (!ReadDouble(in, &coords[d])) return Truncated(path);
+    if (!(std::fabs(coords[d]) <= traj::kMaxCoordinate)) {
+      return Corrupt(path, "coordinate non-finite or beyond 1e150");
+    }
+  }
+  return common::Status::OK();
 }
 
 geom::Point MakePoint(const double* coords, int dims) {
@@ -216,6 +247,11 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
   if (!in) {
     return common::Status::NotFound("no snapshot file at " + path);
   }
+  std::error_code size_error;
+  const uint64_t file_size = std::filesystem::file_size(path, size_error);
+  if (size_error) {
+    return common::Status::IOError("cannot size snapshot file " + path);
+  }
 
   uint32_t magic = 0;
   uint32_t version = 0;
@@ -254,6 +290,9 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
   if (dims < 2 || dims > static_cast<uint64_t>(geom::kMaxDims)) {
     return Corrupt(path, "dims out of range");
   }
+  if (!CountFits(in, file_size, n, 24 + 16 * dims)) {
+    return CountTooLarge(path, "segment");
+  }
   std::vector<geom::Segment> segments;
   segments.reserve(n);
   std::vector<double> coords(2 * dims);
@@ -264,9 +303,9 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
     if (!ReadRaw(in, &id) || !ReadRaw(in, &tid) || !ReadDouble(in, &weight)) {
       return Truncated(path);
     }
-    for (uint64_t d = 0; d < 2 * dims; ++d) {
-      if (!ReadDouble(in, &coords[d])) return Truncated(path);
-    }
+    const common::Status read =
+        ReadCoordinates(in, path, 2 * dims, coords.data());
+    if (!read.ok()) return read;
     segments.emplace_back(
         MakePoint(coords.data(), static_cast<int>(dims)),
         MakePoint(coords.data() + dims, static_cast<int>(dims)), id, tid,
@@ -279,6 +318,9 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
 
   uint64_t num_clusters = 0;
   if (!ReadRaw(in, &num_clusters)) return Truncated(path);
+  if (!CountFits(in, file_size, num_clusters, 16)) {
+    return CountTooLarge(path, "cluster");
+  }
   snap->clustering_.clusters.resize(num_clusters);
   for (uint64_t ci = 0; ci < num_clusters; ++ci) {
     cluster::Cluster& c = snap->clustering_.clusters[ci];
@@ -287,6 +329,9 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
     if (!ReadRaw(in, &id) || !ReadRaw(in, &members)) return Truncated(path);
     c.id = static_cast<int>(id);
     if (members > n) return Corrupt(path, "cluster larger than the store");
+    if (!CountFits(in, file_size, members, 8)) {
+      return CountTooLarge(path, "member");
+    }
     c.member_indices.resize(members);
     for (uint64_t k = 0; k < members; ++k) {
       uint64_t idx = 0;
@@ -326,10 +371,13 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
     traj::Trajectory rep(id, std::move(label), weight);
     uint64_t npoints = 0;
     if (!ReadRaw(in, &npoints)) return Truncated(path);
+    if (!CountFits(in, file_size, npoints, 8 * dims)) {
+      return CountTooLarge(path, "point");
+    }
     for (uint64_t pi = 0; pi < npoints; ++pi) {
-      for (uint64_t d = 0; d < dims; ++d) {
-        if (!ReadDouble(in, &coords[d])) return Truncated(path);
-      }
+      const common::Status read =
+          ReadCoordinates(in, path, dims, coords.data());
+      if (!read.ok()) return read;
       rep.Add(MakePoint(coords.data(), static_cast<int>(dims)));
     }
     snap->representatives_[ri] = std::move(rep);

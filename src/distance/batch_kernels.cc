@@ -6,8 +6,14 @@
 #include <limits>
 #include <string>
 
-#if defined(__AVX2__)
+// The AVX2 kernels are compiled into every x86-64 build as
+// target("avx2") functions and selected at run time (ResolveBatchKernel), so
+// no translation unit is built with -mavx2: inline header code included here
+// stays baseline x86-64 for scalar callers.
+#if defined(__x86_64__)
+#define TRACLUS_X86_SIMD 1
 #include <immintrin.h>
+#define TRACLUS_AVX2_FN __attribute__((target("avx2")))
 #endif
 
 #include "common/logging.h"
@@ -26,18 +32,10 @@ constexpr size_t kDefaultRefineBlock = 256;
 // pair's columns, so regrouping a batch into blocks is bit-identical.
 constexpr size_t kTileCandidateBlock = 256;
 
-// Relative margin of the prune comparison. The bound arithmetic (a squared
-// midpoint distance, two additions, one multiply) accumulates at most a few
-// ulps (~1e-15 relative) of rounding; pruning only when the bound exceeds ε
-// by this much larger margin keeps the prune admissible for every input the
-// arithmetic can represent. The admissibility test in
-// tests/segment_distance_test.cc attacks this claim on randomized data.
-constexpr double kPruneSlack = 1e-9;
-
 // Query-side state of the midpoint/half-length lower-bound prune, hoisted
-// out of the per-candidate loop.
+// out of the per-candidate loop. An unusable bound has reach = +inf, which
+// makes ProvablyFar false for every candidate without a branch.
 struct PruneContext {
-  bool usable = false;
   double reach = 0.0;  // ε / c: the Euclidean radius that could matter.
   double half_q = 0.0;
   double mid_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
@@ -49,12 +47,7 @@ PruneContext MakePruneContext(const traj::SegmentStore& store,
                               double eps) {
   PruneContext p;
   p.dims = store.dims();
-  const double c = dist.LowerBoundFactor();
-  // A zero factor (degenerate weights) or a non-finite/negative ε leaves no
-  // provable prune; refine everything.
-  if (!(c > 0.0) || !std::isfinite(eps) || eps < 0.0) return p;
-  p.usable = true;
-  p.reach = eps / c;
+  p.reach = PruneReach(dist, eps);
   p.half_q = store.half_length(query);
   for (int d = 0; d < p.dims; ++d) {
     p.mid_q[d] = store.midpoint_coords(d)[query];
@@ -62,25 +55,44 @@ PruneContext MakePruneContext(const traj::SegmentStore& store,
   return p;
 }
 
-// True when candidate j is provably farther than ε from the query:
-//   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε
-// evaluated in squared form (no per-candidate sqrt) with the kPruneSlack
-// margin absorbing the bound's own rounding. Reads only the candidate
-// store's columns, so it serves one-store and two-store refines alike. It
-// never prunes the query against itself: the midpoint distance is then 0,
-// and 0 > x holds for no threshold x ≥ 0 (nor for NaN).
-inline bool PrunedFar(const PruneContext& p, const traj::SegmentStore& store,
-                      size_t j) {
-  if (!p.usable) return false;
-  double dmid_sq = 0.0;
-  for (int d = 0; d < p.dims; ++d) {
-    const double diff = store.midpoint_coords(d)[j] - p.mid_q[d];
-    dmid_sq += diff * diff;
+// The lower-bound prune over the candidates index(lo .. hi): candidate j is
+// provably farther than ε from the query when
+//   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε,
+// evaluated in squared form (no per-candidate sqrt) by ProvablyFar. Reads
+// only the candidate store's columns, so it serves one-store and two-store
+// refines alike, and it never prunes the query against itself (midpoint
+// distance 0). Branch-free: each candidate's tag(k) is written to slots[m]
+// and m advances only when the candidate survives, so survivors compact in
+// candidate order without a branch per candidate.
+// `slots` must have room for m + (hi − lo) entries. Returns the new m.
+template <int D, typename IndexFn, typename TagFn>
+size_t CompactSurvivorsD(const PruneContext& p, const traj::SegmentStore& cs,
+                         size_t lo, size_t hi, const IndexFn& index,
+                         const TagFn& tag, size_t* slots, size_t m) {
+  const double* mid[D];
+  for (int d = 0; d < D; ++d) mid[d] = cs.midpoint_coords(d).data();
+  const double* half = cs.half_lengths().data();
+  for (size_t k = lo; k < hi; ++k) {
+    const size_t j = index(k);
+    TRACLUS_DCHECK(j < cs.size());
+    double dmid_sq = 0.0;
+    for (int d = 0; d < D; ++d) {
+      const double diff = mid[d][j] - p.mid_q[d];
+      dmid_sq += diff * diff;
+    }
+    slots[m] = tag(k);
+    m += ProvablyFar(dmid_sq, p.reach, p.half_q, half[j]) ? 0 : 1;
   }
-  const double threshold = p.reach + p.half_q + store.half_length(j);
-  // threshold may round to +inf for extreme ε/c; the comparison then never
-  // prunes, which is the safe direction.
-  return dmid_sq > threshold * threshold * (1.0 + kPruneSlack);
+  return m;
+}
+
+template <typename IndexFn, typename TagFn>
+size_t CompactSurvivors(const PruneContext& p, const traj::SegmentStore& cs,
+                        size_t lo, size_t hi, const IndexFn& index,
+                        const TagFn& tag, size_t* slots, size_t m) {
+  return p.dims == 3
+             ? CompactSurvivorsD<3>(p, cs, lo, hi, index, tag, slots, m)
+             : CompactSurvivorsD<2>(p, cs, lo, hi, index, tag, slots, m);
 }
 
 // Exact pair distance: the query from qs, the candidate from cs (one-store
@@ -264,11 +276,11 @@ void BatchScalar(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
   }
 }
 
-#if defined(__AVX2__)
+#if defined(TRACLUS_X86_SIMD)
 
 // std::min(a, b) ≡ (b < a) ? b : a, lane-wise with identical NaN/zero
 // semantics (blendv takes `b` exactly where the ordered compare holds).
-inline __m256d MinStd(__m256d a, __m256d b) {
+TRACLUS_AVX2_FN inline __m256d MinStd(__m256d a, __m256d b) {
   return _mm256_blendv_pd(a, b, _mm256_cmp_pd(b, a, _CMP_LT_OQ));
 }
 
@@ -291,11 +303,10 @@ struct SimdWeights {
 // zeros). Every vector op is an IEEE-754 double op per lane and the build
 // forbids FMA contraction, so lane results are bit-identical to the scalar
 // kernel — asserted exhaustively in tests/segment_distance_test.cc.
-inline __m256d CanonicalLanes(int dims, const __m256d* s_v, const __m256d* e_v,
-                              const __m256d* se_v, const __m256d* js_v,
-                              const __m256d* je_v, const __m256d* dj_v,
-                              __m256d den, __m256d len_i, __m256d len_j,
-                              const SimdWeights& w) {
+TRACLUS_AVX2_FN inline __m256d CanonicalLanes(
+    int dims, const __m256d* s_v, const __m256d* e_v, const __m256d* se_v,
+    const __m256d* js_v, const __m256d* je_v, const __m256d* dj_v,
+    __m256d den, __m256d len_i, __m256d len_j, const SimdWeights& w) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d neg_one = _mm256_set1_pd(-1.0);
@@ -395,7 +406,8 @@ inline __m256d CanonicalLanes(int dims, const __m256d* s_v, const __m256d* e_v,
       _mm256_mul_pd(w.w_ang, ang));
 }
 
-inline SimdWeights MakeSimdWeights(const SegmentDistanceConfig& cfg) {
+TRACLUS_AVX2_FN inline SimdWeights MakeSimdWeights(
+    const SegmentDistanceConfig& cfg) {
   SimdWeights w;
   w.w_perp = _mm256_set1_pd(cfg.w_perpendicular);
   w.w_par = _mm256_set1_pd(cfg.w_parallel);
@@ -411,9 +423,9 @@ inline SimdWeights MakeSimdWeights(const SegmentDistanceConfig& cfg) {
 // Lemma 2 swap mask + role blends + the shared arithmetic body. The blends
 // only move bits between registers, so feeding CanonicalLanes this way is
 // bit-identical to the gathered path (pinned by the tile bitwise tests).
-void RangeSimd(const traj::SegmentStore& store,
-               const SegmentDistanceConfig& cfg, size_t query, size_t first,
-               size_t last, double* out) {
+TRACLUS_AVX2_FN void RangeSimd(const traj::SegmentStore& store,
+                               const SegmentDistanceConfig& cfg, size_t query,
+                               size_t first, size_t last, double* out) {
   const int dims = store.dims();
   const StoreColumns col = ColumnsOf(store);
   __m256d qs_v[geom::kMaxDims], qe_v[geom::kMaxDims], qd_v[geom::kMaxDims];
@@ -496,9 +508,10 @@ void RangeSimd(const traj::SegmentStore& store,
 // role assignment feeding identical arithmetic is what makes the lanes
 // bit-identical to the scalar kernel.
 template <typename IndexFn>
-void BatchSimd(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
-               const SegmentDistanceConfig& cfg, size_t query, size_t n,
-               const IndexFn& index, double* out) {
+TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
+                               const traj::SegmentStore& cs,
+                               const SegmentDistanceConfig& cfg, size_t query,
+                               size_t n, const IndexFn& index, double* out) {
   const int dims = qs.dims();
   const StoreColumns q_col = ColumnsOf(qs);
   const StoreColumns c_col = ColumnsOf(cs);
@@ -559,7 +572,7 @@ void BatchSimd(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
   }
 }
 
-#endif  // __AVX2__
+#endif  // TRACLUS_X86_SIMD
 
 // Dispatches an already-resolved kernel choice.
 template <typename IndexFn>
@@ -567,7 +580,7 @@ void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& qs,
                    const traj::SegmentStore& cs,
                    const SegmentDistanceConfig& cfg, size_t query, size_t n,
                    const IndexFn& index, double* out) {
-#if defined(__AVX2__)
+#if defined(TRACLUS_X86_SIMD)
   if (kernel == BatchKernel::kSimd) {
     BatchSimd(qs, cs, cfg, query, n, index, out);
     return;
@@ -590,7 +603,7 @@ void RowRangeDispatch(BatchKernel kernel, const traj::SegmentStore& store,
                       const SegmentDistanceConfig& cfg, size_t query,
                       size_t first, size_t last, double* out) {
   if (first >= last) return;
-#if defined(__AVX2__)
+#if defined(TRACLUS_X86_SIMD)
   if (kernel == BatchKernel::kSimd) {
     RangeSimd(store, cfg, query, first, last, out);
     return;
@@ -617,21 +630,25 @@ void AddStats(const RefineStats& counts, RefineStats* stats) {
   stats->accepted += counts.accepted;
 }
 
-// "No candidate is the query" marker of RefineRow's `self` (the two-store
-// refines: their candidate lists never hold the query).
+// "No candidate is the query" marker of RefineRow's `self` (refines across
+// two stores: their candidates never hold the query).
 constexpr size_t kNoSelf = static_cast<size_t>(-1);
 
-// The ε-refine pipeline for one query row, in blocks of `block` candidates:
-// lower-bound prune → batch distance → threshold. The query is qs[query];
-// the candidates are cs[index(0 .. n)]. Appends `out_base + j` for every
-// candidate j within ε, in candidate order (blocks ascend and order within a
-// block is preserved). Candidate `self` is appended whatever its distance —
-// Definition 4 self-inclusion for the one-store refines, which pass the
-// query; the two-store refines pass kNoSelf. Counters accumulate into
+size_t Identity(size_t k) { return k; }
+
+// The ε-refine pipeline for one query row: lower-bound prune → batch
+// distance → threshold. The query is qs[query]; the candidates are
+// cs[index(k)] for every k of every run, runs in order and k ascending.
+// Survivors of the prune are staged across blocks and runs and refined once
+// at least `block` of them are waiting, so short runs still fill the batch
+// kernels. Appends `out_base + j` for every candidate j within ε, in
+// candidate order. Candidate `self` is appended whatever its distance —
+// Definition 4 self-inclusion when the query's store is also the candidate
+// store; refines across two stores pass kNoSelf. Counters accumulate into
 // `counts`.
 //
 // Per-thread staging keeps the hot path allocation-free across calls;
-// residency is bounded by the block size. thread_local is the whole
+// residency is bounded by twice the block size. thread_local is the whole
 // concurrency story here: the kernels read only the immutable store columns
 // and write only these buffers plus the caller-owned `out`, so concurrent
 // refines on pool workers need no mutex (and hence no capability
@@ -639,71 +656,94 @@ constexpr size_t kNoSelf = static_cast<size_t>(-1);
 template <typename IndexFn>
 void RefineRow(BatchKernel kernel, const PruneContext& prune,
                const traj::SegmentStore& qs, const SegmentDistanceConfig& cfg,
-               size_t query, const traj::SegmentStore& cs, size_t n,
-               const IndexFn& index, double eps, size_t self, size_t out_base,
-               size_t block, std::vector<size_t>& out, RefineStats& counts) {
+               size_t query, const traj::SegmentStore& cs,
+               common::Span<const IndexRun> runs, const IndexFn& index,
+               double eps, size_t self, size_t out_base, size_t block,
+               std::vector<size_t>& out, RefineStats& counts) {
   thread_local std::vector<size_t> survivors;
   thread_local std::vector<double> distances;
+  if (survivors.size() < 2 * block) survivors.resize(2 * block);
 
-  for (size_t base = 0; base < n; base += block) {
-    const size_t hi = std::min(n, base + block);
-    survivors.clear();
-    for (size_t k = base; k < hi; ++k) {
-      const size_t j = index(k);
-      TRACLUS_DCHECK(j < cs.size());
-      if (PrunedFar(prune, cs, j)) {
-        ++counts.pruned;
-        continue;
-      }
-      survivors.push_back(j);
-    }
-    distances.resize(survivors.size());
+  size_t staged = 0;
+  const auto refine_staged = [&] {
+    distances.resize(staged);
     BatchDispatch(
-        kernel, qs, cs, cfg, query, survivors.size(),
+        kernel, qs, cs, cfg, query, staged,
         [&](size_t m) { return survivors[m]; }, distances.data());
-    counts.refined += survivors.size();
-    for (size_t m = 0; m < survivors.size(); ++m) {
+    counts.refined += staged;
+    for (size_t m = 0; m < staged; ++m) {
       const size_t j = survivors[m];
       if (j == self || distances[m] <= eps) {
         out.push_back(out_base + j);
         ++counts.accepted;
       }
     }
+    staged = 0;
+  };
+  for (const IndexRun& run : runs) {
+    TRACLUS_DCHECK(run.first <= run.last);
+    for (size_t lo = run.first; lo < run.last; lo += block) {
+      const size_t hi = std::min(run.last, lo + block);
+      const size_t before = staged;
+      staged = CompactSurvivors(prune, cs, lo, hi, index, index,
+                                survivors.data(), staged);
+      counts.candidates += hi - lo;
+      counts.pruned += (hi - lo) - (staged - before);
+      if (staged >= block) refine_staged();
+    }
   }
-  counts.candidates += n;
+  if (staged > 0) refine_staged();
 }
 
-// One query against one candidate list or range: the body of every
-// EpsilonRefine* entry point.
+// One query against candidate runs: the body of every EpsilonRefine* entry
+// point. The query is its own candidate exactly when both stores are one
+// object.
 template <typename IndexFn>
 size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
-              size_t query, const traj::SegmentStore& cs, size_t n,
-              const IndexFn& index, double eps, size_t self, size_t out_base,
-              std::vector<size_t>& out, const BatchOptions& options,
-              RefineStats* stats) {
+              size_t query, const traj::SegmentStore& cs,
+              common::Span<const IndexRun> runs, const IndexFn& index,
+              double eps, size_t out_base, std::vector<size_t>& out,
+              const BatchOptions& options, RefineStats* stats) {
   TRACLUS_DCHECK(query < qs.size());
   TRACLUS_DCHECK_EQ(qs.dims(), cs.dims());
   RefineStats counts;
   RefineRow(ResolveBatchKernel(options.kernel),
             MakePruneContext(qs, dist, query, eps), qs, dist.config(), query,
-            cs, n, index, eps, self, out_base, BlockSize(options), out,
-            counts);
+            cs, runs, index, eps, &qs == &cs ? query : kNoSelf, out_base,
+            BlockSize(options), out, counts);
   AddStats(counts, stats);
   return counts.accepted;
 }
 
 }  // namespace
 
+bool SimdAvailable() {
+#if defined(TRACLUS_X86_SIMD)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
 BatchKernel ResolveBatchKernel(BatchKernel kernel) {
-  switch (kernel) {
-    case BatchKernel::kAuto:
-      return SimdCompiled() ? BatchKernel::kSimd : BatchKernel::kScalar;
-    case BatchKernel::kSimd:
-      return SimdCompiled() ? BatchKernel::kSimd : BatchKernel::kScalar;
-    case BatchKernel::kScalar:
-      return BatchKernel::kScalar;
+  if (kernel == BatchKernel::kScalar || !SimdAvailable()) {
+    return BatchKernel::kScalar;
   }
-  return BatchKernel::kScalar;
+  return BatchKernel::kSimd;
+}
+
+double PruneReach(const SegmentDistance& dist, double eps) {
+  const double c = dist.LowerBoundFactor();
+  // A zero factor (degenerate weights) or a non-finite/negative ε leaves no
+  // provable prune.
+  if (!(c > 0.0) || !std::isfinite(eps) || eps < 0.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return eps / c;
 }
 
 const char* BatchKernelName(BatchKernel kernel) {
@@ -744,11 +784,8 @@ size_t EpsilonRefine(const traj::SegmentStore& store,
                      common::Span<const size_t> candidates, double eps,
                      std::vector<size_t>& out_indices,
                      const BatchOptions& options, RefineStats* stats) {
-  const size_t* cand = candidates.data();
-  return Refine(
-      store, dist, query, store, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, query, 0, out_indices,
-      options, stats);
+  return EpsilonRefineCross(store, dist, query, store, candidates, eps, 0,
+                            out_indices, options, stats);
 }
 
 size_t EpsilonRefineRange(const traj::SegmentStore& store,
@@ -756,11 +793,9 @@ size_t EpsilonRefineRange(const traj::SegmentStore& store,
                           size_t first, size_t last, double eps,
                           std::vector<size_t>& out_indices,
                           const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(first <= last && last <= store.size());
-  return Refine(
-      store, dist, query, store, last - first,
-      [first](size_t k) { return first + k; }, eps, query, 0, out_indices,
-      options, stats);
+  const IndexRun run{first, last};
+  return EpsilonRefineRuns(store, dist, query, store, {&run, 1}, eps, 0,
+                           out_indices, options, stats);
 }
 
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
@@ -770,25 +805,21 @@ size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           size_t out_base, std::vector<size_t>& out_indices,
                           const BatchOptions& options, RefineStats* stats) {
   const size_t* cand = candidates.data();
+  const IndexRun all{0, candidates.size()};
   return Refine(
-      query_store, dist, query, cand_store, candidates.size(),
-      [cand](size_t k) { return cand[k]; }, eps, kNoSelf, out_base,
-      out_indices, options, stats);
+      query_store, dist, query, cand_store, {&all, 1},
+      [cand](size_t k) { return cand[k]; }, eps, out_base, out_indices,
+      options, stats);
 }
 
-size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
-                               const SegmentDistance& dist, size_t query,
-                               const traj::SegmentStore& cand_store,
-                               size_t first, size_t last, double eps,
-                               size_t out_base,
-                               std::vector<size_t>& out_indices,
-                               const BatchOptions& options,
-                               RefineStats* stats) {
-  TRACLUS_DCHECK(first <= last && last <= cand_store.size());
-  return Refine(
-      query_store, dist, query, cand_store, last - first,
-      [first](size_t k) { return first + k; }, eps, kNoSelf, out_base,
-      out_indices, options, stats);
+size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
+                         const SegmentDistance& dist, size_t query,
+                         const traj::SegmentStore& cand_store,
+                         common::Span<const IndexRun> runs, double eps,
+                         size_t out_base, std::vector<size_t>& out_indices,
+                         const BatchOptions& options, RefineStats* stats) {
+  return Refine(query_store, dist, query, cand_store, runs, Identity, eps,
+                out_base, out_indices, options, stats);
 }
 
 void DistanceTileRange(const traj::SegmentStore& store,
@@ -840,11 +871,10 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
   RefineStats counts;
   for (size_t base = first; base < last; base += block) {
     const size_t hi = std::min(last, base + block);
+    const IndexRun run{base, hi};
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      RefineRow(
-          kernel, prune[qi], store, cfg, queries[qi], store, hi - base,
-          [base](size_t k) { return base + k; }, eps, queries[qi], 0, block,
-          out_lists[qi], counts);
+      RefineRow(kernel, prune[qi], store, cfg, queries[qi], store, {&run, 1},
+                Identity, eps, queries[qi], 0, block, out_lists[qi], counts);
     }
   }
   AddStats(counts, stats);
@@ -869,6 +899,7 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   thread_local std::vector<PruneContext> prune;
   thread_local std::vector<size_t> survivors;  // Positions into `candidates`.
   thread_local std::vector<double> distances;
+  if (survivors.size() < block) survivors.resize(block);
   prune.clear();
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < query_store.size());
@@ -888,20 +919,16 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   for (size_t base = 0; base < candidates.size(); base += block) {
     const size_t hi = std::min(candidates.size(), base + block);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t query = queries[qi];
-      survivors.clear();
-      for (size_t pos = base; pos < hi; ++pos) {
-        const size_t j = candidates[pos];
-        TRACLUS_DCHECK(j < cand_store.size());
-        if (PrunedFar(prune[qi], cand_store, j)) continue;
-        survivors.push_back(pos);
-      }
-      distances.resize(survivors.size());
+      const size_t kept = CompactSurvivors(
+          prune[qi], cand_store, base, hi,
+          [&](size_t pos) { return candidates[pos]; }, Identity,
+          survivors.data(), 0);
+      distances.resize(kept);
       BatchDispatch(
-          kernel, query_store, cand_store, cfg, query, survivors.size(),
+          kernel, query_store, cand_store, cfg, queries[qi], kept,
           [&](size_t m) { return candidates[survivors[m]]; },
           distances.data());
-      for (size_t m = 0; m < survivors.size(); ++m) {
+      for (size_t m = 0; m < kept; ++m) {
         const double d = distances[m];
         if (d <= eps && d < out_distance[qi]) {
           out_distance[qi] = d;
@@ -950,8 +977,14 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
-  const PruneContext p = MakePruneContext(store, dist, a, eps);
-  return a != b && PrunedFar(p, store, b);
+  double mid_dist_sq = 0.0;
+  for (int d = 0; d < store.dims(); ++d) {
+    const double diff =
+        store.midpoint_coords(d)[b] - store.midpoint_coords(d)[a];
+    mid_dist_sq += diff * diff;
+  }
+  return a != b && ProvablyFar(mid_dist_sq, PruneReach(dist, eps),
+                               store.half_length(a), store.half_length(b));
 }
 
 }  // namespace traclus::distance

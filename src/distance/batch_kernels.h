@@ -8,8 +8,8 @@
 //
 //   * one query vs an index list: DistanceBatch (distances), EpsilonRefine
 //     and EpsilonRefineCross (ε-neighbors);
-//   * one query vs a contiguous range: EpsilonRefineRange and
-//     EpsilonRefineCrossRange;
+//   * one query vs contiguous ranges: EpsilonRefineRange (one) and
+//     EpsilonRefineRuns (several);
 //   * many queries vs many candidates, candidate-block-major so each block
 //     of SoA columns is loaded once and reused by every query row:
 //     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
@@ -18,10 +18,11 @@
 //
 // Every operation has one implementation, written for two stores: the query
 // from one SegmentStore, the candidates from another. The one-store entry
-// points pass the same store twice; the Cross ones take two chunk-local
-// stores of a ChunkedSegmentStore. Chunk-local stores cache bit-identical
-// invariants, so both shapes execute the same floating-point operations on
-// the same bits. The only second algorithm is the hoisted row kernel behind
+// points pass the same store twice; EpsilonRefineCross and
+// EpsilonRefineRuns also take two chunk-local stores of a
+// ChunkedSegmentStore. Chunk-local stores cache bit-identical invariants, so
+// both shapes execute the same floating-point operations on the same bits.
+// The only second algorithm is the hoisted row kernel behind
 // DistanceTileRange and PairwiseDistanceMatrix, chosen by the input's shape
 // (a contiguous range of one store rather than an index list).
 //
@@ -40,28 +41,41 @@
 //       dist(Li, Lj) ≥ c · (‖mid_i − mid_j‖ − h_i − h_j).
 //     A candidate whose bound (with a conservative rounding margin) exceeds
 //     ε is provably outside the neighborhood and skips the full evaluation.
+//     The prune is branch-free: survivors are compacted into a staging
+//     buffer, and full batches of them go to the kernel. ProvablyFar is the
+//     comparison itself, shared with the tile join's block-pair prune.
 //   * The batch kernels evaluate the surviving pairs with EXACTLY the
 //     floating-point expressions of the cached pair path
 //     SegmentDistance::operator()(store, i, j) — results are bit-identical,
 //     so every consumer (DBSCAN goldens included) can switch freely. The
 //     scalar kernel is a branch-light blocked loop over the shared canonical
-//     kernel; the SIMD kernel (AVX2, compile-time dispatch) runs four
-//     candidate lanes of the same operation sequence over the store's SoA
-//     coordinate columns. IEEE-754 vector lanes round identically to scalar
-//     ops, and the build forbids FP contraction (-ffp-contract=off), so the
-//     lanes are bit-identical too (tests/segment_distance_test.cc pins all
-//     of this on randomized, degenerate, tied, and 3-D segments).
+//     kernel; the SIMD kernel runs four candidate lanes of the same
+//     operation sequence over the store's SoA coordinate columns. IEEE-754
+//     vector lanes round identically to scalar ops, and the build forbids FP
+//     contraction (-ffp-contract=off), so the lanes are bit-identical too
+//     (tests/segment_distance_test.cc pins all of this on randomized,
+//     degenerate, tied, and 3-D segments).
 //
-// Consumers: the eager neighborhood providers (BruteForce/Grid/StrRTree)
-// generate candidates and refine them through EpsilonRefine(Range) and
-// EpsilonRefineTile; the chunked provider (cluster::ChunkedNeighborhood)
-// refines chunk pairs through EpsilonRefineCross(Range); the sharded stage
-// re-checks halos with EpsilonRefineTile. PairwiseDistanceMatrix, the
-// entropy NeighborhoodProfile, and the k-medoids baseline ride
-// DistanceTileRange; OPTICS streams blocked DistanceBatch calls; the sieve
-// stage (core::SieveGroupStage, one store passed twice) and the frozen
-// snapshot (core::ClusterSnapshot::AssignSegments, two stores) assign
-// through NearestWithinEps. Kernel selection is a per-run knob
+// Kernel selection happens at run time. Every x86-64 build compiles the
+// SIMD kernels as target("avx2") functions inside batch_kernels.cc only;
+// kAuto and kSimd resolve to them when the CPU reports AVX2
+// (SimdAvailable), and to the scalar kernel otherwise. No translation unit
+// is compiled with -mavx2, so inline header code never turns into AVX2
+// code behind a scalar caller's back; tools/lint/check_determinism.py
+// enforces both rules.
+//
+// Consumers: the eager neighborhood join (cluster::TileJoin, behind
+// GridNeighborhoodIndex and BruteForceNeighborhood) refines the candidate
+// runs of its surviving block pairs through EpsilonRefineRuns; the R-tree
+// refines through EpsilonRefine(Range); the chunked provider
+// (cluster::ChunkedNeighborhood) refines chunk pairs through
+// EpsilonRefineCross and EpsilonRefineRuns; the sharded stage re-checks
+// halos with EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
+// NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
+// OPTICS streams blocked DistanceBatch calls; the sieve stage
+// (core::SieveGroupStage, one store passed twice) and the frozen snapshot
+// (core::ClusterSnapshot::AssignSegments, two stores) assign through
+// NearestWithinEps. Kernel selection is a per-run knob
 // (core::RunContext::distance_kernel, CLI --kernel auto|scalar|simd);
 // ParseBatchKernel below is the single string→kernel parsing path in the
 // tree — callers must not grow private switches.
@@ -89,23 +103,18 @@ namespace traclus::distance {
 
 /// Which refinement kernel evaluates a batch.
 enum class BatchKernel {
-  kAuto = 0,    ///< kSimd when compiled in, else kScalar.
+  kAuto = 0,    ///< kSimd when the CPU has AVX2, else kScalar.
   kScalar = 1,  ///< Blocked scalar loop over the shared canonical kernel.
   kSimd = 2,    ///< AVX2 four-lane kernel over the SoA coordinate columns.
 };
 
-/// True when the SIMD kernel is compiled into this binary (AVX2 target).
-constexpr bool SimdCompiled() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
+/// True when this process can run the SIMD kernel: an x86-64 build on a CPU
+/// (and OS) that reports AVX2. Checked once, at run time.
+bool SimdAvailable();
 
-/// Resolves kAuto to the best compiled kernel; kSimd degrades to kScalar
-/// when the binary was built without AVX2 (results are identical either way,
-/// only throughput differs).
+/// Resolves kAuto to the best available kernel; kSimd degrades to kScalar
+/// when the CPU lacks AVX2 (results are identical either way, only
+/// throughput differs).
 BatchKernel ResolveBatchKernel(BatchKernel kernel);
 
 /// "auto" / "scalar" / "simd".
@@ -127,6 +136,34 @@ struct RefineStats {
   size_t refined = 0;     ///< Full three-component evaluations.
   size_t accepted = 0;    ///< Emitted into the neighborhood.
 };
+
+/// Relative margin of the prune comparison. The bound arithmetic (a squared
+/// midpoint distance, two additions, one multiply) accumulates at most a few
+/// ulps (~1e-15 relative) of rounding; pruning only when the bound exceeds ε
+/// by this much larger margin keeps the prune admissible for every input the
+/// arithmetic can represent. The admissibility test in
+/// tests/segment_distance_test.cc attacks this claim on randomized data.
+inline constexpr double kPruneSlack = 1e-9;
+
+/// The Euclidean reach ε / c of the lower-bound prune, with
+/// c = SegmentDistance::LowerBoundFactor(). +inf when nothing is provable
+/// (c = 0, or ε non-finite or negative), which makes ProvablyFar false.
+double PruneReach(const SegmentDistance& dist, double eps);
+
+/// The prune's comparison: true when two segments whose midpoints are
+/// √mid_dist_sq apart and whose half-lengths are at most half_a and half_b
+/// are provably farther apart than ε, i.e. c·(√mid_dist_sq − half_a − half_b)
+/// exceeds ε with the kPruneSlack margin; `reach` is PruneReach(dist, ε).
+/// Every input enters monotonically, so a lower bound on the midpoint
+/// distance and upper bounds on the half-lengths (a pair of boxes around
+/// many midpoints) prune only pairs the per-pair test would prune.
+inline bool ProvablyFar(double mid_dist_sq, double reach, double half_a,
+                        double half_b) {
+  const double threshold = reach + half_a + half_b;
+  // threshold may round to +inf for extreme ε/c; the comparison then never
+  // prunes, which is the safe direction.
+  return mid_dist_sq > threshold * threshold * (1.0 + kPruneSlack);
+}
 
 /// Tuning knobs of the refine and nearest kernels. Every setting yields
 /// identical output — the knobs trade only speed and scratch residency.
@@ -173,7 +210,7 @@ size_t EpsilonRefineRange(const traj::SegmentStore& store,
 /// Cross-store ε-refine: the query segment lives in `query_store` (local
 /// index `query`) while the candidates live in `cand_store` (local indices
 /// `candidates`) — the refinement step of the chunked out-of-core
-/// neighborhood, where the query's chunk and a candidate chunk are distinct
+/// neighborhood, where the query and a candidate chunk are distinct
 /// chunk-local SegmentStores of one ChunkedSegmentStore.
 ///
 /// For each candidate j with dist ≤ eps, appends `out_base + j` (the
@@ -184,11 +221,11 @@ size_t EpsilonRefineRange(const traj::SegmentStore& store,
 /// monolithic store, so results are bit-identical to EpsilonRefine on the
 /// merged database.
 ///
-/// The candidates must not contain the query segment itself (Definition 4
-/// self-inclusion is a same-store concern; callers exclude the query from
-/// its own chunk's candidates and append it themselves). This is the same
-/// blocked prune → batch → threshold pipeline EpsilonRefine runs, with no
-/// self-inclusion; every kernel is bit-identical to the per-pair loop.
+/// Definition 4 self-inclusion applies only when `query_store` and
+/// `cand_store` are the same object (EpsilonRefine passes one store twice):
+/// the query then always passes when listed. Across two stores the query is
+/// never its own candidate; callers exclude it from its own chunk's
+/// candidates and append it themselves.
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           const SegmentDistance& dist, size_t query,
                           const traj::SegmentStore& cand_store,
@@ -197,19 +234,27 @@ size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           const BatchOptions& options = {},
                           RefineStats* stats = nullptr);
 
-/// Contiguous-candidate cross-store ε-refine over cand_store indices
-/// [first, last) — the chunked provider's whole-chunk scan (no index, or no
-/// usable bound), without materializing an index list. Appends
-/// `out_base + j` for every accepted j, exactly like EpsilonRefineCross on
-/// the materialized range.
-size_t EpsilonRefineCrossRange(const traj::SegmentStore& query_store,
-                               const SegmentDistance& dist, size_t query,
-                               const traj::SegmentStore& cand_store,
-                               size_t first, size_t last, double eps,
-                               size_t out_base,
-                               std::vector<size_t>& out_indices,
-                               const BatchOptions& options = {},
-                               RefineStats* stats = nullptr);
+/// A half-open candidate index range [first, last).
+struct IndexRun {
+  size_t first = 0;
+  size_t last = 0;
+};
+
+/// Multi-range ε-refine: EpsilonRefineCross over the cand_store indices of
+/// every run in turn, without materializing an index list, with the
+/// prune's survivors staged across runs so short runs still fill whole
+/// kernel batches. Emits in run order, ascending within a run, with the
+/// same `out_base` and self-inclusion rules. Serves the block-pruned tile
+/// join (cluster::TileJoin: the runs of candidate blocks that survive its
+/// block-pair prune, one store passed twice) and the chunked provider's
+/// whole-chunk scan (a chunk split around the query).
+size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
+                         const SegmentDistance& dist, size_t query,
+                         const traj::SegmentStore& cand_store,
+                         common::Span<const IndexRun> runs, double eps,
+                         size_t out_base, std::vector<size_t>& out_indices,
+                         const BatchOptions& options = {},
+                         RefineStats* stats = nullptr);
 
 // ---------------------------------------------------------------------------
 // Many-vs-many tiles. All of them iterate candidate-block-major: a block of

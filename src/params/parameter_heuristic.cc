@@ -35,8 +35,7 @@ ParameterEstimate EstimateParameters(const traj::SegmentStore& store,
   if (options.refine_with_annealing) {
     // Refine around the grid minimum with SA over a single-ε entropy objective
     // evaluated through the exact grid index (batched refine kernels inside).
-    cluster::GridNeighborhoodIndex index(store, dist, /*cell_size=*/0.0,
-                                         options.kernel);
+    cluster::GridNeighborhoodIndex index(store, dist, options.kernel);
     auto objective = [&](double eps) {
       return NeighborhoodEntropy(
           NeighborhoodSizes(index, eps, options.num_threads));

@@ -58,13 +58,6 @@ bool ParseDouble(std::string_view s, double* out) {
   return true;
 }
 
-// Largest accepted |x|, |y| or |z|. The distance squares coordinate
-// differences and sums them over up to 3 dimensions; at this bound every
-// difference is at most 2e150, so every such sum stays below 1.3e301, far
-// from overflow (DBL_MAX ≈ 1.8e308). Weights are never squared and stay
-// unbounded.
-constexpr double kMaxCoordinate = 1e150;
-
 bool ParseCoordinate(std::string_view s, double* out) {
   return ParseDouble(s, out) && std::fabs(*out) <= kMaxCoordinate;
 }

@@ -34,6 +34,13 @@
 
 namespace traclus::traj {
 
+/// Largest accepted |x|, |y| or |z| of an external input (the CSV sources,
+/// core::ClusterSnapshot::Load). The distance squares coordinate differences
+/// and sums them over up to 3 dimensions; at this bound every difference is
+/// at most 2e150, so every such sum stays below 1.3e301, far from overflow
+/// (DBL_MAX ≈ 1.8e308). Weights are never squared and stay unbounded.
+inline constexpr double kMaxCoordinate = 1e150;
+
 /// Pull-based producer of trajectories — the ingest-side interface of the
 /// streaming pipeline. Implementations yield each trajectory exactly once, in
 /// input order; they are single-pass and not required to be rewindable.

@@ -1,15 +1,19 @@
-// Tests for ε-neighborhood providers: the brute-force oracle, the grid
-// index, and the chunk-major provider over a residency-capped chunked store,
-// including the exactness property that makes Lemma 3's index usable.
+// Tests for ε-neighborhood providers: the block-pruned tile join in both of
+// its configurations (GridNeighborhoodIndex, BruteForceNeighborhood), the
+// chunk-major provider over a residency-capped chunked store, and a property
+// suite pinning the join to the per-pair oracle — the exactness property
+// that makes Lemma 3's index usable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "cluster/chunked_neighborhood.h"
 #include "cluster/dbscan_segments.h"
@@ -73,21 +77,6 @@ TEST(BruteForceNeighborhoodTest, NeighborsRespectEps) {
       EXPECT_LE(dist(segs[i], segs[j]), eps);
     }
   }
-}
-
-TEST(GridNeighborhoodIndexTest, AutoCellSizeIsPositive) {
-  const auto segs = RandomSegments(30, 100, 5, 4);
-  const SegmentDistance dist;
-  const GridNeighborhoodIndex index(segs, dist);
-  EXPECT_GT(index.cell_size(), 0.0);
-  EXPECT_GT(index.NumCells(), 0u);
-}
-
-TEST(GridNeighborhoodIndexTest, ExplicitCellSizeHonored) {
-  const auto segs = RandomSegments(30, 100, 5, 4);
-  const SegmentDistance dist;
-  const GridNeighborhoodIndex index(segs, dist, 7.5);
-  EXPECT_DOUBLE_EQ(index.cell_size(), 7.5);
 }
 
 // The core exactness property: for every workload/ε/weight configuration the
@@ -192,7 +181,7 @@ TEST(GridNeighborhoodIndexTest, ThreeDimensionalSegments) {
 }
 
 TEST(GridNeighborhoodIndexTest, RepeatedQueriesAreConsistent) {
-  // The visit-stamp dedup must not leak state between queries.
+  // Per-query scratch must not leak state between queries.
   const auto segs = RandomSegments(60, 40, 5, 77);
   const SegmentDistance dist;
   const GridNeighborhoodIndex index(segs, dist);
@@ -203,13 +192,10 @@ TEST(GridNeighborhoodIndexTest, RepeatedQueriesAreConsistent) {
 }
 
 TEST(GridNeighborhoodIndexTest, SingleArgNeighborsIsThreadSafe) {
-  // Regression (CHANGES.md known issue): the index-interface overload used to
-  // funnel every caller through one shared mutable scratch, racing the visit
-  // stamps under concurrent queries. It now routes through a per-thread
-  // scratch; hammering it from the pool must agree with the brute-force
-  // oracle on every query. (Write/write races on the old shared stamps
-  // produced duplicate or missing neighbors, so a mismatch here is the
-  // TSAN-visible corruption surfacing; under TSAN the race itself reports.)
+  // The interface overload must be safe under concurrent queries, the first
+  // of which builds the lazy layout while the others wait for it: hammering
+  // it from the pool must agree with the brute-force oracle on every query
+  // (under TSAN a race on the layout or on shared scratch reports itself).
   const auto segs = RandomSegments(400, 60, 4, 97);
   const SegmentDistance dist;
   const GridNeighborhoodIndex index(segs, dist);
@@ -292,7 +278,7 @@ TEST(NeighborhoodCacheTest, EagerModeKeepsEverythingResident) {
   }
 }
 
-TEST(ProviderKernelTest, AllProvidersAgreeForEveryCompiledKernel) {
+TEST(ProviderKernelTest, AllProvidersAgreeForEveryAvailableKernel) {
   // The providers delegate refinement to the batch kernels; every kernel
   // selection must produce the exact brute-force-per-pair neighborhoods
   // through every provider.
@@ -310,12 +296,12 @@ TEST(ProviderKernelTest, AllProvidersAgreeForEveryCompiledKernel) {
 
   std::vector<distance::BatchKernel> kernels = {
       distance::BatchKernel::kScalar};
-  if (distance::SimdCompiled()) {
+  if (distance::SimdAvailable()) {
     kernels.push_back(distance::BatchKernel::kSimd);
   }
   for (const distance::BatchKernel kernel : kernels) {
     const BruteForceNeighborhood brute(segs, dist, kernel);
-    const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
+    const GridNeighborhoodIndex grid(segs, dist, kernel);
     const StrRTreeIndex rtree(segs, dist, 16, kernel);
     for (size_t i = 0; i < segs.size(); ++i) {
       EXPECT_EQ(brute.Neighbors(i, eps), expect[i]) << "brute query " << i;
@@ -359,10 +345,10 @@ SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
   return view;
 }
 
-std::vector<distance::BatchKernel> CompiledKernels() {
+std::vector<distance::BatchKernel> AvailableKernels() {
   std::vector<distance::BatchKernel> kernels = {
       distance::BatchKernel::kScalar};
-  if (distance::SimdCompiled()) {
+  if (distance::SimdAvailable()) {
     kernels.push_back(distance::BatchKernel::kSimd);
   }
   return kernels;
@@ -374,12 +360,12 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
                                   const SegmentDistance& dist, double eps) {
   const size_t kCapacity = 40;
   const size_t kCap = 3;
-  for (const distance::BatchKernel kernel : CompiledKernels()) {
+  for (const distance::BatchKernel kernel : AvailableKernels()) {
     for (const bool use_index : {true, false}) {
       SCOPED_TRACE(testing::Message()
                    << "kernel " << distance::BatchKernelName(kernel)
                    << (use_index ? " grid" : " scan"));
-      const GridNeighborhoodIndex grid(segs, dist, 0.0, kernel);
+      const GridNeighborhoodIndex grid(segs, dist, kernel);
       const BruteForceNeighborhood brute(segs, dist, kernel);
       const NeighborhoodProvider& mono =
           use_index ? static_cast<const NeighborhoodProvider&>(grid) : brute;
@@ -481,6 +467,267 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
     faults.push_back(store->chunk_faults());
   }
   EXPECT_EQ(faults[0], faults[1]);
+}
+
+
+// --- Property suite: the tile join against the per-pair oracle -----------
+
+struct JoinCase {
+  std::string name;
+  traj::SegmentStore store;
+  SegmentDistanceConfig config;
+  std::vector<double> eps;
+};
+
+traj::SegmentStore Random3d(size_t n, double world, double max_len,
+                            uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Segment> segs;
+  for (size_t i = 0; i < n; ++i) {
+    const Point s(rng.Uniform(0, world), rng.Uniform(0, world),
+                  rng.Uniform(0, world));
+    const Point e(s.x() + rng.Uniform(-max_len, max_len),
+                  s.y() + rng.Uniform(-max_len, max_len),
+                  s.z() + rng.Uniform(-max_len, max_len));
+    segs.emplace_back(s, e, static_cast<geom::SegmentId>(i),
+                      static_cast<geom::TrajectoryId>(i % 5));
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+// Copies of a few segments under fresh ids, plus zero-length segments, some
+// of them on top of each other.
+traj::SegmentStore DuplicatesAndPoints(uint64_t seed) {
+  const traj::SegmentStore base = RandomSegments(120, 30, 4, seed);
+  std::vector<Segment> segs = base.segments();
+  common::Rng rng(seed + 1);
+  for (size_t k = 0; k < 60; ++k) {
+    const Segment& s = base[static_cast<size_t>(rng.UniformInt(0, 119))];
+    segs.emplace_back(s.start(), s.end(),
+                      static_cast<geom::SegmentId>(segs.size()), 1);
+  }
+  for (size_t k = 0; k < 40; ++k) {
+    const Point p(rng.Uniform(0, 30), rng.Uniform(0, 30));
+    for (int copy = 0; copy < (k % 4 == 0 ? 2 : 1); ++copy) {
+      segs.emplace_back(p, p, static_cast<geom::SegmentId>(segs.size()), 2);
+    }
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+// Unit segments on a lattice in four orientations: every pair has equal
+// lengths, so the Lemma 2 roles come from the id tie-break everywhere.
+traj::SegmentStore EqualLengthTies() {
+  std::vector<Segment> segs;
+  const Point dirs[] = {Point(1, 0), Point(0, 1), Point(-1, 0),
+                        Point(0.6, 0.8)};
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      const Point s(1.5 * x, 1.5 * y);
+      const Point& d = dirs[(x + 3 * y) % 4];
+      segs.emplace_back(s, Point(s.x() + d.x(), s.y() + d.y()),
+                        static_cast<geom::SegmentId>(segs.size()), x);
+    }
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+// Rows and columns of collinear segments of length 8 with gaps of 2: a
+// neighbor's midpoint sits 10 away although the segments nearly touch, so
+// only the half-length terms of the block prune keep such pairs.
+traj::SegmentStore CollinearChains() {
+  std::vector<Segment> segs;
+  for (int line = 0; line < 12; ++line) {
+    for (int k = 0; k < 14; ++k) {
+      const double a = 10.0 * k;
+      const double b = 7.0 * line;
+      const bool row = line % 2 == 0;
+      segs.emplace_back(row ? Point(a, b) : Point(b, a),
+                        row ? Point(a + 8, b) : Point(b, a + 8),
+                        static_cast<geom::SegmentId>(segs.size()), line);
+    }
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+// A random store plus segments with non-finite endpoints. Their Morton keys
+// sort last, so whole blocks of the layout hold only NaN midpoints (an empty
+// midpoint box): none is within ε of anything, yet each is still its own
+// neighbor.
+traj::SegmentStore WithNonFinite(uint64_t seed) {
+  std::vector<Segment> segs = RandomSegments(150, 40, 5, seed).segments();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < 50; ++k) {
+    const Point p(k < 40 ? nan : 5.0, 3.0);
+    const Point q(4.0, k < 40 ? 1.0 : inf);
+    segs.emplace_back(p, q, static_cast<geom::SegmentId>(segs.size()), 3);
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+std::vector<JoinCase> JoinCases() {
+  std::vector<JoinCase> cases;
+  const SegmentDistanceConfig defaults;
+  cases.push_back(
+      {"random2d", RandomSegments(400, 80, 6, 81), defaults, {0.5, 4, 15}});
+  cases.push_back({"random2d_long_segments", RandomSegments(200, 60, 40, 82),
+                   defaults, {2, 10}});
+  cases.push_back({"random3d", Random3d(300, 40, 4, 83), defaults, {2, 7}});
+  cases.push_back(
+      {"duplicates_and_points", DuplicatesAndPoints(84), defaults, {0, 1, 5}});
+  cases.push_back({"equal_length_ties", EqualLengthTies(), defaults,
+                   {0.5, 1.5, 3}});
+  cases.push_back(
+      {"collinear_chains", CollinearChains(), defaults, {1.5, 2.5, 6}});
+  cases.push_back({"non_finite", WithNonFinite(89), defaults, {2, 8}});
+  SegmentDistanceConfig weighted;
+  weighted.w_perpendicular = 2.0;
+  weighted.w_parallel = 0.5;
+  weighted.w_angle = 1.5;
+  weighted.directed = false;
+  cases.push_back({"weighted_undirected", RandomSegments(300, 60, 5, 85),
+                   weighted, {3, 9}});
+  SegmentDistanceConfig no_perp;
+  no_perp.w_perpendicular = 0.0;
+  cases.push_back(
+      {"w_perp_zero", RandomSegments(200, 40, 5, 86), no_perp, {2, 6}});
+  SegmentDistanceConfig no_par;
+  no_par.w_parallel = 0.0;
+  cases.push_back(
+      {"w_par_zero", RandomSegments(200, 40, 5, 87), no_par, {2, 6}});
+  // ε equal to exact pair distances: the pair itself must be in (≤ ε).
+  for (JoinCase& c : cases) {
+    const SegmentDistance dist(c.config);
+    const size_t n = c.store.size();
+    for (const size_t step : {size_t{7}, size_t{31}}) {
+      const size_t a = (step * 13) % n;
+      const size_t b = (a + step) % n;
+      c.eps.push_back(dist(c.store, a, b));
+    }
+  }
+  return cases;
+}
+
+// { j : j == i || dist(store, i, j) ≤ ε } in ascending order, straight from
+// the pair path.
+std::vector<std::vector<size_t>> OracleLists(const traj::SegmentStore& store,
+                                             const SegmentDistance& dist,
+                                             double eps) {
+  std::vector<std::vector<size_t>> lists(store.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    for (size_t j = 0; j < store.size(); ++j) {
+      if (j == i || dist(store, i, j) <= eps) lists[i].push_back(j);
+    }
+  }
+  return lists;
+}
+
+TEST(TileJoinPropertyTest, EveryConfigurationMatchesThePerPairOracle) {
+  for (const JoinCase& c : JoinCases()) {
+    const SegmentDistance dist(c.config);
+    const size_t n = c.store.size();
+    std::vector<size_t> queries(n);
+    std::iota(queries.begin(), queries.end(), size_t{0});
+    std::shuffle(queries.begin(), queries.end(), std::mt19937_64(n));
+    queries.push_back(queries.front());  // A duplicate query.
+    for (const double eps : c.eps) {
+      const auto expect = OracleLists(c.store, dist, eps);
+      std::vector<size_t> sizes(n);
+      for (size_t i = 0; i < n; ++i) sizes[i] = expect[i].size();
+      for (const distance::BatchKernel kernel : AvailableKernels()) {
+        for (const bool use_index : {true, false}) {
+          for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << c.name << " eps " << eps << " kernel "
+                         << distance::BatchKernelName(kernel)
+                         << (use_index ? " indexed" : " scan") << " threads "
+                         << threads);
+            const GridNeighborhoodIndex grid(c.store, dist, kernel);
+            const BruteForceNeighborhood brute(c.store, dist, kernel);
+            const NeighborhoodProvider& join =
+                use_index ? static_cast<const NeighborhoodProvider&>(grid)
+                          : brute;
+            common::ThreadPool& pool = common::SharedPool(threads);
+            EXPECT_EQ(join.AllNeighbors(eps, pool), expect);
+            EXPECT_EQ(join.AllNeighborhoodSizes(eps, pool), sizes);
+            const auto batch = join.NeighborsBatch(queries, eps, pool);
+            ASSERT_EQ(batch.size(), queries.size());
+            for (size_t k = 0; k < queries.size(); ++k) {
+              EXPECT_EQ(batch[k], expect[queries[k]])
+                  << "query " << queries[k];
+            }
+            for (const size_t i : {size_t{0}, n / 2, n - 1}) {
+              EXPECT_EQ(join.Neighbors(i, eps), expect[i]) << "query " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TileJoinPropertyTest, EmptyStoreAndEmptyBatch) {
+  const traj::SegmentStore empty;
+  const SegmentDistance dist;
+  const GridNeighborhoodIndex grid(empty, dist);
+  EXPECT_TRUE(grid.AllNeighbors(1.0, common::SharedPool(4)).empty());
+  EXPECT_TRUE(grid.AllNeighborhoodSizes(1.0, common::SharedPool(4)).empty());
+  const auto segs = RandomSegments(50, 20, 3, 88);
+  const GridNeighborhoodIndex index(segs, dist);
+  EXPECT_TRUE(index.NeighborsBatch({}, 1.0, common::SharedPool(4)).empty());
+}
+
+// The refine kernels' counters on a fixed store, pinned to the values the
+// per-candidate branching prune produced before the branch-free compaction:
+// staging survivors differently must not change what is counted. Identical
+// for every kernel and block size.
+TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
+  const auto store = RandomSegments(200, 50, 5, 91);
+  std::vector<size_t> queries(store.size());
+  std::iota(queries.begin(), queries.end(), size_t{0});
+  struct Pin {
+    double w_parallel;
+    distance::RefineStats tile;
+    distance::RefineStats range;  // Query 17 over the whole store.
+  };
+  const Pin pins[] = {
+      {1.0, {40000, 34874, 5126, 538}, {200, 172, 28, 2}},
+      {0.0, {40000, 0, 40000, 3554}, {200, 0, 200, 13}},  // No usable bound.
+  };
+  const auto expect_stats = [](const distance::RefineStats& got,
+                               const distance::RefineStats& want) {
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.pruned, want.pruned);
+    EXPECT_EQ(got.refined, want.refined);
+    EXPECT_EQ(got.accepted, want.accepted);
+  };
+  for (const Pin& pin : pins) {
+    SegmentDistanceConfig config;
+    config.w_parallel = pin.w_parallel;
+    const SegmentDistance dist(config);
+    for (const distance::BatchKernel kernel : AvailableKernels()) {
+      for (const size_t block : {size_t{0}, size_t{7}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "w_parallel " << pin.w_parallel << " kernel "
+                     << distance::BatchKernelName(kernel) << " block "
+                     << block);
+        distance::BatchOptions options;
+        options.kernel = kernel;
+        options.block = block;
+        distance::RefineStats tile;
+        std::vector<std::vector<size_t>> lists(queries.size());
+        distance::EpsilonRefineTile(store, dist, queries, 0, store.size(),
+                                    4.0, lists.data(), options, &tile);
+        expect_stats(tile, pin.tile);
+        distance::RefineStats range;
+        std::vector<size_t> list;
+        distance::EpsilonRefineRange(store, dist, 17, 0, store.size(), 4.0,
+                                     list, options, &range);
+        expect_stats(range, pin.range);
+      }
+    }
+  }
 }
 
 }  // namespace

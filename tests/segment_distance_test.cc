@@ -362,9 +362,9 @@ std::vector<SegmentDistanceConfig> KernelTestConfigs() {
   return {defaults, undirected, weighted, no_bound};
 }
 
-std::vector<BatchKernel> CompiledKernels() {
+std::vector<BatchKernel> AvailableKernels() {
   std::vector<BatchKernel> kernels = {BatchKernel::kScalar};
-  if (SimdCompiled()) kernels.push_back(BatchKernel::kSimd);
+  if (SimdAvailable()) kernels.push_back(BatchKernel::kSimd);
   return kernels;
 }
 
@@ -395,7 +395,7 @@ TEST(BatchKernelTest, DistanceBatchBitIdenticalToCachedPairPath) {
     for (size_t i = 0; i < n; ++i) all[i] = i;
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
-      for (const BatchKernel kernel : CompiledKernels()) {
+      for (const BatchKernel kernel : AvailableKernels()) {
         std::vector<double> out(n);
         for (size_t q = 0; q < n; ++q) {
           DistanceBatch(store, dist, q,
@@ -442,7 +442,7 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
           size_t qc = 0;
           while (q >= bounds[qc + 1]) ++qc;
           const size_t q_local = q - bounds[qc];
-          for (const BatchKernel kernel : CompiledKernels()) {
+          for (const BatchKernel kernel : AvailableKernels()) {
             for (const size_t block : {size_t{1}, size_t{2}, size_t{3},
                                        size_t{7}, size_t{256}}) {
               BatchOptions options;
@@ -460,9 +460,25 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               EXPECT_EQ(stats.pruned + stats.refined, n);
               EXPECT_EQ(stats.accepted, got.size());
 
+              // One store as runs: three ranges covering it (the middle one
+              // empty) reproduce the single-list refine, self included.
+              std::vector<size_t> got_runs;
+              RefineStats runs_stats;
+              const IndexRun thirds[] = {{0, n / 3}, {n / 3, n / 3},
+                                         {n / 3, n}};
+              EpsilonRefineRuns(store, dist, q, store, {thirds, 3}, eps, 0,
+                                got_runs, options, &runs_stats);
+              EXPECT_EQ(got_runs, expect)
+                  << "runs " << BatchKernelName(kernel) << " block " << block
+                  << " eps " << eps << " query " << q;
+              EXPECT_EQ(runs_stats.candidates, stats.candidates);
+              EXPECT_EQ(runs_stats.pruned, stats.pruned);
+              EXPECT_EQ(runs_stats.refined, stats.refined);
+              EXPECT_EQ(runs_stats.accepted, stats.accepted);
+
               // Query from its chunk, candidates chunk by chunk, shifted by
               // out_base = the chunk's first global index: once as index
-              // lists, once as ranges split around the query.
+              // lists, once as runs split around the query.
               std::vector<size_t> got_list, got_range;
               RefineStats list_stats, range_stats;
               for (size_t c = 0; c < chunks.size(); ++c) {
@@ -477,21 +493,17 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
                     common::Span<const size_t>(local.data(), local.size()),
                     eps, bounds[c], got_list, options, &list_stats);
                 const size_t split = own ? q_local : len;
-                EpsilonRefineCrossRange(chunks[qc], dist, q_local, chunks[c],
-                                        0, split, eps, bounds[c], got_range,
-                                        options, &range_stats);
-                if (own) {
-                  EpsilonRefineCrossRange(chunks[qc], dist, q_local,
-                                          chunks[c], split + 1, len, eps,
-                                          bounds[c], got_range, options,
-                                          &range_stats);
-                }
+                const IndexRun around[] = {{0, split},
+                                           {std::min(split + 1, len), len}};
+                EpsilonRefineRuns(chunks[qc], dist, q_local, chunks[c],
+                                  {around, 2}, eps, bounds[c], got_range,
+                                  options, &range_stats);
               }
               EXPECT_EQ(got_list, expect_cross)
                   << "cross " << BatchKernelName(kernel) << " block " << block
                   << " eps " << eps << " query " << q;
               EXPECT_EQ(got_range, expect_cross)
-                  << "cross-range " << BatchKernelName(kernel) << " block "
+                  << "cross-runs " << BatchKernelName(kernel) << " block "
                   << block << " eps " << eps << " query " << q;
               for (const RefineStats& cross : {list_stats, range_stats}) {
                 EXPECT_EQ(cross.candidates, n - 1);
@@ -543,7 +555,7 @@ TEST(BatchKernelTest, PruneIsAdmissible) {
 TEST(BatchKernelTest, PairwiseMatrixBatchedMatchesPerPair) {
   const traj::SegmentStore store = AdversarialStore(43, false);
   const SegmentDistance dist;
-  for (const BatchKernel kernel : CompiledKernels()) {
+  for (const BatchKernel kernel : AvailableKernels()) {
     for (const int threads : {1, 4}) {
       const common::Matrix m = PairwiseDistanceMatrix(
           store, dist, common::SharedPool(threads), kernel);
@@ -572,7 +584,7 @@ TEST(BatchKernelTest, DistanceTileRangeBitIdenticalToBatchAndPairPath) {
         {3, 6, 1, 8}, {2, n - 1, 1, n - 4}, {0, n, 0, n}};
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
-      for (const BatchKernel kernel : CompiledKernels()) {
+      for (const BatchKernel kernel : AvailableKernels()) {
         for (const std::vector<size_t>& shape : shapes) {
           const size_t q_first = shape[0], q_last = shape[1];
           const size_t c_first = shape[2], c_last = shape[3];
@@ -614,7 +626,7 @@ TEST(BatchKernelTest, EpsilonRefineTileMatchesPerQueryRefine) {
     for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
       const SegmentDistance dist(cfg);
       for (const double eps : {0.01, 2.0, 9.0}) {
-        for (const BatchKernel kernel : CompiledKernels()) {
+        for (const BatchKernel kernel : AvailableKernels()) {
           for (const size_t block : {size_t{1}, size_t{3}, size_t{256}}) {
             BatchOptions options;
             options.kernel = kernel;
@@ -681,7 +693,7 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
             }
           }
         }
-        for (const BatchKernel kernel : CompiledKernels()) {
+        for (const BatchKernel kernel : AvailableKernels()) {
           for (const size_t block : {size_t{1}, size_t{7}, size_t{256}}) {
             BatchOptions options;
             options.kernel = kernel;
@@ -752,13 +764,28 @@ TEST(BatchKernelTest, KernelSelectionHelpers) {
   const auto bad = ParseBatchKernel("avx512");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), common::StatusCode::kInvalidArgument);
-  // Resolution never yields kAuto, and kSimd only when compiled in.
+  // Resolution never yields kAuto, and kSimd only when available.
   EXPECT_NE(ResolveBatchKernel(BatchKernel::kAuto), BatchKernel::kAuto);
-  if (!SimdCompiled()) {
+  EXPECT_EQ(ResolveBatchKernel(BatchKernel::kScalar), BatchKernel::kScalar);
+  if (!SimdAvailable()) {
     EXPECT_EQ(ResolveBatchKernel(BatchKernel::kSimd), BatchKernel::kScalar);
   } else {
     EXPECT_EQ(ResolveBatchKernel(BatchKernel::kSimd), BatchKernel::kSimd);
   }
+}
+
+// The kernel is picked at run time from what the CPU reports, in every
+// build: kAuto is the AVX2 kernel exactly when the CPU has AVX2.
+TEST(BatchKernelTest, AutoIsSimdIffTheCpuReportsAvx2) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool cpu_avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool cpu_avx2 = false;
+#endif
+  EXPECT_EQ(SimdAvailable(), cpu_avx2);
+  EXPECT_EQ(ResolveBatchKernel(BatchKernel::kAuto) == BatchKernel::kSimd,
+            cpu_avx2);
 }
 
 }  // namespace

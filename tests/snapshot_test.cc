@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -284,6 +286,115 @@ TEST(ClusterSnapshotTest, LoadFailsWithTypedStatusOnBadFiles) {
   bad_eps.eps = 0.0;
   EXPECT_EQ(ClusterSnapshot::FromResult(*run, bad_eps).status().code(),
             common::StatusCode::kInvalidArgument);
+}
+
+// Offsets into a saved snapshot file (format version of core/snapshot.cc):
+// an 8-byte header, eight 8-byte parameters, then n and dims.
+constexpr size_t kCountOffset = 72;
+constexpr size_t kDimsOffset = 80;
+constexpr size_t kSegmentsOffset = 88;
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t offset) {
+  T v;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+TEST(ClusterSnapshotTest, LoadRejectsBadCoordinatesAndLyingLengths) {
+  const GoldenCase c = {
+      "hurricane", datagen::GenerateHurricanes(datagen::HurricaneConfig{}),
+      0.94, 5.0};
+  SnapshotParams params;
+  const auto run = RunPipeline(c, &params);
+  ASSERT_TRUE(run.ok());
+  const auto built = ClusterSnapshot::FromResult(*run, params);
+  ASSERT_TRUE(built.ok());
+  const std::string path = SnapshotPath("lying_lengths");
+  ASSERT_TRUE((*built)->Save(path).ok());
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+
+  // Walk the saved layout to the fields under attack.
+  const auto n = ReadAt<uint64_t>(good, kCountOffset);
+  const auto dims = ReadAt<uint64_t>(good, kDimsOffset);
+  ASSERT_EQ(n, (*built)->store().size());
+  const size_t clusters_offset = kSegmentsOffset + n * (24 + 16 * dims);
+  const auto num_clusters = ReadAt<uint64_t>(good, clusters_offset);
+  ASSERT_GT(num_clusters, 0u);
+  const size_t members_offset = clusters_offset + 16;
+  size_t offset = clusters_offset + 8;
+  for (uint64_t k = 0; k < num_clusters; ++k) {
+    offset += 16 + 8 * ReadAt<uint64_t>(good, offset + 8);
+  }
+  offset += 4 * n + 8;  // Labels, num_noise.
+  ASSERT_EQ(ReadAt<uint64_t>(good, offset), num_clusters);  // num_reps.
+  offset += 8;
+  const size_t npoints_offset =
+      offset + 24 + ReadAt<uint64_t>(good, offset + 16);
+  ASSERT_GT(ReadAt<uint64_t>(good, npoints_offset), 0u);
+
+  // Loads `bytes` written to the snapshot path.
+  const auto load = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    return ClusterSnapshot::Load(path).status();
+  };
+  // `bytes` with `value` stored at offset `at`.
+  const auto patch = [](std::string bytes, size_t at, auto value) {
+    std::memcpy(&bytes[at], &value, sizeof(value));
+    return bytes;
+  };
+  const auto load_with = [&](size_t at, auto value) {
+    return load(patch(good, at, value));
+  };
+  ASSERT_TRUE(load_with(kCountOffset, n).ok());
+
+  // Coordinates: non-finite or beyond the CSV sources' 1e150 bound are
+  // Corrupt (InvalidArgument) — on a segment endpoint and on a
+  // representative point alike. The bound itself is accepted.
+  const size_t first_x = kSegmentsOffset + 24;
+  const size_t last_end_y = clusters_offset - 8;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e200,
+                           -1e151}) {
+    for (const size_t at : {first_x, last_end_y, npoints_offset + 8}) {
+      const common::Status status = load_with(at, bad);
+      EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument)
+          << "value " << bad << " at byte " << at;
+      EXPECT_NE(status.message().find("coordinate"), std::string::npos)
+          << status.message();
+    }
+  }
+  EXPECT_TRUE(load_with(first_x, 1e150).ok());
+  EXPECT_TRUE(load_with(last_end_y, -1e150).ok());
+
+  // Length fields larger than the rest of the file could hold are rejected
+  // before anything is reserved: a typed truncation error naming the field,
+  // not a multi-gigabyte allocation.
+  const uint64_t huge = uint64_t{1} << 60;
+  const auto expect_too_large = [](const common::Status& status,
+                                   const char* field) {
+    EXPECT_EQ(status.code(), common::StatusCode::kIOError) << field;
+    EXPECT_NE(status.message().find(std::string(field) + " count"),
+              std::string::npos)
+        << status.message();
+  };
+  expect_too_large(load_with(kCountOffset, huge), "segment");
+  const uint64_t segments_past_end =
+      (good.size() - kSegmentsOffset) / (24 + 16 * dims) + 1;
+  expect_too_large(load_with(kCountOffset, segments_past_end), "segment");
+  expect_too_large(load_with(clusters_offset, huge), "cluster");
+  expect_too_large(load_with(npoints_offset, huge), "point");
+  // A member count within the store (≤ n) but past the end of a file cut
+  // three members after that field, which now claims one cluster.
+  std::string cut = patch(patch(good, clusters_offset, uint64_t{1}),
+                          members_offset, n);
+  cut.resize(members_offset + 8 + 24);
+  expect_too_large(load(cut), "member");
 }
 
 // Concurrent serving: many threads assigning through one snapshot while the

@@ -28,6 +28,15 @@ Rules (each has an id used in diagnostics and suppressions):
                 distance/store_kernel_detail.h, the single canonical kernel
                 all paths share (if FMA ever lands, every path inherits it
                 together and the goldens are regenerated once).
+  simd-target   Instruction-set escapes. The AVX2 batch kernels are
+                target("avx2") functions selected at run time, so a
+                target(...) attribute or pragma is allowed ONLY in
+                distance/batch_kernels.cc; anywhere else it would spread
+                target-specific code, and inline header functions included
+                into such a scope would silently become AVX2 code.
+                -mavx2, -mfma and -march=native (whole-TU AVX2/FMA) and any
+                target(...) naming fma are banned everywhere, that file
+                included. Scanned in src/ AND in CMake files.
   wild-rng      rand()/srand(), std::random_device, and time-seeded RNG
                 (time(NULL/nullptr/0), *_clock::now as a seed source):
                 library code must draw all randomness from common::Rng with
@@ -52,6 +61,9 @@ import re
 import sys
 import tempfile
 
+# A target("...") attribute or pragma.
+TARGET_ATTR = re.compile(r"\btarget\s*\(\s*\"")
+
 RULES = [
     ("fast-math", re.compile(
         r"-ffast-math|-funsafe-math-optimizations"
@@ -74,6 +86,15 @@ RULES = [
      "FMA rounds once where mul+add round twice, diverging from the scalar "
      "reference; FMA may live only in distance/store_kernel_detail.h (the "
      "one canonical kernel every path shares)"),
+    ("simd-target", re.compile(
+        r"-mavx2\b|-mfma\b|-march=native\b"
+        r"|\btarget\s*\(\s*\"[^\"]*\bfma"),
+     "whole-TU AVX2/FMA or an FMA target makes results and inline header "
+     "code target-dependent; the SIMD kernels are target(\"avx2\") "
+     "functions in distance/batch_kernels.cc, picked at run time"),
+    ("simd-target", TARGET_ATTR,
+     "target(...) attributes and pragmas are allowed only in "
+     "distance/batch_kernels.cc, next to the run-time kernel dispatch"),
     ("wild-rng", re.compile(
         r"(?<![\w:])s?rand\s*\(" r"|\bstd\s*::\s*random_device\b"
         r"|\btime\s*\(\s*(?:NULL|nullptr|0)\s*\)"
@@ -83,11 +104,17 @@ RULES = [
      "runs non-resumable)"),
 ]
 
-# rule-id -> path predicates (relative, '/'-separated) where it is permitted.
+# (rule-id, pattern) -> path predicate (relative, '/'-separated) where the
+# pattern is permitted; by rule id alone when the rule has one pattern.
 ALLOWLIST = {
     "fma": lambda rel: rel == "src/distance/store_kernel_detail.h",
     "wild-rng": lambda rel: rel.startswith("src/datagen/"),
+    ("simd-target", TARGET_ATTR.pattern):
+        lambda rel: rel == "src/distance/batch_kernels.cc",
 }
+
+# Rules that also apply to CMake files.
+CMAKE_RULES = ("fast-math", "simd-target")
 
 ALLOW_RE = re.compile(r"//\s*determinism:allow\(([\w-]+)\)"
                       r"(?:\s*--\s*(\S.*))?")
@@ -134,8 +161,10 @@ def lint_file(path, rel, errors, cmake_mode=False):
     with open(path, encoding="utf-8") as f:
         lines = f.readlines()
     active = RULES if not cmake_mode else [r for r in RULES
-                                           if r[0] == "fast-math"]
+                                           if r[0] in CMAKE_RULES]
     for lineno, code, raw in strip_comments(lines):
+        if cmake_mode:
+            code = code.split("#", 1)[0]  # CMake comments run to the EOL.
         allow = ALLOW_RE.search(raw)
         if allow and not allow.group(2):
             errors.append(
@@ -149,7 +178,8 @@ def lint_file(path, rel, errors, cmake_mode=False):
                 continue
             if allow and allow.group(1) == rule_id:
                 continue  # Justified suppression.
-            permitted = ALLOWLIST.get(rule_id)
+            permitted = ALLOWLIST.get((rule_id, pattern.pattern),
+                                      ALLOWLIST.get(rule_id))
             if permitted and permitted(rel):
                 continue
             errors.append(
@@ -272,6 +302,46 @@ def self_test():
               any(e[0] == "CMakeLists.txt" and e[1] == 1
                   and e[2] == "fast-math" for e in errors),
               f"got: {errors}")
+        os.remove(os.path.join(root, "CMakeLists.txt"))
+
+        # simd-target: target("avx2") only in batch_kernels.cc; -mavx2,
+        # -mfma, -march=native and FMA targets nowhere.
+        attr_line = ('__attribute__((target("avx2"))) void Lanes();\n')
+        write(root, "src/cluster/bad_target.cc", "// SIMD\n" + attr_line)
+        errors = lint_tree(root)
+        check("target(\"avx2\") caught outside batch_kernels.cc",
+              any(e[0] == "src/cluster/bad_target.cc" and e[1] == 2
+                  and e[2] == "simd-target" for e in errors),
+              f"got: {errors}")
+        os.remove(os.path.join(root, "src/cluster/bad_target.cc"))
+        write(root, "src/distance/batch_kernels.h",
+              '#pragma GCC target("avx2")\n')
+        errors = lint_tree(root)
+        check("target pragma caught in the kernels' header",
+              any(e[1] == 1 and e[2] == "simd-target" for e in errors),
+              f"got: {errors}")
+        os.remove(os.path.join(root, "src/distance/batch_kernels.h"))
+        write(root, "src/distance/batch_kernels.cc", attr_line)
+        check("target(\"avx2\") allowed in batch_kernels.cc",
+              lint_tree(root) == [])
+        write(root, "src/distance/batch_kernels.cc",
+              attr_line + '__attribute__((target("avx2,fma"))) void F();\n')
+        errors = lint_tree(root)
+        check("FMA target caught even in batch_kernels.cc",
+              [(e[1], e[2]) for e in errors] == [(2, "simd-target")],
+              f"got: {errors}")
+        os.remove(os.path.join(root, "src/distance/batch_kernels.cc"))
+        for flag in ("-mavx2", "-mfma", "-march=native"):
+            write(root, "CMakeLists.txt",
+                  "# Kernels\nadd_compile_options(" + flag + ")\n")
+            errors = lint_tree(root)
+            check(f"{flag} in CMakeLists caught",
+                  any(e[0] == "CMakeLists.txt" and e[1] == 2
+                      and e[2] == "simd-target" for e in errors),
+                  f"got: {errors}")
+        write(root, "CMakeLists.txt", "# -mavx2 in a comment is fine\n")
+        check("flag named in a CMake comment passes", lint_tree(root) == [],
+              f"got: {lint_tree(root)}")
         os.remove(os.path.join(root, "CMakeLists.txt"))
 
         # Suppressions: bare marker rejected, justified marker honored.
