@@ -95,23 +95,8 @@ size_t CompactSurvivors(const PruneContext& p, const traj::SegmentStore& cs,
              : CompactSurvivorsD<2>(p, cs, lo, hi, index, tag, slots, m);
 }
 
-// Exact pair distance: the query from qs, the candidate from cs (one-store
-// callers pass the same store twice). CrossCanonicalSwap resolves the Lemma 2
-// roles; the shared canonical kernel then runs on the selected roles, so the
-// result is bit-identical to SegmentDistance::operator()(store, q, j).
-// Chunk-local stores cache bit-identical invariants, so a pair evaluated
-// across two chunk stores gives the same bits as inside the monolithic one.
-inline double PairDistance(const traj::SegmentStore& qs, size_t query,
-                           const traj::SegmentStore& cs, size_t j,
-                           const SegmentDistanceConfig& cfg) {
-  const bool swap = internal::CrossCanonicalSwap(qs, query, cs, j);
-  return internal::CrossWeightedCanonical(
-      swap ? cs : qs, swap ? j : query, swap ? qs : cs, swap ? query : j,
-      cfg.directed, cfg.w_perpendicular, cfg.w_parallel, cfg.w_angle);
-}
-
-// The SoA columns a lane gather or a row kernel reads, hoisted out of the
-// candidate loop once per call.
+// The SoA columns a kernel reads, hoisted out of the candidate loop once per
+// call.
 struct StoreColumns {
   const double* len;
   const double* sqlen;
@@ -131,6 +116,21 @@ inline StoreColumns ColumnsOf(const traj::SegmentStore& store) {
   }
   return c;
 }
+
+// The candidates of one kernel call: batch position k is candidate idx[k]
+// of an index list, or first + k of a contiguous range. From(k) is the same
+// candidates starting at position k (the scalar tail of a lane loop).
+struct IndexList {
+  const size_t* idx;
+  size_t operator()(size_t k) const { return idx[k]; }
+  IndexList From(size_t k) const { return {idx + k}; }
+};
+
+struct IndexRange {
+  size_t first;
+  size_t operator()(size_t k) const { return first + k; }
+  IndexRange From(size_t k) const { return {first + k}; }
+};
 
 // Canonical kernel over raw (Li, Lj) coordinate arrays: exactly the
 // floating-point expressions of internal::CrossComponentsCanonicalInto plus
@@ -187,10 +187,10 @@ inline double RawWeightedCanonical(const double* s, const double* e,
       perp_denom == 0.0 ? 0.0 : (l1 * l1 + l2 * l2) / perp_denom;
 
   // Parallel (Definition 2): MIN over projections of the distance to the
-  // nearer Li endpoint.
-  const double lpar1 = std::min(std::sqrt(sq_ps_s), std::sqrt(sq_ps_e));
-  const double lpar2 = std::min(std::sqrt(sq_pe_s), std::sqrt(sq_pe_e));
-  const double parallel = std::min(lpar1, lpar2);
+  // nearer Li endpoint, as one sqrt of the smallest squared gap
+  // (store_kernel_detail.h says why that is the same bits).
+  const double parallel = std::sqrt(std::min(std::min(sq_ps_s, sq_ps_e),
+                                             std::min(sq_pe_s, sq_pe_e)));
 
   // Angle (Definition 3): zero for a point-like Lj, cos forced to 1 for a
   // point-like Li, the directed regime contributing ‖Lj‖ outright.
@@ -215,64 +215,58 @@ inline double RawWeightedCanonical(const double* s, const double* e,
          w_angle * angle;
 }
 
-// Contiguous-candidate scalar row kernel — the tile family's scalar inner
-// loop. Hoists the query's columns into registers once per row instead of
-// re-resolving them per pair through CrossCanonicalSwap + segment(), and
-// resolves the Lemma 2 swap inline (the strict length compare covers almost
-// every pair; exact ties fall back to the full scalar tie-break).
-template <int D>
-void RangeScalarRow(const traj::SegmentStore& store,
-                    const SegmentDistanceConfig& cfg, size_t query,
-                    size_t first, size_t last, double* out) {
-  const StoreColumns col = ColumnsOf(store);
-  double qs[D], qe[D], qd[D];
+// Scalar batch kernel: dist(qs[query], cs[index(k)]) → out[k]. The query's
+// columns are hoisted into locals once per call, and the Lemma 2 swap is
+// resolved inline: the strict length compare covers almost every pair, and
+// only exact ties run the full scalar tie-break. NaN lengths fail both
+// compares and leave the query as Li — CrossCanonicalSwap's behavior
+// exactly. The only other data-dependent branches are the ones the canonical
+// kernel needs for bit-identity (degenerate lengths, angle regime).
+template <int D, typename Index>
+void BatchScalarD(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
+                  const SegmentDistanceConfig& cfg, size_t query, size_t n,
+                  const Index& index, double* out) {
+  const StoreColumns q_col = ColumnsOf(qs);
+  const StoreColumns c_col = ColumnsOf(cs);
+  double q_s[D], q_e[D], q_d[D];
   for (int d = 0; d < D; ++d) {
-    qs[d] = col.start[d][query];
-    qe[d] = col.end[d][query];
-    qd[d] = col.dir[d][query];
+    q_s[d] = q_col.start[d][query];
+    q_e[d] = q_col.end[d][query];
+    q_d[d] = q_col.dir[d][query];
   }
-  const double q_den = col.sqlen[query];
-  const double q_len = col.len[query];
+  const double q_den = q_col.sqlen[query];
+  const double q_len = q_col.len[query];
 
-  for (size_t j = first; j < last; ++j) {
-    double cs[D], ce[D], cd[D];
+  for (size_t k = 0; k < n; ++k) {
+    const size_t j = index(k);
+    double c_s[D], c_e[D], c_d[D];
     for (int d = 0; d < D; ++d) {
-      cs[d] = col.start[d][j];
-      ce[d] = col.end[d][j];
-      cd[d] = col.dir[d][j];
+      c_s[d] = c_col.start[d][j];
+      c_e[d] = c_col.end[d][j];
+      c_d[d] = c_col.dir[d][j];
     }
-    const double c_len = col.len[j];
-    // Lemma 2 canonical roles: the candidate takes Li when strictly longer;
-    // an exact length tie runs the id / lexicographic tie-break. NaN lengths
-    // fail both compares, leaving the query as Li — CrossCanonicalSwap's
-    // behavior exactly.
+    const double c_len = c_col.len[j];
     bool swap = q_len < c_len;
-    if (q_len == c_len) {
-      swap = internal::CrossCanonicalSwap(store, query, store, j);
-    }
-    out[j - first] =
-        swap ? RawWeightedCanonical<D>(cs, ce, cd, col.sqlen[j], c_len, qs,
-                                       qe, qd, q_len, cfg.directed,
-                                       cfg.w_perpendicular, cfg.w_parallel,
-                                       cfg.w_angle)
-             : RawWeightedCanonical<D>(qs, qe, qd, q_den, q_len, cs, ce, cd,
-                                       c_len, cfg.directed,
-                                       cfg.w_perpendicular, cfg.w_parallel,
-                                       cfg.w_angle);
+    if (q_len == c_len) swap = internal::CrossCanonicalSwap(qs, query, cs, j);
+    out[k] = swap ? RawWeightedCanonical<D>(c_s, c_e, c_d, c_col.sqlen[j],
+                                            c_len, q_s, q_e, q_d, q_len,
+                                            cfg.directed, cfg.w_perpendicular,
+                                            cfg.w_parallel, cfg.w_angle)
+                  : RawWeightedCanonical<D>(q_s, q_e, q_d, q_den, q_len, c_s,
+                                            c_e, c_d, c_len, cfg.directed,
+                                            cfg.w_perpendicular,
+                                            cfg.w_parallel, cfg.w_angle);
   }
 }
 
-// Scalar batch kernel: dist(qs[query], cs[index(k)]) → out[k]. `index(k)`
-// maps batch position to candidate index (an array lookup for the index
-// lists, `first + k` for the Range variants). Branch-light: the only
-// data-dependent branches are the ones the canonical kernel itself requires
-// for bit-identity (degenerate-length and angle-regime selection).
-template <typename IndexFn>
+template <typename Index>
 void BatchScalar(const traj::SegmentStore& qs, const traj::SegmentStore& cs,
                  const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                 const IndexFn& index, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = PairDistance(qs, query, cs, index(k), cfg);
+                 const Index& index, double* out) {
+  if (qs.dims() == 3) {
+    BatchScalarD<3>(qs, cs, cfg, query, n, index, out);
+  } else {
+    BatchScalarD<2>(qs, cs, cfg, query, n, index, out);
   }
 }
 
@@ -292,17 +286,14 @@ struct SimdWeights {
   bool directed;
 };
 
-// The four-lane canonical arithmetic body, shared verbatim by the batch
-// kernel (lane-gathered inputs) and the contiguous row kernel (blended
-// inputs) so both execute literally the same instruction sequence.
-//
-// Each lane executes the exact operation sequence of the scalar canonical
-// kernel (store_kernel_detail.h) on already-canonicalized (Li, Lj) role
-// registers, with branches replaced by blends whose selected value matches
-// the scalar ternary in every case (including NaN propagation and signed
-// zeros). Every vector op is an IEEE-754 double op per lane and the build
-// forbids FMA contraction, so lane results are bit-identical to the scalar
-// kernel — asserted exhaustively in tests/segment_distance_test.cc.
+// The four-lane canonical arithmetic body. Each lane executes the exact
+// operation sequence of the scalar canonical kernel (store_kernel_detail.h)
+// on already-canonicalized (Li, Lj) role registers, with branches replaced by
+// blends whose selected value matches the scalar ternary in every case
+// (including NaN propagation and signed zeros). Every vector op is an
+// IEEE-754 double op per lane and the build forbids FMA contraction, so lane
+// results are bit-identical to the scalar kernel — asserted exhaustively in
+// tests/segment_distance_test.cc.
 TRACLUS_AVX2_FN inline __m256d CanonicalLanes(
     int dims, const __m256d* s_v, const __m256d* e_v, const __m256d* se_v,
     const __m256d* js_v, const __m256d* je_v, const __m256d* dj_v,
@@ -361,13 +352,10 @@ TRACLUS_AVX2_FN inline __m256d CanonicalLanes(
   const __m256d perp = _mm256_blendv_pd(
       perp_raw, zero, _mm256_cmp_pd(perp_den, zero, _CMP_EQ_OQ));
 
-  // Parallel (Definition 2): MIN over projections of the distance to the
-  // nearer Li endpoint.
-  const __m256d lpar1 =
-      MinStd(_mm256_sqrt_pd(sq_ps_s), _mm256_sqrt_pd(sq_ps_e));
-  const __m256d lpar2 =
-      MinStd(_mm256_sqrt_pd(sq_pe_s), _mm256_sqrt_pd(sq_pe_e));
-  const __m256d par = MinStd(lpar1, lpar2);
+  // Parallel (Definition 2): one sqrt of the smallest of the four squared
+  // projection-to-endpoint gaps, in the scalar kernel's MIN order.
+  const __m256d par = _mm256_sqrt_pd(
+      MinStd(MinStd(sq_ps_s, sq_ps_e), MinStd(sq_pe_s, sq_pe_e)));
 
   // Angle (Definition 3). cos θ = Dot(dir_i, dir_j) / (‖i‖·‖j‖), clamped
   // to [−1, 1] with std::clamp's exact selection order, forced to 1 for a
@@ -416,43 +404,62 @@ TRACLUS_AVX2_FN inline SimdWeights MakeSimdWeights(
   return w;
 }
 
-// Contiguous-candidate SIMD row kernel — the tile family's vector inner
-// loop. Instead of BatchSimd's per-lane scalar gather (which re-selects the
-// query's columns for every pair), the query side is broadcast ONCE per row
-// and each 4-candidate step is: unaligned column loads + a vectorized
-// Lemma 2 swap mask + role blends + the shared arithmetic body. The blends
-// only move bits between registers, so feeding CanonicalLanes this way is
-// bit-identical to the gathered path (pinned by the tile bitwise tests).
-TRACLUS_AVX2_FN void RangeSimd(const traj::SegmentStore& store,
+// One column's entries for the four candidates at batch positions
+// k .. k + 3: a gather through the index vector for an index list, an
+// unaligned load for a contiguous range.
+TRACLUS_AVX2_FN inline __m256d LoadLanes(const double* col,
+                                         const IndexList& index, size_t k) {
+  return _mm256_i64gather_pd(
+      col,
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index.idx + k)), 8);
+}
+
+TRACLUS_AVX2_FN inline __m256d LoadLanes(const double* col,
+                                         const IndexRange& index, size_t k) {
+  return _mm256_loadu_pd(col + index.first + k);
+}
+
+// Four-lane AVX2 batch kernel: dist(qs[query], cs[index(k)]) → out[k]. The
+// query's columns are broadcast once per call; each 4-candidate step loads
+// the candidates' columns (LoadLanes), takes the Lemma 2 swap mask from a
+// vector length compare, patches the scalar id / lexicographic tie-break
+// (which does not vectorize) into exactly the equal-length lanes, and blends
+// the query and candidate registers into the (Li, Lj) roles. Gathers, loads
+// and blends only move bits, so CanonicalLanes sees the operands the scalar
+// kernel would select, and the lanes stay bit-identical to it.
+template <typename Index>
+TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
+                               const traj::SegmentStore& cs,
                                const SegmentDistanceConfig& cfg, size_t query,
-                               size_t first, size_t last, double* out) {
-  const int dims = store.dims();
-  const StoreColumns col = ColumnsOf(store);
+                               size_t n, const Index& index, double* out) {
+  const int dims = qs.dims();
+  const StoreColumns q_col = ColumnsOf(qs);
+  const StoreColumns c_col = ColumnsOf(cs);
   __m256d qs_v[geom::kMaxDims], qe_v[geom::kMaxDims], qd_v[geom::kMaxDims];
   for (int d = 0; d < dims; ++d) {
-    qs_v[d] = _mm256_set1_pd(col.start[d][query]);
-    qe_v[d] = _mm256_set1_pd(col.end[d][query]);
-    qd_v[d] = _mm256_set1_pd(col.dir[d][query]);
+    qs_v[d] = _mm256_set1_pd(q_col.start[d][query]);
+    qe_v[d] = _mm256_set1_pd(q_col.end[d][query]);
+    qd_v[d] = _mm256_set1_pd(q_col.dir[d][query]);
   }
-  const __m256d q_den = _mm256_set1_pd(col.sqlen[query]);
-  const __m256d q_len = _mm256_set1_pd(col.len[query]);
+  const __m256d q_den = _mm256_set1_pd(q_col.sqlen[query]);
+  const __m256d q_len = _mm256_set1_pd(q_col.len[query]);
   const SimdWeights w = MakeSimdWeights(cfg);
 
-  size_t j = first;
-  for (; j + 4 <= last; j += 4) {
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
     __m256d cs_v[geom::kMaxDims], ce_v[geom::kMaxDims], cd_v[geom::kMaxDims];
     for (int d = 0; d < dims; ++d) {
-      cs_v[d] = _mm256_loadu_pd(col.start[d] + j);
-      ce_v[d] = _mm256_loadu_pd(col.end[d] + j);
-      cd_v[d] = _mm256_loadu_pd(col.dir[d] + j);
+      cs_v[d] = LoadLanes(c_col.start[d], index, k);
+      ce_v[d] = LoadLanes(c_col.end[d], index, k);
+      cd_v[d] = LoadLanes(c_col.dir[d], index, k);
     }
-    const __m256d c_den = _mm256_loadu_pd(col.sqlen + j);
-    const __m256d c_len = _mm256_loadu_pd(col.len + j);
+    const __m256d c_den = LoadLanes(c_col.sqlen, index, k);
+    const __m256d c_len = LoadLanes(c_col.len, index, k);
 
     // Lemma 2 swap mask: the candidate takes the Li role where the query is
     // strictly shorter. Exact length ties (and only those — NaN lengths fail
-    // both compares and keep the query as Li, like CrossCanonicalSwap) fall
-    // back to the scalar id / lexicographic tie-break, patched lane-wise.
+    // both compares and keep the query as Li, like CrossCanonicalSwap) take
+    // the scalar tie-break, patched lane-wise.
     __m256d swap = _mm256_cmp_pd(q_len, c_len, _CMP_LT_OQ);
     const int eq =
         _mm256_movemask_pd(_mm256_cmp_pd(q_len, c_len, _CMP_EQ_OQ));
@@ -462,11 +469,10 @@ TRACLUS_AVX2_FN void RangeSimd(const traj::SegmentStore& store,
                          _mm256_castpd_si256(swap));
       for (int lane = 0; lane < 4; ++lane) {
         if ((eq & (1 << lane)) != 0) {
-          mask_l[lane] =
-              internal::CrossCanonicalSwap(store, query, store,
-                                           j + static_cast<size_t>(lane))
-                  ? ~uint64_t{0}
-                  : uint64_t{0};
+          mask_l[lane] = internal::CrossCanonicalSwap(
+                             qs, query, cs, index(k + static_cast<size_t>(lane)))
+                             ? ~uint64_t{0}
+                             : uint64_t{0};
         }
       }
       swap = _mm256_castsi256_pd(
@@ -489,97 +495,22 @@ TRACLUS_AVX2_FN void RangeSimd(const traj::SegmentStore& store,
     const __m256d len_i = _mm256_blendv_pd(q_len, c_len, swap);
     const __m256d len_j = _mm256_blendv_pd(c_len, q_len, swap);
 
-    const __m256d total = CanonicalLanes(dims, s_v, e_v, se_v, js_v, je_v,
-                                         dj_v, den, len_i, len_j, w);
-    _mm256_storeu_pd(out + (j - first), total);
+    _mm256_storeu_pd(out + k, CanonicalLanes(dims, s_v, e_v, se_v, js_v, je_v,
+                                             dj_v, den, len_i, len_j, w));
   }
 
   // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
-  for (; j < last; ++j) {
-    out[j - first] = PairDistance(store, query, store, j, cfg);
-  }
-}
-
-// Four-lane AVX2 batch kernel over the two stores' SoA coordinate columns:
-// the per-pair (longer, shorter) roles are resolved scalar-side during the
-// lane gather (CrossCanonicalSwap — the exact decision PairDistance makes,
-// including the id / lexicographic tie-breaks, which do not vectorize), after
-// which CanonicalLanes runs the shared straight-line arithmetic. Identical
-// role assignment feeding identical arithmetic is what makes the lanes
-// bit-identical to the scalar kernel.
-template <typename IndexFn>
-TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
-                               const traj::SegmentStore& cs,
-                               const SegmentDistanceConfig& cfg, size_t query,
-                               size_t n, const IndexFn& index, double* out) {
-  const int dims = qs.dims();
-  const StoreColumns q_col = ColumnsOf(qs);
-  const StoreColumns c_col = ColumnsOf(cs);
-  const SimdWeights w = MakeSimdWeights(cfg);
-
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // Lane gather: pick each pair's roles scalar-side, then transpose the
-    // canonical (Li, Lj) scalars into lane-major form.
-    alignas(32) double s_l[geom::kMaxDims][4];   // Li start.
-    alignas(32) double e_l[geom::kMaxDims][4];   // Li end.
-    alignas(32) double se_l[geom::kMaxDims][4];  // Li direction (e − s).
-    alignas(32) double js_l[geom::kMaxDims][4];  // Lj start.
-    alignas(32) double je_l[geom::kMaxDims][4];  // Lj end.
-    alignas(32) double dj_l[geom::kMaxDims][4];  // Lj direction.
-    alignas(32) double den_l[4];                 // ‖Li direction‖².
-    alignas(32) double len_i_l[4];
-    alignas(32) double len_j_l[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      const size_t j = index(k + static_cast<size_t>(lane));
-      const bool swap = internal::CrossCanonicalSwap(qs, query, cs, j);
-      const StoreColumns& ci = swap ? c_col : q_col;
-      const StoreColumns& cj = swap ? q_col : c_col;
-      const size_t li = swap ? j : query;
-      const size_t lj = swap ? query : j;
-      den_l[lane] = ci.sqlen[li];
-      len_i_l[lane] = ci.len[li];
-      len_j_l[lane] = cj.len[lj];
-      for (int d = 0; d < dims; ++d) {
-        s_l[d][lane] = ci.start[d][li];
-        e_l[d][lane] = ci.end[d][li];
-        se_l[d][lane] = ci.dir[d][li];
-        js_l[d][lane] = cj.start[d][lj];
-        je_l[d][lane] = cj.end[d][lj];
-        dj_l[d][lane] = cj.dir[d][lj];
-      }
-    }
-
-    __m256d s_v[geom::kMaxDims], e_v[geom::kMaxDims], se_v[geom::kMaxDims];
-    __m256d js_v[geom::kMaxDims], je_v[geom::kMaxDims], dj_v[geom::kMaxDims];
-    for (int d = 0; d < dims; ++d) {
-      s_v[d] = _mm256_load_pd(s_l[d]);
-      e_v[d] = _mm256_load_pd(e_l[d]);
-      se_v[d] = _mm256_load_pd(se_l[d]);
-      js_v[d] = _mm256_load_pd(js_l[d]);
-      je_v[d] = _mm256_load_pd(je_l[d]);
-      dj_v[d] = _mm256_load_pd(dj_l[d]);
-    }
-    const __m256d total = CanonicalLanes(
-        dims, s_v, e_v, se_v, js_v, je_v, dj_v, _mm256_load_pd(den_l),
-        _mm256_load_pd(len_i_l), _mm256_load_pd(len_j_l), w);
-    _mm256_storeu_pd(out + k, total);
-  }
-
-  // Tail lanes (< 4 remaining) run the scalar kernel — same bits.
-  for (; k < n; ++k) {
-    out[k] = PairDistance(qs, query, cs, index(k), cfg);
-  }
+  BatchScalar(qs, cs, cfg, query, n - k, index.From(k), out + k);
 }
 
 #endif  // TRACLUS_X86_SIMD
 
 // Dispatches an already-resolved kernel choice.
-template <typename IndexFn>
+template <typename Index>
 void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& qs,
                    const traj::SegmentStore& cs,
                    const SegmentDistanceConfig& cfg, size_t query, size_t n,
-                   const IndexFn& index, double* out) {
+                   const Index& index, double* out) {
 #if defined(TRACLUS_X86_SIMD)
   if (kernel == BatchKernel::kSimd) {
     BatchSimd(qs, cs, cfg, query, n, index, out);
@@ -589,33 +520,6 @@ void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& qs,
   (void)kernel;
 #endif
   BatchScalar(qs, cs, cfg, query, n, index, out);
-}
-
-// Contiguous-candidate row kernel — the tile family's inner loop. Same
-// results as BatchDispatch over the index range [first, last) (the tile
-// bitwise tests pin this), but with the query-side state hoisted out of the
-// candidate loop instead of re-resolved per pair: broadcast registers in the
-// SIMD kernel, compile-time-unrolled locals in the scalar one. This hoist is
-// what makes the tiled all-pairs consumers faster than their row-batched
-// predecessors — the candidate columns stream as contiguous loads while the
-// query side stays in registers for the whole row.
-void RowRangeDispatch(BatchKernel kernel, const traj::SegmentStore& store,
-                      const SegmentDistanceConfig& cfg, size_t query,
-                      size_t first, size_t last, double* out) {
-  if (first >= last) return;
-#if defined(TRACLUS_X86_SIMD)
-  if (kernel == BatchKernel::kSimd) {
-    RangeSimd(store, cfg, query, first, last, out);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  if (store.dims() == 2) {
-    RangeScalarRow<2>(store, cfg, query, first, last, out);
-  } else {
-    RangeScalarRow<3>(store, cfg, query, first, last, out);
-  }
 }
 
 size_t BlockSize(const BatchOptions& options) {
@@ -634,11 +538,10 @@ void AddStats(const RefineStats& counts, RefineStats* stats) {
 // two stores: their candidates never hold the query).
 constexpr size_t kNoSelf = static_cast<size_t>(-1);
 
-size_t Identity(size_t k) { return k; }
-
 // The ε-refine pipeline for one query row: lower-bound prune → batch
 // distance → threshold. The query is qs[query]; the candidates are
-// cs[index(k)] for every k of every run, runs in order and k ascending.
+// cs[index(k)] for every k of every run, runs in order and k ascending
+// (IndexList or IndexRange{0}).
 // Survivors of the prune are staged across blocks and runs and refined once
 // at least `block` of them are waiting, so short runs still fill the batch
 // kernels. Appends `out_base + j` for every candidate j within ε, in
@@ -653,11 +556,11 @@ size_t Identity(size_t k) { return k; }
 // and write only these buffers plus the caller-owned `out`, so concurrent
 // refines on pool workers need no mutex (and hence no capability
 // annotations) — nothing is shared.
-template <typename IndexFn>
+template <typename Index>
 void RefineRow(BatchKernel kernel, const PruneContext& prune,
                const traj::SegmentStore& qs, const SegmentDistanceConfig& cfg,
                size_t query, const traj::SegmentStore& cs,
-               common::Span<const IndexRun> runs, const IndexFn& index,
+               common::Span<const IndexRun> runs, const Index& index,
                double eps, size_t self, size_t out_base, size_t block,
                std::vector<size_t>& out, RefineStats& counts) {
   thread_local std::vector<size_t> survivors;
@@ -667,9 +570,8 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
   size_t staged = 0;
   const auto refine_staged = [&] {
     distances.resize(staged);
-    BatchDispatch(
-        kernel, qs, cs, cfg, query, staged,
-        [&](size_t m) { return survivors[m]; }, distances.data());
+    BatchDispatch(kernel, qs, cs, cfg, query, staged,
+                  IndexList{survivors.data()}, distances.data());
     counts.refined += staged;
     for (size_t m = 0; m < staged; ++m) {
       const size_t j = survivors[m];
@@ -698,10 +600,10 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
 // One query against candidate runs: the body of every EpsilonRefine* entry
 // point. The query is its own candidate exactly when both stores are one
 // object.
-template <typename IndexFn>
+template <typename Index>
 size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
               size_t query, const traj::SegmentStore& cs,
-              common::Span<const IndexRun> runs, const IndexFn& index,
+              common::Span<const IndexRun> runs, const Index& index,
               double eps, size_t out_base, std::vector<size_t>& out,
               const BatchOptions& options, RefineStats* stats) {
   TRACLUS_DCHECK(query < qs.size());
@@ -773,10 +675,8 @@ void DistanceBatch(const traj::SegmentStore& store,
                    common::Span<double> out, BatchKernel kernel) {
   TRACLUS_DCHECK(query < store.size());
   TRACLUS_DCHECK_EQ(candidates.size(), out.size());
-  const size_t* cand = candidates.data();
-  BatchDispatch(
-      ResolveBatchKernel(kernel), store, store, dist.config(), query,
-      candidates.size(), [cand](size_t k) { return cand[k]; }, out.data());
+  BatchDispatch(ResolveBatchKernel(kernel), store, store, dist.config(), query,
+                candidates.size(), IndexList{candidates.data()}, out.data());
 }
 
 size_t EpsilonRefine(const traj::SegmentStore& store,
@@ -804,12 +704,10 @@ size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           common::Span<const size_t> candidates, double eps,
                           size_t out_base, std::vector<size_t>& out_indices,
                           const BatchOptions& options, RefineStats* stats) {
-  const size_t* cand = candidates.data();
   const IndexRun all{0, candidates.size()};
-  return Refine(
-      query_store, dist, query, cand_store, {&all, 1},
-      [cand](size_t k) { return cand[k]; }, eps, out_base, out_indices,
-      options, stats);
+  return Refine(query_store, dist, query, cand_store, {&all, 1},
+                IndexList{candidates.data()}, eps, out_base, out_indices,
+                options, stats);
 }
 
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
@@ -818,8 +716,8 @@ size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          common::Span<const IndexRun> runs, double eps,
                          size_t out_base, std::vector<size_t>& out_indices,
                          const BatchOptions& options, RefineStats* stats) {
-  return Refine(query_store, dist, query, cand_store, runs, Identity, eps,
-                out_base, out_indices, options, stats);
+  return Refine(query_store, dist, query, cand_store, runs, IndexRange{0},
+                eps, out_base, out_indices, options, stats);
 }
 
 void DistanceTileRange(const traj::SegmentStore& store,
@@ -831,13 +729,13 @@ void DistanceTileRange(const traj::SegmentStore& store,
   TRACLUS_DCHECK(ldo >= cand_last - cand_first);
   const BatchKernel resolved = ResolveBatchKernel(kernel);
   const SegmentDistanceConfig& cfg = dist.config();
-  // Candidate-block-major over the contiguous range, with the hoisted
-  // row kernel as the inner loop.
+  // Candidate-block-major over the contiguous range: each block's columns
+  // serve every query row while hot.
   for (size_t jb = cand_first; jb < cand_last; jb += kTileCandidateBlock) {
     const size_t je = std::min(cand_last, jb + kTileCandidateBlock);
     for (size_t q = query_first; q < query_last; ++q) {
-      RowRangeDispatch(resolved, store, cfg, q, jb, je,
-                       out + (q - query_first) * ldo + (jb - cand_first));
+      BatchDispatch(resolved, store, store, cfg, q, je - jb, IndexRange{jb},
+                    out + (q - query_first) * ldo + (jb - cand_first));
     }
   }
 }
@@ -874,7 +772,8 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
     const IndexRun run{base, hi};
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       RefineRow(kernel, prune[qi], store, cfg, queries[qi], store, {&run, 1},
-                Identity, eps, queries[qi], 0, block, out_lists[qi], counts);
+                IndexRange{0}, eps, queries[qi], 0, block, out_lists[qi],
+                counts);
     }
   }
   AddStats(counts, stats);
@@ -898,6 +797,7 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
 
   thread_local std::vector<PruneContext> prune;
   thread_local std::vector<size_t> survivors;  // Positions into `candidates`.
+  thread_local std::vector<size_t> survivor_ids;  // candidates[survivors[m]].
   thread_local std::vector<double> distances;
   if (survivors.size() < block) survivors.resize(block);
   prune.clear();
@@ -919,15 +819,17 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   for (size_t base = 0; base < candidates.size(); base += block) {
     const size_t hi = std::min(candidates.size(), base + block);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const size_t kept = CompactSurvivors(
-          prune[qi], cand_store, base, hi,
-          [&](size_t pos) { return candidates[pos]; }, Identity,
-          survivors.data(), 0);
+      const size_t kept =
+          CompactSurvivors(prune[qi], cand_store, base, hi,
+                           IndexList{candidates.data()}, IndexRange{0},
+                           survivors.data(), 0);
+      survivor_ids.resize(kept);
+      for (size_t m = 0; m < kept; ++m) {
+        survivor_ids[m] = candidates[survivors[m]];
+      }
       distances.resize(kept);
-      BatchDispatch(
-          kernel, query_store, cand_store, cfg, queries[qi], kept,
-          [&](size_t m) { return candidates[survivors[m]]; },
-          distances.data());
+      BatchDispatch(kernel, query_store, cand_store, cfg, queries[qi], kept,
+                    IndexList{survivor_ids.data()}, distances.data());
       for (size_t m = 0; m < kept; ++m) {
         const double d = distances[m];
         if (d <= eps && d < out_distance[qi]) {
@@ -963,7 +865,8 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
       for (size_t i = lo; i < row_end; ++i) {
         const size_t first = std::max(i + 1, jb);
         if (first >= je) continue;
-        RowRangeDispatch(resolved, store, cfg, i, first, je, &m(i, first));
+        BatchDispatch(resolved, store, store, cfg, i, je - first,
+                      IndexRange{first}, &m(i, first));
       }
       for (size_t j = jb; j < je; ++j) {
         const size_t i_end = std::min(hi, j);

@@ -22,9 +22,8 @@
 // EpsilonRefineRuns also take two chunk-local stores of a
 // ChunkedSegmentStore. Chunk-local stores cache bit-identical invariants, so
 // both shapes execute the same floating-point operations on the same bits.
-// The only second algorithm is the hoisted row kernel behind
-// DistanceTileRange and PairwiseDistanceMatrix, chosen by the input's shape
-// (a contiguous range of one store rather than an index list).
+// Index lists and contiguous ranges feed the same lane loop; only the load of
+// each step's candidates differs.
 //
 // Every ε-query in the pipeline decomposes into candidate generation (an
 // index emits segment indices) followed by refinement (the exact §2.3
@@ -47,14 +46,23 @@
 //   * The batch kernels evaluate the surviving pairs with EXACTLY the
 //     floating-point expressions of the cached pair path
 //     SegmentDistance::operator()(store, i, j) — results are bit-identical,
-//     so every consumer (DBSCAN goldens included) can switch freely. The
-//     scalar kernel is a branch-light blocked loop over the shared canonical
-//     kernel; the SIMD kernel runs four candidate lanes of the same
-//     operation sequence over the store's SoA coordinate columns. IEEE-754
-//     vector lanes round identically to scalar ops, and the build forbids FP
-//     contraction (-ffp-contract=off), so the lanes are bit-identical too
-//     (tests/segment_distance_test.cc pins all of this on randomized,
-//     degenerate, tied, and 3-D segments).
+//     so every consumer (DBSCAN goldens included) can switch freely. Both
+//     kernels hoist the query's columns out of the candidate loop and take
+//     the Lemma 2 roles from a length compare, running the full id /
+//     lexicographic tie-break only for pairs of exactly equal length. The
+//     scalar kernel then runs the shared canonical expressions per pair. The
+//     SIMD kernel broadcasts the query once per call and runs four candidate
+//     lanes of the same operation sequence: each step gathers the four
+//     candidates' SoA columns through the index vector (_mm256_i64gather_pd;
+//     a contiguous range uses plain unaligned loads), blends query and
+//     candidate registers into the (longer, shorter) roles by the
+//     vector length compare, and patches the scalar tie-break into the
+//     equal-length lanes only. Gathers and blends move bits without
+//     rounding, IEEE-754 vector lanes round identically to scalar ops, and
+//     the build forbids FP contraction (-ffp-contract=off), so the lanes are
+//     bit-identical too (tests/segment_distance_test.cc pins all of this on
+//     randomized, degenerate, tied, and 3-D segments, and on shuffled,
+//     descending and duplicated index lists).
 //
 // Kernel selection happens at run time. Every x86-64 build compiles the
 // SIMD kernels as target("avx2") functions inside batch_kernels.cc only;

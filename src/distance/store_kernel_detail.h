@@ -13,6 +13,19 @@
 // rather than a test-enforced coincidence. Do not re-order, re-associate, or
 // "simplify" arithmetic here without regenerating the goldens.
 //
+// One rewrite is exact and therefore allowed: d∥ (Definition 2) is the MIN
+// of four projection-to-endpoint distances, and this kernel takes √ of the
+// smallest squared gap instead of the MIN of four roots. IEEE sqrt is
+// correctly rounded and monotone: √ of the smaller square is never larger
+// than √ of the larger one, and where two roots round equal, the MIN of the
+// roots keeps one of two equal positive values. std::min(a, b) is
+// (b < a) ? b : a, which keeps `a` whenever a NaN is involved, and sqrt
+// passes NaN through, so a NaN gap wins in the same positions either way.
+// The squares are sums of squares from +0.0, never −0.0. Hence
+// √min(a, b, c, d) equals min(√a, √b, √c, √d) bit for bit on every non-NaN
+// result and is NaN exactly when it is. The geom::Segment reference path
+// (segment_distance.cc) keeps the four roots.
+//
 // Not part of the public API; include only from distance/ implementation
 // files and white-box tests.
 
@@ -127,12 +140,13 @@ inline void CrossComponentsCanonicalInto(const traj::SegmentStore& si,
       perp_denom == 0.0 ? 0.0 : (l1 * l1 + l2 * l2) / perp_denom;
 
   // Parallel (Definition 2): distance from each projection to the nearer
-  // endpoint of Li, MIN over the two projections.
-  const double lpar1 = std::min(geom::Distance(proj_start, s),
-                                geom::Distance(proj_start, e));
-  const double lpar2 =
-      std::min(geom::Distance(proj_end, s), geom::Distance(proj_end, e));
-  const double parallel = std::min(lpar1, lpar2);
+  // endpoint of Li, MIN over the two projections — one sqrt of the smallest
+  // squared gap (see the file comment).
+  const double sq_par1 = std::min(geom::SquaredDistance(proj_start, s),
+                                  geom::SquaredDistance(proj_start, e));
+  const double sq_par2 = std::min(geom::SquaredDistance(proj_end, s),
+                                  geom::SquaredDistance(proj_end, e));
+  const double parallel = std::sqrt(std::min(sq_par1, sq_par2));
 
   // Angle (Definition 3), directed or undirected.
   const double len_j = sj.length(lj);

@@ -162,6 +162,7 @@ common::Result<bool> CsvStreamSource::Next(Trajectory* out) {
   if (have_pending_) {
     current_ = Trajectory(pending_.id, /*label=*/"", pending_.weight);
     current_.Add(pending_.point);
+    current_line_ = pending_line_;
     have_current_ = true;
     have_pending_ = false;
   }
@@ -180,6 +181,7 @@ common::Result<bool> CsvStreamSource::Next(Trajectory* out) {
       done_ = true;
       if (have_current_) {
         have_current_ = false;
+        yielded_line_ = current_line_;
         *out = std::move(current_);
         return true;
       }
@@ -194,13 +196,16 @@ common::Result<bool> CsvStreamSource::Next(Trajectory* out) {
       // `row` opens the next trajectory: park it and yield the finished one.
       finished_ids_.insert(current_.id());
       pending_ = row;
+      pending_line_ = line_no_;
       have_pending_ = true;
       have_current_ = false;
+      yielded_line_ = current_line_;
       *out = std::move(current_);
       return true;
     }
     current_ = Trajectory(row.id, /*label=*/"", row.weight);
     current_.Add(row.point);
+    current_line_ = line_no_;
     have_current_ = true;
   }
 }
@@ -212,6 +217,33 @@ common::Result<std::unique_ptr<CsvFileSource>> CsvFileSource::Open(
     return common::Status::IOError("cannot open '" + path + "' for reading");
   }
   return std::unique_ptr<CsvFileSource>(new CsvFileSource(std::move(stream)));
+}
+
+common::Result<bool> RequireSegmentsSource::Next(Trajectory* out) {
+  if (!failed_.ok()) return failed_;
+  TRACLUS_ASSIGN_OR_RETURN(const bool more, inner_->Next(out));
+  if (more) {
+    if (!seen_) {
+      seen_ = true;
+      first_id_ = out->id();
+      first_line_ = inner_->first_line();
+    }
+    for (size_t i = 1; !usable_ && i < out->size(); ++i) {
+      usable_ = (*out)[i] != (*out)[0];
+    }
+    return true;
+  }
+  if (seen_ && !usable_) {
+    const std::string where =
+        first_line_ > 0 ? "CSV line " + std::to_string(first_line_) + ": "
+                        : std::string();
+    failed_ = common::Status::InvalidArgument(
+        where + "trajectory " + std::to_string(first_id_) +
+        " has fewer than 2 distinct points, and so has every trajectory of "
+        "the input: there is no segment to partition");
+    return failed_;
+  }
+  return false;
 }
 
 common::Result<TrajectoryDatabase> DrainToDatabase(TrajectorySource& source) {

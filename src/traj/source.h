@@ -53,6 +53,10 @@ class TrajectorySource {
   /// (in which case `*out` is unspecified and every subsequent call returns
   /// the same status — a broken stream never resumes).
   virtual common::Result<bool> Next(Trajectory* out) = 0;
+
+  /// Input line of the first row of the trajectory the last successful
+  /// Next() produced, for diagnostics; 0 when the source has no lines.
+  virtual size_t first_line() const { return 0; }
 };
 
 /// Streaming CSV parser over an externally owned std::istream (a file, a
@@ -75,6 +79,8 @@ class CsvStreamSource : public TrajectorySource {
 
   common::Result<bool> Next(Trajectory* out) override;
 
+  size_t first_line() const override { return yielded_line_; }
+
   /// Number of input lines consumed so far (diagnostics).
   size_t lines_read() const { return line_no_; }
 
@@ -95,9 +101,12 @@ class CsvStreamSource : public TrajectorySource {
   int dims_ = 0;  // 0 = not yet determined (first data row decides).
   std::unordered_set<int64_t> finished_ids_;
   Trajectory current_;
+  size_t current_line_ = 0;  // Line of current_'s first row.
+  size_t yielded_line_ = 0;  // first_line().
   bool have_current_ = false;
   bool have_pending_ = false;
   Row pending_;  // First row of the next trajectory, parsed ahead.
+  size_t pending_line_ = 0;
   bool done_ = false;
   common::Status failed_ = common::Status::OK();  // Sticky parse failure.
 };
@@ -122,6 +131,8 @@ class CsvFileSource : public TrajectorySource {
       const std::string& path);
 
   common::Result<bool> Next(Trajectory* out) override { return csv_->Next(out); }
+
+  size_t first_line() const override { return csv_->first_line(); }
 
  private:
   explicit CsvFileSource(std::unique_ptr<std::istream> stream)
@@ -149,6 +160,33 @@ class DatabaseSource : public TrajectorySource {
  private:
   const TrajectoryDatabase* db_;
   size_t next_ = 0;
+};
+
+/// Guard of the partitioning entry points: passes `inner`'s trajectories
+/// through unchanged and, at the end of input, fails with InvalidArgument when
+/// no trajectory had two distinct points. MDL partitioning (§3) cuts no
+/// segment out of such input, so a run over it would otherwise report zero
+/// partitions and succeed. The status names the first trajectory and, for a
+/// CSV source, the line of its first row. Input with at least one trajectory
+/// of two distinct points passes unchanged (degenerate trajectories in it
+/// included), and so does empty input. A failure is sticky, like every
+/// source's.
+class RequireSegmentsSource : public TrajectorySource {
+ public:
+  /// `inner` must outlive the guard.
+  explicit RequireSegmentsSource(TrajectorySource& inner) : inner_(&inner) {}
+
+  common::Result<bool> Next(Trajectory* out) override;
+
+  size_t first_line() const override { return inner_->first_line(); }
+
+ private:
+  TrajectorySource* inner_;
+  bool seen_ = false;     // At least one trajectory passed through.
+  bool usable_ = false;   // One of them had two distinct points.
+  geom::TrajectoryId first_id_ = 0;  // The first trajectory and its line.
+  size_t first_line_ = 0;
+  common::Status failed_ = common::Status::OK();
 };
 
 /// Drains a source into an in-memory database — the bridge from the streaming

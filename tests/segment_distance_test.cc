@@ -570,7 +570,7 @@ TEST(BatchKernelTest, PairwiseMatrixBatchedMatchesPerPair) {
 }
 
 TEST(BatchKernelTest, DistanceTileRangeBitIdenticalToBatchAndPairPath) {
-  // The hoisted row kernels behind DistanceTileRange must produce, for
+  // The contiguous-range loads behind DistanceTileRange must produce, for
   // every range shape — 1×1, ragged, skewed, full — the same bits as the
   // indexed one-vs-many batch and the cached pair path. The tile is just a
   // loop arrangement; splitting or regrouping a batch must never change a
@@ -743,6 +743,249 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
                              cross_pos[q]);
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// Tie corpus for the gathered SIMD lanes: every segment of a family is a
+// translate and per-axis sign flip of one base vector, so their lengths are
+// bitwise equal (each squared component is unchanged and summed in the same
+// order) and the Lemma 2 tie-break runs for every pair within a family. One
+// id in three is -1, which sends some ties to the lexicographic tie-break.
+// A few general-position segments add lanes that never tie.
+traj::SegmentStore TieStore(uint64_t seed, bool three_d) {
+  common::Rng rng(seed);
+  std::vector<Segment> segs;
+  auto random_point = [&](double lo, double hi) {
+    return three_d ? Point(rng.Uniform(lo, hi), rng.Uniform(lo, hi),
+                           rng.Uniform(lo, hi))
+                   : Point(rng.Uniform(lo, hi), rng.Uniform(lo, hi));
+  };
+  const auto next_id = [&] {
+    return segs.size() % 3 == 1 ? geom::SegmentId{-1}
+                                : static_cast<geom::SegmentId>(segs.size());
+  };
+  const int flips = three_d ? 8 : 4;
+  for (int family = 0; family < 3; ++family) {
+    const Point d = random_point(-6, 6);
+    for (int copy = 0; copy < 2; ++copy) {
+      for (int f = 0; f < flips; ++f) {
+        Point v = d;
+        for (int axis = 0; axis < v.dims(); ++axis) {
+          if ((f >> axis) & 1) v[axis] = -v[axis];
+        }
+        const Point s = random_point(-20, 20);
+        segs.emplace_back(s, s + v, next_id(), family);
+      }
+    }
+  }
+  for (int i = 0; i < 9; ++i) {
+    segs.emplace_back(random_point(-20, 20), random_point(-20, 20), next_id(),
+                      7);
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+// Candidate lists that feed the lane gather out of order: shuffled,
+// descending, and with every index repeated, each cut to lengths ≡ 0, 1, 2
+// and 3 mod 4 so the scalar tail runs at every width.
+std::vector<std::vector<size_t>> GatherLists(size_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<size_t> shuffled(n);
+  for (size_t i = 0; i < n; ++i) shuffled[i] = i;
+  for (size_t i = n; i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[static_cast<size_t>(rng.UniformInt(
+                                   0, static_cast<int64_t>(i) - 1))]);
+  }
+  std::vector<size_t> descending(n);
+  for (size_t i = 0; i < n; ++i) descending[i] = n - 1 - i;
+  std::vector<size_t> duplicated;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t r = 0; r <= i % 3; ++r) duplicated.push_back(shuffled[i]);
+  }
+  std::vector<std::vector<size_t>> lists;
+  for (const std::vector<size_t>* full : {&shuffled, &descending, &duplicated}) {
+    for (size_t cut = 0; cut < 4; ++cut) {
+      const size_t len = full->size() - full->size() % 4 - cut;
+      lists.emplace_back(full->begin(),
+                         full->begin() + static_cast<std::ptrdiff_t>(len));
+    }
+  }
+  return lists;
+}
+
+TEST(BatchKernelTest, GatheredLanesMatchPairPathOnUnorderedTiedLists) {
+  for (const bool three_d : {false, true}) {
+    const traj::SegmentStore store = TieStore(83, three_d);
+    const size_t n = store.size();
+    // Two chunk-local stores: queries from one, candidates from the other.
+    const size_t half = n / 2;
+    const traj::SegmentStore lo_chunk = ChunkStore(store, 0, half);
+    const traj::SegmentStore hi_chunk = ChunkStore(store, half, n);
+    const auto lists = GatherLists(n, 89);
+    const auto hi_lists = GatherLists(n - half, 97);
+    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
+      const SegmentDistance dist(cfg);
+      for (const BatchKernel kernel : AvailableKernels()) {
+        // Lane positions (k mod 4 inside full 4-lane steps) at which the
+        // candidate's length equals the query's: the tie patch must be
+        // exercised in every lane.
+        unsigned tie_lanes = 0;
+        for (size_t q = 0; q < n; ++q) {
+          for (const std::vector<size_t>& list : lists) {
+            std::vector<double> out(list.size());
+            DistanceBatch(store, dist, q,
+                          common::Span<const size_t>(list.data(), list.size()),
+                          common::Span<double>(out.data(), out.size()),
+                          kernel);
+            for (size_t k = 0; k < list.size(); ++k) {
+              ExpectBitEqual(out[k], dist(store, q, list[k]),
+                             BatchKernelName(kernel), q, list[k]);
+              if (k < list.size() - list.size() % 4 &&
+                  store.length(list[k]) == store.length(q)) {
+                tie_lanes |= 1u << (k % 4);
+              }
+            }
+          }
+        }
+        EXPECT_EQ(tie_lanes, 0xFu) << BatchKernelName(kernel);
+
+        for (const double eps : {2.0, 9.0, 40.0}) {
+          for (const size_t block : {size_t{3}, size_t{256}}) {
+            BatchOptions options;
+            options.kernel = kernel;
+            options.block = block;
+            for (size_t q = 0; q < half; ++q) {
+              for (const std::vector<size_t>& list : hi_lists) {
+                // Reference: the per-pair loop in list order, duplicates
+                // kept, indices shifted to global.
+                std::vector<size_t> expect;
+                for (const size_t j : list) {
+                  if (dist(store, q, half + j) <= eps) {
+                    expect.push_back(half + j);
+                  }
+                }
+                std::vector<size_t> got;
+                EpsilonRefineCross(
+                    lo_chunk, dist, q, hi_chunk,
+                    common::Span<const size_t>(list.data(), list.size()), eps,
+                    half, got, options);
+                EXPECT_EQ(got, expect)
+                    << BatchKernelName(kernel) << " block " << block
+                    << " eps " << eps << " query " << q << " list length "
+                    << list.size();
+              }
+            }
+
+            // Nearest assignment across the two stores; duplicates make
+            // the earliest-position tie rule observable.
+            for (const std::vector<size_t>& list : hi_lists) {
+              std::vector<size_t> queries(half);
+              for (size_t q = 0; q < half; ++q) queries[q] = q;
+              std::vector<size_t> pos(half);
+              std::vector<double> dmin(half);
+              NearestWithinEps(
+                  lo_chunk, dist,
+                  common::Span<const size_t>(queries.data(), half), hi_chunk,
+                  common::Span<const size_t>(list.data(), list.size()), eps,
+                  common::Span<size_t>(pos.data(), half),
+                  common::Span<double>(dmin.data(), half), options);
+              for (size_t q = 0; q < half; ++q) {
+                size_t expect_pos = kNoNearest;
+                double expect_dist = std::numeric_limits<double>::infinity();
+                for (size_t c = 0; c < list.size(); ++c) {
+                  const double d = dist(store, q, half + list[c]);
+                  if (d <= eps && d < expect_dist) {
+                    expect_dist = d;
+                    expect_pos = c;
+                  }
+                }
+                EXPECT_EQ(pos[q], expect_pos)
+                    << BatchKernelName(kernel) << " block " << block
+                    << " eps " << eps << " query " << q;
+                if (expect_pos != kNoNearest) {
+                  ExpectBitEqual(dmin[q], expect_dist, "nearest", q,
+                                 expect_pos);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Bitwise equality, except that any two NaNs match: which NaN an operation
+// returns when several are involved (sign and payload) depends on operand
+// order the compiler may commute, and differs between optimization levels.
+void ExpectBitEqualOrBothNaN(double a, double b, const char* what, size_t q,
+                             size_t j) {
+  if (std::isnan(a) && std::isnan(b)) return;
+  ExpectBitEqual(a, b, what, q, j);
+}
+
+TEST(BatchKernelTest, SingleSqrtParallelMatchesFourRootReference) {
+  // d∥ is computed as √min of four squared gaps in the store and batch
+  // kernels, and as the MIN of four roots in the geom::Segment reference
+  // path. The two must agree bit for bit on non-finite segments (NaN and
+  // ±inf coordinates: a NaN gap must win the MIN in the same positions, so
+  // d∥ is NaN exactly when the reference's is) and on projections that land
+  // exactly on an endpoint of Li (zero and tied gaps). This corpus stays out
+  // of AdversarialStore: the prune admissibility test shares that one and
+  // needs finite distances.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Segment> segs = {
+      // Li along x, and segments whose endpoints project exactly onto its
+      // endpoints (u = 0 and u = 1), or onto one endpoint twice.
+      Segment(Point(0, 0), Point(8, 0), 0),
+      Segment(Point(0, 3), Point(8, 5), 1),
+      Segment(Point(8, -2), Point(0, 1), 2),
+      Segment(Point(0, 2), Point(0, 4), 3),
+      Segment(Point(8, 1), Point(8, -1), 4),
+      Segment(Point(-3, 4), Point(0, 0), 5),
+      // A 3-4-5 Li and a projection onto its far endpoint.
+      Segment(Point(0, 0), Point(3, 4), 6),
+      Segment(Point(7, 1), Point(3, 4), 7),
+      // Non-finite coordinates: NaN in either endpoint, ±inf, and an
+      // overflowing squared length.
+      Segment(Point(nan, 0), Point(5, 5), 8),
+      Segment(Point(1, 1), Point(2, nan), 9),
+      Segment(Point(inf, 0), Point(5, 5), 10),
+      Segment(Point(-inf, 2), Point(0, -inf), 11),
+      Segment(Point(1, 2), Point(inf, inf), 12),
+      Segment(Point(1e200, 0), Point(-1e200, 1), 13),
+      Segment(Point(0, nan), Point(nan, 0), -1),
+      Segment(Point(2, 2), Point(2, 2), 15),
+  };
+  const traj::SegmentStore store(std::move(segs));
+  const size_t n = store.size();
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  SegmentDistanceConfig parallel_only;
+  parallel_only.w_perpendicular = 0.0;
+  parallel_only.w_angle = 0.0;
+  std::vector<SegmentDistanceConfig> configs = KernelTestConfigs();
+  configs.push_back(parallel_only);
+  for (const SegmentDistanceConfig& cfg : configs) {
+    const SegmentDistance dist(cfg);
+    for (size_t q = 0; q < n; ++q) {
+      for (size_t j = 0; j < n; ++j) {
+        ExpectBitEqualOrBothNaN(
+            dist.Components(store, q, j).parallel,
+            dist.Parallel(store.segment(q), store.segment(j)), "parallel", q,
+            j);
+      }
+      for (const BatchKernel kernel : AvailableKernels()) {
+        std::vector<double> out(n);
+        DistanceBatch(store, dist, q, common::Span<const size_t>(all.data(), n),
+                      common::Span<double>(out.data(), n), kernel);
+        for (size_t j = 0; j < n; ++j) {
+          ExpectBitEqualOrBothNaN(out[j], dist(store, q, j),
+                                  BatchKernelName(kernel), q, j);
         }
       }
     }

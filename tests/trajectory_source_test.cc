@@ -319,5 +319,86 @@ TEST(DatabaseSourceTest, RoundTripsTheDatabase) {
   ExpectSameDatabase(*drained, db);
 }
 
+// ---------------------------------------------------------------------------
+// RequireSegmentsSource: input with nothing to partition is an error.
+// ---------------------------------------------------------------------------
+
+TEST(RequireSegmentsSourceTest, FirstLineNamesEachTrajectorysFirstRow) {
+  CsvStringSource source(kMixedCsv);
+  Trajectory tr;
+  std::vector<size_t> lines;
+  while (true) {
+    const auto more = source.Next(&tr);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    lines.push_back(source.first_line());
+  }
+  EXPECT_EQ(lines, (std::vector<size_t>{3, 6, 9}));
+}
+
+TEST(RequireSegmentsSourceTest, AllDegenerateInputNamesTheFirstTrajectory) {
+  // Single points and repeated points: no trajectory has two distinct
+  // points, so MDL partitioning would cut no segment at all.
+  CsvStringSource csv(
+      "trajectory_id,x,y\n"
+      "# every trajectory below is one repeated point\n"
+      "4,1,1\n4,1,1\n4,1,1\n"
+      "5,2,2\n"
+      "6,3,3\n6,3,3\n");
+  RequireSegmentsSource source(csv);
+  const auto drained = DrainToDatabase(source);
+  ASSERT_FALSE(drained.ok());
+  EXPECT_EQ(drained.status().code(), StatusCode::kInvalidArgument);
+  const std::string msg = drained.status().ToString();
+  EXPECT_NE(msg.find("CSV line 3: trajectory 4 has fewer than 2 distinct "
+                     "points"),
+            std::string::npos)
+      << msg;
+  // Sticky, like every source failure.
+  Trajectory tr;
+  const auto again = source.Next(&tr);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().ToString(), msg);
+
+  // The streaming engine surfaces the same status.
+  CsvStringSource stream_csv("1,0,0\n1,0,0\n2,5,5\n");
+  RequireSegmentsSource stream(stream_csv);
+  const auto engine = core::TraclusEngine::Builder().Build();
+  ASSERT_TRUE(engine.ok());
+  const auto run = engine->Run(stream);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().ToString().find("CSV line 1: trajectory 1"),
+            std::string::npos)
+      << run.status().ToString();
+}
+
+TEST(RequireSegmentsSourceTest, InputWithOneUsableTrajectoryPassesUnchanged) {
+  // Degenerate trajectories stay accepted while another one has two
+  // distinct points, wherever it sits; so does empty input.
+  for (const char* text : {"1,0,0\n2,1,1\n2,1,1\n3,4,4\n3,4,4\n3,5,4\n",
+                           "1,0,0\n1,0,1\n2,3,3\n", "", "# nothing\n"}) {
+    const auto plain = ParseCsv(text);
+    ASSERT_TRUE(plain.ok()) << text;
+    CsvStringSource csv(text);
+    RequireSegmentsSource source(csv);
+    const auto drained = DrainToDatabase(source);
+    ASSERT_TRUE(drained.ok()) << text << drained.status().ToString();
+    ExpectSameDatabase(*drained, *plain);
+  }
+  // A source without lines names the trajectory alone.
+  TrajectoryDatabase db;
+  Trajectory lone(9);
+  lone.Add(geom::Point(1, 1));
+  db.Add(lone);
+  DatabaseSource inner(db);
+  RequireSegmentsSource source(inner);
+  const auto drained = DrainToDatabase(source);
+  ASSERT_FALSE(drained.ok());
+  EXPECT_EQ(drained.status().ToString().find("CSV line"), std::string::npos);
+  EXPECT_NE(drained.status().ToString().find("trajectory 9"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace traclus::traj

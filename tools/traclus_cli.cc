@@ -122,8 +122,9 @@ int Usage() {
       "               hardware threads, 1 = single-threaded. Output is\n"
       "               identical for every value.\n"
       "  --kernel K:  batch distance kernel (auto, scalar, simd). The\n"
-      "               kernels are bit-identical; simd needs an AVX2 build\n"
-      "               and degrades to scalar otherwise.\n"
+      "               kernels are bit-identical; simd is picked at run time\n"
+      "               when the CPU reports AVX2 and degrades to scalar\n"
+      "               otherwise.\n"
       "  --sieve K:   sieve-sampled grouping — cluster only every K-th\n"
       "               trajectory and assign the rest to the nearest cluster\n"
       "               within eps (0 or 1 disables; deterministic for a\n"
@@ -155,16 +156,8 @@ int Usage() {
   return 1;
 }
 
-common::Result<traj::TrajectoryDatabase> Load(const std::string& path) {
-  if (path == "-") {
-    traj::CsvStreamSource source(std::cin);
-    return traj::DrainToDatabase(source);
-  }
-  return traj::ReadCsv(path);
-}
-
-// Opens `path` (or stdin for "-") as a pull-based trajectory source for the
-// streaming pipeline mode.
+// Opens `path` (or stdin for "-") as a pull-based trajectory source: the
+// streaming pipeline mode consumes it directly, Load drains it.
 common::Result<std::unique_ptr<traj::TrajectorySource>> OpenSource(
     const std::string& path) {
   if (path == "-") {
@@ -173,6 +166,17 @@ common::Result<std::unique_ptr<traj::TrajectorySource>> OpenSource(
   }
   TRACLUS_ASSIGN_OR_RETURN(auto file, traj::CsvFileSource::Open(path));
   return std::unique_ptr<traj::TrajectorySource>(std::move(file));
+}
+
+// Reads `path` (or stdin for "-") into memory. The commands that partition
+// their input pass `require_segments`: input in which no trajectory has two
+// distinct points is then a typed, line-exact error instead of an empty run.
+common::Result<traj::TrajectoryDatabase> Load(const std::string& path,
+                                              bool require_segments) {
+  TRACLUS_ASSIGN_OR_RETURN(auto source, OpenSource(path));
+  if (!require_segments) return traj::DrainToDatabase(*source);
+  traj::RequireSegmentsSource checked(*source);
+  return traj::DrainToDatabase(checked);
 }
 
 // Maps an engine status onto the CLI's exit-code convention: configuration
@@ -258,7 +262,7 @@ int CmdGenerate(const Args& args) {
 
 int CmdStats(const Args& args) {
   if (args.positional.empty()) return Usage();
-  const auto loaded = Load(args.positional[0]);
+  const auto loaded = Load(args.positional[0], /*require_segments=*/false);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
@@ -280,7 +284,7 @@ int CmdPartition(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
-  const auto loaded = Load(args.positional[0]);
+  const auto loaded = Load(args.positional[0], /*require_segments=*/true);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
@@ -321,7 +325,7 @@ int CmdEstimate(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto kernel = KernelFlag(args);
   if (!kernel.ok()) return FailWith(kernel.status());
-  const auto loaded = Load(args.positional[0]);
+  const auto loaded = Load(args.positional[0], /*require_segments=*/true);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
@@ -437,12 +441,13 @@ int CmdCluster(const Args& args) {
   if (stream) {
     auto source = OpenSource(input);
     if (!source.ok()) return FailWith(source.status());
+    traj::RequireSegmentsSource checked(**source);
     core::RunContext ctx = MakeContext(args, *kernel);
     ctx.chunk_capacity =
         static_cast<size_t>(args.GetDouble("chunk-size", 0));
     ctx.max_resident_chunks =
         static_cast<size_t>(args.GetDouble("max-resident", 0));
-    run = engine->Run(**source, ctx);
+    run = engine->Run(checked, ctx);
     // Mid-stream ingest failures are the streaming twin of an eager load
     // failure: IO/parse problems exit 2, like the loader below. (Config
     // errors were already rejected by Build(), so an InvalidArgument here
@@ -454,7 +459,7 @@ int CmdCluster(const Args& args) {
       return 2;
     }
   } else {
-    auto loaded = Load(input);
+    auto loaded = Load(input, /*require_segments=*/true);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 2;
@@ -571,7 +576,7 @@ int CmdAssign(const Args& args) {
   if (!kernel.ok()) return FailWith(kernel.status());
   const auto snapshot = core::ClusterSnapshot::Load(args.positional[0]);
   if (!snapshot.ok()) return FailWith(snapshot.status());
-  const auto loaded = Load(args.positional[1]);
+  const auto loaded = Load(args.positional[1], /*require_segments=*/false);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 2;
