@@ -1,0 +1,95 @@
+#ifndef TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
+#define TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
+
+// The block index of the ε-join (Lemma 3), shared by the eager join
+// (cluster::TileJoin) and the chunked provider (cluster::ChunkedNeighborhood).
+// It sorts the segments by the Morton key of their midpoints and cuts that
+// order into blocks of kBlock positions, each carrying its midpoint MBR and
+// largest half-length. It reads only midpoint_coords(d) and half_lengths(),
+// which traj::SegmentStore and traj::ChunkedSegmentStore expose under the
+// same names with bit-identical values, so both get the same layout.
+//
+// Block b is skipped for the queries of block a when
+//   c·(mindist(midMBR_a, midMBR_b) − hmax_a − hmax_b) > ε
+// (distance::ProvablyFar, with the margin of the per-pair prune). Each input
+// bounds its per-pair counterpart monotonically, so a skipped block holds
+// only candidates the per-pair prune would drop.
+
+#include <cstddef>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "distance/batch_kernels.h"
+#include "geom/point.h"
+
+namespace traclus::cluster {
+
+/// Morton-ordered positions cut into blocks (see the file comment).
+/// Immutable; every method may be called concurrently.
+class BlockLayout {
+ public:
+  /// Segments per block. At the benchmark parameters 16-segment blocks skip
+  /// 72% of block pairs on elk-half and 63% on hurricane; 64-segment blocks
+  /// skip only 53% and 34%.
+  static constexpr size_t kBlock = 16;
+
+  /// Index order and no blocks: every query's candidates are one run over
+  /// all n positions (the join with block pruning off).
+  explicit BlockLayout(size_t n = 0);
+
+  /// The Morton layout of `store`'s catalog columns; `Store` is
+  /// traj::SegmentStore or traj::ChunkedSegmentStore.
+  template <typename Store>
+  static BlockLayout Morton(const Store& store) {
+    const double* mid[geom::kMaxDims];
+    for (int d = 0; d < geom::kMaxDims; ++d) {
+      mid[d] = store.midpoint_coords(d).data();
+    }
+    return BlockLayout(store.size(), store.dims(), mid,
+                       store.half_lengths().data());
+  }
+
+  /// Position → segment index.
+  const std::vector<size_t>& order() const { return order_; }
+
+  /// `column` (indexed by segment) gathered into position order.
+  std::vector<double> Permuted(const std::vector<double>& column) const;
+
+  /// A query: (its position, the output slot of its list).
+  using Entry = std::pair<size_t, size_t>;
+  using GroupFn = std::function<void(const std::vector<distance::IndexRun>&,
+                                     size_t, size_t)>;
+
+  /// (the position of queries[k], k) for every k, sorted by position.
+  std::vector<Entry> Entries(const std::vector<size_t>& queries) const;
+
+  /// Calls visit(runs, first, last) across `pool` for every group
+  /// [first, last) of `entries` (sorted by position) sharing a block; `runs`
+  /// are the positions in the blocks not skipped at `reach`
+  /// (distance::PruneReach): all of them without blocks or at reach +inf.
+  void ForEachGroup(const std::vector<Entry>& entries, double reach,
+                    common::ThreadPool& pool, const GroupFn& visit) const;
+
+ private:
+  struct Block {
+    double lo[geom::kMaxDims];  // Midpoint MBR.
+    double hi[geom::kMaxDims];
+    double hmax;  // Largest half-length; +inf when anything is non-finite.
+  };
+
+  BlockLayout(size_t n, int dims, const double* const* mid,
+              const double* half);
+  void CandidateRuns(size_t a, double reach,
+                     std::vector<distance::IndexRun>& runs) const;
+
+  int dims_ = 2;
+  std::vector<size_t> order_;
+  std::vector<size_t> rank_;  // Segment index → position.
+  std::vector<Block> blocks_;
+};
+
+}  // namespace traclus::cluster
+
+#endif  // TRACLUS_CLUSTER_BLOCK_LAYOUT_H_

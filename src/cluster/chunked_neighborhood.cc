@@ -1,6 +1,7 @@
 #include "cluster/chunked_neighborhood.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -15,45 +16,59 @@ namespace {
 // (DBSCAN's default fetch block).
 constexpr size_t kSliceQueries = 1024;
 
+using ChunkPin = std::shared_ptr<const traj::SegmentStore>;
+
 // Pins chunk c; a spill I/O failure has no channel to the provider API.
-std::shared_ptr<const traj::SegmentStore> PinChunk(
-    const traj::ChunkedSegmentStore& store, size_t c) {
+ChunkPin PinChunk(const traj::ChunkedSegmentStore& store, size_t c) {
   auto chunk = store.Chunk(c);
   TRACLUS_CHECK(chunk.ok());
   return *std::move(chunk);
 }
 
-// Per-thread state of candidate generation; see Candidates().
-struct CandidateScratch {
-  std::vector<uint32_t> visit_stamp;
-  uint32_t stamp = 0;
-  std::vector<uint32_t> chunk_count;
-  std::vector<size_t> found;
-  std::vector<size_t> touched;
-};
+// Hands visit(c, pin) every chunk of `chunks`, pinned from the calling
+// thread: first the chunks the store's cache already owns (touching their
+// LRU entries), then the missing ones, faulted in the given order. A fault
+// evicts the least recently used chunk, so it never evicts a chunk visited
+// earlier in the same call while the call's chunks fit under the cap.
+template <typename Visit>
+void PinResidentFirst(const traj::ChunkedSegmentStore& store,
+                      const std::vector<size_t>& chunks, const Visit& visit) {
+  std::vector<size_t> missing;
+  for (const size_t c : chunks) {
+    if (ChunkPin pin = store.ResidentChunk(c)) {
+      visit(c, std::move(pin));
+    } else {
+      missing.push_back(c);
+    }
+  }
+  for (const size_t c : missing) visit(c, PinChunk(store, c));
+}
 
 // Copies the batch's query segments, in batch order, into one batch-local
-// store, pinning each query chunk once in ascending index order. The store
-// constructor recomputes every invariant from the same endpoint doubles, so
-// the columns are bit-exact copies of the chunk stores'.
+// store, holding one query chunk pin at a time. The store constructor
+// recomputes every invariant from the same endpoint doubles, so the columns
+// are bit-exact copies of the chunk stores'.
 traj::SegmentStore GatherQueries(const traj::ChunkedSegmentStore& store,
                                  const std::vector<size_t>& queries) {
   std::vector<size_t> order(queries.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(),
             [&queries](size_t a, size_t b) { return queries[a] < queries[b]; });
-  std::vector<geom::Segment> segments(queries.size());
-  std::shared_ptr<const traj::SegmentStore> chunk;
-  size_t pinned = 0;
+  std::vector<size_t> chunks;  // The query chunks, ascending.
   for (const size_t k : order) {
     const size_t c = store.chunk_of(queries[k]);
-    if (chunk == nullptr || c != pinned) {
-      chunk.reset();  // Drop the old pin first: one pin at a time.
-      chunk = PinChunk(store, c);
-      pinned = c;
-    }
-    segments[k] = chunk->segment(queries[k] - store.chunk_begin(c));
+    if (chunks.empty() || chunks.back() != c) chunks.push_back(c);
   }
+  std::vector<geom::Segment> segments(queries.size());
+  PinResidentFirst(store, chunks, [&](size_t c, const ChunkPin& chunk) {
+    // `order` ascends by query index, so chunk c's queries are contiguous.
+    const size_t base = store.chunk_begin(c);
+    auto it = std::partition_point(order.begin(), order.end(),
+                                   [&](size_t k) { return queries[k] < base; });
+    for (; it != order.end() && queries[*it] < base + chunk->size(); ++it) {
+      segments[*it] = chunk->segment(queries[*it] - base);
+    }
+  });
   return traj::SegmentStore(std::move(segments));
 }
 
@@ -74,7 +89,7 @@ void ForEachSlice(const ChunkedNeighborhood& provider, double eps,
 
 ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
                                          const distance::SegmentDistance& dist,
-                                         bool use_index, double cell_size,
+                                         bool use_index,
                                          distance::BatchKernel kernel)
     : store_(store),
       dist_(dist),
@@ -83,57 +98,60 @@ ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
       // with exactly the eager path's semantics.
       kernel_(distance::ResolveBatchKernel(kernel)) {
   TRACLUS_CHECK(store.finalized());
-  // The catalog MBRs are bit-identical to the monolithic store's, so this
-  // grid's cells equal GridNeighborhoodIndex's over the merged store.
-  if (use_index) grid_.emplace(store_.bboxes(), store_.dims(), cell_size);
+  if (!use_index) return;
+  // The catalog columns are bit-identical to the monolithic store's, so this
+  // layout equals the eager join's over the merged store.
+  layout_.emplace(BlockLayout::Morton(store_));
+  for (int d = 0; d < store_.dims(); ++d) {
+    mid_[d] = layout_->Permuted(store_.midpoint_coords(d));
+  }
+  half_ = layout_->Permuted(store_.half_lengths());
+  chunk_at_.reserve(store_.size());
+  for (const size_t i : layout_->order()) {
+    chunk_at_.push_back(static_cast<uint32_t>(store_.chunk_of(i)));
+  }
 }
 
-void ChunkedNeighborhood::Candidates(size_t query, double radius,
-                                     std::vector<size_t>* out,
-                                     std::vector<Run>* runs) const {
-  // Per-thread scratch, reset lazily: dedup stamps over the catalog (one
-  // segment can span several cells) and per-chunk candidate counters.
-  thread_local CandidateScratch scratch;
-  scratch.visit_stamp.resize(store_.size(), 0u);
-  scratch.chunk_count.resize(store_.num_chunks(), 0u);
-  if (++scratch.stamp == 0) {  // Wrap-around: reset once every 2^32 queries.
-    std::fill(scratch.visit_stamp.begin(), scratch.visit_stamp.end(), 0u);
-    scratch.stamp = 1;
-  }
-  const uint32_t stamp = scratch.stamp;
+void ChunkedNeighborhood::Candidates(
+    size_t pq, const std::vector<distance::IndexRun>& blocks, double reach,
+    std::vector<size_t>* out, std::vector<Run>* runs) const {
+  // Per-thread scratch: surviving positions and per-chunk counters (left
+  // zeroed between queries).
+  thread_local std::vector<size_t> found;
+  thread_local std::vector<uint32_t> chunk_count;
+  thread_local std::vector<size_t> touched;
+  chunk_count.resize(store_.num_chunks(), 0u);
 
-  // The monolithic grid walk and MBR prune, reading only catalog MBRs.
-  const geom::BBox& qbox = store_.bbox(query);
-  std::vector<size_t>& found = scratch.found;
-  std::vector<size_t>& touched = scratch.touched;
-  found.clear();
-  touched.clear();
-  grid_->ForEachInReach(qbox, radius, [&](size_t i) {
-    if (scratch.visit_stamp[i] == stamp) return;
-    scratch.visit_stamp[i] = stamp;
-    if (i == query || store_.bbox(i).MinDist(qbox) > radius) return;
-    const size_t c = store_.chunk_of(i);
-    if (scratch.chunk_count[c]++ == 0) touched.push_back(c);
-    found.push_back(i);
-  });
+  const double* mid[geom::kMaxDims];
+  for (int d = 0; d < store_.dims(); ++d) mid[d] = mid_[d].data();
+  distance::PruneRuns({mid, static_cast<size_t>(store_.dims())}, half_.data(),
+                      pq, reach, blocks, found);
+  const size_t m = found.size();
 
   // Counting sort by chunk: one run per touched chunk, ascending, holding
   // chunk-local indices. Order inside a run is irrelevant (lists are sorted
   // at the end).
+  touched.clear();
+  for (size_t s = 0; s < m; ++s) {
+    const uint32_t c = chunk_at_[found[s]];
+    if (chunk_count[c]++ == 0) touched.push_back(c);
+  }
   std::sort(touched.begin(), touched.end());
-  out->resize(found.size());
+  out->resize(m);
   size_t offset = 0;
   for (const size_t c : touched) {
-    const size_t count = scratch.chunk_count[c];
+    const size_t count = chunk_count[c];
     runs->push_back({c, offset, offset + count});
-    scratch.chunk_count[c] = static_cast<uint32_t>(offset);  // Cursor.
+    chunk_count[c] = static_cast<uint32_t>(offset);  // Cursor.
     offset += count;
   }
-  for (const size_t i : found) {
-    const size_t c = store_.chunk_of(i);
-    (*out)[scratch.chunk_count[c]++] = i - store_.chunk_begin(c);
+  const std::vector<size_t>& order = layout_->order();
+  for (size_t s = 0; s < m; ++s) {
+    const size_t p = found[s];
+    const uint32_t c = chunk_at_[p];
+    (*out)[chunk_count[c]++] = order[p] - store_.chunk_begin(c);
   }
-  for (const size_t c : touched) scratch.chunk_count[c] = 0;
+  for (const size_t c : touched) chunk_count[c] = 0;
 }
 
 void ChunkedNeighborhood::ScanChunk(const traj::SegmentStore& query_store,
@@ -190,13 +208,14 @@ std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
   const bool ascending = batches_.fetch_add(1) % 2 == 0;
   distance::BatchOptions options;
   options.kernel = kernel_;
-  const double factor = dist_.LowerBoundFactor();
-  // No usable lower bound: the grid cannot prune, so every segment is a
+  const double reach = distance::PruneReach(dist_, eps);
+  // No usable lower bound: nothing can be pruned, so every segment is a
   // candidate — the scan configuration's schedule.
-  const bool scan = !grid_.has_value() || factor <= 0.0;
+  const bool scan = !layout_.has_value() || std::isinf(reach);
 
   // 1. Candidates from the catalog, split into per-chunk runs, and the
-  //    chunks they touch.
+  //    chunks they touch. Queries sharing a Morton block share its
+  //    candidate block runs.
   const size_t num_chunks = store_.num_chunks();
   std::vector<std::vector<size_t>> candidates;
   std::vector<std::vector<Run>> runs;
@@ -204,12 +223,17 @@ std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
   if (!scan) {
     candidates.resize(n);
     runs.resize(n);
-    const double radius = eps / factor;
-    pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-      for (size_t k = lo; k < hi; ++k) {
-        Candidates(queries[k], radius, &candidates[k], &runs[k]);
-      }
-    });
+    const std::vector<BlockLayout::Entry> entries = layout_->Entries(queries);
+    layout_->ForEachGroup(
+        entries, reach, pool,
+        [&](const std::vector<distance::IndexRun>& blocks, size_t first,
+            size_t last) {
+          for (size_t e = first; e < last; ++e) {
+            const size_t k = entries[e].second;
+            Candidates(entries[e].first, blocks, reach, &candidates[k],
+                       &runs[k]);
+          }
+        });
     for (const std::vector<Run>& query_runs : runs) {
       for (const Run& run : query_runs) touched[run.chunk] = 1;
     }
@@ -223,22 +247,23 @@ std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
   // 2. The query side of every refine.
   const traj::SegmentStore query_store = GatherQueries(store_, queries);
 
-  // 3. The touched candidate chunks in walk order, pinned from this thread
-  //    only, a window of up to max_resident_chunks at a time (pinning that
-  //    many distinct chunks evicts none of them, so every pin stays
+  // 3. The touched candidate chunks in walk order, a window of up to
+  //    max_resident_chunks at a time (pinning that many distinct chunks,
+  //    resident ones first, evicts none of them, so every pin stays
   //    cache-owned), each window refined in one pass across the pool. A
   //    query's runs all go to one worker, so each list has one writer.
   const size_t cap = store_.options().max_resident_chunks;
   const size_t window = cap > 0 ? cap : num_chunks;
-  std::vector<std::shared_ptr<const traj::SegmentStore>> pinned(num_chunks);
+  std::vector<ChunkPin> pinned(num_chunks);
   for (size_t w0 = 0; w0 < walk.size(); w0 += window) {
     const size_t w1 = std::min(walk.size(), w0 + window);
-    for (size_t w = w0; w < w1; ++w) {
-      pinned[walk[w]] = PinChunk(store_, walk[w]);
-    }
+    const std::vector<size_t> chunks(walk.begin() + w0, walk.begin() + w1);
+    PinResidentFirst(store_, chunks, [&pinned](size_t c, ChunkPin pin) {
+      pinned[c] = std::move(pin);
+    });
     // The window's chunks are the touched chunks with ids in [first, last].
-    const size_t first = std::min(walk[w0], walk[w1 - 1]);
-    const size_t last = std::max(walk[w0], walk[w1 - 1]);
+    const size_t first = std::min(chunks.front(), chunks.back());
+    const size_t last = std::max(chunks.front(), chunks.back());
     pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
       for (size_t k = lo; k < hi; ++k) {
         if (scan) {
@@ -261,7 +286,7 @@ std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
         }
       }
     });
-    for (size_t w = w0; w < w1; ++w) pinned[walk[w]].reset();
+    for (const size_t c : chunks) pinned[c].reset();
   }
 
   // 4. Definition 4 self-inclusion, then the monolithic ascending order.

@@ -1,10 +1,7 @@
 #include "cluster/neighborhood.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -155,46 +152,6 @@ std::vector<std::vector<size_t>> NeighborhoodCache::NeighborsBatch(
 
 namespace {
 
-// Morton (Z-order) keys of the segments' midpoints: each axis quantized to
-// `bits` bits over the midpoints' bounding box, then interleaved from the
-// most significant bit down. A non-finite midpoint sorts last. The key only
-// orders the layout; no result depends on it.
-std::vector<uint64_t> MortonKeys(const traj::SegmentStore& store) {
-  const int dims = store.dims();
-  const int bits = 64 / dims;
-  const double cells = std::ldexp(1.0, bits) - 1.0;
-  double lo[geom::kMaxDims], scale[geom::kMaxDims];
-  for (int d = 0; d < dims; ++d) {
-    lo[d] = std::numeric_limits<double>::infinity();
-    double hi = -lo[d];
-    for (const double x : store.midpoint_coords(d)) {
-      if (!std::isfinite(x)) continue;
-      lo[d] = std::min(lo[d], x);
-      hi = std::max(hi, x);
-    }
-    scale[d] = hi > lo[d] ? cells / (hi - lo[d]) : 0.0;
-  }
-  std::vector<uint64_t> keys(store.size(), ~uint64_t{0});
-  for (size_t i = 0; i < store.size(); ++i) {
-    uint64_t q[geom::kMaxDims];
-    bool finite = true;
-    for (int d = 0; d < dims; ++d) {
-      const double x = store.midpoint_coords(d)[i];
-      finite = finite && std::isfinite(x);
-      q[d] = finite ? static_cast<uint64_t>(
-                          std::min(cells, (x - lo[d]) * scale[d]))
-                    : 0;
-    }
-    if (!finite) continue;
-    uint64_t key = 0;
-    for (int b = bits - 1; b >= 0; --b) {
-      for (int d = 0; d < dims; ++d) key = (key << 1) | ((q[d] >> b) & 1);
-    }
-    keys[i] = key;
-  }
-  return keys;
-}
-
 // Maps a list of layout positions to segment indices in ascending order
 // through a bitmap of the index span the list covers (one word per 64
 // indices, left zeroed for the next list): a counting sort, since a
@@ -231,114 +188,46 @@ const TileJoin::Layout& TileJoin::layout() const {
 }
 
 void TileJoin::BuildLayout() const {
-  const size_t n = store_.size();
   Layout& l = layout_;
-  l.order.resize(n);
-  std::iota(l.order.begin(), l.order.end(), size_t{0});
   l.store = &store_;
-  if (prune_blocks_) {
-    const std::vector<uint64_t> keys = MortonKeys(store_);
-    std::sort(l.order.begin(), l.order.end(), [&keys](size_t a, size_t b) {
-      return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-    });
-    std::vector<geom::Segment> segments;
-    segments.reserve(n);
-    for (const size_t i : l.order) segments.push_back(store_.segment(i));
-    l.sorted = traj::SegmentStore::FromSegments(std::move(segments));
-    l.store = &l.sorted;
-
-    const int dims = l.sorted.dims();
-    const double inf = std::numeric_limits<double>::infinity();
-    for (size_t first = 0; first < n; first += kBlock) {
-      Block b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0};
-      double probe = 0.0;  // Sums every input: non-finite if any one is.
-      for (size_t p = first; p < std::min(n, first + kBlock); ++p) {
-        b.hmax = std::max(b.hmax, l.sorted.half_length(p));
-        probe += l.sorted.half_length(p);
-        for (int d = 0; d < dims; ++d) {
-          const double x = l.sorted.midpoint_coords(d)[p];
-          probe += x;
-          b.lo[d] = std::min(b.lo[d], x);
-          b.hi[d] = std::max(b.hi[d], x);
-        }
-      }
-      // A non-finite midpoint or length escapes the box, and a sum that
-      // overflows marks coordinates too large to bound safely; such a block
-      // is never skipped.
-      if (!std::isfinite(probe)) b.hmax = inf;
-      l.blocks.push_back(b);
-    }
-  }
-  l.rank.resize(n);
-  for (size_t p = 0; p < n; ++p) l.rank[l.order[p]] = p;
-}
-
-void TileJoin::CandidateRuns(const Layout& l, size_t a, double reach,
-                             std::vector<distance::IndexRun>& runs) const {
-  runs.clear();
-  const size_t n = l.order.size();
-  if (!prune_blocks_ || std::isinf(reach)) {
-    runs.push_back({0, n});
+  if (!prune_blocks_) {
+    l.blocks = BlockLayout(store_.size());
     return;
   }
-  const Block& qa = l.blocks[a];
-  const int dims = l.store->dims();
-  for (size_t b = 0; b < l.blocks.size(); ++b) {
-    const Block& cb = l.blocks[b];
-    // Squared mindist of the two midpoint MBRs, summed in dimension order
-    // like the per-pair midpoint distance it bounds from below.
-    double mind_sq = 0.0;
-    for (int d = 0; d < dims; ++d) {
-      const double gap =
-          std::max({0.0, cb.lo[d] - qa.hi[d], qa.lo[d] - cb.hi[d]});
-      mind_sq += gap * gap;
-    }
-    if (distance::ProvablyFar(mind_sq, reach, qa.hmax, cb.hmax)) continue;
-    const size_t first = b * kBlock;
-    const size_t last = std::min(n, first + kBlock);
-    if (!runs.empty() && runs.back().last == first) {
-      runs.back().last = last;
-    } else {
-      runs.push_back({first, last});
-    }
-  }
+  l.blocks = BlockLayout::Morton(store_);
+  std::vector<geom::Segment> segments;
+  segments.reserve(store_.size());
+  for (const size_t i : l.blocks.order()) segments.push_back(store_.segment(i));
+  l.sorted = traj::SegmentStore::FromSegments(std::move(segments));
+  l.store = &l.sorted;
 }
 
 template <typename Emit>
 void TileJoin::Join(const std::vector<Entry>& entries, double eps,
                     common::ThreadPool& pool, const Emit& emit) const {
   const Layout& l = layout();
-  const double reach = distance::PruneReach(dist_, eps);
-  // Group boundaries: entries sharing a block form one tile row group.
-  std::vector<size_t> groups;
-  for (size_t e = 0; e < entries.size(); ++e) {
-    if (e == 0 || entries[e].first / kBlock != entries[e - 1].first / kBlock) {
-      groups.push_back(e);
-    }
-  }
-  groups.push_back(entries.size());
   distance::BatchOptions options;
   options.kernel = kernel_;
-  pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
-    std::vector<distance::IndexRun> runs;
-    std::vector<uint64_t> bits;
-    for (size_t g = lo; g < hi; ++g) {
-      CandidateRuns(l, entries[groups[g]].first / kBlock, reach, runs);
-      for (size_t e = groups[g]; e < groups[g + 1]; ++e) {
-        std::vector<size_t> list;
-        distance::EpsilonRefineRuns(*l.store, dist_, entries[e].first,
-                                    *l.store, runs, eps, 0, list, options);
-        ToSortedIndices(l.order, list, bits);
-        emit(entries[e].second, std::move(list));
-      }
-    }
-  });
+  l.blocks.ForEachGroup(
+      entries, distance::PruneReach(dist_, eps), pool,
+      [&](const std::vector<distance::IndexRun>& runs, size_t first,
+          size_t last) {
+        thread_local std::vector<uint64_t> bits;
+        for (size_t e = first; e < last; ++e) {
+          std::vector<size_t> list;
+          distance::EpsilonRefineRuns(*l.store, dist_, entries[e].first,
+                                      *l.store, runs, eps, 0, list, options);
+          ToSortedIndices(l.blocks.order(), list, bits);
+          emit(entries[e].second, std::move(list));
+        }
+      });
 }
 
 std::vector<TileJoin::Entry> TileJoin::AllEntries() const {
   const Layout& l = layout();
-  std::vector<Entry> entries(l.order.size());
-  for (size_t p = 0; p < entries.size(); ++p) entries[p] = {p, l.order[p]};
+  const std::vector<size_t>& order = l.blocks.order();
+  std::vector<Entry> entries(order.size());
+  for (size_t p = 0; p < entries.size(); ++p) entries[p] = {p, order[p]};
   return entries;
 }
 
@@ -350,17 +239,11 @@ std::vector<size_t> TileJoin::Neighbors(size_t query_index,
 std::vector<std::vector<size_t>> TileJoin::NeighborsBatch(
     const std::vector<size_t>& queries, double eps,
     common::ThreadPool& pool) const {
-  const Layout& l = layout();
-  std::vector<Entry> entries(queries.size());
-  for (size_t k = 0; k < queries.size(); ++k) {
-    TRACLUS_DCHECK(queries[k] < store_.size());
-    entries[k] = {l.rank[queries[k]], k};
-  }
-  std::sort(entries.begin(), entries.end());
   std::vector<std::vector<size_t>> lists(queries.size());
-  Join(entries, eps, pool, [&lists](size_t slot, std::vector<size_t>&& list) {
-    lists[slot] = std::move(list);
-  });
+  Join(layout().blocks.Entries(queries), eps, pool,
+       [&lists](size_t slot, std::vector<size_t>&& list) {
+         lists[slot] = std::move(list);
+       });
   return lists;
 }
 

@@ -5,24 +5,19 @@
 // which serves DBSCAN, OPTICS, the sharded stage, the parameter heuristic
 // and the neighbor-cache writer.
 //
-// Layout. On its first query the join sorts the segments by the Morton key
-// of their midpoints into a permuted SegmentStore and cuts it into blocks of
-// TileJoin::kBlock consecutive segments, each carrying its midpoint MBR and
-// its largest half-length. The permuted store holds the same Segment values
-// (ids included), so every distance is bit-identical to the bound store's.
-// Building the layout lazily keeps construction free: a warm
+// Layout. On its first query the join builds the Morton block layout of the
+// bound store (cluster/block_layout.h) and copies the segments into a
+// SegmentStore in that order. The permuted store holds the same Segment
+// values (ids included), so every distance is bit-identical to the bound
+// store's. Building the layout lazily keeps construction free: a warm
 // FileNeighborhoodCache hit never pays for it. Without block pruning the
 // layout is the bound store itself in index order.
 //
-// Query. The queries of a batch are grouped by the block holding them. A
-// candidate block is skipped for the whole group when
-//   c·(mindist(midMBR_a, midMBR_b) − hmax_a − hmax_b) > ε
-// (distance::ProvablyFar, with the same margin as the per-pair prune); each
-// input of that test bounds its per-pair counterpart monotonically, so a
-// skipped block holds only candidates the per-pair prune would drop. Each
-// query then refines the merged runs of surviving blocks through
-// distance::EpsilonRefineRuns, and its list is mapped back to segment
-// indices in ascending order.
+// Query. The queries of a batch are grouped by the block holding them, and
+// each group skips the candidate blocks the layout proves too far
+// (BlockLayout::ForEachGroup). Each query then refines the merged runs of
+// surviving blocks through distance::EpsilonRefineRuns, and its list is
+// mapped back to segment indices in ascending order.
 
 #include <cstddef>
 #include <mutex>
@@ -30,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/block_layout.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -43,16 +39,19 @@ namespace traclus::cluster {
 /// Source of ε-neighborhood queries Nε(L) (Definition 4) over a fixed segment
 /// database.
 ///
-/// Implementations are bound to a traj::SegmentStore at construction and must
+/// Implementations are bound to a segment database at construction (a
+/// traj::SegmentStore; a traj::ChunkedSegmentStore for ChunkedNeighborhood,
+/// whose lists equal the eager providers' on the merged store) and must
 /// return the indices of ALL segments within distance ε of the query —
 /// including the query segment itself, which Definition 4 includes since
 /// dist(L, L) = 0. Exactness matters: DBSCAN's output (and the parameter
 /// heuristic's entropy) are defined in terms of exact ε-neighborhoods.
 ///
 /// Every provider follows the candidate-generate / refine split: the provider
-/// emits index candidates (block runs for the tile join, a geometrically
-/// pruned superset for the R-tree and the chunked provider) and delegates
-/// the exact membership decision to the batched distance kernels
+/// emits index candidates (the runs of surviving Morton blocks for the tile
+/// join, those blocks' survivors of the per-pair midpoint prune for the
+/// chunked provider, a geometrically pruned superset for the R-tree) and
+/// delegates the exact membership decision to the batched distance kernels
 /// (distance/batch_kernels.h), which lower-bound-prune and evaluate the §2.3
 /// distance bit-identically to the per-pair cached path. The kernel choice
 /// (scalar / AVX2 SIMD) is a construction-time knob on each provider.
@@ -171,11 +170,6 @@ class NeighborhoodCache : public NeighborhoodProvider {
 /// with no mutex.
 class TileJoin : public NeighborhoodProvider {
  public:
-  /// Segments per block. At the benchmark parameters 16-segment blocks skip
-  /// 72% of block pairs on the elk-half corpus and 63% on hurricane;
-  /// 64-segment blocks skip only 53% and 34%.
-  static constexpr size_t kBlock = 16;
-
   /// Both referents must outlive the join. `kernel` selects the batch
   /// refinement kernel (results identical for every choice).
   TileJoin(const traj::SegmentStore& store,
@@ -197,26 +191,15 @@ class TileJoin : public NeighborhoodProvider {
   size_t size() const override { return store_.size(); }
 
  private:
-  struct Block {
-    double lo[geom::kMaxDims];  // Midpoint MBR.
-    double hi[geom::kMaxDims];
-    double hmax;  // Largest half-length; +inf when anything is non-finite.
-  };
   struct Layout {
-    traj::SegmentStore sorted;         // Empty without block pruning.
-    const traj::SegmentStore* store;   // `sorted`, or the bound store.
-    std::vector<size_t> order;         // Position → segment index.
-    std::vector<size_t> rank;          // Segment index → position.
-    std::vector<Block> blocks;
+    BlockLayout blocks;
+    traj::SegmentStore sorted;        // Empty without block pruning.
+    const traj::SegmentStore* store;  // `sorted`, or the bound store.
   };
-  /// A query: (its position in the layout, the output slot of its list).
-  using Entry = std::pair<size_t, size_t>;
+  using Entry = BlockLayout::Entry;
 
   const Layout& layout() const;
   void BuildLayout() const;
-  /// Runs of candidate positions in blocks not skipped for block `a`.
-  void CandidateRuns(const Layout& layout, size_t a, double reach,
-                     std::vector<distance::IndexRun>& runs) const;
   /// Computes the list of every entry (sorted by position) across `pool`
   /// and hands it to emit(slot, list).
   template <typename Emit>

@@ -167,6 +167,15 @@ cluster::SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
   return view;
 }
 
+// The chunked-store default: a stage without an out-of-core path refuses a
+// capped run instead of merging the store, which would break the cap.
+common::Status NoCappedPath(const char* stage) {
+  return common::Status::Unimplemented(
+      std::string("stage '") + stage +
+      "' has no residency-capped path (RunChunked); run it without "
+      "max_resident_chunks");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -174,16 +183,16 @@ cluster::SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
 // ---------------------------------------------------------------------------
 
 common::Result<cluster::ClusteringResult> GroupStage::RunChunked(
-    const traj::ChunkedSegmentStore& store, const RunContext& ctx) const {
-  TRACLUS_ASSIGN_OR_RETURN(traj::SegmentStore merged, store.Merge());
-  return Run(merged, ctx);
+    const traj::ChunkedSegmentStore& /*store*/,
+    const RunContext& /*ctx*/) const {
+  return NoCappedPath(name());
 }
 
 common::Result<std::vector<traj::Trajectory>> RepresentativeStage::RunChunked(
-    const traj::ChunkedSegmentStore& store,
-    const cluster::ClusteringResult& clustering, const RunContext& ctx) const {
-  TRACLUS_ASSIGN_OR_RETURN(traj::SegmentStore merged, store.Merge());
-  return Run(merged, clustering, ctx);
+    const traj::ChunkedSegmentStore& /*store*/,
+    const cluster::ClusteringResult& /*clustering*/,
+    const RunContext& /*ctx*/) const {
+  return NoCappedPath(name());
 }
 
 // ---------------------------------------------------------------------------
@@ -283,8 +292,8 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
 common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
     const traj::ChunkedSegmentStore& store, const RunContext& ctx) const {
   const distance::SegmentDistance dist(options_.distance);
-  const cluster::ChunkedNeighborhood provider(
-      store, dist, options_.use_index, /*cell_size=*/0.0, ctx.distance_kernel);
+  const cluster::ChunkedNeighborhood provider(store, dist, options_.use_index,
+                                              ctx.distance_kernel);
 
   const cluster::DbscanOptions o = MakeDbscanOptions(options_, name(), ctx);
   try {
@@ -724,6 +733,14 @@ common::Result<TraclusResult> TraclusEngine::Run(
   if (rctx.cancellation != nullptr && rctx.cancellation->cancelled()) {
     return common::Status::Cancelled("run cancelled before the partition "
                                      "stage");
+  }
+  if (rctx.max_resident_chunks > 0 && !rctx.neighbor_cache_dir.empty()) {
+    // The capped grouping path never builds the file cache; accepting the
+    // directory would silently ignore it.
+    return common::Status::InvalidArgument(
+        "neighbor_cache_dir ('" + rctx.neighbor_cache_dir +
+        "') does not apply to a residency-capped run (max_resident_chunks " +
+        std::to_string(rctx.max_resident_chunks) + ")");
   }
 
   traj::ChunkedStoreOptions store_options;

@@ -227,7 +227,11 @@ class TraclusEngine {
   /// ingest, an uncapped run (max_resident_chunks == 0) merges the chunks and
   /// executes the ordinary grouping/representative stages; a capped run
   /// executes the stages' RunChunked paths, under which at most
-  /// max_resident_chunks payload chunks are cache-resident at any point.
+  /// max_resident_chunks payload chunks are cache-resident at any point. A
+  /// capped run fails with kInvalidArgument when a neighbor-cache directory
+  /// resolves (the capped path builds no file cache), and with
+  /// kUnimplemented from a stage that has no capped path (OPTICS, sieve,
+  /// sharded, custom stages without a RunChunked override).
   ///
   /// Output is bit-identical to Run(DrainToDatabase(source)) for every chunk
   /// capacity, residency cap, thread count, and kernel choice (the golden

@@ -61,9 +61,8 @@
 // only, after the barrier — but distinct concurrent runs must not share one
 // sink.
 //
-// Out-of-core: RunChunked inherits the merge-then-delegate default, so a
-// capped streaming run with sharded grouping is correct but not
-// memory-bounded.
+// Out-of-core: RunChunked inherits the kUnimplemented default, so a capped
+// streaming run with sharded grouping is refused rather than merged.
 
 #include <memory>
 #include <string>

@@ -28,10 +28,9 @@
 // assignment writes index-addressed slots only. Any future mutable caching
 // must move behind a common::Mutex with TRACLUS_GUARDED_BY.
 //
-// Out-of-core: RunChunked inherits the merge-then-delegate default, so
-// sieved grouping of a capped streaming run is correct but not
-// memory-bounded (a chunk-resident many-vs-many path is future work — see
-// ROADMAP).
+// Out-of-core: RunChunked inherits the kUnimplemented default, so a capped
+// streaming run with sieved grouping is refused rather than merged (a
+// chunk-resident many-vs-many path is future work — see ROADMAP).
 
 #include <memory>
 #include <string>

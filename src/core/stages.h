@@ -107,15 +107,16 @@ struct RunContext {
   /// lists are recomputed and rewritten. Served lists equal the computed
   /// ones exactly, so results are byte-identical either way. Composes with
   /// sieve/sharded grouping: each effective query store (the sieve sample,
-  /// each shard) hashes to its own cache file. Empty = disabled. Ignored by
-  /// the residency-capped RunChunked path (the chunked provider streams a
-  /// different shape).
+  /// each shard) hashes to its own cache file. Empty = disabled. A
+  /// residency-capped streaming run rejects it (kInvalidArgument): the
+  /// capped path builds no file cache.
   std::string neighbor_cache_dir;
   /// Streaming runs only: residency cap of the chunked store's reader cache.
   /// 0 = unbounded (no spill; the grouping phase runs on the merged store).
   /// > 0 enables the out-of-core grouping path: cold chunks spill to a temp
-  /// file and at most this many chunk stores are cache-resident at once
-  /// (the OPTICS stage does not honor the cap — see GroupStage::RunChunked).
+  /// file and at most this many chunk stores are cache-resident at once.
+  /// Only stages with a RunChunked override accept a capped run (see
+  /// GroupStage::RunChunked).
   size_t max_resident_chunks = 0;
 };
 
@@ -166,13 +167,11 @@ class GroupStage {
   virtual common::Result<cluster::ClusteringResult> Run(
       const traj::SegmentStore& store, const RunContext& ctx) const = 0;
 
-  /// Chunked-store entry point of the streaming pipeline. The default
-  /// implementation merges the chunks back into a monolithic store and
-  /// delegates to Run — always correct and bit-identical, but it does NOT
-  /// honor the residency cap (the merged store is fully resident). Stages
-  /// with a genuine out-of-core path override it (DbscanGroupStage);
-  /// OpticsGroupStage inherits the default, so OPTICS grouping under a
-  /// residency cap is correct but not memory-bounded.
+  /// Chunked-store entry point of the residency-capped streaming pipeline.
+  /// Stages with an out-of-core path override it (DbscanGroupStage). The
+  /// default returns kUnimplemented naming the stage: merging the chunks
+  /// into a monolithic store would silently break the residency cap, so
+  /// OPTICS, sieve and sharded grouping refuse capped runs.
   virtual common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store, const RunContext& ctx) const;
 };
@@ -188,8 +187,8 @@ class RepresentativeStage {
       const cluster::ClusteringResult& clustering,
       const RunContext& ctx) const = 0;
 
-  /// Chunked-store entry point; same default-merges-and-delegates contract
-  /// as GroupStage::RunChunked. SweepRepresentativeStage overrides it with a
+  /// Chunked-store entry point; same kUnimplemented default as
+  /// GroupStage::RunChunked. SweepRepresentativeStage overrides it with a
   /// per-cluster gather that keeps only one cluster's members resident.
   virtual common::Result<std::vector<traj::Trajectory>> RunChunked(
       const traj::ChunkedSegmentStore& store,
@@ -238,8 +237,8 @@ struct DbscanGroupOptions {
   double min_trajectory_cardinality = -1.0;
   /// Weighted-trajectory extension (§4.2 / §7.1).
   bool use_weights = false;
-  /// Grid spatial index for ε-neighborhood queries (Lemma 3); false = the
-  /// O(n²) brute-force configuration.
+  /// Block-pruned ε-join (Lemma 3; eager and capped runs alike); false =
+  /// the O(n²) brute-force configuration.
   bool use_index = true;
   /// Block size of the batched neighborhood path; see
   /// cluster::DbscanOptions::batch_block. 0 = default.
@@ -261,9 +260,9 @@ class DbscanGroupStage : public GroupStage {
   /// Out-of-core grouping: DBSCAN's density accounting and cardinality
   /// filter read the chunked store's always-resident catalog through a
   /// cluster::SegmentSetView, and the ε-queries run in chunk-major batches
-  /// over cluster::ChunkedNeighborhood (grid or scan, per use_index), which
-  /// faults each payload chunk at most twice per batch under the store's
-  /// residency cap. Labellings are byte-identical to Run on the merged
+  /// over cluster::ChunkedNeighborhood (block-pruned join or scan, per
+  /// use_index), which faults each payload chunk at most twice per batch
+  /// under the store's residency cap. Labellings are byte-identical to Run on the merged
   /// store.
   common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store,

@@ -55,29 +55,29 @@ PruneContext MakePruneContext(const traj::SegmentStore& store,
   return p;
 }
 
-// The lower-bound prune over the candidates index(lo .. hi): candidate j is
-// provably farther than ε from the query when
+// The lower-bound prune over the candidates index(lo .. hi) of the columns
+// mid[0 .. dims) and half: candidate j is provably farther than ε from the
+// query when
 //   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε,
 // evaluated in squared form (no per-candidate sqrt) by ProvablyFar. Reads
-// only the candidate store's columns, so it serves one-store and two-store
-// refines alike, and it never prunes the query against itself (midpoint
-// distance 0). Branch-free: each candidate's tag(k) is written to slots[m]
-// and m advances only when the candidate survives, so survivors compact in
-// candidate order without a branch per candidate.
+// only the candidate columns, so it serves one-store and two-store refines
+// and the catalog columns of PruneRuns alike, and it never prunes the query
+// against itself (midpoint distance 0). Branch-free: each candidate's tag(k)
+// is written to slots[m] and m advances only when the candidate survives, so
+// survivors compact in candidate order without a branch per candidate.
 // `slots` must have room for m + (hi − lo) entries. Returns the new m.
 template <int D, typename IndexFn, typename TagFn>
-size_t CompactSurvivorsD(const PruneContext& p, const traj::SegmentStore& cs,
-                         size_t lo, size_t hi, const IndexFn& index,
-                         const TagFn& tag, size_t* slots, size_t m) {
-  const double* mid[D];
-  for (int d = 0; d < D; ++d) mid[d] = cs.midpoint_coords(d).data();
-  const double* half = cs.half_lengths().data();
+size_t CompactSurvivorsD(const PruneContext& p, const double* const* mid,
+                         const double* half, size_t lo, size_t hi,
+                         const IndexFn& index, const TagFn& tag,
+                         size_t* slots, size_t m) {
+  const double* col[D];  // Local copies the compiler can keep in registers.
+  for (int d = 0; d < D; ++d) col[d] = mid[d];
   for (size_t k = lo; k < hi; ++k) {
     const size_t j = index(k);
-    TRACLUS_DCHECK(j < cs.size());
     double dmid_sq = 0.0;
     for (int d = 0; d < D; ++d) {
-      const double diff = mid[d][j] - p.mid_q[d];
+      const double diff = col[d][j] - p.mid_q[d];
       dmid_sq += diff * diff;
     }
     slots[m] = tag(k);
@@ -87,12 +87,26 @@ size_t CompactSurvivorsD(const PruneContext& p, const traj::SegmentStore& cs,
 }
 
 template <typename IndexFn, typename TagFn>
+size_t CompactSurvivors(const PruneContext& p, const double* const* mid,
+                        const double* half, size_t lo, size_t hi,
+                        const IndexFn& index, const TagFn& tag, size_t* slots,
+                        size_t m) {
+  if (p.dims == 3) {
+    return CompactSurvivorsD<3>(p, mid, half, lo, hi, index, tag, slots, m);
+  }
+  return CompactSurvivorsD<2>(p, mid, half, lo, hi, index, tag, slots, m);
+}
+
+// The same over the candidates index(lo .. hi) of store `cs`.
+template <typename IndexFn, typename TagFn>
 size_t CompactSurvivors(const PruneContext& p, const traj::SegmentStore& cs,
                         size_t lo, size_t hi, const IndexFn& index,
                         const TagFn& tag, size_t* slots, size_t m) {
-  return p.dims == 3
-             ? CompactSurvivorsD<3>(p, cs, lo, hi, index, tag, slots, m)
-             : CompactSurvivorsD<2>(p, cs, lo, hi, index, tag, slots, m);
+  TRACLUS_DCHECK(hi == lo || index(hi - 1) < cs.size());
+  const double* mid[geom::kMaxDims];
+  for (int d = 0; d < p.dims; ++d) mid[d] = cs.midpoint_coords(d).data();
+  return CompactSurvivors(p, mid, cs.half_lengths().data(), lo, hi, index,
+                          tag, slots, m);
 }
 
 // The SoA columns a kernel reads, hoisted out of the candidate loop once per
@@ -888,6 +902,33 @@ bool PruneProvablyFar(const traj::SegmentStore& store,
   }
   return a != b && ProvablyFar(mid_dist_sq, PruneReach(dist, eps),
                                store.half_length(a), store.half_length(b));
+}
+
+void PruneRuns(common::Span<const double* const> mid, const double* half,
+               size_t query, double reach, common::Span<const IndexRun> runs,
+               std::vector<size_t>& survivors) {
+  TRACLUS_DCHECK(mid.size() == 2 || mid.size() == 3);
+  PruneContext p;
+  p.dims = static_cast<int>(mid.size());
+  p.reach = reach;
+  p.half_q = half[query];
+  for (int d = 0; d < p.dims; ++d) p.mid_q[d] = mid[d][query];
+  const IndexRange positions{0};
+  size_t m = 0;
+  for (const IndexRun& run : runs) {
+    TRACLUS_DCHECK(run.first <= run.last);
+    survivors.resize(m + (run.last - run.first));
+    // Split the run around the query, which is never its own survivor.
+    const bool split = run.first <= query && query < run.last;
+    const size_t cut = split ? query : run.last;
+    m = CompactSurvivors(p, mid.data(), half, run.first, cut, positions,
+                         positions, survivors.data(), m);
+    if (split) {
+      m = CompactSurvivors(p, mid.data(), half, cut + 1, run.last, positions,
+                           positions, survivors.data(), m);
+    }
+  }
+  survivors.resize(m);
 }
 
 }  // namespace traclus::distance

@@ -14,7 +14,8 @@
 //     of SoA columns is loaded once and reused by every query row:
 //     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
 //     PairwiseDistanceMatrix overload below;
-//   * the prune predicate itself, PruneProvablyFar, for tests.
+//   * the prune itself: PruneProvablyFar (one pair, for tests) and
+//     PruneRuns (caller-owned columns, for the chunked provider).
 //
 // Every operation has one implementation, written for two stores: the query
 // from one SegmentStore, the candidates from another. The one-store entry
@@ -76,9 +77,11 @@
 // GridNeighborhoodIndex and BruteForceNeighborhood) refines the candidate
 // runs of its surviving block pairs through EpsilonRefineRuns; the R-tree
 // refines through EpsilonRefine(Range); the chunked provider
-// (cluster::ChunkedNeighborhood) refines chunk pairs through
-// EpsilonRefineCross and EpsilonRefineRuns; the sharded stage re-checks
-// halos with EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
+// (cluster::ChunkedNeighborhood) prunes the surviving blocks' candidates on
+// its catalog with PruneRuns and refines those pairs — exactly the eager
+// join's — grouped by chunk, through EpsilonRefineCross (its scan: whole
+// chunks through EpsilonRefineRuns); the sharded stage re-checks halos with
+// EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
 // NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
 // OPTICS streams blocked DistanceBatch calls; the sieve stage
 // (core::SieveGroupStage, one store passed twice) and the frozen snapshot
@@ -348,6 +351,19 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps);
+
+/// The refine pipeline's per-pair prune over caller-owned columns: sets
+/// `survivors` to the positions p of `runs`, in run order, with p ≠ `query`
+/// and ProvablyFar(‖mid(query) − mid(p)‖², reach, half[query], half[p])
+/// false, where mid(p) = (mid[0][p], …, mid[dims − 1][p]) and `reach` is
+/// PruneReach(dist, ε). The refine kernels run this loop on their candidate
+/// store's columns, so over columns bit-identical to a store's it keeps
+/// exactly the candidates those kernels would refine. Serves the chunked
+/// provider, which prunes on the always-resident catalog before any chunk
+/// is pinned.
+void PruneRuns(common::Span<const double* const> mid, const double* half,
+               size_t query, double reach, common::Span<const IndexRun> runs,
+               std::vector<size_t>& survivors);
 
 }  // namespace traclus::distance
 

@@ -75,9 +75,6 @@ common::Status ChunkedSegmentStore::Append(const geom::Segment& segment) {
   length_.push_back(length);
   half_length_.push_back(0.5 * length);
   const geom::Point midpoint = segment.Midpoint();
-  geom::BBox box;
-  box.Extend(segment);
-  bbox_.push_back(box);
   id_.push_back(segment.id());
   trajectory_id_.push_back(segment.trajectory_id());
   weight_.push_back(segment.weight());
@@ -196,11 +193,7 @@ common::Result<std::shared_ptr<const SegmentStore>> ChunkedSegmentStore::Chunk(
         std::to_string(chunk_count_) + " chunks)");
   }
   common::MutexLock lock(mu_);
-  auto it = cache_.find(c);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.store;
-  }
+  if (auto hit = TouchLocked(c)) return hit;
   std::vector<geom::Segment> raw;
   TRACLUS_RETURN_NOT_OK(LoadRaw(c, &raw));
   ++faults_;
@@ -217,6 +210,20 @@ common::Result<std::shared_ptr<const SegmentStore>> ChunkedSegmentStore::Chunk(
   cache_.emplace(c, CacheEntry{lru_.begin(), store});
   if (cache_.size() > peak_resident_) peak_resident_ = cache_.size();
   return store;
+}
+
+std::shared_ptr<const SegmentStore> ChunkedSegmentStore::TouchLocked(
+    size_t c) const {
+  const auto it = cache_.find(c);
+  if (it == cache_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return it->second.store;
+}
+
+std::shared_ptr<const SegmentStore> ChunkedSegmentStore::ResidentChunk(
+    size_t c) const {
+  common::MutexLock lock(mu_);
+  return TouchLocked(c);
 }
 
 size_t ChunkedSegmentStore::resident_chunks() const {

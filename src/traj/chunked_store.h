@@ -28,14 +28,14 @@
 //     eviction happens before a faulted chunk is inserted, so
 //     peak_resident_chunks() ≤ max_resident_chunks by construction.
 //
-// The *catalog* — per-segment length, half-length, midpoint, MBR, ids and
-// weight — is always resident regardless of regime. Those are exactly the
-// columns the query side needs without touching payload chunks: the grid
-// index builds its cells from the MBRs, the triangle-inequality prune reads
-// midpoints and half-lengths, DBSCAN's density and cardinality read weights
-// and trajectory ids. Payload chunks (endpoints, direction columns, the AoS
-// segment view) are only faulted for the exact-distance refinement, which is
-// what makes bounded mode genuinely out-of-core for the hot phase.
+// The *catalog* — per-segment length, half-length, midpoint, ids and weight
+// — is always resident regardless of regime. Those are exactly the columns
+// the query side needs without touching payload chunks: the block index and
+// the triangle-inequality prune read midpoints and half-lengths, DBSCAN's
+// density and cardinality read weights and trajectory ids. Payload chunks
+// (endpoints, direction columns, the AoS segment view) are only faulted for
+// the exact-distance refinement, which is what makes bounded mode genuinely
+// out-of-core for the hot phase.
 //
 // Pin semantics: Chunk() returns a shared_ptr. The cache's residency
 // accounting covers cache-owned entries only (buffer-pool style) — a caller
@@ -60,7 +60,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "geom/bbox.h"
 #include "geom/point.h"
 #include "geom/segment.h"
 #include "traj/segment_store.h"
@@ -134,7 +133,6 @@ class ChunkedSegmentStore {
   geom::TrajectoryId trajectory_id(size_t i) const {
     return trajectory_id_[i];
   }
-  const geom::BBox& bbox(size_t i) const { return bbox_[i]; }
 
   const std::vector<double>& lengths() const { return length_; }
   const std::vector<double>& half_lengths() const { return half_length_; }
@@ -142,7 +140,6 @@ class ChunkedSegmentStore {
   const std::vector<geom::TrajectoryId>& trajectory_ids() const {
     return trajectory_id_;
   }
-  const std::vector<geom::BBox>& bboxes() const { return bbox_; }
   /// Flat midpoint coordinate columns (zero-filled for d ≥ dims()), the
   /// substrate of the catalog-side triangle-inequality prune.
   const std::vector<double>& midpoint_coords(int d) const {
@@ -157,6 +154,12 @@ class ChunkedSegmentStore {
   /// global index chunk_begin(c) + i; every column is a bit-exact slice of
   /// the monolithic store.
   common::Result<std::shared_ptr<const SegmentStore>> Chunk(size_t c) const
+      TRACLUS_EXCLUDES(mu_);
+
+  /// Chunk c's store if the reader cache owns it, else null; never faults.
+  /// A hit touches c's LRU entry exactly as a hit of Chunk() does, so a
+  /// caller can pin the resident chunks it needs before faulting the rest.
+  std::shared_ptr<const SegmentStore> ResidentChunk(size_t c) const
       TRACLUS_EXCLUDES(mu_);
 
   /// Chunk stores currently owned by the reader cache.
@@ -194,6 +197,11 @@ class ChunkedSegmentStore {
   common::Status LoadRaw(size_t c, std::vector<geom::Segment>* out) const
       TRACLUS_REQUIRES(mu_);
 
+  /// The cache-owned store of chunk c, moved to the LRU front; null on a
+  /// miss.
+  std::shared_ptr<const SegmentStore> TouchLocked(size_t c) const
+      TRACLUS_REQUIRES(mu_);
+
   ChunkedStoreOptions options_;
   bool finalized_ = false;
   size_t size_ = 0;
@@ -206,7 +214,6 @@ class ChunkedSegmentStore {
   std::vector<double> weight_;
   std::vector<geom::SegmentId> id_;
   std::vector<geom::TrajectoryId> trajectory_id_;
-  std::vector<geom::BBox> bbox_;
   std::array<std::vector<double>, geom::kMaxDims> midpoint_c_;
 
   // Payload chunks (chunks_.back() is the open chunk until sealed). Mutated

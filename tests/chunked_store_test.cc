@@ -112,8 +112,6 @@ TEST(ChunkedStoreTest, ChunksAreBitExactSlicesOfTheMonolithicStore) {
       EXPECT_EQ(store.id(i), mono.id(i));
       EXPECT_EQ(store.trajectory_id(i), mono.trajectory_id(i));
       for (int d = 0; d < mono.dims(); ++d) {
-        EXPECT_EQ(store.bbox(i).lo(d), mono.bbox(i).lo(d));
-        EXPECT_EQ(store.bbox(i).hi(d), mono.bbox(i).hi(d));
         EXPECT_EQ(store.midpoint_coords(d)[i], mono.midpoint_coords(d)[i]);
       }
     }
@@ -228,6 +226,41 @@ TEST(ChunkedStoreTest, ChunkFaultsCountCacheMisses) {
   // Merge streams every chunk without entering the cache.
   ASSERT_TRUE(store.Merge().ok());
   EXPECT_EQ(store.chunk_faults(), 5u);
+}
+
+TEST(ChunkedStoreTest, ResidentChunkPinsOnlyCachedChunksAndNeverFaults) {
+  ChunkedStoreOptions options;
+  options.chunk_capacity = 4;
+  options.max_resident_chunks = 2;
+  ChunkedSegmentStore store(options);
+  const auto segments = RandomSegments(12, 9);
+  const SegmentStore mono(segments);
+  ASSERT_TRUE(store.AppendAll(segments).ok());
+  ASSERT_TRUE(store.Finalize().ok());
+
+  // Nothing is cached yet: every chunk is spilled, and asking never faults.
+  for (size_t c = 0; c < store.num_chunks(); ++c) {
+    EXPECT_EQ(store.ResidentChunk(c), nullptr) << "chunk " << c;
+  }
+  EXPECT_EQ(store.chunk_faults(), 0u);
+  EXPECT_EQ(store.resident_chunks(), 0u);
+
+  ASSERT_TRUE(store.Chunk(0).ok());
+  ASSERT_TRUE(store.Chunk(1).ok());
+  const auto resident = store.ResidentChunk(0);
+  ASSERT_NE(resident, nullptr);
+  ExpectChunkIsExactSlice(*resident, store.chunk_begin(0), mono);
+  EXPECT_EQ(store.ResidentChunk(2), nullptr);
+  EXPECT_EQ(store.chunk_faults(), 2u);
+
+  // The hit touched chunk 0, so faulting chunk 2 evicts chunk 1, not 0.
+  ASSERT_TRUE(store.Chunk(2).ok());
+  EXPECT_EQ(store.chunk_faults(), 3u);
+  EXPECT_NE(store.ResidentChunk(0), nullptr);
+  EXPECT_EQ(store.ResidentChunk(1), nullptr);
+  EXPECT_NE(store.ResidentChunk(2), nullptr);
+  EXPECT_EQ(store.chunk_faults(), 3u);
+  EXPECT_LE(store.peak_resident_chunks(), 2u);
 }
 
 TEST(ChunkedStoreTest, CacheHitsKeepThePinnedChunkAlive) {

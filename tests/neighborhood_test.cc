@@ -326,6 +326,22 @@ TEST(GridNeighborhoodIndexTest, NeighborsBatchMatchesPerQuery) {
 
 // --- ChunkedNeighborhood: chunk-major batches over a capped store ---------
 
+traj::SegmentStore Random3d(size_t n, double world, double max_len,
+                            uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Segment> segs;
+  for (size_t i = 0; i < n; ++i) {
+    const Point s(rng.Uniform(0, world), rng.Uniform(0, world),
+                  rng.Uniform(0, world));
+    const Point e(s.x() + rng.Uniform(-max_len, max_len),
+                  s.y() + rng.Uniform(-max_len, max_len),
+                  s.z() + rng.Uniform(-max_len, max_len));
+    segs.emplace_back(s, e, static_cast<geom::SegmentId>(i),
+                      static_cast<geom::TrajectoryId>(i % 5));
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
 std::unique_ptr<traj::ChunkedSegmentStore> Chunked(
     const traj::SegmentStore& segs, size_t chunk_capacity, size_t cap) {
   traj::ChunkedStoreOptions options;
@@ -376,7 +392,7 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
 
       const auto store = Chunked(segs, kCapacity, kCap);
       ASSERT_GT(store->num_chunks(), kCap);
-      const ChunkedNeighborhood chunked(*store, dist, use_index, 0.0, kernel);
+      const ChunkedNeighborhood chunked(*store, dist, use_index, kernel);
 
       std::vector<size_t> shuffled(segs.size());
       std::iota(shuffled.begin(), shuffled.end(), size_t{0});
@@ -390,8 +406,11 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
         every_chunk.push_back(store->chunk_begin(c) + c % 5);
       }
       every_chunk.push_back(segs.size() - 1);
+      // Repeats of one query, in one Morton block and across blocks.
+      const size_t last = segs.size() - 1;
+      const std::vector<size_t> repeats = {7, 7, last, 7, last, 0, 7};
 
-      for (const auto& queries : {shuffled, one_chunk, every_chunk,
+      for (const auto& queries : {shuffled, one_chunk, every_chunk, repeats,
                                   std::vector<size_t>{}}) {
         for (const int threads : {1, 4}) {
           const auto lists =
@@ -420,6 +439,40 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
 TEST(ChunkedNeighborhoodTest, BatchesMatchTheMonolithicProviders) {
   const auto segs = RandomSegments(300, 60, 5, 71);
   ExpectBatchesMatchMonolithic(segs, SegmentDistance(), 5.0);
+}
+
+TEST(ChunkedNeighborhoodTest, BatchesMatchIn3d) {
+  ExpectBatchesMatchMonolithic(Random3d(250, 40, 6, 74), SegmentDistance(),
+                               5.0);
+}
+
+TEST(ChunkedNeighborhoodTest, BatchesMatchWithCoincidentMidpoints) {
+  // Every midpoint is exactly (3, 4): the Morton box has zero extent, every
+  // key ties, and every block's midpoint MBR is one point, so only the
+  // half-lengths and the exact distance tell the segments apart.
+  common::Rng rng(75);
+  std::vector<Segment> segs;
+  for (size_t i = 0; i < 170; ++i) {
+    // Multiples of 1/64 keep 3 ± dx and 4 ± dy exact.
+    const double dx = static_cast<double>(rng.UniformInt(-320, 320)) / 64;
+    const double dy = static_cast<double>(rng.UniformInt(-320, 320)) / 64;
+    segs.emplace_back(Point(3 - dx, 4 - dy), Point(3 + dx, 4 + dy),
+                      static_cast<geom::SegmentId>(i),
+                      static_cast<geom::TrajectoryId>(i % 7));
+  }
+  const traj::SegmentStore store(std::move(segs));
+  for (size_t i = 0; i < store.size(); ++i) {
+    ASSERT_EQ(store.midpoint(i).x(), 3.0);
+    ASSERT_EQ(store.midpoint(i).y(), 4.0);
+  }
+  ExpectBatchesMatchMonolithic(store, SegmentDistance(), 2.0);
+}
+
+TEST(ChunkedNeighborhoodTest, BatchesMatchOffTheBlockAndChunkGrid) {
+  // 233 = 14·16 + 9 = 5·40 + 33: a short last Morton block and a short last
+  // chunk.
+  ExpectBatchesMatchMonolithic(RandomSegments(233, 60, 5, 76),
+                               SegmentDistance(), 5.0);
 }
 
 TEST(ChunkedNeighborhoodTest, ZeroWeightGridScansWholeChunks) {
@@ -463,6 +516,10 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
     // The bound is far below the one-fault-per-query regime.
     EXPECT_LT(bound, segs.size());
     EXPECT_LE(store->chunk_faults(), bound);
+    // Pinning each window in walk order took 98 faults here (30 batches):
+    // a fault could evict a resident chunk the same window still needed.
+    // Pinning the resident chunks first takes 63.
+    EXPECT_LT(store->chunk_faults(), 98u);
     EXPECT_LE(store->peak_resident_chunks(), 7u);
     faults.push_back(store->chunk_faults());
   }
@@ -478,22 +535,6 @@ struct JoinCase {
   SegmentDistanceConfig config;
   std::vector<double> eps;
 };
-
-traj::SegmentStore Random3d(size_t n, double world, double max_len,
-                            uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<Segment> segs;
-  for (size_t i = 0; i < n; ++i) {
-    const Point s(rng.Uniform(0, world), rng.Uniform(0, world),
-                  rng.Uniform(0, world));
-    const Point e(s.x() + rng.Uniform(-max_len, max_len),
-                  s.y() + rng.Uniform(-max_len, max_len),
-                  s.z() + rng.Uniform(-max_len, max_len));
-    segs.emplace_back(s, e, static_cast<geom::SegmentId>(i),
-                      static_cast<geom::TrajectoryId>(i % 5));
-  }
-  return traj::SegmentStore(std::move(segs));
-}
 
 // Copies of a few segments under fresh ids, plus zero-length segments, some
 // of them on top of each other.
@@ -627,6 +668,8 @@ TEST(TileJoinPropertyTest, EveryConfigurationMatchesThePerPairOracle) {
   for (const JoinCase& c : JoinCases()) {
     const SegmentDistance dist(c.config);
     const size_t n = c.store.size();
+    // The same join over the catalog of a capped chunked store.
+    const auto capped = Chunked(c.store, 40, 3);
     std::vector<size_t> queries(n);
     std::iota(queries.begin(), queries.end(), size_t{0});
     std::shuffle(queries.begin(), queries.end(), std::mt19937_64(n));
@@ -659,6 +702,15 @@ TEST(TileJoinPropertyTest, EveryConfigurationMatchesThePerPairOracle) {
             }
             for (const size_t i : {size_t{0}, n / 2, n - 1}) {
               EXPECT_EQ(join.Neighbors(i, eps), expect[i]) << "query " << i;
+            }
+            const ChunkedNeighborhood chunked(*capped, dist, use_index,
+                                              kernel);
+            EXPECT_EQ(chunked.AllNeighbors(eps, pool), expect);
+            const auto chunked_batch =
+                chunked.NeighborsBatch(queries, eps, pool);
+            for (size_t k = 0; k < queries.size(); ++k) {
+              EXPECT_EQ(chunked_batch[k], expect[queries[k]])
+                  << "chunked query " << queries[k];
             }
           }
         }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -407,6 +409,133 @@ TEST(StreamingRunTest, BruteForceProviderAlsoMatchesUnderResidencyCap) {
   EXPECT_LE(streamed->chunked_store->peak_resident_chunks(), 2u);
   EXPECT_EQ(streamed->clustering.labels, eager->clustering.labels);
   EXPECT_EQ(streamed->clustering.num_noise, eager->clustering.num_noise);
+}
+
+// ---------------------------------------------------------------------------
+// Knobs a capped run cannot honor are errors, not no-ops.
+// ---------------------------------------------------------------------------
+
+DbscanGroupOptions SmallHurricaneGroup() {
+  DbscanGroupOptions group;
+  group.eps = 0.94;
+  group.min_lns = 5;
+  return group;
+}
+
+traj::TrajectoryDatabase SmallHurricanes() {
+  datagen::HurricaneConfig gen;
+  gen.num_trajectories = 40;
+  return datagen::GenerateHurricanes(gen);
+}
+
+RunContext CappedContext() {
+  RunContext ctx;
+  ctx.chunk_capacity = 64;
+  ctx.max_resident_chunks = 2;
+  return ctx;
+}
+
+TEST(StreamingRunTest, CappedRunRejectsANeighborCacheDirectory) {
+  // The capped grouping path builds no file cache, so a directory from the
+  // run context or from the engine default fails before ingest and is
+  // never created.
+  const auto db = SmallHurricanes();
+  const std::string dir = ::testing::TempDir() + "streaming_capped_nbcache";
+  std::filesystem::remove_all(dir);
+
+  const auto plain =
+      TraclusEngine::Builder().UseDbscanGrouping(SmallHurricaneGroup()).Build();
+  ASSERT_TRUE(plain.ok());
+  RunContext with_dir = CappedContext();
+  with_dir.neighbor_cache_dir = dir;
+  traj::DatabaseSource source(db);
+  const auto run = plain->Run(source, with_dir);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("neighbor_cache_dir"),
+            std::string::npos)
+      << run.status().ToString();
+
+  const auto cached = TraclusEngine::Builder()
+                          .UseDbscanGrouping(SmallHurricaneGroup())
+                          .WithNeighborCache(dir)
+                          .Build();
+  ASSERT_TRUE(cached.ok());
+  traj::DatabaseSource again(db);
+  const auto default_dir = cached->Run(again, CappedContext());
+  ASSERT_FALSE(default_dir.ok());
+  EXPECT_EQ(default_dir.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+
+  // An uncapped streaming run groups the merged store and uses the cache.
+  RunContext uncapped;
+  uncapped.chunk_capacity = 64;
+  traj::DatabaseSource third(db);
+  ASSERT_TRUE(cached->Run(third, uncapped).ok());
+  EXPECT_TRUE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(dir);
+}
+
+// A representative stage without a capped path (inherits RunChunked).
+class EagerOnlyRepresentatives : public RepresentativeStage {
+ public:
+  const char* name() const override { return "represent/eager-only"; }
+  common::Result<std::vector<traj::Trajectory>> Run(
+      const traj::SegmentStore& /*store*/,
+      const cluster::ClusteringResult& /*clustering*/,
+      const RunContext& /*ctx*/) const override {
+    return std::vector<traj::Trajectory>{};
+  }
+};
+
+TEST(StreamingRunTest, CappedRunRejectsStagesWithoutACappedPath) {
+  // OPTICS, sieve and sharded grouping have no RunChunked path; merging the
+  // chunks would break the cap, so a capped run names the stage and fails.
+  const auto db = SmallHurricanes();
+  OpticsGroupOptions optics;
+  optics.eps = 0.94;
+  optics.min_lns = 5;
+  SieveGroupOptions sieve;
+  sieve.eps = 0.94;
+  ShardedGroupOptions sharded;
+  sharded.eps = 0.94;
+  sharded.min_lns = 5;
+  const std::vector<std::pair<std::string, common::Result<TraclusEngine>>>
+      engines = {
+          {"group/optics",
+           TraclusEngine::Builder().UseOpticsGrouping(optics).Build()},
+          {"group/sieve+",
+           TraclusEngine::Builder()
+               .UseDbscanGrouping(SmallHurricaneGroup())
+               .WithSieveGrouping(sieve)
+               .Build()},
+          {"group/sharded+",
+           TraclusEngine::Builder()
+               .UseDbscanGrouping(SmallHurricaneGroup())
+               .WithShardedGrouping(sharded)
+               .Build()},
+          {"represent/eager-only",
+           TraclusEngine::Builder()
+               .UseDbscanGrouping(SmallHurricaneGroup())
+               .SetRepresentativeStage(
+                   std::make_shared<EagerOnlyRepresentatives>())
+               .Build()},
+      };
+  for (const auto& [stage, engine] : engines) {
+    SCOPED_TRACE(stage);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    traj::DatabaseSource source(db);
+    const auto run = engine->Run(source, CappedContext());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kUnimplemented);
+    EXPECT_NE(run.status().message().find("'" + stage), std::string::npos)
+        << run.status().ToString();
+    // Uncapped, the same engine runs.
+    traj::DatabaseSource again(db);
+    RunContext uncapped;
+    uncapped.chunk_capacity = 64;
+    EXPECT_TRUE(engine->Run(again, uncapped).ok());
+  }
 }
 
 }  // namespace

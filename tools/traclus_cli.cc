@@ -28,6 +28,10 @@
 // Exit code 0 on success, 1 on usage/configuration errors, 2 on IO/parse
 // errors.
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,9 +65,18 @@ struct Args {
   std::map<std::string, std::string> options;
   std::map<std::string, bool> switches;
 
+  /// Numeric flags are checked by CheckNumericFlags before any command
+  /// runs, so the value parses completely here.
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return it == options.end() ? fallback
+                               : std::strtod(it->second.c_str(), nullptr);
+  }
+  /// A count flag's integer value, exactly as CheckNumericFlags accepted it.
+  long long GetCount(const std::string& key, long long fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback
+                               : std::strtoll(it->second.c_str(), nullptr, 10);
   }
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const {
@@ -94,6 +108,44 @@ Args Parse(int argc, char** argv, const std::vector<std::string>& value_flags) {
     }
   }
   return args;
+}
+
+// Every numeric flag must parse completely as a finite number. Count flags
+// must be integers, non-negative except --threads (negative = all hardware
+// threads), and --threads and --grid must fit an int.
+common::Status CheckNumericFlags(const Args& args) {
+  static const std::set<std::string> kReals = {"suppression", "eps-lo",
+                                               "eps-hi", "eps", "min-lns"};
+  static const std::set<std::string> kCounts = {
+      "threads", "chunk-size",   "max-resident", "shards",
+      "sieve",   "sieve-offset", "seed",         "grid"};
+  for (const auto& [key, value] : args.options) {
+    const bool count = kCounts.count(key) > 0;
+    if (!count && kReals.count(key) == 0) continue;
+    const char* text = value.c_str();
+    char* end = nullptr;
+    errno = 0;
+    bool ok = false;
+    if (count) {
+      const long long v = std::strtoll(text, &end, 10);
+      const bool int_sized = key == "threads" || key == "grid";
+      ok = errno == 0 && (key == "threads" || v >= 0) &&
+           (!int_sized || (v >= INT_MIN && v <= INT_MAX));
+    } else {
+      ok = std::isfinite(std::strtod(text, &end));
+    }
+    // The whole value, with no leading blank (which strtod would skip).
+    ok = ok && end != text && *end == '\0' &&
+         !std::isspace(static_cast<unsigned char>(*text));
+    if (!ok) {
+      const char* expected = !count             ? "a finite number"
+                             : key == "threads" ? "an integer"
+                                                : "a non-negative integer";
+      return common::Status::InvalidArgument(
+          "--" + key + " must be " + expected + ", got '" + value + "'");
+    }
+  }
+  return common::Status::OK();
 }
 
 int Usage() {
@@ -212,9 +264,9 @@ core::RunContext MakeContext(const Args& args,
   ctx.distance_kernel = kernel;
   ctx.neighbor_cache_dir = args.GetString("neighbor-cache");
   // Harmless outside `cluster` (only a Sieve/ShardedGroupStage reads these).
-  ctx.sieve = static_cast<size_t>(args.GetDouble("sieve", 0));
-  ctx.sieve_offset = static_cast<size_t>(args.GetDouble("sieve-offset", 0));
-  ctx.shards = static_cast<size_t>(args.GetDouble("shards", 0));
+  ctx.sieve = static_cast<size_t>(args.GetCount("sieve", 0));
+  ctx.sieve_offset = static_cast<size_t>(args.GetCount("sieve-offset", 0));
+  ctx.shards = static_cast<size_t>(args.GetCount("shards", 0));
   return ctx;
 }
 
@@ -222,8 +274,7 @@ int CmdGenerate(const Args& args) {
   if (args.positional.size() < 2) return Usage();
   const std::string& kind = args.positional[0];
   const std::string& out = args.positional[1];
-  const uint64_t seed =
-      static_cast<uint64_t>(args.GetDouble("seed", 0));
+  const uint64_t seed = static_cast<uint64_t>(args.GetCount("seed", 0));
 
   traj::TrajectoryDatabase db;
   if (kind == "hurricane") {
@@ -291,7 +342,7 @@ int CmdPartition(const Args& args) {
   }
   core::TraclusConfig cfg;
   cfg.partition.suppression_bits = args.GetDouble("suppression", 0.0);
-  cfg.num_threads = static_cast<int>(args.GetDouble("threads", 0));
+  cfg.num_threads = static_cast<int>(args.GetCount("threads", 0));
   const auto engine = core::TraclusEngine::FromConfig(cfg);
   if (!engine.ok()) return FailWith(engine.status());
   const auto partitioned =
@@ -331,7 +382,7 @@ int CmdEstimate(const Args& args) {
     return 2;
   }
   core::TraclusConfig base;
-  base.num_threads = static_cast<int>(args.GetDouble("threads", 0));
+  base.num_threads = static_cast<int>(args.GetCount("threads", 0));
   const auto engine = core::TraclusEngine::FromConfig(base);
   if (!engine.ok()) return FailWith(engine.status());
   const auto partitioned =
@@ -342,7 +393,7 @@ int CmdEstimate(const Args& args) {
   params::HeuristicOptions opt;
   opt.eps_lo = args.GetDouble("eps-lo", 0.25);
   opt.eps_hi = args.GetDouble("eps-hi", 40.0);
-  opt.grid_points = static_cast<int>(args.GetDouble("grid", 60));
+  opt.grid_points = static_cast<int>(args.GetCount("grid", 60));
   opt.num_threads = base.num_threads;
   opt.kernel = *kernel;
   const auto est = params::EstimateParameters(store, dist, opt);
@@ -377,6 +428,21 @@ int CmdCluster(const Args& args) {
                  "with --stream\n");
     return 1;
   }
+  if (args.GetCount("max-resident", 0) > 0) {
+    // A residency-capped run groups through DBSCAN's chunked path alone: it
+    // builds no neighbor-cache file, and the sieve and sharded stages have
+    // no capped path (the engine would refuse them after ingest). Refused
+    // are exactly the values that enable those features below.
+    const char* flag = nullptr;
+    if (!args.GetString("neighbor-cache").empty()) flag = "--neighbor-cache";
+    if (args.GetCount("shards", 0) >= 2) flag = "--shards";
+    if (args.GetCount("sieve", 0) >= 2) flag = "--sieve";
+    if (flag != nullptr) {
+      return FailWith(common::Status::InvalidArgument(
+          std::string(flag) + " does not apply to a --max-resident "
+          "(residency-capped) run"));
+    }
+  }
   const std::string snapshot_path = args.GetString("save-snapshot");
   if (!snapshot_path.empty() && args.options.count("max-resident") > 0) {
     // A residency-capped run leaves result.store empty on purpose; the
@@ -407,8 +473,8 @@ int CmdCluster(const Args& args) {
   builder.UseMdlPartitioning(partition)
       .UseDbscanGrouping(group)
       .UseSweepRepresentatives(reps_options)
-      .SetDefaultNumThreads(static_cast<int>(args.GetDouble("threads", 0)));
-  const size_t shards = static_cast<size_t>(args.GetDouble("shards", 0));
+      .SetDefaultNumThreads(static_cast<int>(args.GetCount("threads", 0)));
+  const size_t shards = static_cast<size_t>(args.GetCount("shards", 0));
   if (shards >= 2) {
     // Sharded grouping: cell-grid decomposition, per-shard DBSCAN, halo
     // merge. Applied before the sieve wrap so a combined run shards the
@@ -421,7 +487,7 @@ int CmdCluster(const Args& args) {
     shard_options.distance = group.distance;
     builder.WithShardedGrouping(shard_options);
   }
-  const size_t sieve = static_cast<size_t>(args.GetDouble("sieve", 0));
+  const size_t sieve = static_cast<size_t>(args.GetCount("sieve", 0));
   if (sieve >= 2) {
     // Sieve-sampled grouping: cluster 1-in-k trajectories, assign the rest
     // to the nearest cluster. Same ε and distance as the DBSCAN backend so
@@ -444,9 +510,9 @@ int CmdCluster(const Args& args) {
     traj::RequireSegmentsSource checked(**source);
     core::RunContext ctx = MakeContext(args, *kernel);
     ctx.chunk_capacity =
-        static_cast<size_t>(args.GetDouble("chunk-size", 0));
+        static_cast<size_t>(args.GetCount("chunk-size", 0));
     ctx.max_resident_chunks =
-        static_cast<size_t>(args.GetDouble("max-resident", 0));
+        static_cast<size_t>(args.GetCount("max-resident", 0));
     run = engine->Run(checked, ctx);
     // Mid-stream ingest failures are the streaming twin of an eager load
     // failure: IO/parse problems exit 2, like the loader below. (Config
@@ -584,7 +650,7 @@ int CmdAssign(const Args& args) {
 
   core::AssignOptions options;
   options.kernel = *kernel;
-  options.num_threads = static_cast<int>(args.GetDouble("threads", 1));
+  options.num_threads = static_cast<int>(args.GetCount("threads", 1));
 
   const std::string labels = args.GetString("labels");
   std::ofstream f;
@@ -632,6 +698,8 @@ int main(int argc, char** argv) {
       "sieve",   "sieve-offset", "shards",  "neighbor-cache",
       "save-snapshot"};
   const Args args = Parse(argc - 2, argv + 2, value_flags);
+  const common::Status numeric = CheckNumericFlags(args);
+  if (!numeric.ok()) return FailWith(numeric);
   if (cmd == "generate") return CmdGenerate(args);
   if (cmd == "stats") return CmdStats(args);
   if (cmd == "partition") return CmdPartition(args);
