@@ -12,10 +12,29 @@ namespace traclus::cluster {
 
 namespace {
 
+// The low 64 / dims bits of x spread `dims` bits apart (bit b to bit
+// dims·b), by the usual mask-and-shift steps.
+uint64_t SpreadBits(uint64_t x, int dims) {
+  if (dims == 3) {
+    x &= 0x1fffffULL;
+    x = (x | x << 32) & 0x1f00000000ffffULL;
+    x = (x | x << 16) & 0x1f0000ff0000ffULL;
+    x = (x | x << 8) & 0x100f00f00f00f00fULL;
+    x = (x | x << 4) & 0x10c30c30c30c30c3ULL;
+    return (x | x << 2) & 0x1249249249249249ULL;
+  }
+  x &= 0xffffffffULL;
+  x = (x | x << 16) & 0x0000ffff0000ffffULL;
+  x = (x | x << 8) & 0x00ff00ff00ff00ffULL;
+  x = (x | x << 4) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | x << 2) & 0x3333333333333333ULL;
+  return (x | x << 1) & 0x5555555555555555ULL;
+}
+
 // Morton (Z-order) keys of the midpoints: each axis quantized to `bits` bits
 // over the midpoints' bounding box, then interleaved from the most
-// significant bit down. A non-finite midpoint sorts last. The key only
-// orders the layout; no result depends on it.
+// significant bit down, axis 0 first. A non-finite midpoint sorts last. The
+// key only orders the layout; no result depends on it.
 std::vector<uint64_t> MortonKeys(size_t n, int dims, const double* const* mid) {
   const int bits = 64 / dims;
   const double cells = std::ldexp(1.0, bits) - 1.0;
@@ -33,21 +52,17 @@ std::vector<uint64_t> MortonKeys(size_t n, int dims, const double* const* mid) {
   }
   std::vector<uint64_t> keys(n, ~uint64_t{0});
   for (size_t i = 0; i < n; ++i) {
-    uint64_t q[geom::kMaxDims];
+    uint64_t key = 0;
     bool finite = true;
     for (int d = 0; d < dims; ++d) {
       const double x = mid[d][i];
       finite = finite && std::isfinite(x);
-      q[d] = finite ? static_cast<uint64_t>(
-                          std::min(cells, (x - lo[d]) * scale[d]))
-                    : 0;
+      const uint64_t q =
+          finite ? static_cast<uint64_t>(std::min(cells, (x - lo[d]) * scale[d]))
+                 : 0;
+      key = (key << 1) | SpreadBits(q, dims);
     }
-    if (!finite) continue;
-    uint64_t key = 0;
-    for (int b = bits - 1; b >= 0; --b) {
-      for (int d = 0; d < dims; ++d) key = (key << 1) | ((q[d] >> b) & 1);
-    }
-    keys[i] = key;
+    if (finite) keys[i] = key;
   }
   return keys;
 }
@@ -63,15 +78,20 @@ BlockLayout::BlockLayout(size_t n, int dims, const double* const* mid,
                          const double* half)
     : BlockLayout(n) {
   dims_ = dims;
+  // (key, index) pairs sort without the indirection of a key lookup per
+  // comparison; ties stay in index order.
   const std::vector<uint64_t> keys = MortonKeys(n, dims, mid);
-  std::sort(order_.begin(), order_.end(), [&keys](size_t a, size_t b) {
-    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-  });
-  for (size_t p = 0; p < n; ++p) rank_[order_[p]] = p;
+  std::vector<std::pair<uint64_t, size_t>> sorted(n);
+  for (size_t i = 0; i < n; ++i) sorted[i] = {keys[i], i};
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t p = 0; p < n; ++p) {
+    order_[p] = sorted[p].second;
+    rank_[order_[p]] = p;
+  }
 
   const double inf = std::numeric_limits<double>::infinity();
   for (size_t first = 0; first < n; first += kBlock) {
-    Block b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0};
+    Box b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0};
     double probe = 0.0;  // Sums every input: non-finite if any one is.
     for (size_t p = first; p < std::min(n, first + kBlock); ++p) {
       const size_t i = order_[p];
@@ -115,7 +135,9 @@ void BlockLayout::ForEachGroup(const std::vector<Entry>& entries,
   pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
     std::vector<distance::IndexRun> runs;
     for (size_t g = lo; g < hi; ++g) {
-      CandidateRuns(entries[groups[g]].first / kBlock, reach, runs);
+      // Without blocks every group gets one run over all positions.
+      const size_t a = entries[groups[g]].first / kBlock;
+      CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, runs);
       visit(runs, groups[g], groups[g + 1]);
     }
   });
@@ -128,26 +150,66 @@ std::vector<double> BlockLayout::Permuted(
   return out;
 }
 
-void BlockLayout::CandidateRuns(size_t a, double reach,
+// A counting sort through a bitmap of the segment indices (one word per 64),
+// since a comparison sort took about a third of the 1-thread elk-half join.
+// One pass maps and marks, and only the words between the smallest and the
+// largest index are read back.
+void BlockLayout::ToSortedIndices(std::vector<size_t>& list,
+                                  std::vector<uint64_t>& bits) const {
+  if (list.empty()) return;
+  const size_t words = (order_.size() + 63) / 64;
+  if (bits.size() < words) bits.resize(words, 0);
+  size_t lo = order_.size();
+  size_t hi = 0;
+  for (const size_t p : list) {
+    const size_t i = order_[p];
+    lo = std::min(lo, i);
+    hi = std::max(hi, i);
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  size_t kept = 0;
+  for (size_t w = lo / 64; w <= hi / 64; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      list[kept++] = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
+    }
+    bits[w] = 0;
+  }
+  list.resize(kept);
+}
+
+void BlockLayout::SegmentRuns(const double* mid, double half, double reach,
+                              std::vector<distance::IndexRun>& runs) const {
+  Box q;
+  q.hmax = half;
+  double probe = half;  // Non-finite if any input is, as for a block.
+  for (int d = 0; d < dims_; ++d) {
+    q.lo[d] = q.hi[d] = mid[d];
+    probe += mid[d];
+  }
+  if (!std::isfinite(probe)) q.hmax = std::numeric_limits<double>::infinity();
+  CandidateRuns(q, reach, runs);
+}
+
+void BlockLayout::CandidateRuns(const Box& q, double reach,
                                 std::vector<distance::IndexRun>& runs) const {
   runs.clear();
   const size_t n = order_.size();
-  if (blocks_.empty() || std::isinf(reach)) {
+  // An infinite reach or hmax skips nothing: one run over every position.
+  if (blocks_.empty() || std::isinf(reach) || std::isinf(q.hmax)) {
     runs.push_back({0, n});
     return;
   }
-  const Block& qa = blocks_[a];
   for (size_t b = 0; b < blocks_.size(); ++b) {
-    const Block& cb = blocks_[b];
+    const Box& cb = blocks_[b];
     // Squared mindist of the two midpoint MBRs, summed in dimension order
     // like the per-pair midpoint distance it bounds from below.
     double mind_sq = 0.0;
     for (int d = 0; d < dims_; ++d) {
       const double gap =
-          std::max({0.0, cb.lo[d] - qa.hi[d], qa.lo[d] - cb.hi[d]});
+          std::max({0.0, cb.lo[d] - q.hi[d], q.lo[d] - cb.hi[d]});
       mind_sq += gap * gap;
     }
-    if (distance::ProvablyFar(mind_sq, reach, qa.hmax, cb.hmax)) continue;
+    if (distance::ProvablyFar(mind_sq, reach, q.hmax, cb.hmax)) continue;
     const size_t first = b * kBlock;
     const size_t last = std::min(n, first + kBlock);
     if (!runs.empty() && runs.back().last == first) {

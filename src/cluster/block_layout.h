@@ -1,21 +1,27 @@
 #ifndef TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
 #define TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
 
-// The block index of the ε-join (Lemma 3), shared by the eager join
-// (cluster::TileJoin) and the chunked provider (cluster::ChunkedNeighborhood).
-// It sorts the segments by the Morton key of their midpoints and cuts that
-// order into blocks of kBlock positions, each carrying its midpoint MBR and
-// largest half-length. It reads only midpoint_coords(d) and half_lengths(),
-// which traj::SegmentStore and traj::ChunkedSegmentStore expose under the
-// same names with bit-identical values, so both get the same layout.
+// The block index of the ε-query (Lemma 3), shared by the eager join
+// (cluster::TileJoin), the chunked provider (cluster::ChunkedNeighborhood)
+// and snapshot serving (core::ClusterSnapshot::AssignSegments). It sorts the
+// segments by the Morton key of their midpoints and cuts that order into
+// blocks of kBlock positions, each carrying its midpoint MBR and largest
+// half-length. It reads only midpoint_coords(d) and half_lengths(), which
+// traj::SegmentStore and traj::ChunkedSegmentStore expose under the same
+// names with bit-identical values, so both get the same layout.
 //
-// Block b is skipped for the queries of block a when
-//   c·(mindist(midMBR_a, midMBR_b) − hmax_a − hmax_b) > ε
-// (distance::ProvablyFar, with the margin of the per-pair prune). Each input
-// bounds its per-pair counterpart monotonically, so a skipped block holds
-// only candidates the per-pair prune would drop.
+// A query box (a midpoint MBR and a largest half-length hmax_q) skips block b
+// when
+//   c·(mindist(midMBR_q, midMBR_b) − hmax_q − hmax_b) > ε
+// (distance::ProvablyFar, with the margin of the per-pair prune). The joins
+// test block a of the layout as the query box of its own segments; serving
+// tests an outside segment as the degenerate box of its midpoint, with its
+// half-length as hmax_q. Each input bounds its per-pair counterpart
+// monotonically, so a skipped block holds only candidates the per-pair prune
+// would drop.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -57,6 +63,12 @@ class BlockLayout {
   /// `column` (indexed by segment) gathered into position order.
   std::vector<double> Permuted(const std::vector<double>& column) const;
 
+  /// Replaces the distinct positions in `list` by their segment indices, in
+  /// ascending order. `bits` is scratch the caller keeps across calls (left
+  /// zeroed).
+  void ToSortedIndices(std::vector<size_t>& list,
+                       std::vector<uint64_t>& bits) const;
+
   /// A query: (its position, the output slot of its list).
   using Entry = std::pair<size_t, size_t>;
   using GroupFn = std::function<void(const std::vector<distance::IndexRun>&,
@@ -72,8 +84,16 @@ class BlockLayout {
   void ForEachGroup(const std::vector<Entry>& entries, double reach,
                     common::ThreadPool& pool, const GroupFn& visit) const;
 
+  /// Sets `runs` to the positions in the blocks not skipped at `reach` for a
+  /// segment outside the layout with midpoint mid[0 .. dims) and half-length
+  /// `half`: all of them without blocks, at reach +inf, or when the midpoint
+  /// or half-length is non-finite.
+  void SegmentRuns(const double* mid, double half, double reach,
+                   std::vector<distance::IndexRun>& runs) const;
+
  private:
-  struct Block {
+  // A query box, and what each block carries about its own midpoints.
+  struct Box {
     double lo[geom::kMaxDims];  // Midpoint MBR.
     double hi[geom::kMaxDims];
     double hmax;  // Largest half-length; +inf when anything is non-finite.
@@ -81,13 +101,13 @@ class BlockLayout {
 
   BlockLayout(size_t n, int dims, const double* const* mid,
               const double* half);
-  void CandidateRuns(size_t a, double reach,
+  void CandidateRuns(const Box& q, double reach,
                      std::vector<distance::IndexRun>& runs) const;
 
   int dims_ = 2;
   std::vector<size_t> order_;
   std::vector<size_t> rank_;  // Segment index → position.
-  std::vector<Block> blocks_;
+  std::vector<Box> blocks_;
 };
 
 }  // namespace traclus::cluster

@@ -150,38 +150,6 @@ std::vector<std::vector<size_t>> NeighborhoodCache::NeighborsBatch(
   return lists;
 }
 
-namespace {
-
-// Maps a list of layout positions to segment indices in ascending order
-// through a bitmap of the index span the list covers (one word per 64
-// indices, left zeroed for the next list): a counting sort, since a
-// comparison sort took about a third of the 1-thread elk-half join.
-void ToSortedIndices(const std::vector<size_t>& order,
-                     std::vector<size_t>& list, std::vector<uint64_t>& bits) {
-  if (list.empty()) return;
-  size_t lo = order[list.front()];
-  size_t hi = lo;
-  for (size_t& p : list) {
-    p = order[p];
-    lo = std::min(lo, p);
-    hi = std::max(hi, p);
-  }
-  const size_t w_lo = lo / 64;
-  const size_t words = hi / 64 - w_lo + 1;
-  if (bits.size() < words) bits.resize(words, 0);
-  for (const size_t i : list) bits[i / 64 - w_lo] |= uint64_t{1} << (i % 64);
-  list.clear();
-  for (size_t w = 0; w < words; ++w) {
-    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
-      list.push_back((w_lo + w) * 64 +
-                     static_cast<size_t>(__builtin_ctzll(word)));
-    }
-    bits[w] = 0;
-  }
-}
-
-}  // namespace
-
 const TileJoin::Layout& TileJoin::layout() const {
   std::call_once(layout_once_, [this] { BuildLayout(); });
   return layout_;
@@ -217,7 +185,7 @@ void TileJoin::Join(const std::vector<Entry>& entries, double eps,
           std::vector<size_t> list;
           distance::EpsilonRefineRuns(*l.store, dist_, entries[e].first,
                                       *l.store, runs, eps, 0, list, options);
-          ToSortedIndices(l.blocks.order(), list, bits);
+          l.blocks.ToSortedIndices(list, bits);
           emit(entries[e].second, std::move(list));
         }
       });

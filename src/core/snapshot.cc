@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -86,13 +87,26 @@ common::Status CountTooLarge(const std::string& path, const char* what) {
                                  what + " count exceeds the bytes left");
 }
 
-// Reads `count` coordinates, each finite and within the CSV sources' bound
-// (traj::kMaxCoordinate).
+// True for a coordinate the snapshot accepts from outside: finite and within
+// the CSV sources' bound (traj::kMaxCoordinate).
+bool CoordinateOk(double x) { return std::fabs(x) <= traj::kMaxCoordinate; }
+
+// InvalidArgument naming `what` and its rejected coordinate `value`.
+common::Status BadCoordinate(const std::string& what, double value) {
+  char text[128];
+  std::snprintf(text, sizeof(text),
+                " has coordinate %.17g: coordinates must be finite and "
+                "within ±%g",
+                value, traj::kMaxCoordinate);
+  return common::Status::InvalidArgument(what + text);
+}
+
+// Reads `count` coordinates, each CoordinateOk.
 common::Status ReadCoordinates(std::ifstream& in, const std::string& path,
                                uint64_t count, double* coords) {
   for (uint64_t d = 0; d < count; ++d) {
     if (!ReadDouble(in, &coords[d])) return Truncated(path);
-    if (!(std::fabs(coords[d]) <= traj::kMaxCoordinate)) {
+    if (!CoordinateOk(coords[d])) {
       return Corrupt(path, "coordinate non-finite or beyond 1e150");
     }
   }
@@ -165,9 +179,7 @@ void ClusterSnapshot::InitServing() {
   }
   candidates_ = traj::SegmentStore(std::move(candidates));
   candidate_label_ = std::move(labels);
-  candidate_positions_.resize(candidates_.size());
-  std::iota(candidate_positions_.begin(), candidate_positions_.end(),
-            size_t{0});
+  layout_ = cluster::BlockLayout::Morton(candidates_);
 }
 
 common::Status ClusterSnapshot::Save(const std::string& path) const {
@@ -277,6 +289,17 @@ common::Result<std::unique_ptr<ClusterSnapshot>> ClusterSnapshot::Load(
     return Truncated(path);
   }
   params.distance.directed = directed != 0;
+  if (!(params.eps > 0.0) || !std::isfinite(params.eps)) {
+    return Corrupt(path, "eps not finite and > 0");
+  }
+  for (const double w :
+       {params.distance.w_perpendicular, params.distance.w_parallel,
+        params.distance.w_angle, params.mdl.suppression_bits}) {
+    if (!(w >= 0.0) || !std::isfinite(w)) {
+      return Corrupt(path, "distance weight or MDL suppression not finite "
+                           "and non-negative");
+    }
+  }
   if (encoding >
       static_cast<uint64_t>(partition::MdlEncoding::kLog2Clamped)) {
     return Corrupt(path, "unknown MDL encoding");
@@ -409,32 +432,51 @@ common::Status ClusterSnapshot::AssignSegments(
         "query dims " + std::to_string(queries.dims()) +
         " != snapshot dims " + std::to_string(candidates_.dims()));
   }
+  const int dims = queries.dims();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (int d = 0; d < dims; ++d) {
+      const double x = queries.start_coords(d)[i];
+      const double y = queries.end_coords(d)[i];
+      if (!CoordinateOk(x) || !CoordinateOk(y)) {
+        return BadCoordinate("AssignSegments query segment " +
+                                 std::to_string(i),
+                             CoordinateOk(x) ? y : x);
+      }
+    }
+  }
   const distance::SegmentDistance dist(params_.distance);
+  const double reach = distance::PruneReach(dist, params_.eps);
   distance::BatchOptions batch;
   batch.kernel = options.kernel;
   common::ThreadPool& pool = common::SharedPool(options.num_threads);
-  // Chunk boundaries vary with thread count, but each query's answer
-  // depends only on its own prune context and the full candidate scan, so
-  // the output is identical for every chunking (the sieve stage's argument,
-  // test-pinned here too).
+  // Each query's answer depends only on its own candidate list, so the
+  // output is identical for every thread count and chunking.
   pool.ParallelForChunked(0, queries.size(), [&](size_t lo, size_t hi) {
-    thread_local std::vector<size_t> query_idx;
-    thread_local std::vector<size_t> position;
-    query_idx.resize(hi - lo);
-    std::iota(query_idx.begin(), query_idx.end(), lo);
-    position.resize(hi - lo);
-    distance::NearestWithinEps(
-        queries, dist,
-        common::Span<const size_t>(query_idx.data(), query_idx.size()),
-        candidates_,
-        common::Span<const size_t>(candidate_positions_.data(),
-                                   candidate_positions_.size()),
-        params_.eps, common::Span<size_t>(position.data(), position.size()),
-        common::Span<double>(out_distance.data() + lo, hi - lo), batch);
-    for (size_t k = 0; k < hi - lo; ++k) {
-      out_labels[lo + k] = position[k] == distance::kNoNearest
-                               ? cluster::kNoise
-                               : candidate_label_[position[k]];
+    thread_local std::vector<distance::IndexRun> runs;
+    thread_local std::vector<size_t> list;
+    thread_local std::vector<uint64_t> bits;
+    for (size_t q = lo; q < hi; ++q) {
+      double mid[geom::kMaxDims];
+      for (int d = 0; d < dims; ++d) mid[d] = queries.midpoint_coords(d)[q];
+      layout_.SegmentRuns(mid, queries.half_length(q), reach, runs);
+      list.clear();
+      for (const distance::IndexRun& run : runs) {
+        const size_t first = list.size();
+        list.resize(first + run.last - run.first);
+        std::iota(list.begin() + first, list.end(), run.first);
+      }
+      // Ascending candidate order keeps the full scan's tie-break: the
+      // earliest candidate wins.
+      layout_.ToSortedIndices(list, bits);
+      size_t position = distance::kNoNearest;
+      distance::NearestWithinEps(
+          queries, dist, common::Span<const size_t>(&q, 1), candidates_,
+          common::Span<const size_t>(list.data(), list.size()), params_.eps,
+          common::Span<size_t>(&position, 1),
+          common::Span<double>(out_distance.data() + q, 1), batch);
+      out_labels[q] = position == distance::kNoNearest
+                          ? cluster::kNoise
+                          : candidate_label_[list[position]];
     }
   });
   return common::Status::OK();
@@ -445,6 +487,15 @@ common::Result<TrajectoryAssignment> ClusterSnapshot::AssignTrajectory(
   if (trajectory.size() < 2) {
     return common::Status::InvalidArgument(
         "AssignTrajectory needs at least 2 points");
+  }
+  for (size_t i = 0; i < trajectory.size(); ++i) {
+    const geom::Point& p = trajectory[i];
+    for (int d = 0; d < p.dims(); ++d) {
+      if (!CoordinateOk(p[d])) {
+        return BadCoordinate("AssignTrajectory point " + std::to_string(i),
+                             p[d]);
+      }
+    }
   }
   const partition::ApproximatePartitioner partitioner(params_.mdl);
   const std::vector<size_t> cps = partitioner.CharacteristicPoints(trajectory);

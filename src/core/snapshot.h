@@ -18,9 +18,15 @@
 // segments (the §4.3 sweep output — the cluster's shape in a handful of
 // segments); clusters whose representative is empty (sweep never reached
 // MinLns hits) fall back to at most 32 evenly-strided member segments.
-// Assignment is nearest-candidate-within-ε against that store, so query
-// cost is O(|queries| · |candidates|) with the usual lower-bound prune —
-// independent of the original database size n. Assign* methods are const,
+// Assignment is nearest-candidate-within-ε against that store. The store is
+// indexed by the ε-join's Morton blocks (cluster::BlockLayout, rebuilt on
+// load, never serialized): each query segment prunes and refines only the
+// candidates of the blocks not provably farther than ε from it, in ascending
+// candidate order, so the answer — ties to the earliest candidate included —
+// equals the full candidate scan. Query cost is independent of the original
+// database size n and, at the benchmark parameters, a fraction of
+// |candidates|. Query segments with a coordinate that is non-finite or
+// beyond ±traj::kMaxCoordinate are rejected. Assign* methods are const,
 // lock-free, and allocation-free after warmup (thread_local staging only),
 // so any number of threads may serve queries concurrently.
 //
@@ -41,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/block_layout.h"
 #include "cluster/cluster.h"
 #include "common/result.h"
 #include "common/span.h"
@@ -73,7 +80,8 @@ struct SnapshotParams {
 struct AssignOptions {
   distance::BatchKernel kernel = distance::BatchKernel::kAuto;
   /// Threads for AssignSegments' query fan-out (0 = hardware concurrency,
-  /// 1 = inline). AssignTrajectory queries are tiny; it always runs inline.
+  /// 1 = inline). AssignTrajectory queries are tiny; it always runs inline,
+  /// and callers fan whole trajectories out instead.
   int num_threads = 1;
 };
 
@@ -112,8 +120,9 @@ class ClusterSnapshot {
   /// Assigns every segment of `queries` to its nearest cluster within ε:
   /// out_labels[i] gets the cluster id (cluster::kNoise when none within ε),
   /// out_distance[i] the nearest distance (+inf when none). Both spans must
-  /// have queries.size() entries. Thread-safe; deterministic across
-  /// kernels/threads.
+  /// have queries.size() entries. A query segment with a coordinate that is
+  /// non-finite or beyond ±traj::kMaxCoordinate is InvalidArgument naming
+  /// it. Thread-safe; deterministic across kernels/threads.
   common::Status AssignSegments(const traj::SegmentStore& queries,
                                 common::Span<int> out_labels,
                                 common::Span<double> out_distance,
@@ -121,7 +130,9 @@ class ClusterSnapshot {
 
   /// Partitions `trajectory` with the snapshot's MDL options (approximate
   /// partitioner, like the pipeline's default) and assigns each partition
-  /// segment; the trajectory-level cluster is the majority vote.
+  /// segment; the trajectory-level cluster is the majority vote. A point
+  /// with a coordinate that is non-finite or beyond ±traj::kMaxCoordinate is
+  /// InvalidArgument naming the point and its value.
   common::Result<TrajectoryAssignment> AssignTrajectory(
       const traj::Trajectory& trajectory,
       const AssignOptions& options = {}) const;
@@ -132,7 +143,7 @@ class ClusterSnapshot {
     return representatives_;
   }
   const SnapshotParams& params() const { return params_; }
-  /// The frozen serving set assignment runs against.
+  /// The frozen serving set assignment runs against, in cluster order.
   const traj::SegmentStore& candidate_store() const { return candidates_; }
   /// Cluster id of each candidate segment.
   const std::vector<int>& candidate_labels() const {
@@ -142,9 +153,10 @@ class ClusterSnapshot {
  private:
   ClusterSnapshot() = default;
 
-  /// Compiles the frozen candidate store from clusters + representatives.
-  /// Deterministic: depends only on the (store, clustering, representatives)
-  /// value, so FromResult and Load build identical serving sets.
+  /// Compiles the frozen candidate store from clusters + representatives,
+  /// and its block layout. Deterministic: depends only on the (store,
+  /// clustering, representatives) value, so FromResult and Load build
+  /// identical serving sets.
   void InitServing();
 
   traj::SegmentStore store_;
@@ -154,8 +166,8 @@ class ClusterSnapshot {
 
   // Frozen serving set (immutable after InitServing).
   traj::SegmentStore candidates_;
-  std::vector<size_t> candidate_positions_;  // 0..candidates_.size()-1.
   std::vector<int> candidate_label_;
+  cluster::BlockLayout layout_;  // Morton blocks of candidates_.
 };
 
 }  // namespace traclus::core

@@ -85,8 +85,9 @@
 // NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
 // OPTICS streams blocked DistanceBatch calls; the sieve stage
 // (core::SieveGroupStage, one store passed twice) and the frozen snapshot
-// (core::ClusterSnapshot::AssignSegments, two stores) assign through
-// NearestWithinEps. Kernel selection is a per-run knob
+// (core::ClusterSnapshot::AssignSegments, two stores: each query segment
+// against the ascending candidates of the cluster::BlockLayout blocks not
+// skipped for it) assign through NearestWithinEps. Kernel selection is a per-run knob
 // (core::RunContext::distance_kernel, CLI --kernel auto|scalar|simd);
 // ParseBatchKernel below is the single string→kernel parsing path in the
 // tree — callers must not grow private switches.
@@ -320,7 +321,8 @@ inline constexpr size_t kNoNearest = static_cast<size_t>(-1);
 ///
 /// The sieve stage (core::SieveGroupStage) passes one store twice; the
 /// frozen snapshot (core::ClusterSnapshot::AssignSegments) passes the
-/// caller's query store and its frozen candidate store.
+/// caller's query store, one query at a time, and the ascending positions of
+/// its frozen candidate store that the block index did not skip.
 void NearestWithinEps(const traj::SegmentStore& query_store,
                       const SegmentDistance& dist,
                       common::Span<const size_t> queries,

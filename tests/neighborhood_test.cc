@@ -14,7 +14,9 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 
+#include "cluster/block_layout.h"
 #include "cluster/chunked_neighborhood.h"
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
@@ -728,6 +730,128 @@ TEST(TileJoinPropertyTest, EmptyStoreAndEmptyBatch) {
   const auto segs = RandomSegments(50, 20, 3, 88);
   const GridNeighborhoodIndex index(segs, dist);
   EXPECT_TRUE(index.NeighborsBatch({}, 1.0, common::SharedPool(4)).empty());
+}
+
+// BlockLayout::SegmentRuns of every segment of `queries` against the layout
+// of `cands`: the runs are ascending, disjoint and inside [0, n), and every
+// position outside them holds a candidate that the per-pair prune drops (the
+// kernels' squared midpoint distance, summed in dimension order, through
+// distance::ProvablyFar). Returns the positions skipped over all queries.
+size_t ExpectSegmentRunsAdmissible(const traj::SegmentStore& cands,
+                                   const traj::SegmentStore& queries,
+                                   const SegmentDistance& dist, double eps) {
+  const BlockLayout layout = BlockLayout::Morton(cands);
+  const double reach = distance::PruneReach(dist, eps);
+  const size_t n = cands.size();
+  size_t skipped = 0;
+  std::vector<distance::IndexRun> runs;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    double mid[geom::kMaxDims];
+    for (int d = 0; d < queries.dims(); ++d) {
+      mid[d] = queries.midpoint_coords(d)[q];
+    }
+    layout.SegmentRuns(mid, queries.half_length(q), reach, runs);
+    std::vector<char> inside(n, 0);
+    size_t end = 0;
+    for (const distance::IndexRun& run : runs) {
+      EXPECT_LE(end, run.first) << "query " << q;
+      EXPECT_LT(run.first, run.last) << "query " << q;
+      EXPECT_LE(run.last, n) << "query " << q;
+      end = run.last;
+      for (size_t p = run.first; p < std::min(run.last, n); ++p) inside[p] = 1;
+    }
+    for (size_t p = 0; p < n; ++p) {
+      if (inside[p] != 0) continue;
+      ++skipped;
+      const size_t j = layout.order()[p];
+      double dmid_sq = 0.0;
+      for (int d = 0; d < cands.dims(); ++d) {
+        const double diff = cands.midpoint_coords(d)[j] - mid[d];
+        dmid_sq += diff * diff;
+      }
+      EXPECT_TRUE(distance::ProvablyFar(dmid_sq, reach,
+                                        queries.half_length(q),
+                                        cands.half_length(j)))
+          << "query " << q << " skips candidate " << j;
+    }
+  }
+  return skipped;
+}
+
+// The runs of one query segment with midpoint `mid` and half-length `half`.
+std::vector<std::pair<size_t, size_t>> RunsOf(const BlockLayout& layout,
+                                              std::vector<double> mid,
+                                              double half, double reach) {
+  std::vector<distance::IndexRun> runs;
+  layout.SegmentRuns(mid.data(), half, reach, runs);
+  std::vector<std::pair<size_t, size_t>> out;
+  for (const distance::IndexRun& run : runs) out.emplace_back(run.first, run.last);
+  return out;
+}
+
+TEST(BlockLayoutTest, SegmentRunsSkipOnlyProvablyFarPositions) {
+  const SegmentDistance dist;
+  const auto cands = RandomSegments(400, 80, 6, 91);
+  const auto queries = RandomSegments(200, 90, 6, 92);
+  for (const double eps : {0.5, 4.0, 15.0}) {
+    SCOPED_TRACE(eps);
+    // The index must skip something, or the check above is vacuous.
+    EXPECT_GT(ExpectSegmentRunsAdmissible(cands, queries, dist, eps), 0u);
+  }
+  SCOPED_TRACE("3-D");
+  EXPECT_GT(ExpectSegmentRunsAdmissible(Random3d(300, 40, 4, 93),
+                                        Random3d(150, 45, 4, 94), dist, 2.0),
+            0u);
+}
+
+TEST(BlockLayoutTest, SegmentRunsWithCoincidentMidpoints) {
+  // Every candidate midpoint is exactly (3, 4), as in the chunked test above:
+  // a query at that midpoint skips nothing, one far away skips everything.
+  common::Rng rng(95);
+  std::vector<Segment> segs;
+  for (size_t i = 0; i < 170; ++i) {
+    const double dx = static_cast<double>(rng.UniformInt(-320, 320)) / 64;
+    const double dy = static_cast<double>(rng.UniformInt(-320, 320)) / 64;
+    segs.emplace_back(Point(3 - dx, 4 - dy), Point(3 + dx, 4 + dy),
+                      static_cast<geom::SegmentId>(i), 0);
+  }
+  const traj::SegmentStore cands(std::move(segs));
+  const traj::SegmentStore queries(std::vector<Segment>{
+      Segment(Point(2, 4), Point(4, 4)), Segment(Point(3, 4), Point(3, 4)),
+      Segment(Point(100, 100), Point(101, 100))});
+  const SegmentDistance dist;
+  EXPECT_EQ(ExpectSegmentRunsAdmissible(cands, queries, dist, 2.0),
+            cands.size());
+  const BlockLayout layout = BlockLayout::Morton(cands);
+  const std::vector<std::pair<size_t, size_t>> all = {{0, cands.size()}};
+  const double reach = distance::PruneReach(dist, 2.0);
+  EXPECT_EQ(RunsOf(layout, {3, 4}, 0.0, reach), all);
+  EXPECT_TRUE(RunsOf(layout, {100.5, 100}, 0.5, reach).empty());
+}
+
+TEST(BlockLayoutTest, SegmentRunsCoverEverythingWhenNothingIsProvable) {
+  const auto cands = RandomSegments(300, 80, 6, 96);
+  const BlockLayout layout = BlockLayout::Morton(cands);
+  const std::vector<std::pair<size_t, size_t>> all = {{0, cands.size()}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double reach = distance::PruneReach(SegmentDistance(), 1.0);
+  // A far query skips blocks; a non-finite midpoint or half-length skips none.
+  EXPECT_NE(RunsOf(layout, {500, 500}, 1.0, reach), all);
+  EXPECT_EQ(RunsOf(layout, {nan, 500}, 1.0, reach), all);
+  EXPECT_EQ(RunsOf(layout, {500, -inf}, 1.0, reach), all);
+  EXPECT_EQ(RunsOf(layout, {500, 500}, inf, reach), all);
+  EXPECT_EQ(RunsOf(layout, {500, 500}, nan, reach), all);
+  // Nor does an infinite reach: w⊥ = 0 makes the lower-bound factor 0.
+  SegmentDistanceConfig no_perp;
+  no_perp.w_perpendicular = 0.0;
+  const double no_reach = distance::PruneReach(SegmentDistance(no_perp), 1.0);
+  EXPECT_TRUE(std::isinf(no_reach));
+  EXPECT_EQ(RunsOf(layout, {500, 500}, 1.0, no_reach), all);
+  // A layout with nothing in it is one empty run.
+  const BlockLayout empty = BlockLayout::Morton(traj::SegmentStore());
+  const std::vector<std::pair<size_t, size_t>> none = {{0, 0}};
+  EXPECT_EQ(RunsOf(empty, {0, 0}, 1.0, reach), none);
 }
 
 // The refine kernels' counters on a fixed store, pinned to the values the

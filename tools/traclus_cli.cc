@@ -16,10 +16,12 @@
 //           [--neighbor-cache DIR] [--save-snapshot FILE]
 //           [--labels out.csv] [--reps out.csv] [--svg out.svg]
 //       Run the full pipeline and write the requested artifacts.
-//   assign <snapshot> <in.csv> [--labels out.csv]
+//   assign <snapshot> <in.csv> [--threads N] [--labels out.csv]
 //       Load a frozen snapshot written by `cluster --save-snapshot` and
 //       assign each input trajectory to its nearest cluster within the
 //       snapshot's eps — the high-QPS serving path; no reclustering.
+//       Trajectories are assigned across --threads; the output is the same
+//       for every thread count.
 //
 // Built on core::TraclusEngine: configuration errors come back as typed
 // statuses (printed, exit 1), IO/runtime failures as statuses too (exit 2),
@@ -44,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "datagen/animal_generator.h"
@@ -650,7 +653,8 @@ int CmdAssign(const Args& args) {
 
   core::AssignOptions options;
   options.kernel = *kernel;
-  options.num_threads = static_cast<int>(args.GetCount("threads", 1));
+  const std::vector<traj::Trajectory>& trajectories = loaded->trajectories();
+  const int threads = static_cast<int>(args.GetCount("threads", 1));
 
   const std::string labels = args.GetString("labels");
   std::ofstream f;
@@ -663,20 +667,35 @@ int CmdAssign(const Args& args) {
     f << "trajectory_id,cluster\n";
   }
 
+  // Trajectories fan out across the pool into per-trajectory slots; the
+  // report below walks the slots in input order, so stdout and --labels are
+  // the same for every thread count, up to the first failing trajectory.
+  std::vector<core::TrajectoryAssignment> results(trajectories.size());
+  std::vector<common::Status> statuses(trajectories.size());
+  common::SharedPool(threads).ParallelFor(
+      0, trajectories.size(), [&](size_t i) {
+        auto result = (*snapshot)->AssignTrajectory(trajectories[i], options);
+        if (result.ok()) {
+          results[i] = std::move(result).ValueOrDie();
+        } else {
+          statuses[i] = result.status();
+        }
+      });
+
   size_t assigned = 0;
-  for (const auto& trajectory : loaded->trajectories()) {
-    const auto result = (*snapshot)->AssignTrajectory(trajectory, options);
-    if (!result.ok()) return FailWith(result.status());
+  for (size_t i = 0; i < trajectories.size(); ++i) {
+    if (!statuses[i].ok()) return FailWith(statuses[i]);
+    const core::TrajectoryAssignment& result = results[i];
     size_t matched = 0;
-    for (const int label : result->segment_labels) {
+    for (const int label : result.segment_labels) {
       if (label != cluster::kNoise) ++matched;
     }
     std::printf("trajectory %lld -> cluster %d (%zu/%zu segments within eps)\n",
-                static_cast<long long>(trajectory.id()), result->cluster,
-                matched, result->segment_labels.size());
-    if (result->cluster != cluster::kNoise) ++assigned;
+                static_cast<long long>(trajectories[i].id()), result.cluster,
+                matched, result.segment_labels.size());
+    if (result.cluster != cluster::kNoise) ++assigned;
     if (f.is_open()) {
-      f << trajectory.id() << "," << result->cluster << "\n";
+      f << trajectories[i].id() << "," << result.cluster << "\n";
     }
   }
   std::printf("%zu/%zu trajectories assigned to one of %zu clusters\n",
