@@ -137,7 +137,7 @@ void BlockLayout::ForEachGroup(const std::vector<Entry>& entries,
     for (size_t g = lo; g < hi; ++g) {
       // Without blocks every group gets one run over all positions.
       const size_t a = entries[groups[g]].first / kBlock;
-      CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, runs);
+      CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, 0, runs);
       visit(runs, groups[g], groups[g + 1]);
     }
   });
@@ -187,19 +187,28 @@ void BlockLayout::SegmentRuns(const double* mid, double half, double reach,
     probe += mid[d];
   }
   if (!std::isfinite(probe)) q.hmax = std::numeric_limits<double>::infinity();
-  CandidateRuns(q, reach, runs);
+  CandidateRuns(q, reach, 0, runs);
 }
 
-void BlockLayout::CandidateRuns(const Box& q, double reach,
+void BlockLayout::UpperRuns(size_t a, double reach,
+                            std::vector<distance::IndexRun>& runs) const {
+  TRACLUS_DCHECK(a < num_blocks());
+  CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, a, runs);
+  // A block's midpoint box is at mindist 0 from itself, so it only skips
+  // itself if the reach is NaN, which PruneReach never returns.
+  TRACLUS_DCHECK(!runs.empty() && runs.front().first == a * kBlock);
+}
+
+void BlockLayout::CandidateRuns(const Box& q, double reach, size_t first_block,
                                 std::vector<distance::IndexRun>& runs) const {
   runs.clear();
   const size_t n = order_.size();
   // An infinite reach or hmax skips nothing: one run over every position.
   if (blocks_.empty() || std::isinf(reach) || std::isinf(q.hmax)) {
-    runs.push_back({0, n});
+    runs.push_back({first_block * kBlock, n});
     return;
   }
-  for (size_t b = 0; b < blocks_.size(); ++b) {
+  for (size_t b = first_block; b < blocks_.size(); ++b) {
     const Box& cb = blocks_[b];
     // Squared mindist of the two midpoint MBRs, summed in dimension order
     // like the per-pair midpoint distance it bounds from below.

@@ -14,11 +14,13 @@
 // when
 //   c·(mindist(midMBR_q, midMBR_b) − hmax_q − hmax_b) > ε
 // (distance::ProvablyFar, with the margin of the per-pair prune). The joins
-// test block a of the layout as the query box of its own segments; serving
-// tests an outside segment as the degenerate box of its midpoint, with its
-// half-length as hmax_q. Each input bounds its per-pair counterpart
-// monotonically, so a skipped block holds only candidates the per-pair prune
-// would drop.
+// test block a of the layout as the query box of its own segments: the
+// chunked provider against every block (ForEachGroup), the eager join only
+// against blocks b ≥ a (UpperRuns), since it refines each unordered pair
+// once, from the lower of its two positions. Serving tests an outside
+// segment as the degenerate box of its midpoint, with its half-length as
+// hmax_q. Each input bounds its per-pair counterpart monotonically, so a
+// skipped block holds only candidates the per-pair prune would drop.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +40,8 @@ class BlockLayout {
  public:
   /// Segments per block. At the benchmark parameters 16-segment blocks skip
   /// 72% of block pairs on elk-half and 63% on hurricane; 64-segment blocks
-  /// skip only 53% and 34%.
+  /// skip only 53% and 34%. The eager join's bit graph holds one uint16_t
+  /// row mask per position and block pair, so it relies on 16.
   static constexpr size_t kBlock = 16;
 
   /// Index order and no blocks: every query's candidates are one run over
@@ -59,6 +62,14 @@ class BlockLayout {
 
   /// Position → segment index.
   const std::vector<size_t>& order() const { return order_; }
+
+  /// Segment index → position.
+  size_t position(size_t index) const { return rank_[index]; }
+
+  /// ⌈n / kBlock⌉: the blocks of kBlock positions, the last one short. A
+  /// layout without blocks (the index order) is cut the same way, into
+  /// blocks that are never skipped.
+  size_t num_blocks() const { return (order_.size() + kBlock - 1) / kBlock; }
 
   /// `column` (indexed by segment) gathered into position order.
   std::vector<double> Permuted(const std::vector<double>& column) const;
@@ -84,6 +95,12 @@ class BlockLayout {
   void ForEachGroup(const std::vector<Entry>& entries, double reach,
                     common::ThreadPool& pool, const GroupFn& visit) const;
 
+  /// Sets `runs` to the positions in the blocks b ≥ a not skipped for block
+  /// a at `reach`: every position from block a on without blocks or at
+  /// reach +inf. Block a itself is never skipped.
+  void UpperRuns(size_t a, double reach,
+                 std::vector<distance::IndexRun>& runs) const;
+
   /// Sets `runs` to the positions in the blocks not skipped at `reach` for a
   /// segment outside the layout with midpoint mid[0 .. dims) and half-length
   /// `half`: all of them without blocks, at reach +inf, or when the midpoint
@@ -101,7 +118,8 @@ class BlockLayout {
 
   BlockLayout(size_t n, int dims, const double* const* mid,
               const double* half);
-  void CandidateRuns(const Box& q, double reach,
+  // The positions of the blocks b ≥ first_block not skipped for `q`.
+  void CandidateRuns(const Box& q, double reach, size_t first_block,
                      std::vector<distance::IndexRun>& runs) const;
 
   int dims_ = 2;

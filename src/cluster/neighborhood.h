@@ -13,13 +13,24 @@
 // FileNeighborhoodCache hit never pays for it. Without block pruning the
 // layout is the bound store itself in index order.
 //
-// Query. The queries of a batch are grouped by the block holding them, and
-// each group skips the candidate blocks the layout proves too far
-// (BlockLayout::ForEachGroup). Each query then refines the merged runs of
-// surviving blocks through distance::EpsilonRefineRuns, and its list is
-// mapped back to segment indices in ascending order.
+// Join. The join computes the ε-graph of one ε at a time, symmetrically.
+// The query at position p of block a refines only the candidates at
+// positions q > p, in the blocks b ≥ a that block a does not skip
+// (BlockLayout::UpperRuns), through distance::EpsilonRefineRuns: each
+// unordered pair is refined once. Every accepted pair sets one bit of the
+// 16×16 bit matrix of its block pair (a, b) (16 uint16_t row masks, kept
+// only when some pair hits). One pass over those matrices then gives each
+// block its own rows: its matrices with blocks b ≥ a (the diagonal one made
+// symmetric, plus the self bits of Definition 4) and the transposed
+// matrices of the lower blocks that hit it. The list of position p is the
+// set bits of its row in its block's matrices, mapped back to segment
+// indices in ascending order (BlockLayout::ToSortedIndices); its size is
+// their popcount.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -48,9 +59,10 @@ namespace traclus::cluster {
 /// heuristic's entropy) are defined in terms of exact ε-neighborhoods.
 ///
 /// Every provider follows the candidate-generate / refine split: the provider
-/// emits index candidates (the runs of surviving Morton blocks for the tile
-/// join, those blocks' survivors of the per-pair midpoint prune for the
-/// chunked provider, a geometrically pruned superset for the R-tree) and
+/// emits index candidates (the positions after the query's own in surviving
+/// Morton blocks for the tile join, all surviving blocks' survivors of the
+/// per-pair midpoint prune for the chunked provider, a geometrically pruned
+/// superset for the R-tree) and
 /// delegates the exact membership decision to the batched distance kernels
 /// (distance/batch_kernels.h), which lower-bound-prune and evaluate the §2.3
 /// distance bit-identically to the per-pair cached path. The kernel choice
@@ -69,7 +81,8 @@ class NeighborhoodProvider {
   ///
   /// The default implementation fans `Neighbors` out over the pool and
   /// therefore requires `Neighbors` to be safe for concurrent calls (true for
-  /// every provider in cluster/, which keep no shared query-time state).
+  /// every provider in cluster/, which keep no shared query-time state or
+  /// guard it with a mutex).
   virtual std::vector<std::vector<size_t>> AllNeighbors(
       double eps, common::ThreadPool& pool) const;
 
@@ -164,10 +177,43 @@ class NeighborhoodCache : public NeighborhoodProvider {
 /// `use_index` default) and BruteForceNeighborhood (block pruning off, the
 /// Lemma 3 "no index" scan). Lists equal the per-pair loop
 ///   { j : j == i || dist(store, i, j) ≤ ε }
-/// in ascending order, for every kernel and thread count. The layout is
-/// built once under std::call_once and immutable afterwards; per-query
-/// scratch is local to each call, so every method may be called concurrently
-/// with no mutex.
+/// in ascending order, for every kernel and thread count.
+///
+/// Symmetry. Refining each unordered pair once, from its lower position, is
+/// exact because the membership test is symmetric:
+/// dist(i, j) ≤ ε ⇔ dist(j, i) ≤ ε. Every kernel evaluates a pair in the
+/// Lemma 2 roles (Li the longer) that distance::internal::CrossCanonicalSwap
+/// assigns, reading each segment's columns only through its role, so
+/// whenever that decision is antisymmetric (i takes Li as the query iff it
+/// takes Li as the candidate) both directions run the same operations on the
+/// same bits. The decision orders by length, then by id, then by endpoints,
+/// and is antisymmetric except in two cases, in which each direction keeps
+/// its query as Li:
+///   (a) the lengths are equal, the endpoints compare equal (LexLess is
+///       false both ways) and the ids are not distinct and non-negative.
+///       Endpoints that compare equal differ at most in the sign of a zero
+///       coordinate, so both role orders read equal values and give equal
+///       totals, differing at most in the sign of zero, which ≤ ε does not
+///       tell apart;
+///   (b) a length is NaN (both length compares fail). Then the total is NaN
+///       either way, and the pair is in neither list.
+/// tests/segment_distance_test.cc pins the premise on adversarial pairs:
+/// both directions are bit-equal and every kernel decides ≤ ε alike.
+///
+/// Memory. A graph holds 32 B of row masks and a 4 B block number per hit
+/// block pair, plus 8 B per block. At most min(#block pairs, #neighbor
+/// pairs) block pairs hit, since each hit holds at least one pair (i, j)
+/// with j ∈ Nε(i), self pairs included.
+///
+/// Threading. The layout is built once under std::call_once and immutable
+/// afterwards. Neighbors and NeighborsBatch serve from the graph of their
+/// ε, built on the first call at that ε across the caller's pool (inline for
+/// Neighbors) and replaced when ε changes. It lives behind graph_mu_, held
+/// for the build, so concurrent first calls build it once; a served graph is
+/// immutable and read without the lock. AllNeighbors builds a graph for the
+/// call, and AllNeighborhoodSizes counts the bits of the block pairs as the
+/// join finds them, keeping no graph. Every method may be called
+/// concurrently.
 class TileJoin : public NeighborhoodProvider {
  public:
   /// Both referents must outlive the join. `kernel` selects the batch
@@ -196,17 +242,38 @@ class TileJoin : public NeighborhoodProvider {
     traj::SegmentStore sorted;        // Empty without block pruning.
     const traj::SegmentStore* store;  // `sorted`, or the bound store.
   };
-  using Entry = BlockLayout::Entry;
+  /// Row r of a block pair (a, b): bit s set when position kBlock·b + s is
+  /// in the list of position kBlock·a + r.
+  using Rows = std::array<uint16_t, BlockLayout::kBlock>;
+  struct BlockPair {
+    uint32_t block;  // b.
+    Rows rows;
+  };
+  /// The ε-graph: block a's rows are pairs [first[a], first[a + 1]), in
+  /// ascending block order.
+  struct Graph {
+    double eps;
+    std::vector<size_t> first;
+    std::vector<BlockPair> pairs;
+  };
 
   const Layout& layout() const;
   void BuildLayout() const;
-  /// Computes the list of every entry (sorted by position) across `pool`
-  /// and hands it to emit(slot, list).
-  template <typename Emit>
-  void Join(const std::vector<Entry>& entries, double eps,
-            common::ThreadPool& pool, const Emit& emit) const;
-  /// Every segment as an entry whose slot is its index.
-  std::vector<Entry> AllEntries() const;
+  /// Runs the symmetric join across `pool`: calls visit(a, hits) once per
+  /// block a, where `hits` are the pairs (b, rows) with b ≥ a, ascending,
+  /// whose rows hold the accepted pairs p < q (p in block a, q in block b).
+  /// The diagonal pair (a, a) always comes first, even without a bit.
+  template <typename Visit>
+  void ForEachUpperBlock(double eps, common::ThreadPool& pool,
+                         const Visit& visit) const;
+  std::shared_ptr<const Graph> BuildGraph(double eps,
+                                          common::ThreadPool& pool) const;
+  /// The graph of `eps` for Neighbors and NeighborsBatch.
+  std::shared_ptr<const Graph> GraphFor(double eps,
+                                        common::ThreadPool& pool) const
+      TRACLUS_EXCLUDES(graph_mu_);
+  /// The list of position p, in ascending segment index.
+  std::vector<size_t> ListOf(const Graph& graph, size_t p) const;
 
   const traj::SegmentStore& store_;
   const distance::SegmentDistance& dist_;
@@ -214,10 +281,12 @@ class TileJoin : public NeighborhoodProvider {
   const distance::BatchKernel kernel_;
   mutable std::once_flag layout_once_;
   mutable Layout layout_;
+  mutable common::Mutex graph_mu_;
+  mutable std::shared_ptr<const Graph> graph_ TRACLUS_GUARDED_BY(graph_mu_);
 };
 
-/// The join with block pruning off: every query walks the whole store
-/// (still through the per-pair lower-bound prune). The "no index"
+/// The join with block pruning off: every query walks every index after its
+/// own (still through the per-pair lower-bound prune). The "no index"
 /// configuration of Lemma 3 (O(n²) clustering) and the oracle that property
 /// tests compare the pruned join against.
 class BruteForceNeighborhood : public TileJoin {

@@ -74,8 +74,10 @@
 // enforces both rules.
 //
 // Consumers: the eager neighborhood join (cluster::TileJoin, behind
-// GridNeighborhoodIndex and BruteForceNeighborhood) refines the candidate
-// runs of its surviving block pairs through EpsilonRefineRuns; the R-tree
+// GridNeighborhoodIndex and BruteForceNeighborhood) refines each unordered
+// pair once: every query refines, through EpsilonRefineRuns, the runs after
+// its own position in the surviving blocks from its own block on, which is
+// exact because the distance is symmetric in the pair; the R-tree
 // refines through EpsilonRefine(Range); the chunked provider
 // (cluster::ChunkedNeighborhood) prunes the surviving blocks' candidates on
 // its catalog with PruneRuns and refines those pairs — exactly the eager
@@ -257,9 +259,10 @@ struct IndexRun {
 /// prune's survivors staged across runs so short runs still fill whole
 /// kernel batches. Emits in run order, ascending within a run, with the
 /// same `out_base` and self-inclusion rules. Serves the block-pruned tile
-/// join (cluster::TileJoin: the runs of candidate blocks that survive its
-/// block-pair prune, one store passed twice) and the chunked provider's
-/// whole-chunk scan (a chunk split around the query).
+/// join (cluster::TileJoin: the positions after the query's own in the
+/// blocks that survive its block-pair prune, one store passed twice) and
+/// the chunked provider's whole-chunk scan (a chunk split around the
+/// query).
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          const SegmentDistance& dist, size_t query,
                          const traj::SegmentStore& cand_store,

@@ -117,16 +117,9 @@ double NeighborhoodEntropy(const std::vector<double>& neighborhood_masses) {
 std::vector<size_t> NeighborhoodSizes(
     const cluster::NeighborhoodProvider& provider, double eps,
     int num_threads) {
-  const int threads = common::ResolveNumThreads(num_threads);
-  if (threads > 1) {
-    // Size-only batch across the pool: no list is retained past counting.
-    return provider.AllNeighborhoodSizes(eps, common::SharedPool(threads));
-  }
-  std::vector<size_t> sizes(provider.size());
-  for (size_t i = 0; i < provider.size(); ++i) {
-    sizes[i] = provider.Neighbors(i, eps).size();
-  }
-  return sizes;
+  // Size-only batch across the pool (inline at one thread): the tile join
+  // counts bits and materializes no list.
+  return provider.AllNeighborhoodSizes(eps, common::SharedPool(num_threads));
 }
 
 NeighborhoodProfile::NeighborhoodProfile(

@@ -14,6 +14,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "cluster/block_layout.h"
@@ -624,6 +625,11 @@ std::vector<JoinCase> JoinCases() {
   cases.push_back(
       {"collinear_chains", CollinearChains(), defaults, {1.5, 2.5, 6}});
   cases.push_back({"non_finite", WithNonFinite(89), defaults, {2, 8}});
+  // Fewer than one block, exactly one, and a short last block.
+  cases.push_back({"n1", RandomSegments(1, 10, 3, 101), defaults, {2}});
+  cases.push_back({"n7", RandomSegments(7, 10, 3, 102), defaults, {1, 4}});
+  cases.push_back({"n16", RandomSegments(16, 12, 3, 103), defaults, {1, 4}});
+  cases.push_back({"n37", RandomSegments(37, 15, 3, 104), defaults, {1, 4}});
   SegmentDistanceConfig weighted;
   weighted.w_perpendicular = 2.0;
   weighted.w_parallel = 0.5;
@@ -717,6 +723,83 @@ TEST(TileJoinPropertyTest, EveryConfigurationMatchesThePerPairOracle) {
           }
         }
       }
+    }
+  }
+}
+
+// One join asked at interleaved ε values: each call must serve its own ε,
+// never the graph a previous call left behind.
+TEST(TileJoinPropertyTest, InterleavedEpsNeverServesAStaleGraph) {
+  const auto segs = RandomSegments(230, 50, 5, 105);
+  const SegmentDistance dist;
+  const double e1 = 2.0, e2 = 6.0, e3 = 0.5;
+  const auto expect1 = OracleLists(segs, dist, e1);
+  const auto expect2 = OracleLists(segs, dist, e2);
+  const auto expect3 = OracleLists(segs, dist, e3);
+  std::vector<size_t> sizes3(segs.size());
+  for (size_t i = 0; i < segs.size(); ++i) sizes3[i] = expect3[i].size();
+  std::vector<size_t> queries(segs.size());
+  std::iota(queries.begin(), queries.end(), size_t{0});
+  std::shuffle(queries.begin(), queries.end(), std::mt19937_64(105));
+  const auto expect_batch = [&queries](const auto& expect) {
+    std::vector<std::vector<size_t>> lists;
+    lists.reserve(queries.size());
+    for (const size_t q : queries) lists.push_back(expect[q]);
+    return lists;
+  };
+  for (const bool use_index : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << (use_index ? "indexed" : "scan")
+                                      << " threads " << threads);
+      common::ThreadPool& pool = common::SharedPool(threads);
+      const TileJoin join(segs, dist, use_index, distance::BatchKernel::kAuto);
+      EXPECT_EQ(join.NeighborsBatch(queries, e1, pool), expect_batch(expect1));
+      for (const size_t i : {size_t{0}, size_t{17}, segs.size() - 1}) {
+        EXPECT_EQ(join.Neighbors(i, e2), expect2[i]) << "query " << i;
+      }
+      EXPECT_EQ(join.AllNeighborhoodSizes(e3, pool), sizes3);
+      EXPECT_EQ(join.AllNeighbors(e3, pool), expect3);
+      EXPECT_EQ(join.NeighborsBatch(queries, e1, pool), expect_batch(expect1));
+      EXPECT_EQ(join.Neighbors(17, e1), expect1[17]);
+      EXPECT_EQ(join.Neighbors(17, e2), expect2[17]);
+    }
+  }
+}
+
+// Threads that race to the first query of a fresh join build its graph once
+// and all read the oracle's lists; threads alternating between two ε values
+// replace the graph under each other's readers. Under TSan a race on the
+// graph or its pointer reports itself.
+TEST(TileJoinPropertyTest, ConcurrentFirstQueriesAgreeWithTheOracle) {
+  const auto segs = RandomSegments(300, 60, 4, 106);
+  const SegmentDistance dist;
+  const double eps[] = {5.0, 1.5};
+  const std::vector<std::vector<size_t>> expect[] = {
+      OracleLists(segs, dist, eps[0]), OracleLists(segs, dist, eps[1])};
+  constexpr int kThreads = 4;
+  for (const bool alternate : {false, true}) {
+    for (int round = 0; round < 3; ++round) {
+      const GridNeighborhoodIndex join(segs, dist);
+      std::atomic<int> ready{0};
+      std::atomic<size_t> mismatches{0};
+      std::vector<std::thread> threads;
+      threads.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (ready.load() < kThreads) std::this_thread::yield();
+          for (size_t i = static_cast<size_t>(t); i < segs.size();
+               i += kThreads) {
+            const size_t e = alternate ? (i / kThreads) % 2 : 0;
+            if (join.Neighbors(i, eps[e]) != expect[e][i]) {
+              mismatches.fetch_add(1);
+            }
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      EXPECT_EQ(mismatches.load(), 0u)
+          << (alternate ? "alternating" : "one eps") << " round " << round;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "cluster/neighborhood.h"
+#include "cluster/neighborhood_index.h"
 #include "common/rng.h"
 #include "params/entropy.h"
 #include "params/parameter_heuristic.h"
@@ -211,6 +212,34 @@ TEST(ParameterHeuristicTest, RecoversClusterScaleEps) {
   EXPECT_DOUBLE_EQ(est.min_lns_high, est.avg_neighborhood_size + 3.0);
   EXPECT_EQ(est.grid_eps.size(), est.grid_entropy.size());
   EXPECT_EQ(est.grid_eps.size(), 80u);
+}
+
+TEST(ParameterHeuristicTest, SizesAndEstimateAreThreadCountIndependent) {
+  const auto segs = TwoBundlesAndNoise(8);
+  const SegmentDistance dist;
+  const cluster::GridNeighborhoodIndex index(segs, dist);
+  const cluster::BruteForceNeighborhood brute(segs, dist);
+  for (const double eps : {0.5, 3.0, 12.0}) {
+    const std::vector<size_t> serial = NeighborhoodSizes(index, eps, 1);
+    EXPECT_EQ(NeighborhoodSizes(index, eps, 4), serial) << "eps " << eps;
+    EXPECT_EQ(NeighborhoodSizes(brute, eps, 1), serial) << "eps " << eps;
+    EXPECT_EQ(NeighborhoodSizes(brute, eps, 4), serial) << "eps " << eps;
+  }
+
+  HeuristicOptions opt;
+  opt.eps_lo = 0.5;
+  opt.eps_hi = 40.0;
+  opt.grid_points = 40;
+  opt.refine_with_annealing = true;
+  opt.annealing.iterations = 100;
+  opt.num_threads = 1;
+  const ParameterEstimate one = EstimateParameters(segs, dist, opt);
+  opt.num_threads = 4;
+  const ParameterEstimate four = EstimateParameters(segs, dist, opt);
+  EXPECT_EQ(one.eps, four.eps);
+  EXPECT_EQ(one.entropy, four.entropy);
+  EXPECT_EQ(one.avg_neighborhood_size, four.avg_neighborhood_size);
+  EXPECT_EQ(one.grid_entropy, four.grid_entropy);
 }
 
 TEST(ParameterHeuristicTest, AnnealingRefinementDoesNotRegress) {

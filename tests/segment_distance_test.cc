@@ -411,6 +411,93 @@ TEST(BatchKernelTest, DistanceBatchBitIdenticalToCachedPairPath) {
   }
 }
 
+// AdversarialStore plus the pairs on which the Lemma 2 role decision
+// (internal::CrossCanonicalSwap) is not antisymmetric, so each direction
+// keeps its own query as Li: equal lengths with endpoints that compare equal
+// and ids that cannot break the tie, and NaN lengths. Also exact duplicates
+// and infinite segments.
+traj::SegmentStore SymmetryStore(uint64_t seed, bool three_d) {
+  std::vector<Segment> segs = AdversarialStore(seed, three_d).segments();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto pt = [three_d](double x, double y) {
+    return three_d ? Point(x, y, -0.0) : Point(x, y);
+  };
+  const auto add = [&segs](const Point& s, const Point& e,
+                           geom::SegmentId id) {
+    segs.emplace_back(s, e, id, 4);
+  };
+  // Id −1 and endpoints that differ only by +0.0 / −0.0.
+  add(pt(0.0, 1.0), pt(2.0, 0.0), -1);
+  add(pt(-0.0, 1.0), pt(2.0, -0.0), -1);
+  add(pt(0.0, -0.0), pt(0.0, 3.0), -1);
+  add(pt(-0.0, 0.0), pt(-0.0, 3.0), -1);
+  add(pt(0.0, 0.0), pt(0.0, 0.0), -1);
+  add(pt(-0.0, -0.0), pt(-0.0, -0.0), -1);
+  // Exact duplicates: under one id, under −1 and under distinct ids.
+  for (const geom::SegmentId id : {geom::SegmentId{900}, geom::SegmentId{900},
+                                   geom::SegmentId{-1}, geom::SegmentId{-1},
+                                   geom::SegmentId{901}, geom::SegmentId{902}}) {
+    add(pt(3.0, 4.0), pt(5.5, 1.25), id);
+  }
+  // NaN and ±inf coordinates: NaN lengths (a NaN coordinate, or inf − inf
+  // along an axis) and infinite ones, some tied under id −1.
+  add(pt(nan, 1.0), pt(2.0, 3.0), -1);
+  add(pt(1.0, 2.0), pt(1.0, nan), 910);
+  add(pt(-inf, 0.0), pt(-inf, 1.0), -1);
+  add(pt(inf, 0.0), pt(inf, 0.0), 911);
+  add(pt(0.0, inf), pt(0.0, -inf), -1);
+  add(pt(1.0, -inf), pt(1.0, inf), -1);
+  add(pt(inf, 2.0), pt(4.0, 2.0), 912);
+  add(pt(-inf, -inf), pt(0.0, 0.0), -1);
+  return traj::SegmentStore(std::move(segs));
+}
+
+// The premise of the symmetric ε-join (cluster::TileJoin refines each
+// unordered pair once): dist(i, j) and dist(j, i) are bit-equal (any two
+// NaNs match), and every kernel's ≤ ε decision agrees in both directions.
+TEST(BatchKernelTest, DistanceAndRefineAreSymmetricInThePair) {
+  for (const bool three_d : {false, true}) {
+    const traj::SegmentStore store = SymmetryStore(73, three_d);
+    const size_t n = store.size();
+    std::vector<size_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = i;
+    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
+      const SegmentDistance dist(cfg);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          const double ij = dist(store, i, j);
+          const double ji = dist(store, j, i);
+          if (std::isnan(ij) && std::isnan(ji)) continue;
+          ExpectBitEqual(ij, ji, "dist(i, j) vs dist(j, i)", i, j);
+        }
+      }
+      for (const BatchKernel kernel : AvailableKernels()) {
+        BatchOptions options;
+        options.kernel = kernel;
+        for (const double eps : {0.0, 0.5, 3.0, 20.0, dist(store, 3, 11)}) {
+          std::vector<std::vector<char>> within(n, std::vector<char>(n, 0));
+          std::vector<size_t> out;
+          for (size_t q = 0; q < n; ++q) {
+            out.clear();
+            EpsilonRefine(store, dist, q,
+                          common::Span<const size_t>(all.data(), n), eps, out,
+                          options);
+            for (const size_t j : out) within[q][j] = 1;
+          }
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t j = 0; j < i; ++j) {
+              EXPECT_EQ(within[i][j], within[j][i])
+                  << BatchKernelName(kernel) << " eps " << eps << " pair ("
+                  << i << ", " << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
   for (const bool three_d : {false, true}) {
     const traj::SegmentStore store = AdversarialStore(29, three_d);
