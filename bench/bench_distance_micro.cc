@@ -275,14 +275,15 @@ void BM_EpsilonRefineBatch(benchmark::State& state) {
   distance::BatchOptions options;
   options.kernel =
       simd ? distance::BatchKernel::kSimd : distance::BatchKernel::kScalar;
+  const distance::IndexRun all{0, store.size()};
   std::vector<size_t> out;
   distance::RefineStats stats;
   size_t q = 0;
   for (auto _ : state) {
     out.clear();
-    distance::EpsilonRefineRange(store, dist, q % store.size(), 0,
-                                 store.size(), kRefineEps, out, options,
-                                 &stats);
+    distance::EpsilonRefineRuns(store, dist, q % store.size(), store,
+                                {&all, 1}, kRefineEps, 0, out, options,
+                                &stats);
     benchmark::DoNotOptimize(out.data());
     ++q;
   }

@@ -9,7 +9,6 @@
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
-#include "cluster/rtree_index.h"
 #include "core/engine.h"
 #include "datagen/hurricane_generator.h"
 
@@ -53,21 +52,6 @@ void BM_DbscanWithGridIndex(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_DbscanWithGridIndex)
-    ->RangeMultiplier(2)
-    ->Range(1024, 16384)
-    ->Complexity(benchmark::oNLogN)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DbscanWithRTree(benchmark::State& state) {
-  const auto segs = Slice(static_cast<size_t>(state.range(0)));
-  const distance::SegmentDistance dist;
-  for (auto _ : state) {
-    const cluster::StrRTreeIndex index(segs, dist);
-    benchmark::DoNotOptimize(cluster::DbscanSegments(segs, index, Options()));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_DbscanWithRTree)
     ->RangeMultiplier(2)
     ->Range(1024, 16384)
     ->Complexity(benchmark::oNLogN)

@@ -14,8 +14,10 @@
 // (distance::PruneRuns) over Morton-ordered copies of the catalog midpoint
 // and half-length columns.
 // Those are bit-identical to the chunk stores' columns, so the survivors are
-// exactly the pairs the eager join refines. The scan (and the indexed
-// configuration when LowerBoundFactor() ≤ 0) takes every segment.
+// the pairs the eager join refines, in both orders: the eager join refines
+// each unordered pair once, this provider refines (p, q) and (q, p)
+// (ROADMAP item 3). The scan (and the indexed configuration when
+// LowerBoundFactor() ≤ 0) takes every segment.
 // Refinement runs through distance::EpsilonRefineCross/Runs with a
 // batch-local SegmentStore of the query segments on the query side; every
 // store is built by one constructor from the same endpoint doubles, so each

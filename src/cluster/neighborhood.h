@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,15 +57,19 @@ namespace traclus::cluster {
 /// dist(L, L) = 0. Exactness matters: DBSCAN's output (and the parameter
 /// heuristic's entropy) are defined in terms of exact ε-neighborhoods.
 ///
-/// Every provider follows the candidate-generate / refine split: the provider
-/// emits index candidates (the positions after the query's own in surviving
-/// Morton blocks for the tile join, all surviving blocks' survivors of the
-/// per-pair midpoint prune for the chunked provider, a geometrically pruned
-/// superset for the R-tree) and
-/// delegates the exact membership decision to the batched distance kernels
+/// Four providers implement it. The two that compute follow the
+/// candidate-generate / refine split: TileJoin emits the positions after the
+/// query's own in surviving Morton blocks, ChunkedNeighborhood the survivors
+/// of the per-pair midpoint prune in all surviving blocks, and both delegate
+/// the exact membership decision to the batched distance kernels
 /// (distance/batch_kernels.h), which lower-bound-prune and evaluate the §2.3
 /// distance bit-identically to the per-pair cached path. The kernel choice
-/// (scalar / AVX2 SIMD) is a construction-time knob on each provider.
+/// (scalar / AVX2 SIMD) is a construction-time knob on each of them. The
+/// other two serve lists a computing provider produced: NeighborhoodCache
+/// from memory, FileNeighborhoodCache (cluster/neighbor_cache_file.h) from
+/// disk.
+///
+/// Every method may be called concurrently.
 class NeighborhoodProvider {
  public:
   virtual ~NeighborhoodProvider() = default;
@@ -78,62 +81,40 @@ class NeighborhoodProvider {
   /// Batch query: Nε(L) for every segment, computed across `pool`. Entry i is
   /// exactly `Neighbors(i, eps)` regardless of thread count — results land in
   /// index-addressed slots, so scheduling order cannot reorder them.
-  ///
-  /// The default implementation fans `Neighbors` out over the pool and
-  /// therefore requires `Neighbors` to be safe for concurrent calls (true for
-  /// every provider in cluster/, which keep no shared query-time state or
-  /// guard it with a mutex).
   virtual std::vector<std::vector<size_t>> AllNeighbors(
-      double eps, common::ThreadPool& pool) const;
+      double eps, common::ThreadPool& pool) const = 0;
 
-  /// Size-only batch: |Nε(L)| for every segment. Same contract and default
-  /// thread-safety requirement as `AllNeighbors`, but each list is discarded
-  /// after counting, keeping peak memory at O(n) (the §4.4 entropy sweep
+  /// Size-only batch: |Nε(L)| for every segment. Same contract as
+  /// `AllNeighbors`, but keeping peak memory at O(n) (the §4.4 entropy sweep
   /// evaluates this at large ε, where the lists themselves approach O(n²)).
   virtual std::vector<size_t> AllNeighborhoodSizes(
-      double eps, common::ThreadPool& pool) const;
+      double eps, common::ThreadPool& pool) const = 0;
 
   /// Subset batch: Nε(L) for an explicit list of query indices, computed
   /// across `pool`; entry k is exactly `Neighbors(queries[k], eps)`. This is
   /// the block-streamed grouping phase's primitive — it fans a bounded block
   /// of queries out at once, so peak memory stays proportional to the block
-  /// rather than to the whole database. Same default thread-safety
-  /// requirement as `AllNeighbors`; batching providers override (see
-  /// TileJoin).
+  /// rather than to the whole database.
   virtual std::vector<std::vector<size_t>> NeighborsBatch(
       const std::vector<size_t>& queries, double eps,
-      common::ThreadPool& pool) const;
+      common::ThreadPool& pool) const = 0;
 
   /// Number of segments in the bound database.
   virtual size_t size() const = 0;
 };
 
-/// A provider that serves another provider's ε-neighborhoods from memory.
-///
-/// Two modes:
-///   * Eager (`block` = 0, the historical behavior): every list is
-///     materialized up front — through base.AllNeighbors across the pool —
-///     and kept resident, so repeated queries run at memory speed.
-///   * Bounded (`block` > 0): lists are materialized lazily in blocks of up
-///     to `block` consecutive not-yet-served query indices via
-///     base.NeighborsBatch, and each list is evicted when served — at most
-///     `block` lists are ever resident. Built for consumers that stream each
-///     list once (a blocked grouping or counting pass); a re-queried index
-///     recomputes through the base provider, so results stay exact for any
-///     access pattern. Bounded mode mutates interior state on query; that
-///     state is guarded by an internal mutex (annotated, so clang's
-///     -Wthread-safety enforces the discipline), which makes concurrent
-///     queries race-free — though they serialize on the miss path, so the
-///     intended use remains a single streaming consumer. `base` and `pool`
-///     must outlive the cache.
+/// A provider that serves another provider's ε-neighborhoods from memory:
+/// every list is materialized at construction, through base.AllNeighbors
+/// across `pool`, and kept resident, so repeated queries run at memory
+/// speed. The lists are immutable afterwards and read without a lock.
 ///
 /// Every served list equals base.Neighbors(i, eps) exactly, so cluster IDs
-/// are byte-identical to the direct path in both modes. Bound to one ε at
-/// construction; querying a different ε is a programming error (checked).
+/// are byte-identical to the direct path. Bound to one ε at construction;
+/// querying a different ε is a programming error (checked).
 class NeighborhoodCache : public NeighborhoodProvider {
  public:
   NeighborhoodCache(const NeighborhoodProvider& base, double eps,
-                    common::ThreadPool& pool, size_t block = 0);
+                    common::ThreadPool& pool);
 
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
   std::vector<std::vector<size_t>> AllNeighbors(
@@ -143,33 +124,14 @@ class NeighborhoodCache : public NeighborhoodProvider {
   std::vector<std::vector<size_t>> NeighborsBatch(
       const std::vector<size_t>& queries, double eps,
       common::ThreadPool& pool) const override;
-  size_t size() const override { return size_; }
+  size_t size() const override { return lists_.size(); }
 
-  /// Eager mode only: the materialized lists.
+  /// The materialized lists.
   const std::vector<std::vector<size_t>>& lists() const { return lists_; }
 
-  /// Lists currently held in memory.
-  size_t resident_lists() const TRACLUS_EXCLUDES(mu_);
-  /// High-water mark of resident lists over the cache's lifetime — the
-  /// quantity bounded mode promises stays ≤ block
-  /// (tests/neighborhood_test.cc asserts it).
-  size_t peak_resident_lists() const TRACLUS_EXCLUDES(mu_);
-
  private:
-  const NeighborhoodProvider* base_;
-  common::ThreadPool* pool_;
   double eps_;
-  size_t block_;
-  size_t size_;
-  /// Eager mode storage: immutable after construction, read lock-free.
   std::vector<std::vector<size_t>> lists_;
-  /// Bounded mode: parked not-yet-served lists, served markers, high-water.
-  /// Serve-and-evict mutates these on every query, so they live behind mu_.
-  mutable common::Mutex mu_;
-  mutable std::unordered_map<size_t, std::vector<size_t>> parked_
-      TRACLUS_GUARDED_BY(mu_);
-  mutable std::vector<char> served_ TRACLUS_GUARDED_BY(mu_);
-  mutable size_t peak_resident_ TRACLUS_GUARDED_BY(mu_) = 0;
 };
 
 /// The eager ε-join of Lemma 3 (see the file comment). Two configurations

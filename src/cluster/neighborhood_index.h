@@ -15,10 +15,8 @@
 // join degrades to a scan, still exact.
 //
 // GridNeighborhoodIndex is that join with block pruning on — the
-// `use_index` default of the grouping stages. It used to be a uniform grid
-// of segment MBRs; the name and the (store, dist) constructor stay for the
-// callers that build it. The whole algorithm lives in cluster::TileJoin
-// (cluster/neighborhood.h).
+// `use_index` default of the grouping stages. The whole algorithm lives in
+// cluster::TileJoin (cluster/neighborhood.h).
 
 #include "cluster/neighborhood.h"
 

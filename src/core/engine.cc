@@ -134,7 +134,6 @@ cluster::DbscanOptions MakeDbscanOptions(const DbscanGroupOptions& options,
       ctx.shard_local ? 0.0 : options.min_trajectory_cardinality;
   o.use_weights = options.use_weights;
   o.num_threads = ctx.num_threads;
-  o.batch_block = options.batch_block;
   o.cancellation = ctx.cancellation;
   if (ctx.progress) {
     // The caller's ctx outlives the DBSCAN run these options configure.

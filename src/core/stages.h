@@ -240,9 +240,6 @@ struct DbscanGroupOptions {
   /// Block-pruned ε-join (Lemma 3; eager and capped runs alike); false =
   /// the O(n²) brute-force configuration.
   bool use_index = true;
-  /// Block size of the batched neighborhood path; see
-  /// cluster::DbscanOptions::batch_block. 0 = default.
-  size_t batch_block = 0;
   /// Distance function configuration (§2.3). Weights must be ≥ 0.
   distance::SegmentDistanceConfig distance;
 };

@@ -611,8 +611,8 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
   if (staged > 0) refine_staged();
 }
 
-// One query against candidate runs: the body of every EpsilonRefine* entry
-// point. The query is its own candidate exactly when both stores are one
+// One query against candidate runs: the body of EpsilonRefineCross and
+// EpsilonRefineRuns. The query is its own candidate exactly when both stores are one
 // object.
 template <typename Index>
 size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
@@ -693,25 +693,6 @@ void DistanceBatch(const traj::SegmentStore& store,
                 candidates.size(), IndexList{candidates.data()}, out.data());
 }
 
-size_t EpsilonRefine(const traj::SegmentStore& store,
-                     const SegmentDistance& dist, size_t query,
-                     common::Span<const size_t> candidates, double eps,
-                     std::vector<size_t>& out_indices,
-                     const BatchOptions& options, RefineStats* stats) {
-  return EpsilonRefineCross(store, dist, query, store, candidates, eps, 0,
-                            out_indices, options, stats);
-}
-
-size_t EpsilonRefineRange(const traj::SegmentStore& store,
-                          const SegmentDistance& dist, size_t query,
-                          size_t first, size_t last, double eps,
-                          std::vector<size_t>& out_indices,
-                          const BatchOptions& options, RefineStats* stats) {
-  const IndexRun run{first, last};
-  return EpsilonRefineRuns(store, dist, query, store, {&run, 1}, eps, 0,
-                           out_indices, options, stats);
-}
-
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           const SegmentDistance& dist, size_t query,
                           const traj::SegmentStore& cand_store,
@@ -779,7 +760,7 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
 
   // Candidate-block-major: each block's columns serve every query while hot.
   // Per query, blocks arrive in ascending order and each is one RefineRow
-  // call, so out_lists[qi] matches EpsilonRefineRange's emission exactly.
+  // call, so out_lists[qi] matches a one-run EpsilonRefineRuns exactly.
   RefineStats counts;
   for (size_t base = first; base < last; base += block) {
     const size_t hi = std::min(last, base + block);

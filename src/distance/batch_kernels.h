@@ -4,12 +4,11 @@
 // Batched distance kernels over the SegmentStore's flat arrays — the ε-query
 // hot path of the grouping phase (Lemma 3), the parameter heuristic
 // (§4.2/§4.4), and the all-pairs consumers (distance matrix, entropy profile,
-// k-medoids). The public surface is ten entry points:
+// k-medoids). The public surface is nine entry points:
 //
-//   * one query vs an index list: DistanceBatch (distances), EpsilonRefine
-//     and EpsilonRefineCross (ε-neighbors);
-//   * one query vs contiguous ranges: EpsilonRefineRange (one) and
-//     EpsilonRefineRuns (several);
+//   * one query vs an index list: DistanceBatch (distances) and
+//     EpsilonRefineCross (ε-neighbors);
+//   * one query vs contiguous ranges: EpsilonRefineRuns;
 //   * many queries vs many candidates, candidate-block-major so each block
 //     of SoA columns is loaded once and reused by every query row:
 //     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
@@ -20,8 +19,8 @@
 // Every operation has one implementation, written for two stores: the query
 // from one SegmentStore, the candidates from another. The one-store entry
 // points pass the same store twice; EpsilonRefineCross and
-// EpsilonRefineRuns also take two chunk-local stores of a
-// ChunkedSegmentStore. Chunk-local stores cache bit-identical invariants, so
+// EpsilonRefineRuns take either one store twice or two chunk-local stores
+// of a ChunkedSegmentStore. Chunk-local stores cache bit-identical invariants, so
 // both shapes execute the same floating-point operations on the same bits.
 // Index lists and contiguous ranges feed the same lane loop; only the load of
 // each step's candidates differs.
@@ -77,12 +76,12 @@
 // GridNeighborhoodIndex and BruteForceNeighborhood) refines each unordered
 // pair once: every query refines, through EpsilonRefineRuns, the runs after
 // its own position in the surviving blocks from its own block on, which is
-// exact because the distance is symmetric in the pair; the R-tree
-// refines through EpsilonRefine(Range); the chunked provider
+// exact because the distance is symmetric in the pair; the chunked provider
 // (cluster::ChunkedNeighborhood) prunes the surviving blocks' candidates on
-// its catalog with PruneRuns and refines those pairs — exactly the eager
-// join's — grouped by chunk, through EpsilonRefineCross (its scan: whole
-// chunks through EpsilonRefineRuns); the sharded stage re-checks halos with
+// its catalog with PruneRuns and refines those pairs grouped by chunk,
+// through EpsilonRefineCross (its scan: whole chunks through
+// EpsilonRefineRuns). It refines both orders of every pair the eager join
+// refines once (ROADMAP item 3); the sharded stage re-checks halos with
 // EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
 // NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
 // OPTICS streams blocked DistanceBatch calls; the sieve stage
@@ -197,49 +196,28 @@ void DistanceBatch(const traj::SegmentStore& store,
                    common::Span<double> out,
                    BatchKernel kernel = BatchKernel::kAuto);
 
-/// The batched ε-refine: appends to `out_indices` every candidate within
-/// distance `eps` of `query` (the query itself always passes when listed,
-/// mirroring Definition 4's self-inclusion), preserving candidate order.
-/// Exactly equivalent to the per-pair loop
-///   for j in candidates: if (j == query || dist(store, query, j) <= eps)
-/// but with lower-bound pruning and blocked batch evaluation. Returns the
-/// number of indices appended; `stats` (optional) accumulates counters.
-size_t EpsilonRefine(const traj::SegmentStore& store,
-                     const SegmentDistance& dist, size_t query,
-                     common::Span<const size_t> candidates, double eps,
-                     std::vector<size_t>& out_indices,
-                     const BatchOptions& options = {},
-                     RefineStats* stats = nullptr);
-
-/// Contiguous-candidate ε-refine over the index range [first, last) — the
-/// whole-database scan of the brute-force provider and the no-bound
-/// fallback, without materializing an index list.
-size_t EpsilonRefineRange(const traj::SegmentStore& store,
-                          const SegmentDistance& dist, size_t query,
-                          size_t first, size_t last, double eps,
-                          std::vector<size_t>& out_indices,
-                          const BatchOptions& options = {},
-                          RefineStats* stats = nullptr);
-
-/// Cross-store ε-refine: the query segment lives in `query_store` (local
+/// The batched ε-refine: the query segment lives in `query_store` (local
 /// index `query`) while the candidates live in `cand_store` (local indices
-/// `candidates`) — the refinement step of the chunked out-of-core
-/// neighborhood, where the query and a candidate chunk are distinct
-/// chunk-local SegmentStores of one ChunkedSegmentStore.
+/// `candidates`). For each candidate j with dist ≤ eps, appends
+/// `out_base + j` to `out_indices`, preserving candidate order: exactly the
+/// per-pair loop
+///   for j in candidates: if (dist(query, j) <= eps) emit out_base + j
+/// (plus the self-inclusion rule below), but with lower-bound pruning and
+/// blocked batch evaluation. Returns the
+/// number of indices appended; `stats` (optional) accumulates counters.
 ///
-/// For each candidate j with dist ≤ eps, appends `out_base + j` (the
-/// caller's global index for chunk-local j) to `out_indices`, preserving
-/// candidate order. Because chunk-local stores cache bit-identical
-/// invariants, the evaluation — Lemma 2 canonicalization included — executes
-/// the same floating-point operations as the one-store refine over a
-/// monolithic store, so results are bit-identical to EpsilonRefine on the
-/// merged database.
+/// The chunked out-of-core neighborhood passes two distinct chunk-local
+/// SegmentStores of one ChunkedSegmentStore, with `out_base` the candidate
+/// chunk's first global index. Because chunk-local stores cache
+/// bit-identical invariants, the evaluation — Lemma 2 canonicalization
+/// included — executes the same floating-point operations as over the
+/// merged store, so results are bit-identical to passing that store twice.
 ///
 /// Definition 4 self-inclusion applies only when `query_store` and
-/// `cand_store` are the same object (EpsilonRefine passes one store twice):
-/// the query then always passes when listed. Across two stores the query is
-/// never its own candidate; callers exclude it from its own chunk's
-/// candidates and append it themselves.
+/// `cand_store` are the same object (one store passed twice): the query
+/// then always passes when listed. Across two stores the query is never its
+/// own candidate; callers exclude it from its own chunk's candidates and
+/// append it themselves.
 size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
                           const SegmentDistance& dist, size_t query,
                           const traj::SegmentStore& cand_store,
@@ -262,7 +240,7 @@ struct IndexRun {
 /// join (cluster::TileJoin: the positions after the query's own in the
 /// blocks that survive its block-pair prune, one store passed twice) and
 /// the chunked provider's whole-chunk scan (a chunk split around the
-/// query).
+/// query); one run [first, last) over one store is the contiguous refine.
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          const SegmentDistance& dist, size_t query,
                          const traj::SegmentStore& cand_store,
@@ -292,10 +270,9 @@ void DistanceTileRange(const traj::SegmentStore& store,
                        BatchKernel kernel = BatchKernel::kAuto);
 
 /// Many-query ε-refine tile over one shared candidate range: appends to
-/// out_lists[qi] exactly what
-///   EpsilonRefineRange(store, dist, queries[qi], first, last, eps,
-///                      out_lists[qi], options)
-/// would (same candidate-order emission, same Definition 4 self-inclusion),
+/// out_lists[qi] exactly what EpsilonRefineRuns with `store` passed twice,
+/// the one run [first, last) and out_base 0 would for queries[qi] (same
+/// candidate-order emission, same Definition 4 self-inclusion),
 /// but evaluated candidate-block-major so each block's columns serve all
 /// queries. `out_lists` must point to queries.size() vectors. Returns the
 /// total number of indices appended; `stats` accumulates over all queries.
@@ -348,7 +325,7 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
                                       common::ThreadPool& pool,
                                       BatchKernel kernel);
 
-/// The exact prune predicate EpsilonRefine applies: true when the
+/// The exact prune predicate the ε-refines apply: true when the
 /// midpoint/half-length bound (including its conservative rounding margin)
 /// proves dist(store, a, b) > eps. Admissibility — this never returns true
 /// for a true ε-neighbor — is what makes the refine exact; exposed so tests

@@ -22,7 +22,6 @@
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
-#include "cluster/rtree_index.h"
 #include "traj/chunked_store.h"
 #include "traj/segment_store.h"
 #include "common/rng.h"
@@ -224,58 +223,13 @@ TEST(GridNeighborhoodIndexTest, SingleArgNeighborsIsThreadSafe) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
-TEST(NeighborhoodCacheTest, BoundedModeBoundsPeakListResidency) {
-  // Satellite regression: the eager cache materializes all n lists even when
-  // the consumer only streams each list once. Bounded mode must serve the
-  // exact same lists through NeighborsBatch blocks while never holding more
-  // than `block` of them.
-  const auto segs = RandomSegments(120, 50, 5, 51);
-  const SegmentDistance dist;
-  const BruteForceNeighborhood brute(segs, dist);
-  const double eps = 6.0;
-  common::ThreadPool& pool = common::SharedPool(4);
-
-  for (const size_t block : {size_t{1}, size_t{4}, size_t{16}}) {
-    const NeighborhoodCache cache(brute, eps, pool, block);
-    // The streaming access pattern of a blocked grouping pass.
-    for (size_t i = 0; i < segs.size(); ++i) {
-      EXPECT_EQ(cache.Neighbors(i, eps), brute.Neighbors(i, eps))
-          << "block " << block << " query " << i;
-      EXPECT_LE(cache.resident_lists(), block);
-    }
-    EXPECT_LE(cache.peak_resident_lists(), block);
-    EXPECT_GE(cache.peak_resident_lists(), std::min<size_t>(block, 1));
-  }
-}
-
-TEST(NeighborhoodCacheTest, BoundedModeExactUnderArbitraryAccess) {
-  // Re-queries and out-of-order access must stay exact (evicted lists are
-  // recomputed through the base), and residency stays bounded throughout.
-  const auto segs = RandomSegments(80, 40, 5, 53);
-  const SegmentDistance dist;
-  const BruteForceNeighborhood brute(segs, dist);
-  const double eps = 5.0;
-  const size_t block = 8;
-  const NeighborhoodCache cache(brute, eps, common::SharedPool(2), block);
-
-  common::Rng rng(99);
-  for (int round = 0; round < 400; ++round) {
-    const size_t i = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(segs.size()) - 1));
-    EXPECT_EQ(cache.Neighbors(i, eps), brute.Neighbors(i, eps));
-    EXPECT_LE(cache.resident_lists(), block);
-  }
-  EXPECT_LE(cache.peak_resident_lists(), block);
-}
-
-TEST(NeighborhoodCacheTest, EagerModeKeepsEverythingResident) {
+TEST(NeighborhoodCacheTest, KeepsEveryListResident) {
   const auto segs = RandomSegments(40, 40, 5, 57);
   const SegmentDistance dist;
   const BruteForceNeighborhood brute(segs, dist);
   const double eps = 5.0;
   const NeighborhoodCache cache(brute, eps, common::SharedPool(2));
-  EXPECT_EQ(cache.resident_lists(), segs.size());
-  EXPECT_EQ(cache.peak_resident_lists(), segs.size());
+  EXPECT_EQ(cache.lists().size(), segs.size());
   for (size_t i = 0; i < segs.size(); ++i) {
     EXPECT_EQ(cache.Neighbors(i, eps), brute.Neighbors(i, eps));
   }
@@ -305,11 +259,9 @@ TEST(ProviderKernelTest, AllProvidersAgreeForEveryAvailableKernel) {
   for (const distance::BatchKernel kernel : kernels) {
     const BruteForceNeighborhood brute(segs, dist, kernel);
     const GridNeighborhoodIndex grid(segs, dist, kernel);
-    const StrRTreeIndex rtree(segs, dist, 16, kernel);
     for (size_t i = 0; i < segs.size(); ++i) {
       EXPECT_EQ(brute.Neighbors(i, eps), expect[i]) << "brute query " << i;
       EXPECT_EQ(grid.Neighbors(i, eps), expect[i]) << "grid query " << i;
-      EXPECT_EQ(rtree.Neighbors(i, eps), expect[i]) << "rtree query " << i;
     }
   }
 }
@@ -981,8 +933,9 @@ TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
         expect_stats(tile, pin.tile);
         distance::RefineStats range;
         std::vector<size_t> list;
-        distance::EpsilonRefineRange(store, dist, 17, 0, store.size(), 4.0,
-                                     list, options, &range);
+        const distance::IndexRun all{0, store.size()};
+        distance::EpsilonRefineRuns(store, dist, 17, store, {&all, 1}, 4.0, 0,
+                                    list, options, &range);
         expect_stats(range, pin.range);
       }
     }

@@ -11,7 +11,6 @@
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
-#include "cluster/rtree_index.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/hurricane_generator.h"
@@ -132,7 +131,7 @@ TEST(ParallelDeterminismTest, DbscanIdenticalAcrossThreadCountsAndProviders) {
   serial_opt.num_threads = 1;
 
   const cluster::GridNeighborhoodIndex grid(segments, dist);
-  const cluster::StrRTreeIndex rtree(segments, dist);
+  const cluster::BruteForceNeighborhood brute(segments, dist);
   const auto baseline = cluster::DbscanSegments(segments, grid, serial_opt);
   ASSERT_FALSE(baseline.clusters.empty());
 
@@ -143,7 +142,7 @@ TEST(ParallelDeterminismTest, DbscanIdenticalAcrossThreadCountsAndProviders) {
     ExpectClusteringEqual(baseline,
                           cluster::DbscanSegments(segments, grid, opt));
     ExpectClusteringEqual(baseline,
-                          cluster::DbscanSegments(segments, rtree, opt));
+                          cluster::DbscanSegments(segments, brute, opt));
   }
 }
 

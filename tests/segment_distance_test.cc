@@ -480,9 +480,9 @@ TEST(BatchKernelTest, DistanceAndRefineAreSymmetricInThePair) {
           std::vector<size_t> out;
           for (size_t q = 0; q < n; ++q) {
             out.clear();
-            EpsilonRefine(store, dist, q,
-                          common::Span<const size_t>(all.data(), n), eps, out,
-                          options);
+            EpsilonRefineCross(store, dist, q, store,
+                               common::Span<const size_t>(all.data(), n), eps,
+                               0, out, options);
             for (const size_t j : out) within[q][j] = 1;
           }
           for (size_t i = 0; i < n; ++i) {
@@ -537,9 +537,9 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               options.block = block;
               std::vector<size_t> got;
               RefineStats stats;
-              EpsilonRefine(store, dist, q,
-                            common::Span<const size_t>(all.data(), n), eps,
-                            got, options, &stats);
+              EpsilonRefineCross(store, dist, q, store,
+                                 common::Span<const size_t>(all.data(), n),
+                                 eps, 0, got, options, &stats);
               EXPECT_EQ(got, expect)
                   << BatchKernelName(kernel) << " block " << block << " eps "
                   << eps << " query " << q;
@@ -633,7 +633,9 @@ TEST(BatchKernelTest, PruneIsAdmissible) {
           }
         }
         // The sweep must actually exercise the prune somewhere.
-        if (eps <= 1.0) EXPECT_GT(pruned, 0u);
+        if (eps <= 1.0) {
+          EXPECT_GT(pruned, 0u);
+        }
       }
     }
   }
@@ -725,10 +727,11 @@ TEST(BatchKernelTest, EpsilonRefineTileMatchesPerQueryRefine) {
                 store, dist,
                 common::Span<const size_t>(queries.data(), queries.size()), 0,
                 n, eps, lists.data(), options);
+            const IndexRun all{0, n};
             for (size_t k = 0; k < queries.size(); ++k) {
               std::vector<size_t> expect;
-              EpsilonRefineRange(store, dist, queries[k], 0, n, eps, expect,
-                                 options);
+              EpsilonRefineRuns(store, dist, queries[k], store, {&all, 1}, eps,
+                                0, expect, options);
               EXPECT_EQ(lists[k], expect)
                   << BatchKernelName(kernel) << " block " << block << " eps "
                   << eps << " query " << queries[k];

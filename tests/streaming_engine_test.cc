@@ -320,7 +320,9 @@ TEST(StreamingRunTest, ProgressBracketsEveryStageOnce) {
   double last_fraction = 0.0;
   for (const auto& [stage, fraction] : events) {
     if (stage != current) {
-      if (!current.empty()) EXPECT_EQ(last_fraction, 1.0) << current;
+      if (!current.empty()) {
+        EXPECT_EQ(last_fraction, 1.0) << current;
+      }
       ASSERT_LT(order_pos, expected_order.size());
       EXPECT_EQ(stage, expected_order[order_pos++]);
       EXPECT_EQ(fraction, 0.0) << stage;
