@@ -416,8 +416,8 @@ BENCHMARK(BM_PairwiseMatrixTiledSimd)->Arg(1)->Arg(4)
 
 // --- Sieve-sampled grouping end to end (core/sieve_stage.h). -------------
 // The hurricane data set at the golden parameters (ε = 0.94, MinLns = 5),
-// grouped through SieveGroupStage at stride k (Arg). k = 1 is the inner
-// DBSCAN backend byte for byte; larger k trades boundary accuracy for the
+// grouped through SieveGroupStage at stride k (Arg). The k = 1 row runs the
+// inner DBSCAN backend directly (a sieve needs k ≥ 2); larger k trades boundary accuracy for the
 // O((n/k)²) quadratic-term reduction. Besides wall time the bench reports
 // `sieve_quality`: the fraction of sieved-out segments whose sieve label
 // maps (majority vote per sieve cluster) onto their full-run cluster — the
@@ -426,8 +426,9 @@ BENCHMARK(BM_PairwiseMatrixTiledSimd)->Arg(1)->Arg(4)
 
 struct SieveFixture {
   traj::SegmentStore store;
-  std::shared_ptr<const core::SieveGroupStage> stage;
-  cluster::ClusteringResult full;  // The k = 0 (no sieve) reference run.
+  std::shared_ptr<const core::GroupStage> inner;
+  core::SieveGroupOptions sieve;   // Every field but the stride k.
+  cluster::ClusteringResult full;  // The inner backend's (unsieved) run.
 };
 
 const SieveFixture& SievePool() {
@@ -444,12 +445,10 @@ const SieveFixture& SievePool() {
     core::DbscanGroupOptions group;
     group.eps = 0.94;
     group.min_lns = 5.0;
-    core::SieveGroupOptions sieve;
-    sieve.eps = group.eps;
-    sieve.distance = group.distance;
-    f->stage = std::make_shared<core::SieveGroupStage>(
-        std::make_shared<core::DbscanGroupStage>(group), sieve);
-    auto full = f->stage->Run(f->store, core::RunContext{});
+    f->sieve.eps = group.eps;
+    f->sieve.distance = group.distance;
+    f->inner = std::make_shared<core::DbscanGroupStage>(group);
+    auto full = f->inner->Run(f->store, core::RunContext{});
     if (!full.ok()) std::abort();
     f->full = std::move(full).ValueOrDie();
     return f;
@@ -506,11 +505,15 @@ double SieveQuality(const SieveFixture& f,
 
 void BM_SieveGroupEndToEnd(benchmark::State& state) {
   const SieveFixture& f = SievePool();
-  core::RunContext ctx;
-  ctx.sieve = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(0));
+  core::SieveGroupOptions sieve = f.sieve;
+  sieve.k = k;
+  const std::shared_ptr<const core::GroupStage> stage =
+      k <= 1 ? f.inner
+             : std::make_shared<core::SieveGroupStage>(f.inner, sieve);
   cluster::ClusteringResult last;
   for (auto _ : state) {
-    auto result = f.stage->Run(f.store, ctx);
+    auto result = stage->Run(f.store, core::RunContext{});
     if (!result.ok()) {
       state.SkipWithError("sieve group run failed");
       return;
@@ -519,7 +522,7 @@ void BM_SieveGroupEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(last.labels.data());
   }
   state.counters["sieve_quality"] = benchmark::Counter(
-      ctx.sieve <= 1 ? 1.0 : SieveQuality(f, last, ctx.sieve));
+      k <= 1 ? 1.0 : SieveQuality(f, last, k));
   state.counters["clusters"] =
       benchmark::Counter(static_cast<double>(last.clusters.size()));
 }

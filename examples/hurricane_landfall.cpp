@@ -88,6 +88,7 @@ int main() {
   // cluster member within eps — O((n/k)² + n·|sample|) instead of O(n²),
   // deterministic for a fixed (k, offset).
   traclus::core::SieveGroupOptions sieve;
+  sieve.k = 4;  // Cluster a 1-in-4 trajectory sample.
   sieve.eps = group.eps;
   const auto sieved_engine = traclus::core::TraclusEngine::Builder()
                                  .UseDbscanGrouping(group)
@@ -98,9 +99,7 @@ int main() {
     std::fprintf(stderr, "%s\n", sieved_engine.status().ToString().c_str());
     return 1;
   }
-  traclus::core::RunContext sieved_ctx;
-  sieved_ctx.sieve = 4;  // Cluster a 1-in-4 trajectory sample.
-  const auto sieved = sieved_engine->Run(db, sieved_ctx);
+  const auto sieved = sieved_engine->Run(db);
   if (!sieved.ok()) {
     std::fprintf(stderr, "%s\n", sieved.status().ToString().c_str());
     return 1;

@@ -1,5 +1,6 @@
 #include "cluster/neighbor_cache_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,10 @@ namespace {
 constexpr uint32_t kMagic = 0x3143424Eu;
 // Fixed-size header prefix: magic + version + key + n + eps + total_indices.
 constexpr uint64_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
+// Fixed-size trailer: checksum + sentinel magic.
+constexpr uint64_t kTrailerBytes = 8 + 4;
+// Payload words per read of the load-time validation pass.
+constexpr uint64_t kLoadBlock = 8192;
 // Queries per NeighborsBatch slice while writing — bounds the writer's peak
 // resident lists the same way the blocked grouping pass bounds its own.
 constexpr size_t kWriteBatch = 1024;
@@ -107,11 +112,20 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
         "stale neighbor cache file " + path + ": eps mismatch");
   }
 
-  // Exact size the header implies; any shortfall is a truncated write.
+  // Exact size the header implies; any shortfall is a truncated write. n
+  // equals the caller's store size here, so only total_indices can be a
+  // lie: check it against the bytes left before multiplying.
   const uint64_t offsets_bytes = (h.n + 1) * sizeof(uint64_t);
-  const uint64_t expected_size = kHeaderBytes + offsets_bytes +
-                                 h.total_indices * sizeof(uint64_t) +
-                                 sizeof(uint32_t);
+  const uint64_t fixed_bytes = kHeaderBytes + offsets_bytes + kTrailerBytes;
+  if (file_size < fixed_bytes ||
+      h.total_indices > (file_size - fixed_bytes) / sizeof(uint64_t)) {
+    return common::Status::IOError(
+        "truncated neighbor cache file " + path + ": " +
+        std::to_string(file_size) + " bytes cannot hold " +
+        std::to_string(h.total_indices) + " payload indices");
+  }
+  const uint64_t expected_size =
+      fixed_bytes + h.total_indices * sizeof(uint64_t);
   if (file_size != expected_size) {
     return common::Status::IOError(
         "truncated neighbor cache file " + path + ": " +
@@ -128,15 +142,61 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
   if (h.offsets.front() != 0 || h.offsets.back() != h.total_indices) {
     return Corrupt(path, "offset table does not span the payload");
   }
+  // Every list holds at least its own index, so offsets strictly increase.
   for (uint64_t i = 0; i < h.n; ++i) {
-    if (h.offsets[i] > h.offsets[i + 1]) {
-      return Corrupt(path, "offset table is not monotone");
+    if (h.offsets[i] >= h.offsets[i + 1]) {
+      return Corrupt(path, "offset table is not strictly increasing");
     }
   }
   h.payload_begin = kHeaderBytes + offsets_bytes;
 
+  // One streaming pass over the payload: every list strictly ascending,
+  // every index < n, every list holding its own index (Definition 4), and
+  // the checksum over payload then offsets. A list that passes could still
+  // be wrong only if a corruption also matched the checksum.
+  uint64_t checksum = distance::HashInit();
+  std::vector<uint64_t> block(std::min(kLoadBlock, h.total_indices));
+  uint64_t list = 0;  // The list owning payload word `pos`.
+  uint64_t prev = 0;
+  bool saw_self = false;
+  for (uint64_t pos = 0; pos < h.total_indices;) {
+    const uint64_t count = std::min(kLoadBlock, h.total_indices - pos);
+    in.read(reinterpret_cast<char*>(block.data()),
+            static_cast<std::streamsize>(count * sizeof(uint64_t)));
+    if (!in.good()) {
+      return common::Status::IOError("unreadable payload in " + path);
+    }
+    checksum = distance::HashBytes(checksum, block.data(),
+                                   count * sizeof(uint64_t));
+    for (uint64_t k = 0; k < count; ++k, ++pos) {
+      if (pos == h.offsets[list + 1]) ++list;
+      const uint64_t v = block[k];
+      const bool first = pos == h.offsets[list];
+      if (v >= h.n) {
+        return Corrupt(path, "list " + std::to_string(list) +
+                                 " holds out-of-range index " +
+                                 std::to_string(v));
+      }
+      if (!first && v <= prev) {
+        return Corrupt(path, "list " + std::to_string(list) +
+                                 " is not strictly ascending");
+      }
+      saw_self = (saw_self && !first) || v == list;
+      if (pos + 1 == h.offsets[list + 1] && !saw_self) {
+        return Corrupt(path, "list " + std::to_string(list) +
+                                 " lacks its own index");
+      }
+      prev = v;
+    }
+  }
+  checksum = distance::HashBytes(checksum, h.offsets.data(), offsets_bytes);
+  uint64_t recorded = 0;
+  if (!ReadRaw(in, &recorded)) {
+    return common::Status::IOError("unreadable checksum in " + path);
+  }
+  if (recorded != checksum) return Corrupt(path, "checksum mismatch");
+
   uint32_t trailing = 0;
-  in.seekg(static_cast<std::streamoff>(expected_size - sizeof(uint32_t)));
   if (!ReadRaw(in, &trailing) || trailing != kMagic) {
     return Corrupt(path, "missing trailing sentinel");
   }
@@ -169,6 +229,7 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
 
   std::vector<size_t> queries;
   std::vector<uint64_t> flat;
+  uint64_t checksum = distance::HashInit();
   for (uint64_t base_i = 0; base_i < n; base_i += kWriteBatch) {
     const uint64_t hi = std::min<uint64_t>(n, base_i + kWriteBatch);
     queries.clear();
@@ -183,8 +244,13 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
     }
     out.write(reinterpret_cast<const char*>(flat.data()),
               static_cast<std::streamsize>(flat.size() * sizeof(uint64_t)));
+    checksum = distance::HashBytes(checksum, flat.data(),
+                                   flat.size() * sizeof(uint64_t));
   }
   offsets[n] = total;
+  checksum = distance::HashBytes(checksum, offsets.data(),
+                                 offsets.size() * sizeof(uint64_t));
+  WriteRaw(out, checksum);
   WriteRaw(out, kMagic);
 
   out.seekp(static_cast<std::streamoff>(kHeaderBytes - sizeof(uint64_t)));

@@ -538,12 +538,6 @@ TraclusEngine::Builder& TraclusEngine::Builder::WithSieveGrouping(
       std::make_shared<SieveGroupStage>(std::move(group_), options));
 }
 
-TraclusEngine::Builder& TraclusEngine::Builder::WithSieveGrouping(
-    AutoK auto_k, SieveGroupOptions options) {
-  options.auto_k = auto_k;
-  return WithSieveGrouping(options);
-}
-
 TraclusEngine::Builder& TraclusEngine::Builder::WithShardedGrouping(
     const ShardedGroupOptions& options) {
   // Same wrap-whatever-is-configured contract as WithSieveGrouping; a null
@@ -563,12 +557,6 @@ TraclusEngine::Builder& TraclusEngine::Builder::SetDefaultNumThreads(
   return *this;
 }
 
-TraclusEngine::Builder& TraclusEngine::Builder::WithNeighborCache(
-    std::string directory) {
-  default_neighbor_cache_dir_ = std::move(directory);
-  return *this;
-}
-
 common::Result<TraclusEngine> TraclusEngine::Builder::Build() const {
   if (partition_ == nullptr) {
     return common::Status::InvalidArgument(
@@ -585,7 +573,7 @@ common::Result<TraclusEngine> TraclusEngine::Builder::Build() const {
     TRACLUS_RETURN_NOT_OK(representative_->Validate());
   }
   return TraclusEngine(partition_, group_, representative_,
-                       default_num_threads_, default_neighbor_cache_dir_);
+                       default_num_threads_);
 }
 
 // ---------------------------------------------------------------------------
@@ -643,9 +631,6 @@ RunContext TraclusEngine::ResolveContext(const RunContext& ctx) const {
   // < 0 = "hardware concurrency regardless of the engine default", which is
   // what the pool layer's 0 means.
   if (resolved.num_threads < 0) resolved.num_threads = 0;
-  if (resolved.neighbor_cache_dir.empty()) {
-    resolved.neighbor_cache_dir = default_neighbor_cache_dir_;
-  }
   return resolved;
 }
 

@@ -74,8 +74,9 @@ struct TraclusConfig {
   double min_trajectory_cardinality = -1.0;
   /// Weighted-trajectory extension (§4.2 / §7.1).
   bool use_weights = false;
-  /// Use the grid spatial index for ε-neighborhood queries (Lemma 3); when
-  /// false, brute-force scans are used (the O(n²) configuration).
+  /// Block-pruned ε-join for the ε-neighborhood queries (Lemma 3,
+  /// cluster::TileJoin); when false, the join refines every pair (the
+  /// O(n²) configuration).
   bool use_index = true;
 
   /// --- Representative trajectories (§4.3) ---
@@ -165,25 +166,22 @@ class TraclusEngine {
     Builder& UseSweepRepresentatives(
         const SweepRepresentativeOptions& options = {});
     /// Wraps the currently configured group stage in a SieveGroupStage
-    /// (core/sieve_stage.h): runs whose RunContext sets `sieve` ≥ 2 group
-    /// only that fraction of trajectories through the wrapped backend and
-    /// batch-assign the rest to the nearest cluster within `options.eps`.
-    /// Call after the grouping backend is chosen (Use*Grouping /
-    /// SetGroupStage); calling it with no group stage configured is a Build()
-    /// validation failure.
+    /// (core/sieve_stage.h): every run groups only the 1-in-`options.k`
+    /// trajectory sample (residue class `options.offset`) through the
+    /// wrapped backend and batch-assigns the rest to the nearest cluster
+    /// within `options.eps`. Call after the grouping backend is chosen
+    /// (Use*Grouping / SetGroupStage); calling it with no group stage
+    /// configured, or with k < 2, is a Build() validation failure.
     Builder& WithSieveGrouping(const SieveGroupOptions& options);
-    /// AutoK convenience overload: stamps `auto_k` into the options and
-    /// wraps as above, so runs that leave RunContext::sieve at 0 derive the
-    /// stride from the store size (k = ceil(size / target_sample)).
-    Builder& WithSieveGrouping(AutoK auto_k, SieveGroupOptions options = {});
     /// Wraps the currently configured group stage in a ShardedGroupStage
-    /// (core/sharded_stage.h): runs whose RunContext sets `shards` ≥ 2
-    /// decompose the segment database over a cell grid, run the wrapped
-    /// backend independently per shard (in parallel across the run's
-    /// threads), and merge shard-border clusters through a halo exchange
-    /// behind the communicator seam. Same call-after-the-backend contract as
-    /// WithSieveGrouping. Composes with the sieve: apply sharding first so
-    /// the sieve's sampled sub-database is what gets sharded.
+    /// (core/sharded_stage.h): every run decomposes the segment database over
+    /// a cell grid into `options.shards` shards, runs the wrapped backend
+    /// independently per shard (in parallel across the run's threads), and
+    /// merges shard-border clusters through a halo exchange behind the
+    /// communicator seam. Same call-after-the-backend contract as
+    /// WithSieveGrouping; shards < 2 fails Build(). Composes with the sieve:
+    /// apply sharding first so the sieve's sampled sub-database is what gets
+    /// sharded.
     Builder& WithShardedGrouping(const ShardedGroupOptions& options);
     /// Disables representative generation (stage 3 is skipped; Run returns an
     /// empty `representatives` vector).
@@ -192,11 +190,6 @@ class TraclusEngine {
     /// Default worker-thread count for runs whose RunContext leaves
     /// num_threads at 0. 0 = hardware concurrency.
     Builder& SetDefaultNumThreads(int num_threads);
-
-    /// Default persistent neighbor-cache directory for runs whose RunContext
-    /// leaves neighbor_cache_dir empty (see RunContext::neighbor_cache_dir
-    /// for semantics). Empty (the default) disables the cache.
-    Builder& WithNeighborCache(std::string directory);
 
     /// Validates the assembly and every stage's configuration; returns the
     /// engine or the first validation failure.
@@ -208,7 +201,6 @@ class TraclusEngine {
     /// Null = stage 3 disabled (WithoutRepresentatives).
     std::shared_ptr<const RepresentativeStage> representative_;
     int default_num_threads_ = 0;
-    std::string default_neighbor_cache_dir_;
   };
 
   /// Maps the legacy flat TraclusConfig onto the equivalent builder assembly.
@@ -228,8 +220,8 @@ class TraclusEngine {
   /// executes the ordinary grouping/representative stages; a capped run
   /// executes the stages' RunChunked paths, under which at most
   /// max_resident_chunks payload chunks are cache-resident at any point. A
-  /// capped run fails with kInvalidArgument when a neighbor-cache directory
-  /// resolves (the capped path builds no file cache), and with
+  /// capped run fails with kInvalidArgument when the RunContext names a
+  /// neighbor-cache directory (the capped path builds no file cache), and with
   /// kUnimplemented from a stage that has no capped path (OPTICS, sieve,
   /// sharded, custom stages without a RunChunked override).
   ///
@@ -272,21 +264,16 @@ class TraclusEngine {
     return representative_.get();
   }
   int default_num_threads() const { return default_num_threads_; }
-  /// Empty when the persistent neighbor cache is disabled.
-  const std::string& default_neighbor_cache_dir() const {
-    return default_neighbor_cache_dir_;
-  }
 
  private:
   TraclusEngine(std::shared_ptr<const PartitionStage> partition,
                 std::shared_ptr<const GroupStage> group,
                 std::shared_ptr<const RepresentativeStage> representative,
-                int default_num_threads, std::string default_neighbor_cache_dir)
+                int default_num_threads)
       : partition_(std::move(partition)),
         group_(std::move(group)),
         representative_(std::move(representative)),
-        default_num_threads_(default_num_threads),
-        default_neighbor_cache_dir_(std::move(default_neighbor_cache_dir)) {}
+        default_num_threads_(default_num_threads) {}
 
   /// Copies `ctx` with num_threads resolved against the engine default.
   RunContext ResolveContext(const RunContext& ctx) const;
@@ -307,7 +294,6 @@ class TraclusEngine {
   std::shared_ptr<const GroupStage> group_;
   std::shared_ptr<const RepresentativeStage> representative_;  // May be null.
   int default_num_threads_ = 0;
-  std::string default_neighbor_cache_dir_;
 };
 
 /// The sweep-representative options a legacy TraclusConfig implies: the

@@ -115,6 +115,11 @@ common::Status ShardedGroupStage::Validate() const {
         "ShardedGroupStage requires a non-null inner group stage");
   }
   TRACLUS_RETURN_NOT_OK(inner_->Validate());
+  if (options_.shards < 2) {
+    return common::Status::OutOfRange(
+        "shard count must be >= 2 (without sharding, use the inner group "
+        "stage directly)");
+  }
   if (!(options_.eps > 0.0) || !std::isfinite(options_.eps)) {
     return common::Status::OutOfRange(
         "sharded grouping eps must be positive and finite");
@@ -135,10 +140,10 @@ common::Status ShardedGroupStage::Validate() const {
 
 common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
-  const size_t S = ctx.shards;
+  const size_t S = options_.shards;
   const size_t n = store.size();
-  if (S <= 1 || n == 0) {
-    // Sharding disabled: the decorator is transparent, byte for byte.
+  if (n == 0) {
+    // Nothing to decompose: the inner stage returns the empty clustering.
     return inner_->Run(store, ctx);
   }
   if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
@@ -158,15 +163,12 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   const std::vector<std::vector<size_t>> ghosts = grid.GhostLists(reach);
 
   // Per-shard inner runs: single-threaded (shard-level parallelism only —
-  // nested pool use from a worker would deadlock), sieve/sharding disabled,
-  // progress muted (concurrent sinks would interleave), and shard_local set
-  // so whole-database post-filters wait for the merge.
+  // nested pool use from a worker would deadlock), progress muted
+  // (concurrent sinks would interleave), and shard_local set so
+  // whole-database post-filters wait for the merge.
   RunContext inner_ctx = ctx;
   inner_ctx.num_threads = 1;
-  inner_ctx.shards = 0;
   inner_ctx.shard_local = true;
-  inner_ctx.sieve = 0;
-  inner_ctx.sieve_offset = 0;
   inner_ctx.progress = nullptr;
 
   std::vector<ShardState> states(S);

@@ -13,8 +13,9 @@
 // Cost model: the inner backend's quadratic pairwise work drops from O(n²)
 // to O(Σ_s (n_s + g_s)²) ≈ O(n²/S) for S balanced shards with small halos,
 // and the shards run concurrently across the RunContext's threads — shard
-// count S is a decomposition knob, thread count an execution knob; any
-// combination is valid.
+// count S is a decomposition knob fixed when the stage is built, thread
+// count an execution knob of each run; any combination is valid. S must be
+// ≥ 2 (Validate); without sharding, build the inner stage alone.
 //
 // Exactness (DBSCAN inner backend): a shard-local DBSCAN over owned + ghost
 // segments computes the exact global core status of every owned segment
@@ -46,8 +47,7 @@
 // rank-ordered union-find are each pure functions of (store, options, shard
 // count) — thread scheduling only changes when shards run, never what they
 // compute — so labels are byte-identical across thread counts and
-// scalar/SIMD kernels for a fixed shard count. ctx.shards ≤ 1 delegates to
-// the inner stage unchanged (byte-identical to using it directly).
+// scalar/SIMD kernels for a fixed shard count.
 //
 // Whole-database post-filters: per-shard inner runs execute with
 // RunContext::shard_local set, which defers the trajectory-cardinality
@@ -99,6 +99,8 @@ struct ShardedRunStats {
 /// configuration, so the caller states it twice); results are only exact
 /// when they match the inner backend's.
 struct ShardedGroupOptions {
+  /// Shard count S of the cell-grid decomposition. Must be set, ≥ 2.
+  size_t shards = 0;
   /// Neighborhood radius ε (Definition 4) of the inner clustering — drives
   /// the halo width, the border tiles, and the merge predicate. Must be
   /// positive and finite.
@@ -126,7 +128,7 @@ struct ShardedGroupOptions {
 };
 
 /// Decorator GroupStage implementing sharded grouping over any inner
-/// backend. The shard count is a per-run parameter (RunContext::shards).
+/// backend into options().shards shards.
 class ShardedGroupStage : public GroupStage {
  public:
   /// `inner` must be non-null (checked in Validate).
@@ -135,8 +137,8 @@ class ShardedGroupStage : public GroupStage {
 
   const char* name() const override;
   common::Status Validate() const override;
-  /// ctx.shards ≤ 1 (or an empty store): delegates to the inner stage
-  /// unchanged. Otherwise runs the three-superstep sharded pipeline:
+  /// An empty store delegates to the inner stage unchanged. Otherwise runs
+  /// the three-superstep sharded pipeline:
   /// shard-local clustering + border analysis, halo record exchange over the
   /// communicator, and the cross-border union-find merge + global filter.
   common::Result<cluster::ClusteringResult> Run(

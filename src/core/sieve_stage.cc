@@ -12,11 +12,6 @@
 
 namespace traclus::core {
 
-size_t ChooseSieveK(size_t store_size, size_t target_sample) {
-  if (target_sample == 0 || store_size <= target_sample) return 1;
-  return (store_size + target_sample - 1) / target_sample;
-}
-
 SieveGroupStage::SieveGroupStage(std::shared_ptr<const GroupStage> inner,
                                  const SieveGroupOptions& options)
     : inner_(std::move(inner)), options_(options) {
@@ -41,6 +36,11 @@ common::Status SieveGroupStage::Validate() const {
         "SieveGroupStage requires a non-null inner group stage");
   }
   TRACLUS_RETURN_NOT_OK(inner_->Validate());
+  if (options_.k < 2) {
+    return common::Status::OutOfRange(
+        "sieve stride k must be >= 2 (without a sieve, use the inner group "
+        "stage directly)");
+  }
   if (!(options_.eps > 0.0) || !std::isfinite(options_.eps)) {
     return common::Status::OutOfRange(
         "sieve assignment eps must be positive and finite");
@@ -58,26 +58,16 @@ common::Status SieveGroupStage::Validate() const {
 common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
   const size_t n = store.size();
-  // An explicit per-run stride always wins (sieve = 1 forces a full inner
-  // run); AutoK only fills the gap when the run left the knob at 0.
-  const size_t k = ctx.sieve > 0
-                       ? ctx.sieve
-                       : (options_.auto_k.target_sample > 0
-                              ? ChooseSieveK(n, options_.auto_k.target_sample)
-                              : 0);
-  if (k <= 1) {
-    // Sieve disabled: the decorator is transparent, byte for byte.
-    return inner_->Run(store, ctx);
-  }
+  const size_t k = options_.k;
 
   // Sampling unit is the trajectory: a trajectory's segments stay together so
   // the sample preserves within-trajectory density (a segment's ε-neighbors
   // are dominated by its own trajectory's neighbors in real data). Rank
   // trajectories by first appearance in store order — a pure function of the
-  // store, independent of threads — and sample the ctx.sieve_offset residue
+  // store, independent of threads — and sample the options().offset residue
   // class of that rank.
   std::unordered_map<geom::TrajectoryId, size_t> rank_of;
-  const size_t offset = ctx.sieve_offset % k;
+  const size_t offset = options_.offset % k;
   std::vector<char> sampled(n, 0);
   std::vector<size_t> sampled_global;  // ascending store order
   for (size_t i = 0; i < n; ++i) {
@@ -101,10 +91,7 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
   const traj::SegmentStore sample_store =
       traj::SegmentStore::FromSegments(std::move(sample_segments));
 
-  RunContext inner_ctx = ctx;
-  inner_ctx.sieve = 0;  // Never recurse; the sample is grouped in full.
-  inner_ctx.sieve_offset = 0;
-  auto inner_result = inner_->Run(sample_store, inner_ctx);
+  auto inner_result = inner_->Run(sample_store, ctx);
   TRACLUS_RETURN_NOT_OK(inner_result.status());
   const cluster::ClusteringResult& sample = *inner_result;
 

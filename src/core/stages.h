@@ -41,7 +41,15 @@ using ProgressFn =
 /// Per-run execution parameters, shared by every stage of one engine run.
 /// Separate from stage configuration on purpose: the same engine can serve
 /// many concurrent runs, each with its own threads, progress sink, and
-/// cancellation token.
+/// cancellation token. What a run computes is fixed at Build(): the sieve
+/// stride and offset and the shard count are options of their decorator
+/// stages (SieveGroupOptions, ShardedGroupOptions), never per-run knobs.
+///
+/// Three fields below still steer only some stages, each for a stated
+/// reason: `shard_local` is the sharded stage's only channel to its opaque
+/// inner stage (replacing it would need a new stage interface), and
+/// `neighbor_cache_dir`, `chunk_capacity` and `max_resident_chunks` are the
+/// run-level knobs the benchmark harness (perfbench/) sets.
 struct RunContext {
   /// Worker threads for the parallel phases. > 0: exactly that many; 0: the
   /// engine's configured default (which itself defaults to hardware
@@ -62,28 +70,6 @@ struct RunContext {
   /// built without AVX2). The kernels are bit-identical, so results never
   /// depend on this knob — only throughput does.
   distance::BatchKernel distance_kernel = distance::BatchKernel::kAuto;
-  /// Sieve-sampled grouping (core/sieve_stage.h): when the group stage is a
-  /// SieveGroupStage, only every `sieve`-th trajectory's segments are grouped
-  /// through the inner backend and the rest are batch-assigned to the nearest
-  /// cluster — O((n/k)² + n·|clusters|) instead of O(n²). 0 or 1 disables the
-  /// sieve (the inner backend runs on everything, byte-identically to using
-  /// it directly). Deterministic for fixed (sieve, sieve_offset): labels are
-  /// identical across thread counts and kernels. Ignored by every other
-  /// group stage.
-  size_t sieve = 0;
-  /// Which residue class of the trajectory first-appearance rank is sampled
-  /// (taken modulo `sieve`); lets repeated runs sample disjoint subsets.
-  size_t sieve_offset = 0;
-  /// Sharded grouping (core/sharded_stage.h): when the group stage is a
-  /// ShardedGroupStage, the segment database is decomposed over a cell grid
-  /// into this many shards, the inner backend runs independently per shard
-  /// (shards execute in parallel across the run's threads), and shard-border
-  /// clusters are merged through a halo exchange behind the communicator seam
-  /// (core/shard_comm.h). 0 or 1 disables sharding (the inner backend runs on
-  /// everything, byte-identically to using it directly). Deterministic for a
-  /// fixed shard count: labels are identical across thread counts and
-  /// kernels. Ignored by every other group stage.
-  size_t shards = 0;
   /// Set by ShardedGroupStage on the context of its per-shard inner runs
   /// (never by callers): tells the inner backend it is clustering one shard
   /// of a larger database, so whole-database post-filters — today the
@@ -107,7 +93,8 @@ struct RunContext {
   /// lists are recomputed and rewritten. Served lists equal the computed
   /// ones exactly, so results are byte-identical either way. Composes with
   /// sieve/sharded grouping: each effective query store (the sieve sample,
-  /// each shard) hashes to its own cache file. Empty = disabled. A
+  /// each shard) hashes to its own cache file. A damaged file fails its load
+  /// checks and is recomputed and rewritten. Empty = disabled. A
   /// residency-capped streaming run rejects it (kInvalidArgument): the
   /// capped path builds no file cache.
   std::string neighbor_cache_dir;
@@ -281,7 +268,8 @@ struct OpticsGroupOptions {
   double min_lns = 5.0;
   /// Trajectory-cardinality threshold (negative: use min_lns; 0: disabled).
   double min_trajectory_cardinality = -1.0;
-  /// Grid spatial index for the ε-neighborhood queries.
+  /// Block-pruned ε-join (cluster::TileJoin); false = the O(n²)
+  /// brute-force configuration.
   bool use_index = true;
   /// Distance function configuration (§2.3). Weights must be ≥ 0.
   distance::SegmentDistanceConfig distance;

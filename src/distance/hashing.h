@@ -7,7 +7,7 @@
 // on-disk files by a 64-bit content hash of everything the ε-neighborhood
 // answer depends on: the SegmentStore's defining columns (endpoint
 // coordinates, ids, trajectory ids, weights), the distance weights, and ε.
-// Derived invariants (lengths, directions, midpoints, bboxes) are excluded
+// Derived invariants (lengths, directions, midpoints) are excluded
 // on purpose — they are bit-exact functions of the endpoints, so hashing
 // them would only slow the key down without adding discrimination.
 //

@@ -9,7 +9,8 @@
 
 namespace traclus::geom {
 
-/// Axis-aligned bounding box used by the ε-neighborhood grid index.
+/// Axis-aligned bounding box: the spatial extent of a trajectory database,
+/// a generator's world, or an SVG viewport.
 ///
 /// Tracks dimensionality from the first point it encloses. An empty box reports
 /// infinite mindist to everything.

@@ -34,7 +34,8 @@ ParameterEstimate EstimateParameters(const traj::SegmentStore& store,
 
   if (options.refine_with_annealing) {
     // Refine around the grid minimum with SA over a single-ε entropy objective
-    // evaluated through the exact grid index (batched refine kernels inside).
+    // evaluated through the exact block-pruned TileJoin (batched refine
+    // kernels inside).
     cluster::GridNeighborhoodIndex index(store, dist, options.kernel);
     auto objective = [&](double eps) {
       return NeighborhoodEntropy(

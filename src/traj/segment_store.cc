@@ -14,7 +14,6 @@ SegmentStore::SegmentStore(std::vector<geom::Segment> segments)
   direction_.resize(n);
   unit_direction_.resize(n);
   midpoint_.resize(n);
-  bbox_.resize(n);
   id_.resize(n);
   trajectory_id_.resize(n);
   weight_.resize(n);
@@ -41,7 +40,6 @@ SegmentStore::SegmentStore(std::vector<geom::Segment> segments)
     inv_length_[i] = length_[i] > 0.0 ? 1.0 / length_[i] : 0.0;
     unit_direction_[i] = direction_[i] * inv_length_[i];
     midpoint_[i] = s.Midpoint();
-    bbox_[i].Extend(s);
     id_[i] = s.id();
     trajectory_id_[i] = s.trajectory_id();
     weight_[i] = s.weight();

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/bbox.h"
 #include "geom/point.h"
 #include "geom/segment.h"
 
@@ -82,17 +81,16 @@ class SegmentStore {
   }
 
   // --- Per-segment invariants -------------------------------------------
-  // The distance fast path consumes length/squared_length/direction (and the
-  // indexes consume bbox); inv_length, unit_direction, and midpoint are part
-  // of the substrate contract for SoA batch kernels (see ROADMAP: SIMD batch
-  // distance, sharded/streaming backends) and for consumers that do not need
+  // The distance fast path consumes length/squared_length/direction;
+  // inv_length, unit_direction, and midpoint are part of the substrate
+  // contract for SoA batch kernels (see ROADMAP: SIMD batch distance,
+  // sharded/streaming backends) and for consumers that do not need
   // bit-identity with the Segment accessors.
   // Each equals the corresponding fresh computation bit-for-bit:
   //   direction(i)       == segment(i).Direction()
   //   squared_length(i)  == segment(i).Direction().SquaredNorm()
   //   length(i)          == segment(i).Length()
   //   midpoint(i)        == segment(i).Midpoint()
-  //   bbox(i)            == BBox extended by both endpoints of segment(i)
 
   double length(size_t i) const { return length_[i]; }
   double squared_length(size_t i) const { return squared_length_[i]; }
@@ -110,7 +108,6 @@ class SegmentStore {
     return unit_direction_[i];
   }
   const geom::Point& midpoint(size_t i) const { return midpoint_[i]; }
-  const geom::BBox& bbox(size_t i) const { return bbox_[i]; }
   geom::SegmentId id(size_t i) const { return id_[i]; }
   geom::TrajectoryId trajectory_id(size_t i) const {
     return trajectory_id_[i];
@@ -127,7 +124,6 @@ class SegmentStore {
   const std::vector<geom::TrajectoryId>& trajectory_ids() const {
     return trajectory_id_;
   }
-  const std::vector<geom::BBox>& bboxes() const { return bbox_; }
 
   // --- Flat SoA coordinate columns --------------------------------------
   // One contiguous double array per (quantity, dimension): the substrate of
@@ -167,7 +163,6 @@ class SegmentStore {
   std::vector<geom::Point> direction_;
   std::vector<geom::Point> unit_direction_;
   std::vector<geom::Point> midpoint_;
-  std::vector<geom::BBox> bbox_;
   std::vector<geom::SegmentId> id_;
   std::vector<geom::TrajectoryId> trajectory_id_;
   std::vector<double> weight_;

@@ -66,8 +66,6 @@ void ExpectChunkIsExactSlice(const SegmentStore& chunk, size_t base,
       EXPECT_EQ(chunk.midpoint(i)[d], mono.midpoint(g)[d]);
       EXPECT_EQ(chunk.segment(i).start()[d], mono.segment(g).start()[d]);
       EXPECT_EQ(chunk.segment(i).end()[d], mono.segment(g).end()[d]);
-      EXPECT_EQ(chunk.bbox(i).lo(d), mono.bbox(g).lo(d));
-      EXPECT_EQ(chunk.bbox(i).hi(d), mono.bbox(g).hi(d));
     }
     for (int d = 0; d < geom::kMaxDims; ++d) {
       EXPECT_EQ(chunk.start_coords(d)[i], mono.start_coords(d)[g]);

@@ -1,7 +1,9 @@
 // Tests for the persistent neighbor cache (cluster/neighbor_cache_file.h)
 // and its content-hash keying (distance/hashing.h): every key input
 // perturbation must miss, every bad file must fail with the documented typed
-// status (never a silent wrong answer), and served lists must be
+// status (never a silent wrong answer) — including a seeded mutation fuzz
+// of a saved hurricane-subset file, each mutant of which the engine must
+// heal into the uncached clustering — and served lists must be
 // byte-identical to the base provider on both the cold and the warm path —
 // through the raw provider API and through the full engine.
 
@@ -9,14 +11,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/neighbor_cache_file.h"
 #include "cluster/neighborhood.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/hurricane_generator.h"
@@ -55,6 +63,32 @@ std::vector<geom::Segment> BaseSegments() {
 }
 
 constexpr double kEps = 2.5;
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+uint64_t WordAt(const std::string& bytes, size_t pos) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + pos, sizeof(v));
+  return v;
+}
+
+void SetWordAt(std::string* bytes, size_t pos, uint64_t v) {
+  std::memcpy(bytes->data() + pos, &v, sizeof(v));
+}
+
+// v2 layout (cluster/neighbor_cache_file.h): the fixed header is 40 bytes,
+// total_indices is its last word, and offsets[0] follows it.
+constexpr size_t kTotalIndicesPos = 32;
+constexpr size_t kOffsetsPos = 40;
 
 TEST(NeighborCacheKeyTest, EveryKeyInputPerturbationChangesTheKey) {
   const traj::SegmentStore store(BaseSegments());
@@ -234,6 +268,22 @@ TEST(NeighborCacheFileTest, LoadFailsWithTypedStatusOnEveryBadFile) {
                 .code(),
             common::StatusCode::kIOError);
 
+  // A v1 file is an unsupported version → InvalidArgument.
+  ASSERT_TRUE(WriteNeighborCacheFile(path, key, base, kEps, pool).ok());
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    f.seekp(4);
+    const uint32_t v1 = 1;
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  const auto old_version =
+      LoadNeighborCacheFileHeader(path, key, store.size(), kEps);
+  EXPECT_EQ(old_version.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(old_version.status().message().find("unsupported format version"),
+            std::string::npos)
+      << old_version.status().ToString();
+
   // Corrupt magic → InvalidArgument.
   ASSERT_TRUE(WriteNeighborCacheFile(path, key, base, kEps, pool).ok());
   {
@@ -262,6 +312,201 @@ TEST(NeighborCacheFileTest, LoadFailsWithTypedStatusOnEveryBadFile) {
   EXPECT_TRUE((*healed)->loaded_from_file());
 }
 
+// A provider that answers like `base` except that `mutate` rewrites list
+// `target`: the writer then records a wrong list under a valid checksum, so
+// only the load's payload checks stand between it and a caller.
+class LyingProvider : public NeighborhoodProvider {
+ public:
+  LyingProvider(const NeighborhoodProvider& base, size_t target,
+                std::function<void(std::vector<size_t>*)> mutate)
+      : base_(base), target_(target), mutate_(std::move(mutate)) {}
+
+  std::vector<size_t> Neighbors(size_t query_index,
+                                double eps) const override {
+    std::vector<size_t> list = base_.Neighbors(query_index, eps);
+    if (query_index == target_) mutate_(&list);
+    return list;
+  }
+  std::vector<std::vector<size_t>> AllNeighbors(
+      double eps, common::ThreadPool& /*pool*/) const override {
+    std::vector<std::vector<size_t>> lists(size());
+    for (size_t i = 0; i < size(); ++i) lists[i] = Neighbors(i, eps);
+    return lists;
+  }
+  std::vector<size_t> AllNeighborhoodSizes(
+      double eps, common::ThreadPool& pool) const override {
+    std::vector<size_t> sizes;
+    for (const auto& list : AllNeighbors(eps, pool)) {
+      sizes.push_back(list.size());
+    }
+    return sizes;
+  }
+  std::vector<std::vector<size_t>> NeighborsBatch(
+      const std::vector<size_t>& queries, double eps,
+      common::ThreadPool& /*pool*/) const override {
+    std::vector<std::vector<size_t>> lists;
+    for (const size_t q : queries) lists.push_back(Neighbors(q, eps));
+    return lists;
+  }
+  size_t size() const override { return base_.size(); }
+
+ private:
+  const NeighborhoodProvider& base_;
+  size_t target_;
+  std::function<void(std::vector<size_t>*)> mutate_;
+};
+
+TEST(NeighborCacheFileTest, LoadRejectsAWrongListUnderAValidChecksum) {
+  const std::string dir = CacheDir("payload_checks");
+  const traj::SegmentStore store(BaseSegments());
+  const distance::SegmentDistance dist;
+  const BruteForceNeighborhood base(store, dist);
+  common::ThreadPool& pool = common::SharedPool(1);
+  const uint64_t key = distance::NeighborhoodCacheKey(store, dist.config(),
+                                                      kEps);
+  const std::string path = NeighborCacheFilePath(dir, key);
+  const size_t target = 3;
+  ASSERT_GE(base.Neighbors(target, kEps).size(), 2u);
+
+  const std::vector<std::pair<std::string,
+                              std::function<void(std::vector<size_t>*)>>>
+      lies = {
+          {"out-of-range index",
+           [&](std::vector<size_t>* l) { l->push_back(store.size()); }},
+          {"index 2^40", [](std::vector<size_t>* l) { l->back() = 1ull << 40; }},
+          {"descending pair",
+           [](std::vector<size_t>* l) { std::swap((*l)[0], (*l)[1]); }},
+          {"duplicate index",
+           [](std::vector<size_t>* l) { l->push_back(l->back()); }},
+          {"own index missing",
+           [&](std::vector<size_t>* l) {
+             std::vector<size_t> kept;
+             for (const size_t v : *l) {
+               if (v != target) kept.push_back(v);
+             }
+             *l = kept;
+           }},
+          {"empty list", [](std::vector<size_t>* l) { l->clear(); }},
+      };
+  for (const auto& [what, mutate] : lies) {
+    SCOPED_TRACE(what);
+    const LyingProvider liar(base, target, mutate);
+    ASSERT_TRUE(WriteNeighborCacheFile(path, key, liar, kEps, pool).ok());
+    EXPECT_EQ(LoadNeighborCacheFileHeader(path, key, store.size(), kEps)
+                  .status()
+                  .code(),
+              common::StatusCode::kInvalidArgument);
+    // Create recomputes through the honest provider and rewrites the file.
+    auto healed = FileNeighborhoodCache::Create(base, store, dist.config(),
+                                                kEps, dir, pool);
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    EXPECT_FALSE((*healed)->loaded_from_file());
+    EXPECT_EQ((*healed)->AllNeighbors(kEps, pool), base.AllNeighbors(kEps, pool));
+  }
+}
+
+// Seeded mutation fuzz over a saved hurricane-subset file: byte flips
+// anywhere, truncations, and lies in total_indices and in the offsets. Every
+// mutant must fail the load with a typed status, and an engine run over the
+// mutant (FileNeighborhoodCache::Create) must recompute, rewrite the file,
+// and cluster exactly like the uncached run.
+TEST(NeighborCacheFuzzTest, EveryMutantFailsTypedAndTheEngineHealsIt) {
+  const std::string dir = CacheDir("fuzz");
+  datagen::HurricaneConfig subset;
+  subset.num_trajectories = 60;
+  const traj::TrajectoryDatabase db = datagen::GenerateHurricanes(subset);
+  core::DbscanGroupOptions group;
+  group.eps = 0.94;
+  group.min_lns = 5.0;
+  const auto engine = core::TraclusEngine::Builder()
+                          .UseMdlPartitioning()
+                          .UseDbscanGrouping(group)
+                          .Build();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto partitioned = engine->Partition(db);
+  ASSERT_TRUE(partitioned.ok());
+  const traj::SegmentStore& store = partitioned->store;
+  const auto expect = engine->Group(store);
+  ASSERT_TRUE(expect.ok());
+  ASSERT_FALSE(expect->clusters.empty());
+
+  core::RunContext cached;
+  cached.num_threads = 2;
+  cached.neighbor_cache_dir = dir;
+  ASSERT_TRUE(engine->Group(store, cached).ok());  // Writes the file.
+  const uint64_t key =
+      distance::NeighborhoodCacheKey(store, group.distance, group.eps);
+  const std::string path = NeighborCacheFilePath(dir, key);
+  auto header = LoadNeighborCacheFileHeader(path, key, store.size(), group.eps);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  const std::string original = ReadFileBytes(path);
+  const uint64_t n = store.size();
+  const uint64_t total = header->total_indices;
+  ASSERT_EQ(WordAt(original, kTotalIndicesPos), total);
+
+  common::Rng rng(20261019);
+  std::vector<std::pair<std::string, std::string>> mutants;
+  const auto pick = [&](uint64_t lo, uint64_t hi) {
+    return static_cast<uint64_t>(rng.UniformInt(static_cast<int64_t>(lo),
+                                                static_cast<int64_t>(hi)));
+  };
+  for (int m = 0; m < 64; ++m) {
+    std::string bytes = original;
+    const size_t pos = pick(0, bytes.size() - 1);
+    bytes[pos] = static_cast<char>(bytes[pos] ^ static_cast<char>(pick(1, 255)));
+    mutants.emplace_back("flip byte " + std::to_string(pos), bytes);
+  }
+  for (int m = 0; m < 16; ++m) {
+    const size_t keep = pick(0, original.size() - 1);
+    mutants.emplace_back("truncate to " + std::to_string(keep),
+                         original.substr(0, keep));
+  }
+  for (const uint64_t lie :
+       {uint64_t{0}, total - 1, total + 1, total * 2, uint64_t{1} << 40,
+        uint64_t{1} << 61, std::numeric_limits<uint64_t>::max(),
+        pick(0, total * 4)}) {
+    if (lie == total) continue;
+    std::string bytes = original;
+    SetWordAt(&bytes, kTotalIndicesPos, lie);
+    mutants.emplace_back("total_indices " + std::to_string(lie), bytes);
+  }
+  for (int m = 0; m < 16; ++m) {
+    std::string bytes = original;
+    const size_t i = pick(0, n);
+    const size_t pos = kOffsetsPos + i * sizeof(uint64_t);
+    const uint64_t was = WordAt(bytes, pos);
+    const uint64_t lie = m % 2 == 0 ? pick(0, total + 8)
+                                    : (m % 4 == 1 ? was + 1 : was - 1);
+    if (lie == was) continue;
+    SetWordAt(&bytes, pos, lie);
+    mutants.emplace_back(
+        "offsets[" + std::to_string(i) + "] = " + std::to_string(lie), bytes);
+  }
+
+  for (const auto& [what, bytes] : mutants) {
+    SCOPED_TRACE(what);
+    WriteFileBytes(path, bytes);
+    const common::Status status =
+        LoadNeighborCacheFileHeader(path, key, n, group.eps).status();
+    EXPECT_FALSE(status.ok());
+    EXPECT_TRUE(status.code() == common::StatusCode::kInvalidArgument ||
+                status.code() == common::StatusCode::kIOError ||
+                status.code() == common::StatusCode::kFailedPrecondition)
+        << status.ToString();
+
+    const auto got = engine->Group(store, cached);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->labels, expect->labels);
+    EXPECT_EQ(got->num_noise, expect->num_noise);
+    ASSERT_EQ(got->clusters.size(), expect->clusters.size());
+    for (size_t c = 0; c < got->clusters.size(); ++c) {
+      EXPECT_EQ(got->clusters[c].member_indices,
+                expect->clusters[c].member_indices);
+    }
+    EXPECT_EQ(ReadFileBytes(path), original) << "the rerun rewrites the file";
+  }
+}
+
 TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
   const std::string dir = CacheDir("engine");
   const traj::TrajectoryDatabase db =
@@ -271,13 +516,6 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
   group.min_lns = 5.0;
   core::SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
-  const auto engine = core::TraclusEngine::Builder()
-                          .UseMdlPartitioning()
-                          .UseDbscanGrouping(group)
-                          .UseSweepRepresentatives(reps)
-                          .WithNeighborCache(dir)
-                          .Build();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const auto plain = core::TraclusEngine::Builder()
                          .UseMdlPartitioning()
                          .UseDbscanGrouping(group)
@@ -285,11 +523,13 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
                          .Build();
   ASSERT_TRUE(plain.ok());
 
+  core::RunContext ctx;
+  ctx.neighbor_cache_dir = dir;
   const auto expect = plain->Run(db);
   ASSERT_TRUE(expect.ok());
-  const auto cold = engine->Run(db);
+  const auto cold = plain->Run(db, ctx);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  const auto warm = engine->Run(db);
+  const auto warm = plain->Run(db, ctx);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   for (const auto* run : {&cold, &warm}) {
@@ -314,14 +554,6 @@ TEST(NeighborCacheFileTest, EngineRunsAreByteIdenticalColdWarmAndUncached) {
     ++files;
   }
   EXPECT_EQ(files, 1u);
-
-  // A per-run context override beats the builder default off-switch: an
-  // empty engine with ctx.neighbor_cache_dir set also hits the same file.
-  core::RunContext ctx;
-  ctx.neighbor_cache_dir = dir;
-  const auto via_ctx = plain->Run(db, ctx);
-  ASSERT_TRUE(via_ctx.ok());
-  EXPECT_EQ(via_ctx->clustering.labels, expect->clustering.labels);
 }
 
 }  // namespace

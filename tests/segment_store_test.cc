@@ -71,8 +71,6 @@ TEST(SegmentStoreTest, InvariantsMatchFreshComputation) {
         EXPECT_EQ(store.unit_direction(i)[d],
                   s.Direction()[d] * store.inv_length(i));
         EXPECT_EQ(store.midpoint(i)[d], s.Midpoint()[d]);
-        EXPECT_EQ(store.bbox(i).lo(d), std::min(s.start()[d], s.end()[d]));
-        EXPECT_EQ(store.bbox(i).hi(d), std::max(s.start()[d], s.end()[d]));
       }
       EXPECT_EQ(store.id(i), s.id());
       EXPECT_EQ(store.trajectory_id(i), s.trajectory_id());

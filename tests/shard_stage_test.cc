@@ -1,5 +1,5 @@
-// Tests for ShardedGroupStage (core/sharded_stage.h): the shards ≤ 1
-// transparency contract, equivalence to the unsharded backend modulo the
+// Tests for ShardedGroupStage (core/sharded_stage.h): the shards < 2
+// Validate rejection, equivalence to the unsharded backend modulo the
 // documented contested-border deviation, byte-determinism across thread
 // counts and kernels for a fixed shard count, the halo merge on an
 // adversarial border-spanning chain, the stats sink, the communicator's
@@ -55,14 +55,22 @@ DbscanGroupOptions HurricaneGroupOptions() {
   return options;
 }
 
-ShardedGroupStage MakeShardedStage(const DbscanGroupOptions& group,
-                                   ShardedRunStats* stats = nullptr) {
+ShardedGroupOptions MakeShardedOptions(const DbscanGroupOptions& group,
+                                       size_t shards) {
   ShardedGroupOptions sharded;
+  sharded.shards = shards;
   sharded.eps = group.eps;
   sharded.min_lns = group.min_lns;
   sharded.min_trajectory_cardinality = group.min_trajectory_cardinality;
   sharded.use_weights = group.use_weights;
   sharded.distance = group.distance;
+  return sharded;
+}
+
+ShardedGroupStage MakeShardedStage(const DbscanGroupOptions& group,
+                                   size_t shards,
+                                   ShardedRunStats* stats = nullptr) {
+  ShardedGroupOptions sharded = MakeShardedOptions(group, shards);
   sharded.stats = stats;
   return ShardedGroupStage(std::make_shared<DbscanGroupStage>(group),
                            sharded);
@@ -151,37 +159,47 @@ void ExpectEquivalentModuloContestedBorders(
 }
 
 TEST(ShardStageTest, NameAndValidate) {
-  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions());
+  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions(), 4);
   EXPECT_STREQ(stage.name(), "group/sharded+dbscan");
   EXPECT_TRUE(stage.Validate().ok());
 }
 
-TEST(ShardStageTest, ShardingDisabledIsInnerBackendByteForByte) {
-  const traj::SegmentStore& store = HurricaneStore();
-  const DbscanGroupStage inner(HurricaneGroupOptions());
-  const ShardedGroupStage stage = MakeShardedStage(HurricaneGroupOptions());
-  const auto expect = inner.Run(store, RunContext{});
-  ASSERT_TRUE(expect.ok());
+TEST(ShardStageTest, ShardCountBelowTwoFailsValidate) {
+  // Without sharding there is nothing to decorate: build the inner stage
+  // alone instead.
+  const DbscanGroupOptions group = HurricaneGroupOptions();
   for (const size_t shards : {size_t{0}, size_t{1}}) {
-    RunContext ctx;
-    ctx.shards = shards;
-    const auto got = stage.Run(store, ctx);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameClustering(*got, *expect);
+    EXPECT_EQ(MakeShardedStage(group, shards).Validate().code(),
+              common::StatusCode::kOutOfRange)
+        << "shards " << shards;
+    const auto engine = TraclusEngine::Builder()
+                            .UseDbscanGrouping(group)
+                            .WithShardedGrouping(
+                                MakeShardedOptions(group, shards))
+                            .Build();
+    EXPECT_EQ(engine.status().code(), common::StatusCode::kOutOfRange);
   }
+}
+
+TEST(ShardStageTest, EmptyStoreDelegatesToTheInnerStage) {
+  const auto got = MakeShardedStage(HurricaneGroupOptions(), 4)
+                       .Run(traj::SegmentStore(), RunContext{});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->labels.empty());
+  EXPECT_TRUE(got->clusters.empty());
+  EXPECT_EQ(got->num_noise, 0u);
 }
 
 TEST(ShardStageTest, EquivalentToUnshardedAndDeterministic) {
   const traj::SegmentStore& store = HurricaneStore();
   const DbscanGroupOptions group = HurricaneGroupOptions();
   const DbscanGroupStage inner(group);
-  const ShardedGroupStage stage = MakeShardedStage(group);
   const auto golden = inner.Run(store, RunContext{});
   ASSERT_TRUE(golden.ok());
 
   for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
+    const ShardedGroupStage stage = MakeShardedStage(group, shards);
     RunContext base_ctx;
-    base_ctx.shards = shards;
     base_ctx.num_threads = 1;
     base_ctx.distance_kernel = distance::BatchKernel::kScalar;
     const auto reference = stage.Run(store, base_ctx);
@@ -194,7 +212,6 @@ TEST(ShardStageTest, EquivalentToUnshardedAndDeterministic) {
            {distance::BatchKernel::kScalar, distance::BatchKernel::kSimd,
             distance::BatchKernel::kAuto}) {
         RunContext ctx;
-        ctx.shards = shards;
         ctx.num_threads = threads;
         ctx.distance_kernel = kernel;
         const auto got = stage.Run(store, ctx);
@@ -230,11 +247,9 @@ TEST(ShardStageTest, BorderSpanningChainMergesIntoOneCluster) {
   ASSERT_EQ(golden->num_noise, 0u);
 
   ShardedRunStats stats;
-  const ShardedGroupStage stage = MakeShardedStage(group, &stats);
   for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
-    RunContext ctx;
-    ctx.shards = shards;
-    const auto got = stage.Run(store, ctx);
+    const auto got =
+        MakeShardedStage(group, shards, &stats).Run(store, RunContext{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     // Labels must match outright (one cluster, no numbering freedom); member
     // lists are not compared because DBSCAN emits expansion order while the
@@ -283,13 +298,12 @@ TEST(ShardStageTest, RandomizedCorpusMatchesUnshardedModuloBorders) {
   group.eps = 2.5;
   group.min_lns = 4.0;
   const DbscanGroupStage inner(group);
-  const ShardedGroupStage stage = MakeShardedStage(group);
   const auto golden = inner.Run(store, RunContext{});
   ASSERT_TRUE(golden.ok());
   for (const size_t shards : {size_t{2}, size_t{5}}) {
+    const ShardedGroupStage stage = MakeShardedStage(group, shards);
     for (const int threads : {1, 4}) {
       RunContext ctx;
-      ctx.shards = shards;
       ctx.num_threads = threads;
       const auto got = stage.Run(store, ctx);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -302,10 +316,8 @@ TEST(ShardStageTest, StatsSinkCountsShardsAndGhosts) {
   const traj::SegmentStore& store = HurricaneStore();
   ShardedRunStats stats;
   const ShardedGroupStage stage =
-      MakeShardedStage(HurricaneGroupOptions(), &stats);
-  RunContext ctx;
-  ctx.shards = 4;
-  const auto got = stage.Run(store, ctx);
+      MakeShardedStage(HurricaneGroupOptions(), 4, &stats);
+  const auto got = stage.Run(store, RunContext{});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(stats.shards_run, 4u);
   EXPECT_GT(stats.ghost_segments, 0u);
@@ -319,21 +331,24 @@ TEST(ShardStageTest, ValidateRejectsBadConfigurations) {
             common::StatusCode::kInvalidArgument);
 
   // Non-positive ε.
-  ShardedGroupOptions bad_eps;
+  ShardedGroupOptions bad_eps =
+      MakeShardedOptions(HurricaneGroupOptions(), 4);
   bad_eps.eps = 0.0;
   const ShardedGroupStage zero_eps(
       std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()), bad_eps);
   EXPECT_EQ(zero_eps.Validate().code(), common::StatusCode::kOutOfRange);
 
   // MinLns below 1.
-  ShardedGroupOptions bad_min;
+  ShardedGroupOptions bad_min =
+      MakeShardedOptions(HurricaneGroupOptions(), 4);
   bad_min.min_lns = 0.5;
   const ShardedGroupStage low_min(
       std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()), bad_min);
   EXPECT_EQ(low_min.Validate().code(), common::StatusCode::kOutOfRange);
 
   // Negative distance weight.
-  ShardedGroupOptions bad_weight;
+  ShardedGroupOptions bad_weight =
+      MakeShardedOptions(HurricaneGroupOptions(), 4);
   bad_weight.distance.w_perpendicular = -1.0;
   const ShardedGroupStage neg_weight(
       std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()),
@@ -345,7 +360,8 @@ TEST(ShardStageTest, ValidateRejectsBadConfigurations) {
   DbscanGroupOptions bad_inner = HurricaneGroupOptions();
   bad_inner.eps = -1.0;
   const ShardedGroupStage wraps_bad(
-      std::make_shared<DbscanGroupStage>(bad_inner));
+      std::make_shared<DbscanGroupStage>(bad_inner),
+      MakeShardedOptions(HurricaneGroupOptions(), 4));
   EXPECT_FALSE(wraps_bad.Validate().ok());
 }
 
@@ -353,18 +369,9 @@ TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
   const traj::TrajectoryDatabase db =
       datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   const DbscanGroupOptions group = HurricaneGroupOptions();
-  ShardedGroupOptions sharded;
-  sharded.eps = group.eps;
-  sharded.min_lns = group.min_lns;
-  sharded.distance = group.distance;
+  const ShardedGroupOptions sharded = MakeShardedOptions(group, 4);
   SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
-  const auto plain = TraclusEngine::Builder()
-                         .UseMdlPartitioning()
-                         .UseDbscanGrouping(group)
-                         .UseSweepRepresentatives(reps)
-                         .Build();
-  ASSERT_TRUE(plain.ok());
   const auto wrapped = TraclusEngine::Builder()
                            .UseMdlPartitioning()
                            .UseDbscanGrouping(group)
@@ -373,20 +380,17 @@ TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
                            .Build();
   ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
 
-  // shards = 1 through the full pipeline: identical to the unwrapped engine.
-  const auto expect = plain->Run(db, RunContext{});
-  ASSERT_TRUE(expect.ok());
-  RunContext ctx;
-  ctx.shards = 1;
-  const auto transparent = wrapped->Run(db, ctx);
-  ASSERT_TRUE(transparent.ok());
-  ExpectSameClustering(transparent->clustering, expect->clustering);
+  EXPECT_STREQ(wrapped->group_stage().name(), "group/sharded+dbscan");
 
-  // A sharded full-pipeline run completes with a well-formed label domain.
-  ctx.shards = 4;
-  const auto got = wrapped->Run(db, ctx);
+  // The full pipeline groups through the configured shard count: its
+  // clustering is the stage's own run on the partitioned store, with a
+  // well-formed label domain.
+  const auto got = wrapped->Run(db, RunContext{});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->clustering.labels.size(), expect->clustering.labels.size());
+  const auto expect = MakeShardedStage(group, 4).Run(got->store, RunContext{});
+  ASSERT_TRUE(expect.ok());
+  ExpectSameClustering(got->clustering, *expect);
+  ASSERT_EQ(got->clustering.labels.size(), got->store.size());
   size_t noise = 0;
   for (const int label : got->clustering.labels) {
     EXPECT_GE(label, cluster::kNoise);

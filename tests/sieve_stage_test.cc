@@ -1,7 +1,6 @@
-// Tests for SieveGroupStage (core/sieve_stage.h): the k = 1 transparency
-// contract (byte-identical to the inner backend), determinism across thread
-// counts and kernels for a fixed (k, offset), the sampling rule itself, and
-// the Validate error surface.
+// Tests for SieveGroupStage (core/sieve_stage.h): determinism across thread
+// counts and kernels for a fixed (k, offset), the sampling rule itself, the
+// builder wiring, and the Validate error surface (k < 2 included).
 
 #include <gtest/gtest.h>
 
@@ -43,12 +42,20 @@ DbscanGroupOptions HurricaneGroupOptions() {
   return options;
 }
 
-SieveGroupStage MakeSieveStage() {
+SieveGroupOptions HurricaneSieveOptions(size_t k, size_t offset = 0) {
   const DbscanGroupOptions group = HurricaneGroupOptions();
   SieveGroupOptions sieve;
+  sieve.k = k;
+  sieve.offset = offset;
   sieve.eps = group.eps;
   sieve.distance = group.distance;
-  return SieveGroupStage(std::make_shared<DbscanGroupStage>(group), sieve);
+  return sieve;
+}
+
+SieveGroupStage MakeSieveStage(size_t k, size_t offset = 0) {
+  return SieveGroupStage(
+      std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()),
+      HurricaneSieveOptions(k, offset));
 }
 
 void ExpectSameClustering(const cluster::ClusteringResult& a,
@@ -63,32 +70,31 @@ void ExpectSameClustering(const cluster::ClusteringResult& a,
 }
 
 TEST(SieveStageTest, NameAndValidate) {
-  const SieveGroupStage stage = MakeSieveStage();
+  const SieveGroupStage stage = MakeSieveStage(4);
   EXPECT_STREQ(stage.name(), "group/sieve+dbscan");
   EXPECT_TRUE(stage.Validate().ok());
 }
 
-TEST(SieveStageTest, SieveDisabledIsInnerBackendByteForByte) {
-  const traj::SegmentStore& store = HurricaneStore();
-  const DbscanGroupStage inner(HurricaneGroupOptions());
-  const SieveGroupStage stage = MakeSieveStage();
-  const auto expect = inner.Run(store, RunContext{});
-  ASSERT_TRUE(expect.ok());
+TEST(SieveStageTest, StrideBelowTwoFailsValidate) {
+  // Without a sieve there is nothing to decorate: build the inner stage
+  // alone instead.
   for (const size_t k : {size_t{0}, size_t{1}}) {
-    RunContext ctx;
-    ctx.sieve = k;
-    const auto got = stage.Run(store, ctx);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameClustering(*got, *expect);
+    EXPECT_EQ(MakeSieveStage(k).Validate().code(),
+              common::StatusCode::kOutOfRange)
+        << "k " << k;
+    const auto engine = TraclusEngine::Builder()
+                            .UseDbscanGrouping(HurricaneGroupOptions())
+                            .WithSieveGrouping(HurricaneSieveOptions(k))
+                            .Build();
+    EXPECT_EQ(engine.status().code(), common::StatusCode::kOutOfRange);
   }
 }
 
 TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
   const traj::SegmentStore& store = HurricaneStore();
-  const SieveGroupStage stage = MakeSieveStage();
   for (const size_t k : {size_t{2}, size_t{3}}) {
+    const SieveGroupStage stage = MakeSieveStage(k);
     RunContext base_ctx;
-    base_ctx.sieve = k;
     base_ctx.num_threads = 1;
     base_ctx.distance_kernel = distance::BatchKernel::kScalar;
     const auto reference = stage.Run(store, base_ctx);
@@ -98,7 +104,6 @@ TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
            {distance::BatchKernel::kScalar, distance::BatchKernel::kSimd,
             distance::BatchKernel::kAuto}) {
         RunContext ctx;
-        ctx.sieve = k;
         ctx.num_threads = threads;
         ctx.distance_kernel = kernel;
         const auto got = stage.Run(store, ctx);
@@ -111,10 +116,7 @@ TEST(SieveStageTest, DeterministicAcrossThreadsAndKernels) {
 
 TEST(SieveStageTest, SampledSegmentsKeepInnerLabelsAndOffsetsDiffer) {
   const traj::SegmentStore& store = HurricaneStore();
-  const SieveGroupStage stage = MakeSieveStage();
-  RunContext ctx;
-  ctx.sieve = 4;
-  const auto a = stage.Run(store, ctx);
+  const auto a = MakeSieveStage(4).Run(store, RunContext{});
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->labels.size(), store.size());
   // Every label is a dense cluster id or noise — never unclassified.
@@ -133,68 +135,13 @@ TEST(SieveStageTest, SampledSegmentsKeepInnerLabelsAndOffsetsDiffer) {
   }
   // A different residue class samples a different subset — the runs are both
   // deterministic but (on real data) not identical.
-  ctx.sieve_offset = 1;
-  const auto b = stage.Run(store, ctx);
+  const auto b = MakeSieveStage(4, 1).Run(store, RunContext{});
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->labels, b->labels);
-}
-
-TEST(SieveStageTest, ChooseSieveKSpansTheStrideRange) {
-  // Disabled and degenerate inputs run the inner backend in full.
-  EXPECT_EQ(ChooseSieveK(1000, 0), 1u);
-  EXPECT_EQ(ChooseSieveK(0, 100), 1u);
-  EXPECT_EQ(ChooseSieveK(100, 100), 1u);
-  EXPECT_EQ(ChooseSieveK(99, 100), 1u);
-  // k = ceil(n / target) across the whole useful stride range.
-  const size_t n = 1600;
-  for (size_t k = 1; k <= 16; ++k) {
-    const size_t target = (n + k - 1) / k;
-    EXPECT_EQ(ChooseSieveK(n, target), k) << "target " << target;
-  }
-  // Non-divisible sizes round the stride up, never down: the sample is at
-  // most the target, never above it.
-  EXPECT_EQ(ChooseSieveK(1601, 100), 17u);
-  EXPECT_EQ(ChooseSieveK(1599, 100), 16u);
-  for (const size_t target : {size_t{1}, size_t{7}, size_t{100}}) {
-    const size_t k = ChooseSieveK(n, target);
-    EXPECT_LE((n + k - 1) / k, target);
-  }
-}
-
-TEST(SieveStageTest, AutoKMatchesExplicitStrideAndIsOverridable) {
-  const traj::SegmentStore& store = HurricaneStore();
-  const DbscanGroupOptions group = HurricaneGroupOptions();
-  SieveGroupOptions sieve;
-  sieve.eps = group.eps;
-  sieve.distance = group.distance;
-  // Target half the store: AutoK derives k = 2.
-  sieve.auto_k.target_sample = (store.size() + 1) / 2;
-  ASSERT_EQ(ChooseSieveK(store.size(), sieve.auto_k.target_sample), 2u);
-  const SieveGroupStage auto_stage(
-      std::make_shared<DbscanGroupStage>(group), sieve);
-  ASSERT_TRUE(auto_stage.Validate().ok());
-
-  const SieveGroupStage explicit_stage = MakeSieveStage();
-  RunContext explicit_ctx;
-  explicit_ctx.sieve = 2;
-  const auto expect = explicit_stage.Run(store, explicit_ctx);
-  ASSERT_TRUE(expect.ok());
-
-  // AutoK with the context knob left at 0 equals the explicit stride run.
-  const auto got = auto_stage.Run(store, RunContext{});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameClustering(*got, *expect);
-
-  // An explicit per-run stride overrides AutoK; sieve = 1 forces the full
-  // inner run.
-  const DbscanGroupStage inner(group);
-  const auto full = inner.Run(store, RunContext{});
-  ASSERT_TRUE(full.ok());
-  RunContext override_ctx;
-  override_ctx.sieve = 1;
-  const auto forced = auto_stage.Run(store, override_ctx);
-  ASSERT_TRUE(forced.ok());
-  ExpectSameClustering(*forced, *full);
+  // The offset is taken modulo k.
+  const auto wrapped = MakeSieveStage(4, 5).Run(store, RunContext{});
+  ASSERT_TRUE(wrapped.ok());
+  ExpectSameClustering(*wrapped, *b);
 }
 
 TEST(SieveStageTest, ValidateRejectsBadConfigurations) {
@@ -204,14 +151,14 @@ TEST(SieveStageTest, ValidateRejectsBadConfigurations) {
             common::StatusCode::kInvalidArgument);
 
   // Non-positive / non-finite assignment radius.
-  SieveGroupOptions bad_eps;
+  SieveGroupOptions bad_eps = HurricaneSieveOptions(4);
   bad_eps.eps = 0.0;
   const SieveGroupStage zero_eps(
       std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()), bad_eps);
   EXPECT_EQ(zero_eps.Validate().code(), common::StatusCode::kOutOfRange);
 
   // Negative distance weight.
-  SieveGroupOptions bad_weight;
+  SieveGroupOptions bad_weight = HurricaneSieveOptions(4);
   bad_weight.distance.w_angle = -1.0;
   const SieveGroupStage neg_weight(
       std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()),
@@ -223,7 +170,8 @@ TEST(SieveStageTest, ValidateRejectsBadConfigurations) {
   DbscanGroupOptions bad_inner = HurricaneGroupOptions();
   bad_inner.eps = -1.0;
   const SieveGroupStage wraps_bad(
-      std::make_shared<DbscanGroupStage>(bad_inner));
+      std::make_shared<DbscanGroupStage>(bad_inner),
+      HurricaneSieveOptions(4));
   EXPECT_FALSE(wraps_bad.Validate().ok());
 }
 
@@ -231,17 +179,9 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
   const traj::TrajectoryDatabase db =
       datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   const DbscanGroupOptions group = HurricaneGroupOptions();
-  SieveGroupOptions sieve;
-  sieve.eps = group.eps;
-  sieve.distance = group.distance;
+  const SieveGroupOptions sieve = HurricaneSieveOptions(4);
   SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
-  const auto plain = TraclusEngine::Builder()
-                         .UseMdlPartitioning()
-                         .UseDbscanGrouping(group)
-                         .UseSweepRepresentatives(reps)
-                         .Build();
-  ASSERT_TRUE(plain.ok());
   const auto wrapped = TraclusEngine::Builder()
                            .UseMdlPartitioning()
                            .UseDbscanGrouping(group)
@@ -249,30 +189,15 @@ TEST(SieveStageTest, BuilderWiresSieveAndFullPipelineRuns) {
                            .WithSieveGrouping(sieve)
                            .Build();
   ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  EXPECT_STREQ(wrapped->group_stage().name(), "group/sieve+dbscan");
 
-  // k = 1 through the full pipeline: identical to the unwrapped engine —
-  // clustering and representatives both.
-  RunContext ctx;
-  ctx.sieve = 1;
-  const auto expect = plain->Run(db, RunContext{});
+  // The full pipeline groups through the configured stride: its clustering
+  // is the stage's own run on the partitioned store.
+  const auto got = wrapped->Run(db, RunContext{});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const auto expect = MakeSieveStage(4).Run(got->store, RunContext{});
   ASSERT_TRUE(expect.ok());
-  const auto got = wrapped->Run(db, ctx);
-  ASSERT_TRUE(got.ok());
-  ExpectSameClustering(got->clustering, expect->clustering);
-  ASSERT_EQ(got->representatives.size(), expect->representatives.size());
-  for (size_t r = 0; r < got->representatives.size(); ++r) {
-    ASSERT_EQ(got->representatives[r].size(),
-              expect->representatives[r].size());
-    for (size_t p = 0; p < got->representatives[r].size(); ++p) {
-      EXPECT_EQ(got->representatives[r][p], expect->representatives[r][p]);
-    }
-  }
-
-  // A sieved run completes and keeps the label domain well-formed.
-  ctx.sieve = 4;
-  const auto sieved = wrapped->Run(db, ctx);
-  ASSERT_TRUE(sieved.ok()) << sieved.status().ToString();
-  EXPECT_EQ(sieved->clustering.labels.size(), expect->clustering.labels.size());
+  ExpectSameClustering(got->clustering, *expect);
 
   // Wrapping with no grouping backend configured fails at Build. (The
   // default-constructed Builder presets a DBSCAN stage, so the empty state

@@ -438,9 +438,8 @@ RunContext CappedContext() {
 }
 
 TEST(StreamingRunTest, CappedRunRejectsANeighborCacheDirectory) {
-  // The capped grouping path builds no file cache, so a directory from the
-  // run context or from the engine default fails before ingest and is
-  // never created.
+  // The capped grouping path builds no file cache, so a directory in the
+  // run context fails before ingest and is never created.
   const auto db = SmallHurricanes();
   const std::string dir = ::testing::TempDir() + "streaming_capped_nbcache";
   std::filesystem::remove_all(dir);
@@ -457,23 +456,14 @@ TEST(StreamingRunTest, CappedRunRejectsANeighborCacheDirectory) {
   EXPECT_NE(run.status().message().find("neighbor_cache_dir"),
             std::string::npos)
       << run.status().ToString();
-
-  const auto cached = TraclusEngine::Builder()
-                          .UseDbscanGrouping(SmallHurricaneGroup())
-                          .WithNeighborCache(dir)
-                          .Build();
-  ASSERT_TRUE(cached.ok());
-  traj::DatabaseSource again(db);
-  const auto default_dir = cached->Run(again, CappedContext());
-  ASSERT_FALSE(default_dir.ok());
-  EXPECT_EQ(default_dir.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(std::filesystem::exists(dir));
 
   // An uncapped streaming run groups the merged store and uses the cache.
   RunContext uncapped;
   uncapped.chunk_capacity = 64;
-  traj::DatabaseSource third(db);
-  ASSERT_TRUE(cached->Run(third, uncapped).ok());
+  uncapped.neighbor_cache_dir = dir;
+  traj::DatabaseSource again(db);
+  ASSERT_TRUE(plain->Run(again, uncapped).ok());
   EXPECT_TRUE(std::filesystem::exists(dir));
   std::filesystem::remove_all(dir);
 }
@@ -498,8 +488,10 @@ TEST(StreamingRunTest, CappedRunRejectsStagesWithoutACappedPath) {
   optics.eps = 0.94;
   optics.min_lns = 5;
   SieveGroupOptions sieve;
+  sieve.k = 4;
   sieve.eps = 0.94;
   ShardedGroupOptions sharded;
+  sharded.shards = 4;
   sharded.eps = 0.94;
   sharded.min_lns = 5;
   const std::vector<std::pair<std::string, common::Result<TraclusEngine>>>

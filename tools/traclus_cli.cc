@@ -185,7 +185,7 @@ int Usage() {
       "               within eps (0 or 1 disables; deterministic for a\n"
       "               fixed K/offset).\n"
       "  --sieve-offset R:  which residue class of the trajectory rank is\n"
-      "               sampled (default 0).\n"
+      "               sampled (default 0; needs --sieve K >= 2).\n"
       "  --shards S:  sharded grouping — decompose the segments over a cell\n"
       "               grid into S shards, cluster each independently (in\n"
       "               parallel), and merge clusters across shard borders\n"
@@ -266,10 +266,6 @@ core::RunContext MakeContext(const Args& args,
   }
   ctx.distance_kernel = kernel;
   ctx.neighbor_cache_dir = args.GetString("neighbor-cache");
-  // Harmless outside `cluster` (only a Sieve/ShardedGroupStage reads these).
-  ctx.sieve = static_cast<size_t>(args.GetCount("sieve", 0));
-  ctx.sieve_offset = static_cast<size_t>(args.GetCount("sieve-offset", 0));
-  ctx.shards = static_cast<size_t>(args.GetCount("shards", 0));
   return ctx;
 }
 
@@ -431,6 +427,12 @@ int CmdCluster(const Args& args) {
                  "with --stream\n");
     return 1;
   }
+  const size_t sieve = static_cast<size_t>(args.GetCount("sieve", 0));
+  const size_t shards = static_cast<size_t>(args.GetCount("shards", 0));
+  if (args.options.count("sieve-offset") > 0 && sieve < 2) {
+    return FailWith(common::Status::InvalidArgument(
+        "--sieve-offset applies only to a sieved run (--sieve K >= 2)"));
+  }
   if (args.GetCount("max-resident", 0) > 0) {
     // A residency-capped run groups through DBSCAN's chunked path alone: it
     // builds no neighbor-cache file, and the sieve and sharded stages have
@@ -438,8 +440,8 @@ int CmdCluster(const Args& args) {
     // are exactly the values that enable those features below.
     const char* flag = nullptr;
     if (!args.GetString("neighbor-cache").empty()) flag = "--neighbor-cache";
-    if (args.GetCount("shards", 0) >= 2) flag = "--shards";
-    if (args.GetCount("sieve", 0) >= 2) flag = "--sieve";
+    if (shards >= 2) flag = "--shards";
+    if (sieve >= 2) flag = "--sieve";
     if (flag != nullptr) {
       return FailWith(common::Status::InvalidArgument(
           std::string(flag) + " does not apply to a --max-resident "
@@ -477,25 +479,27 @@ int CmdCluster(const Args& args) {
       .UseDbscanGrouping(group)
       .UseSweepRepresentatives(reps_options)
       .SetDefaultNumThreads(static_cast<int>(args.GetCount("threads", 0)));
-  const size_t shards = static_cast<size_t>(args.GetCount("shards", 0));
   if (shards >= 2) {
     // Sharded grouping: cell-grid decomposition, per-shard DBSCAN, halo
     // merge. Applied before the sieve wrap so a combined run shards the
     // sieve's sampled sub-database. Same ε/MinLns/distance as the DBSCAN
     // backend — the merge must describe the same clustering.
     core::ShardedGroupOptions shard_options;
+    shard_options.shards = shards;
     shard_options.eps = group.eps;
     shard_options.min_lns = group.min_lns;
     shard_options.use_weights = group.use_weights;
     shard_options.distance = group.distance;
     builder.WithShardedGrouping(shard_options);
   }
-  const size_t sieve = static_cast<size_t>(args.GetCount("sieve", 0));
   if (sieve >= 2) {
     // Sieve-sampled grouping: cluster 1-in-k trajectories, assign the rest
     // to the nearest cluster. Same ε and distance as the DBSCAN backend so
     // membership means the same thing on both sides of the sieve.
     core::SieveGroupOptions sieve_options;
+    sieve_options.k = sieve;
+    sieve_options.offset =
+        static_cast<size_t>(args.GetCount("sieve-offset", 0));
     sieve_options.eps = group.eps;
     sieve_options.distance = group.distance;
     builder.WithSieveGrouping(sieve_options);
