@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -109,38 +110,6 @@ BlockLayout::BlockLayout(size_t n, int dims, const double* const* mid,
     if (!std::isfinite(probe)) b.hmax = inf;
     blocks_.push_back(b);
   }
-}
-
-std::vector<BlockLayout::Entry> BlockLayout::Entries(
-    const std::vector<size_t>& queries) const {
-  std::vector<Entry> entries(queries.size());
-  for (size_t k = 0; k < queries.size(); ++k) {
-    TRACLUS_DCHECK(queries[k] < rank_.size());
-    entries[k] = {rank_[queries[k]], k};
-  }
-  std::sort(entries.begin(), entries.end());
-  return entries;
-}
-
-void BlockLayout::ForEachGroup(const std::vector<Entry>& entries,
-                               double reach, common::ThreadPool& pool,
-                               const GroupFn& visit) const {
-  std::vector<size_t> groups;
-  for (size_t e = 0; e < entries.size(); ++e) {
-    if (e == 0 || entries[e].first / kBlock != entries[e - 1].first / kBlock) {
-      groups.push_back(e);
-    }
-  }
-  groups.push_back(entries.size());
-  pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
-    std::vector<distance::IndexRun> runs;
-    for (size_t g = lo; g < hi; ++g) {
-      // Without blocks every group gets one run over all positions.
-      const size_t a = entries[groups[g]].first / kBlock;
-      CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, 0, runs);
-      visit(runs, groups[g], groups[g + 1]);
-    }
-  });
 }
 
 std::vector<double> BlockLayout::Permuted(

@@ -14,9 +14,8 @@
 // when
 //   c·(mindist(midMBR_q, midMBR_b) − hmax_q − hmax_b) > ε
 // (distance::ProvablyFar, with the margin of the per-pair prune). The joins
-// test block a of the layout as the query box of its own segments: the
-// chunked provider against every block (ForEachGroup), the eager join only
-// against blocks b ≥ a (UpperRuns), since it refines each unordered pair
+// test block a of the layout as the query box of its own segments, only
+// against blocks b ≥ a (UpperRuns), since they refine each unordered pair
 // once, from the lower of its two positions. Serving tests an outside
 // segment as the degenerate box of its midpoint, with its half-length as
 // hmax_q. Each input bounds its per-pair counterpart monotonically, so a
@@ -24,11 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "distance/batch_kernels.h"
 #include "geom/point.h"
 
@@ -79,21 +75,6 @@ class BlockLayout {
   /// zeroed).
   void ToSortedIndices(std::vector<size_t>& list,
                        std::vector<uint64_t>& bits) const;
-
-  /// A query: (its position, the output slot of its list).
-  using Entry = std::pair<size_t, size_t>;
-  using GroupFn = std::function<void(const std::vector<distance::IndexRun>&,
-                                     size_t, size_t)>;
-
-  /// (the position of queries[k], k) for every k, sorted by position.
-  std::vector<Entry> Entries(const std::vector<size_t>& queries) const;
-
-  /// Calls visit(runs, first, last) across `pool` for every group
-  /// [first, last) of `entries` (sorted by position) sharing a block; `runs`
-  /// are the positions in the blocks not skipped at `reach`
-  /// (distance::PruneReach): all of them without blocks or at reach +inf.
-  void ForEachGroup(const std::vector<Entry>& entries, double reach,
-                    common::ThreadPool& pool, const GroupFn& visit) const;
 
   /// Sets `runs` to the positions in the blocks b ≥ a not skipped for block
   /// a at `reach`: every position from block a on without blocks or at

@@ -1,9 +1,6 @@
 #include "cluster/chunked_neighborhood.h"
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,9 +9,7 @@ namespace traclus::cluster {
 
 namespace {
 
-// Queries per NeighborsBatch slice of AllNeighbors / AllNeighborhoodSizes
-// (DBSCAN's default fetch block).
-constexpr size_t kSliceQueries = 1024;
+constexpr size_t kBlock = BlockLayout::kBlock;
 
 using ChunkPin = std::shared_ptr<const traj::SegmentStore>;
 
@@ -44,45 +39,34 @@ void PinResidentFirst(const traj::ChunkedSegmentStore& store,
   for (const size_t c : missing) visit(c, PinChunk(store, c));
 }
 
-// Copies the batch's query segments, in batch order, into one batch-local
-// store, holding one query chunk pin at a time. The store constructor
-// recomputes every invariant from the same endpoint doubles, so the columns
-// are bit-exact copies of the chunk stores'.
-traj::SegmentStore GatherQueries(const traj::ChunkedSegmentStore& store,
-                                 const std::vector<size_t>& queries) {
-  std::vector<size_t> order(queries.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&queries](size_t a, size_t b) { return queries[a] < queries[b]; });
-  std::vector<size_t> chunks;  // The query chunks, ascending.
-  for (const size_t k : order) {
-    const size_t c = store.chunk_of(queries[k]);
-    if (chunks.empty() || chunks.back() != c) chunks.push_back(c);
-  }
-  std::vector<geom::Segment> segments(queries.size());
-  PinResidentFirst(store, chunks, [&](size_t c, const ChunkPin& chunk) {
-    // `order` ascends by query index, so chunk c's queries are contiguous.
-    const size_t base = store.chunk_begin(c);
-    auto it = std::partition_point(order.begin(), order.end(),
-                                   [&](size_t k) { return queries[k] < base; });
-    for (; it != order.end() && queries[*it] < base + chunk->size(); ++it) {
-      segments[*it] = chunk->segment(queries[*it] - base);
+// Ors `hits` into `upper`, both ascending by block.
+void OrInto(const std::vector<BlockPair>& hits,
+            std::vector<BlockPair>& upper) {
+  std::vector<BlockPair> merged;
+  merged.reserve(upper.size() + hits.size());
+  auto u = upper.begin();
+  for (const BlockPair& hit : hits) {
+    while (u != upper.end() && u->block < hit.block) merged.push_back(*u++);
+    BlockPair pair = hit;
+    if (u != upper.end() && u->block == hit.block) {
+      for (size_t r = 0; r < kBlock; ++r) pair.rows[r] |= u->rows[r];
+      ++u;
     }
-  });
-  return traj::SegmentStore(std::move(segments));
+    merged.push_back(pair);
+  }
+  merged.insert(merged.end(), u, upper.end());
+  upper.swap(merged);
 }
 
-// Serves every segment as NeighborsBatch slices of kSliceQueries queries,
-// handing each slice's lists to consume(first query, lists).
-template <typename Consume>
-void ForEachSlice(const ChunkedNeighborhood& provider, double eps,
-                  common::ThreadPool& pool, const Consume& consume) {
-  std::vector<size_t> slice;
-  for (size_t lo = 0; lo < provider.size(); lo += kSliceQueries) {
-    slice.resize(std::min(kSliceQueries, provider.size() - lo));
-    std::iota(slice.begin(), slice.end(), lo);
-    consume(lo, provider.NeighborsBatch(slice, eps, pool));
-  }
+BlockLayout LayoutOf(const traj::ChunkedSegmentStore& store,
+                     const distance::SegmentDistance& dist, bool use_index) {
+  TRACLUS_CHECK(store.finalized());
+  // The catalog columns are bit-identical to the monolithic store's, so the
+  // Morton layout equals the eager join's over the merged store. Without a
+  // lower bound no block is ever skipped, so it would only cost the sort.
+  return use_index && dist.LowerBoundFactor() > 0.0
+             ? BlockLayout::Morton(store)
+             : BlockLayout(store.size());
 }
 
 }  // namespace
@@ -96,19 +80,18 @@ ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
       // The shared resolve helper (distance::ResolveBatchKernel), not a
       // provider-local decision: capped streaming runs must honor the knob
       // with exactly the eager path's semantics.
-      kernel_(distance::ResolveBatchKernel(kernel)) {
-  TRACLUS_CHECK(store.finalized());
-  if (!use_index) return;
-  // The catalog columns are bit-identical to the monolithic store's, so this
-  // layout equals the eager join's over the merged store.
-  layout_.emplace(BlockLayout::Morton(store_));
+      kernel_(distance::ResolveBatchKernel(kernel)),
+      layout_(LayoutOf(store, dist, use_index)) {
   for (int d = 0; d < store_.dims(); ++d) {
-    mid_[d] = layout_->Permuted(store_.midpoint_coords(d));
+    mid_[d] = layout_.Permuted(store_.midpoint_coords(d));
   }
-  half_ = layout_->Permuted(store_.half_lengths());
-  chunk_at_.reserve(store_.size());
-  for (const size_t i : layout_->order()) {
-    chunk_at_.push_back(static_cast<uint32_t>(store_.chunk_of(i)));
+  half_ = layout_.Permuted(store_.half_lengths());
+  TRACLUS_CHECK_LE(store_.size(), size_t{UINT32_MAX});
+  slot_at_.reserve(store_.size());
+  for (const size_t i : layout_.order()) {
+    const size_t c = store_.chunk_of(i);
+    slot_at_.push_back({static_cast<uint32_t>(c),
+                        static_cast<uint32_t>(i - store_.chunk_begin(c))});
   }
 }
 
@@ -129,174 +112,208 @@ void ChunkedNeighborhood::Candidates(
   const size_t m = found.size();
 
   // Counting sort by chunk: one run per touched chunk, ascending, holding
-  // chunk-local indices. Order inside a run is irrelevant (lists are sorted
-  // at the end).
+  // chunk-local indices. Order inside a run is irrelevant (accepted pairs
+  // only set bits).
+  const size_t* survivor = found.data();
+  const Slot* slot = slot_at_.data();
+  uint32_t* count = chunk_count.data();
   touched.clear();
   for (size_t s = 0; s < m; ++s) {
-    const uint32_t c = chunk_at_[found[s]];
-    if (chunk_count[c]++ == 0) touched.push_back(c);
+    const uint32_t c = slot[survivor[s]].chunk;
+    if (count[c]++ == 0) touched.push_back(c);
   }
   std::sort(touched.begin(), touched.end());
   out->resize(m);
   size_t offset = 0;
   for (const size_t c : touched) {
-    const size_t count = chunk_count[c];
-    runs->push_back({c, offset, offset + count});
-    chunk_count[c] = static_cast<uint32_t>(offset);  // Cursor.
-    offset += count;
+    runs->push_back({c, offset, offset + count[c]});
+    offset += count[c];
+    count[c] = static_cast<uint32_t>(offset - count[c]);  // Cursor.
   }
-  const std::vector<size_t>& order = layout_->order();
+  size_t* local = out->data();
   for (size_t s = 0; s < m; ++s) {
-    const size_t p = found[s];
-    const uint32_t c = chunk_at_[p];
-    (*out)[chunk_count[c]++] = order[p] - store_.chunk_begin(c);
+    const Slot at = slot[survivor[s]];
+    local[count[at.chunk]++] = at.local;
   }
-  for (const size_t c : touched) chunk_count[c] = 0;
+  for (const size_t c : touched) count[c] = 0;
 }
 
-void ChunkedNeighborhood::ScanChunk(const traj::SegmentStore& query_store,
-                                    size_t k, size_t query, size_t c,
-                                    const traj::SegmentStore& chunk,
-                                    double eps,
-                                    const distance::BatchOptions& options,
-                                    std::vector<size_t>* out) const {
-  // The whole chunk, split around the query itself, which the batch appends
-  // last.
-  const size_t base = store_.chunk_begin(c);
-  const size_t m = chunk.size();
-  const size_t self = store_.chunk_of(query) == c ? query - base : m;
-  const distance::IndexRun runs[] = {{0, self}, {std::min(self + 1, m), m}};
-  distance::EpsilonRefineRuns(query_store, dist_, k, chunk, {runs, 2}, eps,
-                              base, *out, options);
+template <typename Visit>
+void ChunkedNeighborhood::ForEachRound(double eps, common::ThreadPool& pool,
+                                       const Visit& visit) const {
+  const double reach = distance::PruneReach(dist_, eps);
+  distance::BatchOptions options;
+  options.kernel = kernel_;
+  const size_t num_chunks = store_.num_chunks();
+  const size_t cap = store_.options().max_resident_chunks;
+  const size_t window = cap > 0 ? cap : num_chunks;
+  std::vector<ChunkPin> pinned(num_chunks);
+  for (size_t qc = 0; qc < num_chunks; ++qc) {
+    // The round's queries: the positions of chunk qc's segments, ascending,
+    // and the groups of them that share a block.
+    const size_t base = store_.chunk_begin(qc);
+    const size_t m = store_.chunk_size(qc);
+    std::vector<size_t> queries(m);
+    for (size_t k = 0; k < m; ++k) queries[k] = layout_.position(base + k);
+    std::sort(queries.begin(), queries.end());
+    std::vector<size_t> groups;
+    for (size_t k = 0; k < m; ++k) {
+      if (k == 0 || queries[k] / kBlock != queries[k - 1] / kBlock) {
+        groups.push_back(k);
+      }
+    }
+    groups.push_back(m);
+
+    // 1. The upper candidates, split into per-chunk runs, and the chunks
+    //    they touch. A group shares its block's runs.
+    std::vector<std::vector<size_t>> candidates(m);
+    std::vector<std::vector<Run>> runs(m);
+    pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
+      std::vector<distance::IndexRun> upper;
+      for (size_t g = lo; g < hi; ++g) {
+        layout_.UpperRuns(queries[groups[g]] / kBlock, reach, upper);
+        for (size_t k = groups[g]; k < groups[g + 1]; ++k) {
+          // Only the positions after the query: the first run starts at
+          // its block.
+          upper.front().first = queries[k] + 1;
+          Candidates(queries[k], upper, reach, &candidates[k], &runs[k]);
+        }
+      }
+    });
+    std::vector<char> touched(num_chunks, 0);
+    for (const std::vector<Run>& query_runs : runs) {
+      for (const Run& run : query_runs) touched[run.chunk] = 1;
+    }
+    std::vector<size_t> walk;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      if (touched[c]) walk.push_back(c);
+    }
+    if (walk.empty()) continue;
+    if (qc % 2 == 1) std::reverse(walk.begin(), walk.end());
+
+    // 2. The touched chunks in walk order, a window of up to
+    //    max_resident_chunks at a time (pinning that many distinct chunks,
+    //    resident ones first, evicts none of them, so every pin stays
+    //    cache-owned), each window refined in one pass across the pool. The
+    //    query chunk stays pinned for the round and serves its own window
+    //    slot. A query's runs all go to one worker, so each accepted list
+    //    has one writer.
+    ChunkPin query_chunk = store_.ResidentChunk(qc);
+    if (query_chunk == nullptr) query_chunk = PinChunk(store_, qc);
+    std::vector<std::vector<size_t>> accepted(m);
+    for (size_t w0 = 0; w0 < walk.size(); w0 += window) {
+      const size_t w1 = std::min(walk.size(), w0 + window);
+      std::vector<size_t> chunks;
+      for (size_t w = w0; w < w1; ++w) {
+        if (walk[w] == qc) {
+          pinned[qc] = query_chunk;
+        } else {
+          chunks.push_back(walk[w]);
+        }
+      }
+      PinResidentFirst(store_, chunks, [&pinned](size_t c, ChunkPin pin) {
+        pinned[c] = std::move(pin);
+      });
+      // The window's chunks are the touched chunks with ids in [first, last].
+      const size_t first = std::min(walk[w0], walk[w1 - 1]);
+      const size_t last = std::max(walk[w0], walk[w1 - 1]);
+      pool.ParallelForChunked(0, m, [&](size_t lo, size_t hi) {
+        for (size_t k = lo; k < hi; ++k) {
+          const std::vector<Run>& query_runs = runs[k];
+          auto run = std::lower_bound(
+              query_runs.begin(), query_runs.end(), first,
+              [](const Run& r, size_t c) { return r.chunk < c; });
+          for (; run != query_runs.end() && run->chunk <= last; ++run) {
+            distance::EpsilonRefineCross(
+                *query_chunk, dist_, slot_at_[queries[k]].local,
+                *pinned[run->chunk],
+                common::Span<const size_t>(candidates[k].data() + run->begin,
+                                           run->end - run->begin),
+                eps, store_.chunk_begin(run->chunk), accepted[k], options);
+          }
+        }
+      });
+      for (size_t w = w0; w < w1; ++w) pinned[walk[w]].reset();
+    }
+    query_chunk.reset();
+    std::vector<std::vector<size_t>>().swap(candidates);
+
+    // 3. Each block's accepted pairs into the rows of its block pairs, as
+    //    (block b, row, bit) keys sorted by block.
+    pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
+      std::vector<uint64_t> keys;
+      std::vector<BlockPair> hits;
+      for (size_t g = lo; g < hi; ++g) {
+        keys.clear();
+        for (size_t k = groups[g]; k < groups[g + 1]; ++k) {
+          const uint64_t row = queries[k] % kBlock;
+          for (const size_t i : accepted[k]) {
+            const uint64_t q = layout_.position(i);
+            keys.push_back((q / kBlock) << 8 | row << 4 | q % kBlock);
+          }
+        }
+        if (keys.empty()) continue;
+        std::sort(keys.begin(), keys.end());
+        hits.clear();
+        for (const uint64_t key : keys) {
+          const auto b = static_cast<uint32_t>(key >> 8);
+          if (hits.empty() || hits.back().block != b) {
+            hits.push_back({b, BlockRows{}});
+          }
+          hits.back().rows[(key >> 4) % kBlock] |=
+              static_cast<uint16_t>(1u << (key % kBlock));
+        }
+        visit(queries[groups[g]] / kBlock, hits);
+      }
+    });
+  }
+}
+
+std::shared_ptr<const BlockGraph> ChunkedNeighborhood::GraphFor(
+    double eps, common::ThreadPool& pool) const {
+  return graphs_.Get(eps, [&] {
+    std::vector<std::vector<BlockPair>> upper(layout_.num_blocks());
+    for (size_t a = 0; a < upper.size(); ++a) {
+      upper[a] = {{static_cast<uint32_t>(a), BlockRows{}}};
+    }
+    // A round visits each block at most once, so each upper[a] has one
+    // writer.
+    ForEachRound(eps, pool,
+                 [&upper](size_t a, const std::vector<BlockPair>& hits) {
+                   OrInto(hits, upper[a]);
+                 });
+    return std::make_shared<const BlockGraph>(eps, store_.size(),
+                                              std::move(upper));
+  });
 }
 
 std::vector<size_t> ChunkedNeighborhood::Neighbors(size_t query_index,
                                                    double eps) const {
   TRACLUS_DCHECK(query_index < store_.size());
-  return std::move(
-      NeighborsBatch({query_index}, eps, common::SharedPool(1)).front());
-}
-
-std::vector<std::vector<size_t>> ChunkedNeighborhood::AllNeighbors(
-    double eps, common::ThreadPool& pool) const {
-  std::vector<std::vector<size_t>> lists(store_.size());
-  ForEachSlice(*this, eps, pool,
-               [&lists](size_t lo, std::vector<std::vector<size_t>> part) {
-                 std::move(part.begin(), part.end(), lists.begin() + lo);
-               });
-  return lists;
-}
-
-std::vector<size_t> ChunkedNeighborhood::AllNeighborhoodSizes(
-    double eps, common::ThreadPool& pool) const {
-  std::vector<size_t> sizes(store_.size());
-  ForEachSlice(*this, eps, pool,
-               [&sizes](size_t lo, std::vector<std::vector<size_t>> part) {
-                 for (size_t k = 0; k < part.size(); ++k) {
-                   sizes[lo + k] = part[k].size();
-                 }
-               });
-  return sizes;
+  return GraphFor(eps, common::SharedPool(1))
+      ->ListOf(layout_, layout_.position(query_index));
 }
 
 std::vector<std::vector<size_t>> ChunkedNeighborhood::NeighborsBatch(
     const std::vector<size_t>& queries, double eps,
     common::ThreadPool& pool) const {
-  const size_t n = queries.size();
-  std::vector<std::vector<size_t>> lists(n);
-  if (n == 0) return lists;
-  const bool ascending = batches_.fetch_add(1) % 2 == 0;
-  distance::BatchOptions options;
-  options.kernel = kernel_;
-  const double reach = distance::PruneReach(dist_, eps);
-  // No usable lower bound: nothing can be pruned, so every segment is a
-  // candidate — the scan configuration's schedule.
-  const bool scan = !layout_.has_value() || std::isinf(reach);
+  if (queries.empty()) return {};
+  return GraphFor(eps, pool)->Lists(layout_, queries, pool);
+}
 
-  // 1. Candidates from the catalog, split into per-chunk runs, and the
-  //    chunks they touch. Queries sharing a Morton block share its
-  //    candidate block runs.
-  const size_t num_chunks = store_.num_chunks();
-  std::vector<std::vector<size_t>> candidates;
-  std::vector<std::vector<Run>> runs;
-  std::vector<char> touched(num_chunks, scan ? 1 : 0);
-  if (!scan) {
-    candidates.resize(n);
-    runs.resize(n);
-    const std::vector<BlockLayout::Entry> entries = layout_->Entries(queries);
-    layout_->ForEachGroup(
-        entries, reach, pool,
-        [&](const std::vector<distance::IndexRun>& blocks, size_t first,
-            size_t last) {
-          for (size_t e = first; e < last; ++e) {
-            const size_t k = entries[e].second;
-            Candidates(entries[e].first, blocks, reach, &candidates[k],
-                       &runs[k]);
-          }
-        });
-    for (const std::vector<Run>& query_runs : runs) {
-      for (const Run& run : query_runs) touched[run.chunk] = 1;
-    }
-  }
-  std::vector<size_t> walk;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (touched[c]) walk.push_back(c);
-  }
-  if (!ascending) std::reverse(walk.begin(), walk.end());
+std::vector<std::vector<size_t>> ChunkedNeighborhood::AllNeighbors(
+    double eps, common::ThreadPool& pool) const {
+  return GraphFor(eps, pool)->AllLists(layout_, pool);
+}
 
-  // 2. The query side of every refine.
-  const traj::SegmentStore query_store = GatherQueries(store_, queries);
-
-  // 3. The touched candidate chunks in walk order, a window of up to
-  //    max_resident_chunks at a time (pinning that many distinct chunks,
-  //    resident ones first, evicts none of them, so every pin stays
-  //    cache-owned), each window refined in one pass across the pool. A
-  //    query's runs all go to one worker, so each list has one writer.
-  const size_t cap = store_.options().max_resident_chunks;
-  const size_t window = cap > 0 ? cap : num_chunks;
-  std::vector<ChunkPin> pinned(num_chunks);
-  for (size_t w0 = 0; w0 < walk.size(); w0 += window) {
-    const size_t w1 = std::min(walk.size(), w0 + window);
-    const std::vector<size_t> chunks(walk.begin() + w0, walk.begin() + w1);
-    PinResidentFirst(store_, chunks, [&pinned](size_t c, ChunkPin pin) {
-      pinned[c] = std::move(pin);
-    });
-    // The window's chunks are the touched chunks with ids in [first, last].
-    const size_t first = std::min(chunks.front(), chunks.back());
-    const size_t last = std::max(chunks.front(), chunks.back());
-    pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-      for (size_t k = lo; k < hi; ++k) {
-        if (scan) {
-          for (size_t c = first; c <= last; ++c) {
-            ScanChunk(query_store, k, queries[k], c, *pinned[c], eps,
-                      options, &lists[k]);
-          }
-          continue;
-        }
-        const std::vector<Run>& query_runs = runs[k];
-        auto run = std::lower_bound(
-            query_runs.begin(), query_runs.end(), first,
-            [](const Run& r, size_t c) { return r.chunk < c; });
-        for (; run != query_runs.end() && run->chunk <= last; ++run) {
-          distance::EpsilonRefineCross(
-              query_store, dist_, k, *pinned[run->chunk],
-              common::Span<const size_t>(candidates[k].data() + run->begin,
-                                         run->end - run->begin),
-              eps, store_.chunk_begin(run->chunk), lists[k], options);
-        }
-      }
-    });
-    for (const size_t c : chunks) pinned[c].reset();
-  }
-
-  // 4. Definition 4 self-inclusion, then the monolithic ascending order.
-  pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      lists[k].push_back(queries[k]);
-      std::sort(lists[k].begin(), lists[k].end());
-    }
-  });
-  return lists;
+std::vector<size_t> ChunkedNeighborhood::AllNeighborhoodSizes(
+    double eps, common::ThreadPool& pool) const {
+  HitCounts counts(store_.size());
+  ForEachRound(eps, pool,
+               [&counts](size_t a, const std::vector<BlockPair>& hits) {
+                 counts.Add(a, hits);
+               });
+  return counts.Sizes(layout_);
 }
 
 }  // namespace traclus::cluster

@@ -7,66 +7,81 @@
 // chunked BruteForceNeighborhood), with lists byte-identical to theirs for
 // every chunk capacity, residency cap, thread count and kernel.
 //
-// Candidates come from the always-resident catalog alone. The indexed
-// configuration builds the eager join's Morton block layout
-// (cluster/block_layout.h) from the catalog, skips the block pairs it proves
-// too far, and runs the refine kernels' per-pair midpoint prune
-// (distance::PruneRuns) over Morton-ordered copies of the catalog midpoint
-// and half-length columns.
-// Those are bit-identical to the chunk stores' columns, so the survivors are
-// the pairs the eager join refines, in both orders: the eager join refines
-// each unordered pair once, this provider refines (p, q) and (q, p)
-// (ROADMAP item 3). The scan (and the indexed configuration when
-// LowerBoundFactor() ≤ 0) takes every segment.
-// Refinement runs through distance::EpsilonRefineCross/Runs with a
-// batch-local SegmentStore of the query segments on the query side; every
-// store is built by one constructor from the same endpoint doubles, so each
-// decision matches the monolithic refine bit for bit.
+// Join. Like the eager join (cluster::TileJoin), the provider computes the
+// ε-graph of one ε at a time, symmetrically, and serves every Neighbors,
+// NeighborsBatch and AllNeighbors call at that ε from it
+// (cluster/block_graph.h). The layout is the eager join's Morton block
+// layout (cluster/block_layout.h), built from the always-resident catalog,
+// whose columns are bit-identical to the merged store's; the scan
+// configuration, and any distance without a lower bound
+// (LowerBoundFactor() ≤ 0), use the index order without blocks
+// (BlockLayout(n)), whose blocks are never skipped. The query at position
+// p refines only the positions q > p in the blocks BlockLayout::UpperRuns
+// keeps for its block that pass the refine kernels' per-pair midpoint prune
+// (distance::PruneRuns) on layout-ordered copies of the catalog midpoint
+// and half-length columns: each unordered pair the eager join refines is
+// refined once, here too (the symmetry argument of neighborhood.h covers
+// it). Refinement runs through distance::EpsilonRefineCross with the
+// query's chunk store on the query side; every store is built by one
+// constructor from the same endpoint doubles, so each decision matches the
+// monolithic refine bit for bit.
 //
-// Schedule: queries are served in batches, chunk-major. NeighborsBatch
-//   1. groups the queries by Morton block and generates their candidates
-//      across the pool, grouped by candidate chunk (a counting sort);
-//   2. gathers the query segments into the batch-local store;
-//   3. walks the touched candidate chunks once — ascending on even batches,
-//      descending on odd ones, so the chunks at the turn are still in the
-//      LRU — a window of up to max_resident_chunks at a time, refining every
-//      query's candidates in the window in one pass across the pool (one
-//      worker per query, so each list has one writer);
-//   4. appends each query itself and sorts each list.
-// AllNeighbors and AllNeighborhoodSizes run 1,024-query slices of the index
-// range; single-query Neighbors is a batch of one.
+// Schedule. The build runs one round per query chunk, chunks in ascending
+// order. Round r
+//   1. prunes the upper candidates of every position held by chunk r across
+//      the pool, grouped by candidate chunk (a counting sort);
+//   2. walks the candidate chunks those touch — ascending in even rounds,
+//      descending in odd ones, so the chunks at the turn are still in the
+//      LRU — a window of up to max_resident_chunks at a time, refining
+//      every query's candidates in the window in one pass across the pool
+//      (one worker per query, so each accepted list has one writer);
+//   3. ORs every accepted pair (p, q) into the 16×16 row matrix of block
+//      pair (block(p), block(q)), one worker per query block.
+// AllNeighborhoodSizes runs the same rounds and counts the bits as they are
+// found (HitCounts), keeping no graph.
 //
-// Residency and faults: only the calling thread pins, and steps 2 and 3 pin
-// the chunks the cache already owns first (ChunkedSegmentStore::
-// ResidentChunk), then fault the missing ones, so a fault never evicts a
-// chunk the same window still needs. A window never exceeds the cap, so the
-// LRU cache bounds residency at its cap throughout. A batch faults at most
-// (query chunks + candidate chunks) ≤ 2 × num_chunks() chunks, and
-// chunk_faults() depends only on the batch sequence, never on the thread
-// count. A spill-file I/O failure while faulting is a process-level failure
-// (the provider interface has no error channel); it aborts via TRACLUS_CHECK.
+// Memory. The cached graph (36 B per hit block pair, at most
+// min(#block pairs, #neighbor pairs) of them, plus 8 B per block) plus one
+// round's scratch: the candidates of chunk_capacity queries and the pairs
+// they accept. In the configurations without a lower bound
+// (LowerBoundFactor() ≤ 0) every later position is a candidate, so a round
+// holds up to chunk_capacity · size() of them.
 //
-// Thread-safety: no mutex. The layout and its columns are immutable after
-// construction, batch scratch is local to each call or thread_local, the
-// only mutable member is an atomic batch counter, and chunk faults
-// synchronize inside ChunkedSegmentStore. Concurrent calls are safe and
-// byte-deterministic; only the walk direction, and so the fault count,
-// depends on their interleaving.
+// Residency and faults. Only the calling thread pins. A round pins its query
+// chunk, then each window's other chunks, the ones the cache already owns
+// first (ChunkedSegmentStore::ResidentChunk), then the missing ones, so a
+// fault never evicts a chunk the same window still needs. Every window holds
+// at most max_resident_chunks chunks, the query chunk included, and the LRU
+// cache never owns more than its cap, so peak_resident_chunks() ≤ cap. The
+// query chunk stays pinned for its whole round; once the cache evicts it,
+// it is the one chunk alive beyond the cap. The pin sequence depends only
+// on the catalog and ε, so
+// chunk_faults() depends only on the sequence of ε values asked for (one
+// build per change of ε, none per call), never on the thread count or the
+// batches. A spill-file I/O failure while faulting is a process-level
+// failure (the provider interface has no error channel); it aborts via
+// TRACLUS_CHECK.
+//
+// Thread-safety: the layout and its columns are immutable after
+// construction, build scratch is local to the build or thread_local, the
+// graph lives in a BlockGraphCache (built under its lock, served without
+// it), and chunk faults synchronize inside ChunkedSegmentStore. Concurrent
+// calls are safe and byte-deterministic.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
+#include "cluster/block_graph.h"
 #include "cluster/block_layout.h"
 #include "cluster/neighborhood.h"
 #include "traj/chunked_store.h"
 
 namespace traclus::cluster {
 
-/// Exact ε-neighborhoods over a finalized ChunkedSegmentStore, served
-/// chunk-major (see the file comment).
+/// Exact ε-neighborhoods over a finalized ChunkedSegmentStore, served from
+/// a chunk-major symmetric join (see the file comment).
 class ChunkedNeighborhood : public NeighborhoodProvider {
  public:
   /// `store` (finalized) and `dist` must outlive the provider. `use_index`
@@ -78,24 +93,20 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
       const distance::SegmentDistance& dist, bool use_index = true,
       distance::BatchKernel kernel = distance::BatchKernel::kAuto);
 
-  /// A batch of one, run inline on the calling thread.
+  /// Served from the graph of `eps`, built inline on the first call at it.
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
 
   std::vector<std::vector<size_t>> AllNeighbors(
       double eps, common::ThreadPool& pool) const override;
   std::vector<size_t> AllNeighborhoodSizes(
       double eps, common::ThreadPool& pool) const override;
-  /// One chunk-major batch; entry k equals the monolithic provider's
-  /// Neighbors(queries[k], eps). Duplicate queries are allowed.
+  /// Entry k equals the monolithic provider's Neighbors(queries[k], eps).
+  /// Duplicate queries are allowed.
   std::vector<std::vector<size_t>> NeighborsBatch(
       const std::vector<size_t>& queries, double eps,
       common::ThreadPool& pool) const override;
 
   size_t size() const override { return store_.size(); }
-
-  /// Batches served so far (every NeighborsBatch call, every slice of an
-  /// All* call, every single-query Neighbors call).
-  uint64_t batches() const { return batches_.load(); }
 
  private:
   /// One query's candidates inside one chunk: the query's candidate list
@@ -105,6 +116,11 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
     size_t begin;
     size_t end;
   };
+  /// Where a segment sits in the chunked store.
+  struct Slot {
+    uint32_t chunk;
+    uint32_t local;  // Its chunk-local index.
+  };
 
   /// The survivors of the per-pair midpoint prune of the segment at
   /// position `pq` among the positions of `blocks`, itself excluded, grouped
@@ -112,24 +128,28 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
   void Candidates(size_t pq, const std::vector<distance::IndexRun>& blocks,
                   double reach, std::vector<size_t>* out,
                   std::vector<Run>* runs) const;
-  /// Refines batch entry k (segment `query`) against every segment of chunk
-  /// c except the query itself, appending global indices to `out`.
-  void ScanChunk(const traj::SegmentStore& query_store, size_t k,
-                 size_t query, size_t c, const traj::SegmentStore& chunk,
-                 double eps, const distance::BatchOptions& options,
-                 std::vector<size_t>* out) const;
+  /// Runs the symmetric join round by round: calls visit(a, hits) across
+  /// the pool for every block a with a position in the round's chunk, where
+  /// `hits` are the pairs (b, rows), b ≥ a, ascending, holding the pairs
+  /// p < q the round accepted (p in block a and in the round's chunk).
+  template <typename Visit>
+  void ForEachRound(double eps, common::ThreadPool& pool,
+                    const Visit& visit) const;
+  /// The graph of `eps`, built on the first call at it.
+  std::shared_ptr<const BlockGraph> GraphFor(double eps,
+                                             common::ThreadPool& pool) const;
 
   const traj::ChunkedSegmentStore& store_;
   const distance::SegmentDistance& dist_;
   distance::BatchKernel kernel_;
-  /// The catalog's block layout; engaged in the indexed configuration.
-  std::optional<BlockLayout> layout_;
-  /// Catalog midpoints (d < dims), half-lengths and chunks in layout order.
+  /// The catalog's Morton block layout, or BlockLayout(n) (scan, or no
+  /// lower bound).
+  BlockLayout layout_;
+  /// Catalog midpoints (d < dims), half-lengths and slots in layout order.
   std::array<std::vector<double>, geom::kMaxDims> mid_;
   std::vector<double> half_;
-  std::vector<uint32_t> chunk_at_;
-  /// Parity picks the candidate-chunk walk direction.
-  mutable std::atomic<uint64_t> batches_{0};
+  std::vector<Slot> slot_at_;
+  mutable BlockGraphCache graphs_;
 };
 
 }  // namespace traclus::cluster

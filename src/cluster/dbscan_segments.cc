@@ -35,10 +35,9 @@ double NeighborhoodMass(const SegmentSetView& view,
 // unclassified). The fetcher exploits that: on a cache miss it batches the
 // demanded query together with queries the loop is guaranteed to issue soon —
 // pending queue members, then upcoming unclassified seeds — computes the whole
-// block through provider.NeighborsBatch (one batch, so a chunked provider
-// faults each payload chunk once per block, not once per query), hands the
-// demanded list back, and parks the rest. Parked lists are erased as they are
-// consumed, so residency never exceeds `block` and peak memory is
+// block through provider.NeighborsBatch (one batch across the pool), hands
+// the demanded list back, and parks the rest. Parked lists are erased as they
+// are consumed, so residency never exceeds `block` and peak memory is
 // O(block · max|Nε|) rather than the O(Σ|Nε|) of a full up-front batch.
 // Because every served list equals provider.Neighbors(i, eps) exactly, labels
 // and cluster IDs do not depend on the block size or the thread count.

@@ -48,6 +48,17 @@ bool ReadRaw(std::ifstream& in, T* v) {
   return in.good();
 }
 
+// The file checksum: h = (h ^ w) · p for each 64-bit word w, with p the
+// 64-bit FNV prime, from distance::HashInit(). For a fixed h, xor with w and
+// multiplication by an odd p are bijections mod 2^64, so changing any one
+// word always changes the result. It folds a word per step where
+// distance::HashBytes folds a byte (the cache key keeps that hash).
+uint64_t FoldWords(uint64_t h, const uint64_t* words, size_t n) {
+  constexpr uint64_t kPrime = 1099511628211ull;
+  for (size_t i = 0; i < n; ++i) h = (h ^ words[i]) * kPrime;
+  return h;
+}
+
 common::Status Corrupt(const std::string& path, const std::string& what) {
   return common::Status::InvalidArgument("corrupt neighbor cache file " +
                                          path + ": " + what);
@@ -166,8 +177,7 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
     if (!in.good()) {
       return common::Status::IOError("unreadable payload in " + path);
     }
-    checksum = distance::HashBytes(checksum, block.data(),
-                                   count * sizeof(uint64_t));
+    checksum = FoldWords(checksum, block.data(), count);
     for (uint64_t k = 0; k < count; ++k, ++pos) {
       if (pos == h.offsets[list + 1]) ++list;
       const uint64_t v = block[k];
@@ -189,7 +199,7 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
       prev = v;
     }
   }
-  checksum = distance::HashBytes(checksum, h.offsets.data(), offsets_bytes);
+  checksum = FoldWords(checksum, h.offsets.data(), h.offsets.size());
   uint64_t recorded = 0;
   if (!ReadRaw(in, &recorded)) {
     return common::Status::IOError("unreadable checksum in " + path);
@@ -244,12 +254,10 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
     }
     out.write(reinterpret_cast<const char*>(flat.data()),
               static_cast<std::streamsize>(flat.size() * sizeof(uint64_t)));
-    checksum = distance::HashBytes(checksum, flat.data(),
-                                   flat.size() * sizeof(uint64_t));
+    checksum = FoldWords(checksum, flat.data(), flat.size());
   }
   offsets[n] = total;
-  checksum = distance::HashBytes(checksum, offsets.data(),
-                                 offsets.size() * sizeof(uint64_t));
+  checksum = FoldWords(checksum, offsets.data(), offsets.size());
   WriteRaw(out, checksum);
   WriteRaw(out, kMagic);
 

@@ -17,26 +17,27 @@
 // weight, ε — changes the hash and misses (tests/neighbor_cache_test.cc
 // perturbs each input and asserts it).
 //
-// File format v2 (little-endian, all integers u64 unless noted):
-//   u32 magic 'NBC1'   u32 version=2
+// File format v3 (little-endian, all integers u64 unless noted):
+//   u32 magic 'NBC1'   u32 version=3
 //   u64 key            u64 n              u64 eps (raw double bits)
 //   u64 total_indices
 //   u64 offsets[n+1]   — list i occupies payload[offsets[i], offsets[i+1])
 //   u64 payload[total_indices]
-//   u64 checksum       — FNV-1a (distance/hashing.h) over the payload bytes,
-//                        then the offset bytes
+//   u64 checksum       — a 64-bit word fold h = (h ^ w) · p (p the FNV
+//                        prime) over the payload words, then the offset
+//                        words
 //   u32 magic 'NBC1'   — trailing sentinel, catches truncation
-// A load validates magic/version (corrupt → InvalidArgument; a v1 file is
-// an unsupported version), the recorded key and ε against the expected ones
-// (stale → FailedPrecondition), total_indices against the bytes left and
-// the exact file size implied by the header (truncated → IOError), and then,
-// in one streaming pass, the offsets (spanning and strictly increasing), the
-// payload (every list strictly ascending, indices < n, holding its own
-// index — Definition 4's self-inclusion) and the checksum (corrupt →
-// InvalidArgument); a missing file is NotFound. A bad file is NEVER
-// silently served — the caller decides whether to recompute. Writes go to
-// `path + ".tmp"` and rename into place, so a crashed writer cannot leave a
-// half-written file under the live name.
+// A load validates magic/version (corrupt → InvalidArgument; a v1 or v2
+// file is an unsupported version), the recorded key and ε against the
+// expected ones (stale → FailedPrecondition), total_indices against the
+// bytes left and the exact file size implied by the header (truncated →
+// IOError), and then, in one streaming pass, the offsets (spanning and
+// strictly increasing), the payload (every list strictly ascending,
+// indices < n, holding its own index — Definition 4's self-inclusion) and
+// the checksum (corrupt → InvalidArgument); a missing file is NotFound. A
+// bad file is NEVER silently served — the caller decides whether to
+// recompute. Writes go to `path + ".tmp"` and rename into place, so a
+// crashed writer cannot leave a half-written file under the live name.
 
 #include <cstdint>
 #include <fstream>
@@ -56,7 +57,7 @@
 namespace traclus::cluster {
 
 /// Current on-disk format version.
-inline constexpr uint32_t kNeighborCacheFileVersion = 2;
+inline constexpr uint32_t kNeighborCacheFileVersion = 3;
 
 /// The file holding `key`'s lists inside `directory`: nbc-<hex16 key>.bin.
 std::string NeighborCacheFilePath(const std::string& directory, uint64_t key);
@@ -87,7 +88,7 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
     double expected_eps);
 
 /// Computes every ε-neighborhood through `base` (in bounded NeighborsBatch
-/// slices across `pool`) and writes the v2 file for `key` at `path`,
+/// slices across `pool`) and writes the v3 file for `key` at `path`,
 /// atomically (tmp + rename). Overwrites an existing file.
 common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
                                       const NeighborhoodProvider& base,

@@ -18,26 +18,17 @@
 // positions q > p, in the blocks b ≥ a that block a does not skip
 // (BlockLayout::UpperRuns), through distance::EpsilonRefineRuns: each
 // unordered pair is refined once. Every accepted pair sets one bit of the
-// 16×16 bit matrix of its block pair (a, b) (16 uint16_t row masks, kept
-// only when some pair hits). One pass over those matrices then gives each
-// block its own rows: its matrices with blocks b ≥ a (the diagonal one made
-// symmetric, plus the self bits of Definition 4) and the transposed
-// matrices of the lower blocks that hit it. The list of position p is the
-// set bits of its row in its block's matrices, mapped back to segment
-// indices in ascending order (BlockLayout::ToSortedIndices); its size is
-// their popcount.
+// 16×16 bit matrix of its block pair (a, b), kept only when some pair hits;
+// cluster/block_graph.h assembles those matrices into the lists and counts
+// their sizes.
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
+#include "cluster/block_graph.h"
 #include "cluster/block_layout.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "distance/batch_kernels.h"
 #include "distance/segment_distance.h"
@@ -57,17 +48,19 @@ namespace traclus::cluster {
 /// dist(L, L) = 0. Exactness matters: DBSCAN's output (and the parameter
 /// heuristic's entropy) are defined in terms of exact ε-neighborhoods.
 ///
-/// Four providers implement it. The two that compute follow the
-/// candidate-generate / refine split: TileJoin emits the positions after the
-/// query's own in surviving Morton blocks, ChunkedNeighborhood the survivors
-/// of the per-pair midpoint prune in all surviving blocks, and both delegate
-/// the exact membership decision to the batched distance kernels
+/// Four providers implement it. The two that compute, TileJoin and
+/// ChunkedNeighborhood (cluster/chunked_neighborhood.h), are one symmetric
+/// ε-join over two stores: each emits the positions after the query's own
+/// in surviving Morton blocks (ChunkedNeighborhood through the per-pair
+/// midpoint prune on its catalog, grouped by chunk), delegates the exact
+/// membership decision to the batched distance kernels
 /// (distance/batch_kernels.h), which lower-bound-prune and evaluate the §2.3
-/// distance bit-identically to the per-pair cached path. The kernel choice
-/// (scalar / AVX2 SIMD) is a construction-time knob on each of them. The
-/// other two serve lists a computing provider produced: NeighborhoodCache
-/// from memory, FileNeighborhoodCache (cluster/neighbor_cache_file.h) from
-/// disk.
+/// distance bit-identically to the per-pair cached path, so each unordered
+/// pair is refined once, and serves its lists from the ε-graph of block-pair
+/// bits (cluster/block_graph.h). The kernel choice (scalar / AVX2 SIMD) is a
+/// construction-time knob on each of them. The other two serve lists a
+/// computing provider produced: NeighborhoodCache from memory,
+/// FileNeighborhoodCache (cluster/neighbor_cache_file.h) from disk.
 ///
 /// Every method may be called concurrently.
 class NeighborhoodProvider {
@@ -162,19 +155,15 @@ class NeighborhoodCache : public NeighborhoodProvider {
 /// tests/segment_distance_test.cc pins the premise on adversarial pairs:
 /// both directions are bit-equal and every kernel decides ≤ ε alike.
 ///
-/// Memory. A graph holds 32 B of row masks and a 4 B block number per hit
-/// block pair, plus 8 B per block. At most min(#block pairs, #neighbor
-/// pairs) block pairs hit, since each hit holds at least one pair (i, j)
-/// with j ∈ Nε(i), self pairs included.
+/// Memory. One cached ε-graph, whose size cluster/block_graph.h bounds.
 ///
 /// Threading. The layout is built once under std::call_once and immutable
 /// afterwards. Neighbors and NeighborsBatch serve from the graph of their
 /// ε, built on the first call at that ε across the caller's pool (inline for
-/// Neighbors) and replaced when ε changes. It lives behind graph_mu_, held
-/// for the build, so concurrent first calls build it once; a served graph is
-/// immutable and read without the lock. AllNeighbors builds a graph for the
-/// call, and AllNeighborhoodSizes counts the bits of the block pairs as the
-/// join finds them, keeping no graph. Every method may be called
+/// Neighbors) and replaced when ε changes (BlockGraphCache: concurrent first
+/// calls build it once). AllNeighbors builds a graph for the call, and
+/// AllNeighborhoodSizes counts the bits of the block pairs as the join finds
+/// them, keeping no graph (HitCounts). Every method may be called
 /// concurrently.
 class TileJoin : public NeighborhoodProvider {
  public:
@@ -204,21 +193,6 @@ class TileJoin : public NeighborhoodProvider {
     traj::SegmentStore sorted;        // Empty without block pruning.
     const traj::SegmentStore* store;  // `sorted`, or the bound store.
   };
-  /// Row r of a block pair (a, b): bit s set when position kBlock·b + s is
-  /// in the list of position kBlock·a + r.
-  using Rows = std::array<uint16_t, BlockLayout::kBlock>;
-  struct BlockPair {
-    uint32_t block;  // b.
-    Rows rows;
-  };
-  /// The ε-graph: block a's rows are pairs [first[a], first[a + 1]), in
-  /// ascending block order.
-  struct Graph {
-    double eps;
-    std::vector<size_t> first;
-    std::vector<BlockPair> pairs;
-  };
-
   const Layout& layout() const;
   void BuildLayout() const;
   /// Runs the symmetric join across `pool`: calls visit(a, hits) once per
@@ -228,14 +202,11 @@ class TileJoin : public NeighborhoodProvider {
   template <typename Visit>
   void ForEachUpperBlock(double eps, common::ThreadPool& pool,
                          const Visit& visit) const;
-  std::shared_ptr<const Graph> BuildGraph(double eps,
-                                          common::ThreadPool& pool) const;
+  std::shared_ptr<const BlockGraph> BuildGraph(double eps,
+                                               common::ThreadPool& pool) const;
   /// The graph of `eps` for Neighbors and NeighborsBatch.
-  std::shared_ptr<const Graph> GraphFor(double eps,
-                                        common::ThreadPool& pool) const
-      TRACLUS_EXCLUDES(graph_mu_);
-  /// The list of position p, in ascending segment index.
-  std::vector<size_t> ListOf(const Graph& graph, size_t p) const;
+  std::shared_ptr<const BlockGraph> GraphFor(double eps,
+                                             common::ThreadPool& pool) const;
 
   const traj::SegmentStore& store_;
   const distance::SegmentDistance& dist_;
@@ -243,8 +214,7 @@ class TileJoin : public NeighborhoodProvider {
   const distance::BatchKernel kernel_;
   mutable std::once_flag layout_once_;
   mutable Layout layout_;
-  mutable common::Mutex graph_mu_;
-  mutable std::shared_ptr<const Graph> graph_ TRACLUS_GUARDED_BY(graph_mu_);
+  mutable BlockGraphCache graphs_;
 };
 
 /// The join with block pruning off: every query walks every index after its

@@ -243,11 +243,11 @@ class DbscanGroupStage : public GroupStage {
       const traj::SegmentStore& store, const RunContext& ctx) const override;
   /// Out-of-core grouping: DBSCAN's density accounting and cardinality
   /// filter read the chunked store's always-resident catalog through a
-  /// cluster::SegmentSetView, and the ε-queries run in chunk-major batches
-  /// over cluster::ChunkedNeighborhood (block-pruned join or scan, per
-  /// use_index), which faults each payload chunk at most twice per batch
-  /// under the store's residency cap. Labellings are byte-identical to Run on the merged
-  /// store.
+  /// cluster::SegmentSetView, and the ε-queries are served by
+  /// cluster::ChunkedNeighborhood (block-pruned join or scan, per
+  /// use_index), which builds the ε-graph once, chunk-major, under the
+  /// store's residency cap. Labellings are byte-identical to Run on the
+  /// merged store.
   common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store,
       const RunContext& ctx) const override;

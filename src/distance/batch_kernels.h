@@ -77,11 +77,11 @@
 // pair once: every query refines, through EpsilonRefineRuns, the runs after
 // its own position in the surviving blocks from its own block on, which is
 // exact because the distance is symmetric in the pair; the chunked provider
-// (cluster::ChunkedNeighborhood) prunes the surviving blocks' candidates on
-// its catalog with PruneRuns and refines those pairs grouped by chunk,
-// through EpsilonRefineCross (its scan: whole chunks through
-// EpsilonRefineRuns). It refines both orders of every pair the eager join
-// refines once (ROADMAP item 3); the sharded stage re-checks halos with
+// (cluster::ChunkedNeighborhood) refines the same unordered pairs once too:
+// it prunes each query's positions after its own in the surviving blocks on
+// its catalog with PruneRuns, and refines the survivors grouped by chunk,
+// with the query's chunk store on the query side, through
+// EpsilonRefineCross; the sharded stage re-checks halos with
 // EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
 // NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
 // OPTICS streams blocked DistanceBatch calls; the sieve stage
@@ -238,9 +238,8 @@ struct IndexRun {
 /// kernel batches. Emits in run order, ascending within a run, with the
 /// same `out_base` and self-inclusion rules. Serves the block-pruned tile
 /// join (cluster::TileJoin: the positions after the query's own in the
-/// blocks that survive its block-pair prune, one store passed twice) and
-/// the chunked provider's whole-chunk scan (a chunk split around the
-/// query); one run [first, last) over one store is the contiguous refine.
+/// blocks that survive its block-pair prune, one store passed twice); one
+/// run [first, last) over one store is the contiguous refine.
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          const SegmentDistance& dist, size_t query,
                          const traj::SegmentStore& cand_store,

@@ -268,20 +268,22 @@ TEST(NeighborCacheFileTest, LoadFailsWithTypedStatusOnEveryBadFile) {
                 .code(),
             common::StatusCode::kIOError);
 
-  // A v1 file is an unsupported version → InvalidArgument.
+  // A v2 file (a byte-wise FNV-1a checksum) is an unsupported version →
+  // InvalidArgument.
   ASSERT_TRUE(WriteNeighborCacheFile(path, key, base, kEps, pool).ok());
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
     f.seekp(4);
-    const uint32_t v1 = 1;
-    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+    const uint32_t v2 = 2;
+    f.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
   }
   const auto old_version =
       LoadNeighborCacheFileHeader(path, key, store.size(), kEps);
   EXPECT_EQ(old_version.status().code(), common::StatusCode::kInvalidArgument);
-  EXPECT_NE(old_version.status().message().find("unsupported format version"),
-            std::string::npos)
+  EXPECT_NE(
+      old_version.status().message().find("unsupported format version 2"),
+      std::string::npos)
       << old_version.status().ToString();
 
   // Corrupt magic → InvalidArgument.

@@ -441,11 +441,11 @@ TEST(ChunkedNeighborhoodTest, ZeroWeightGridScansWholeChunks) {
   ExpectBatchesMatchMonolithic(segs, dist, 6.0);
 }
 
-TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
-  // Cap = chunks - 1 is the cyclic-LRU worst case: walking every query's
-  // candidate chunks in ascending order faults on nearly every query. The
-  // chunk-major batches fault each chunk at most twice per batch (once as a
-  // query chunk, once as a candidate chunk), from the calling thread only.
+TEST(ChunkedNeighborhoodTest, CappedDbscanBuildsTheGraphOnceWithFewFaults) {
+  // Cap = chunks - 1 is the cyclic-LRU worst case for a walk over the
+  // chunks. The provider builds the ε-graph once, in rounds over the query
+  // chunks whose candidate walks alternate direction, from the calling
+  // thread only, and serves every later batch at that ε from the graph.
   const auto segs = RandomSegments(2400, 120, 6, 73);
   const SegmentDistance dist;
   DbscanOptions options;
@@ -455,6 +455,8 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
   const ClusteringResult eager = DbscanSegments(segs, grid, options);
   ASSERT_GT(eager.clusters.size(), 0u);
 
+  std::vector<size_t> all(segs.size());
+  std::iota(all.begin(), all.end(), size_t{0});
   std::vector<size_t> faults;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
@@ -467,20 +469,19 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanFaultsEachChunkAtMostTwicePerBatch) {
     EXPECT_EQ(capped.labels, eager.labels);
     EXPECT_EQ(capped.num_noise, eager.num_noise);
 
-    const size_t bound = 2 * store->num_chunks() * provider.batches();
-    // The bound is far below the one-fault-per-query regime.
-    EXPECT_LT(bound, segs.size());
-    EXPECT_LE(store->chunk_faults(), bound);
-    // Pinning each window in walk order took 98 faults here (30 batches):
-    // a fault could evict a resident chunk the same window still needed.
-    // Pinning the resident chunks first takes 63.
-    EXPECT_LT(store->chunk_faults(), 98u);
+    // Chunk-major batches that refined both orders of every pair, batch by
+    // batch, took 63 faults here (30 batches); the per-ε build takes 21.
+    EXPECT_LT(store->chunk_faults(), 63u);
     EXPECT_LE(store->peak_resident_chunks(), 7u);
     faults.push_back(store->chunk_faults());
+    EXPECT_EQ(provider.NeighborsBatch(all, options.eps,
+                                      common::SharedPool(threads))
+                  .size(),
+              all.size());
+    EXPECT_EQ(store->chunk_faults(), faults.back());
   }
   EXPECT_EQ(faults[0], faults[1]);
 }
-
 
 // --- Property suite: the tile join against the per-pair oracle -----------
 
@@ -699,29 +700,54 @@ TEST(TileJoinPropertyTest, InterleavedEpsNeverServesAStaleGraph) {
     for (const size_t q : queries) lists.push_back(expect[q]);
     return lists;
   };
+  // The eager join, and the chunked one over 6 chunks of 40 at residency
+  // caps of 1, 2 and chunks - 1 (cap 0: no chunked store).
+  constexpr size_t kCapacity = 40;
   for (const bool use_index : {true, false}) {
     for (const int threads : {1, 4}) {
-      SCOPED_TRACE(testing::Message() << (use_index ? "indexed" : "scan")
-                                      << " threads " << threads);
-      common::ThreadPool& pool = common::SharedPool(threads);
-      const TileJoin join(segs, dist, use_index, distance::BatchKernel::kAuto);
-      EXPECT_EQ(join.NeighborsBatch(queries, e1, pool), expect_batch(expect1));
-      for (const size_t i : {size_t{0}, size_t{17}, segs.size() - 1}) {
-        EXPECT_EQ(join.Neighbors(i, e2), expect2[i]) << "query " << i;
+      for (const size_t cap : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
+        SCOPED_TRACE(testing::Message() << (use_index ? "indexed" : "scan")
+                                        << " threads " << threads << " cap "
+                                        << cap);
+        common::ThreadPool& pool = common::SharedPool(threads);
+        const TileJoin eager(segs, dist, use_index,
+                             distance::BatchKernel::kAuto);
+        std::unique_ptr<traj::ChunkedSegmentStore> store;
+        std::unique_ptr<ChunkedNeighborhood> chunked;
+        if (cap > 0) {
+          store = Chunked(segs, kCapacity, cap);
+          ASSERT_EQ(store->num_chunks(), 6u);
+          chunked = std::make_unique<ChunkedNeighborhood>(*store, dist,
+                                                          use_index);
+        }
+        const NeighborhoodProvider& join =
+            cap > 0 ? static_cast<const NeighborhoodProvider&>(*chunked)
+                    : eager;
+        EXPECT_EQ(join.NeighborsBatch(queries, e1, pool),
+                  expect_batch(expect1));
+        for (const size_t i : {size_t{0}, size_t{17}, segs.size() - 1}) {
+          EXPECT_EQ(join.Neighbors(i, e2), expect2[i]) << "query " << i;
+        }
+        EXPECT_EQ(join.AllNeighborhoodSizes(e3, pool), sizes3);
+        EXPECT_EQ(join.AllNeighbors(e3, pool), expect3);
+        EXPECT_EQ(join.NeighborsBatch(queries, e1, pool),
+                  expect_batch(expect1));
+        EXPECT_EQ(join.Neighbors(17, e1), expect1[17]);
+        EXPECT_EQ(join.Neighbors(17, e2), expect2[17]);
+        if (store != nullptr) {
+          EXPECT_LE(store->peak_resident_chunks(), cap);
+        }
       }
-      EXPECT_EQ(join.AllNeighborhoodSizes(e3, pool), sizes3);
-      EXPECT_EQ(join.AllNeighbors(e3, pool), expect3);
-      EXPECT_EQ(join.NeighborsBatch(queries, e1, pool), expect_batch(expect1));
-      EXPECT_EQ(join.Neighbors(17, e1), expect1[17]);
-      EXPECT_EQ(join.Neighbors(17, e2), expect2[17]);
     }
   }
 }
 
 // Threads that race to the first query of a fresh join build its graph once
 // and all read the oracle's lists; threads alternating between two ε values
-// replace the graph under each other's readers. Under TSan a race on the
-// graph or its pointer reports itself.
+// replace the graph under each other's readers. The eager join runs as is,
+// the chunked one over 8 chunks of 40 at residency caps of 1, 2 and
+// chunks - 1 (cap 0: the eager join). Under TSan a race on the graph, its
+// pointer or the chunk cache reports itself.
 TEST(TileJoinPropertyTest, ConcurrentFirstQueriesAgreeWithTheOracle) {
   const auto segs = RandomSegments(300, 60, 4, 106);
   const SegmentDistance dist;
@@ -729,29 +755,46 @@ TEST(TileJoinPropertyTest, ConcurrentFirstQueriesAgreeWithTheOracle) {
   const std::vector<std::vector<size_t>> expect[] = {
       OracleLists(segs, dist, eps[0]), OracleLists(segs, dist, eps[1])};
   constexpr int kThreads = 4;
-  for (const bool alternate : {false, true}) {
-    for (int round = 0; round < 3; ++round) {
-      const GridNeighborhoodIndex join(segs, dist);
-      std::atomic<int> ready{0};
-      std::atomic<size_t> mismatches{0};
-      std::vector<std::thread> threads;
-      threads.reserve(kThreads);
-      for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-          ready.fetch_add(1);
-          while (ready.load() < kThreads) std::this_thread::yield();
-          for (size_t i = static_cast<size_t>(t); i < segs.size();
-               i += kThreads) {
-            const size_t e = alternate ? (i / kThreads) % 2 : 0;
-            if (join.Neighbors(i, eps[e]) != expect[e][i]) {
-              mismatches.fetch_add(1);
+  for (const size_t cap : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+    for (const bool alternate : {false, true}) {
+      for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE(testing::Message()
+                     << (alternate ? "alternating" : "one eps") << " round "
+                     << round << " cap " << cap);
+        const GridNeighborhoodIndex grid(segs, dist);
+        std::unique_ptr<traj::ChunkedSegmentStore> store;
+        std::unique_ptr<ChunkedNeighborhood> chunked;
+        if (cap > 0) {
+          store = Chunked(segs, 40, cap);
+          ASSERT_EQ(store->num_chunks(), 8u);
+          chunked = std::make_unique<ChunkedNeighborhood>(*store, dist);
+        }
+        const NeighborhoodProvider& join =
+            cap > 0 ? static_cast<const NeighborhoodProvider&>(*chunked)
+                    : grid;
+        std::atomic<int> ready{0};
+        std::atomic<size_t> mismatches{0};
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+          threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            for (size_t i = static_cast<size_t>(t); i < segs.size();
+                 i += kThreads) {
+              const size_t e = alternate ? (i / kThreads) % 2 : 0;
+              if (join.Neighbors(i, eps[e]) != expect[e][i]) {
+                mismatches.fetch_add(1);
+              }
             }
-          }
-        });
+          });
+        }
+        for (std::thread& thread : threads) thread.join();
+        EXPECT_EQ(mismatches.load(), 0u);
+        if (store != nullptr) {
+          EXPECT_LE(store->peak_resident_chunks(), cap);
+        }
       }
-      for (std::thread& thread : threads) thread.join();
-      EXPECT_EQ(mismatches.load(), 0u)
-          << (alternate ? "alternating" : "one eps") << " round " << round;
     }
   }
 }

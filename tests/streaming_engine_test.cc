@@ -239,7 +239,7 @@ TEST(StreamingGoldenTest, CappedOutOfCoreRunMatchesGolden) {
 TEST(StreamingGoldenTest, CappedRunsAtTheLruWorstCaseMatchGolden) {
   // Nine 1,024-segment chunks behind 8 slots (one short of the working set:
   // the cyclic-LRU worst case) and behind a single slot. The chunk-major
-  // ε-batches keep both byte-identical to the eager golden.
+  // ε-join keeps both byte-identical to the eager golden.
   const GoldenRun golden = LoadGolden("hurricane_default.golden");
   const auto db = datagen::GenerateHurricanes(datagen::HurricaneConfig{});
 

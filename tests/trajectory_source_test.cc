@@ -1,8 +1,9 @@
 // Tests for the pull-based ingest API (traj/source.h): parser equivalence
 // with the eager ParseCsv/ReadCsv wrappers, the mid-stream failure contract
 // (typed InvalidArgument naming the exact line, sticky failure, no partial
-// trajectory or segment ever leaked), stdin-style stream sources, and the
-// DatabaseSource adapter.
+// trajectory or segment ever leaked), a seeded mutation fuzz of a saved
+// hurricane subset, stdin-style stream sources, and the DatabaseSource
+// adapter.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/engine.h"
+#include "datagen/hurricane_generator.h"
 #include "traj/csv_io.h"
 #include "traj/source.h"
 
@@ -296,6 +299,184 @@ TEST(CsvSourceFailureTest, NonFiniteValuesNameTheirLine) {
       EXPECT_NE(msg.find(row.message), std::string::npos) << msg;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz over a saved hurricane subset.
+// ---------------------------------------------------------------------------
+
+// The first `lines` lines of `text`, each ending in a newline.
+std::string FirstLines(const std::string& text, size_t lines) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  for (size_t k = 0; k < lines && std::getline(in, line); ++k) {
+    out += line + "\n";
+  }
+  return out;
+}
+
+size_t CountLines(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  size_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  return lines;
+}
+
+// N of a message starting "CSV line N: ", or 0.
+size_t NamedLine(const std::string& message) {
+  const std::string prefix = "CSV line ";
+  if (message.compare(0, prefix.size(), prefix) != 0) return 0;
+  return static_cast<size_t>(
+      std::strtoull(message.c_str() + prefix.size(), nullptr, 10));
+}
+
+// Either a typed failure at an exact line — the lines before it parse and
+// the lines up to it fail with the same status — or a parse equal to a
+// re-parse of the same text through the streaming reader, holding only
+// coordinates the parser admits. Returns whether the text failed.
+bool ExpectFailsAtItsLineOrParsesStably(const std::string& text) {
+  const auto parsed = ParseCsv(text);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    const std::string message(parsed.status().message());
+    const size_t line = NamedLine(message);
+    EXPECT_GE(line, 1u) << message;
+    EXPECT_LE(line, CountLines(text)) << message;
+    if (line == 0) return true;
+    const auto before = ParseCsv(FirstLines(text, line - 1));
+    EXPECT_TRUE(before.ok()) << message << " / " << before.status().ToString();
+    const auto upto = ParseCsv(FirstLines(text, line));
+    EXPECT_FALSE(upto.ok()) << message;
+    EXPECT_EQ(upto.status().ToString(), parsed.status().ToString());
+    return true;
+  }
+  std::istringstream in(text);
+  CsvStreamSource stream(in);
+  const auto again = DrainToDatabase(stream);
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  if (again.ok()) ExpectSameDatabase(*again, *parsed);
+  for (const Trajectory& tr : parsed->trajectories()) {
+    EXPECT_TRUE(std::isfinite(tr.weight()));
+    for (const geom::Point& p : tr.points()) {
+      for (int d = 0; d < p.dims(); ++d) {
+        EXPECT_TRUE(std::isfinite(p[d])) << tr.id();
+        EXPECT_LE(std::fabs(p[d]), 1e150) << tr.id();
+      }
+    }
+  }
+  return false;
+}
+
+TEST(CsvSourceFuzzTest, MutantsFailAtTheirLineOrParseStably) {
+  // Twelve weighted hurricane tracks, saved through WriteCsv: a header
+  // comment, then rows `id,x,y,weight`.
+  datagen::HurricaneConfig config;
+  config.min_weight = 1.0;
+  config.max_weight = 5.0;
+  const TrajectoryDatabase all = datagen::GenerateHurricanes(config);
+  TrajectoryDatabase subset;
+  for (size_t t = 0; t < 12; ++t) subset.Add(all[t]);
+  const std::string path = TempPath("hurricane_subset.csv");
+  ASSERT_TRUE(WriteCsv(subset, path).ok());
+  std::ifstream file(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_TRUE(ParseCsv(text).ok());
+
+  // Lines as [begin, end) byte ranges, and each data row's trajectory.
+  std::vector<std::pair<size_t, size_t>> lines;
+  for (size_t b = 0; b < text.size();) {
+    const size_t e = text.find('\n', b);
+    lines.push_back({b, e});
+    b = e + 1;
+  }
+  const char* literals[] = {"nan",  "-nan",   "inf",   "-inf",
+                            "NaN",  "1e309",  "1e200", "-1e151",
+                            "1e151", "Infinity"};
+  const char alphabet[] = "0123456789.,-+eE#\n \t\rxn";
+
+  common::Rng rng(2026);
+  size_t failed = 0;
+  constexpr int kMutants = 800;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = text;
+    std::string kind;
+    switch (m % 4) {
+      case 0: {  // A byte flip: a CSV-significant character or any byte.
+        const size_t pos = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
+        mutant[pos] = rng.UniformInt(0, 1) == 0
+                          ? alphabet[rng.UniformInt(0, sizeof(alphabet) - 2)]
+                          : static_cast<char>(rng.UniformInt(0, 255));
+        kind = "flip at byte " + std::to_string(pos);
+        break;
+      }
+      case 1: {  // A truncation, mid-row or at a row boundary.
+        const size_t size = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
+        mutant.resize(size);
+        kind = "truncation to " + std::to_string(size);
+        break;
+      }
+      case 2: {  // A non-finite or > 1e150 literal in x, y or the weight.
+        const size_t l = static_cast<size_t>(
+            rng.UniformInt(1, static_cast<int64_t>(lines.size()) - 1));
+        const size_t field = static_cast<size_t>(rng.UniformInt(1, 3));
+        const char* literal = literals[rng.UniformInt(0, 9)];
+        size_t b = lines[l].first;
+        for (size_t f = 0; f < field; ++f) b = text.find(',', b) + 1;
+        const size_t e = std::min(text.find(',', b), lines[l].second);
+        mutant.replace(b, e - b, literal);
+        kind = std::string(literal) + " in field " + std::to_string(field) +
+               " of line " + std::to_string(l + 1);
+        break;
+      }
+      default: {  // Tracks whose rows all repeat their first point.
+        const bool every = m % 8 == 7;
+        std::string out = text.substr(0, lines[0].second + 1);
+        std::string first_point;
+        std::string prev_id;
+        bool flatten = false;
+        for (size_t l = 1; l < lines.size(); ++l) {
+          const std::string row =
+              text.substr(lines[l].first, lines[l].second - lines[l].first);
+          const size_t c1 = row.find(',');
+          const size_t c3 = row.rfind(',');
+          const std::string id = row.substr(0, c1);
+          if (id != prev_id) {
+            prev_id = id;
+            flatten = every || rng.UniformInt(0, 2) == 0;
+            first_point = row.substr(c1, c3 - c1);
+          }
+          out += flatten ? id + first_point + row.substr(c3) : row;
+          out += "\n";
+        }
+        mutant = out;
+        kind = every ? "every track duplicated" : "some tracks duplicated";
+        // Nothing to partition unless some track kept two distinct points:
+        // the guard names the first track's first row (line 2).
+        CsvStringSource csv(mutant);
+        RequireSegmentsSource guard(csv);
+        const auto guarded = DrainToDatabase(guard);
+        if (every) {
+          ASSERT_FALSE(guarded.ok()) << kind;
+          EXPECT_EQ(guarded.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_EQ(NamedLine(std::string(guarded.status().message())), 2u)
+              << guarded.status().ToString();
+        } else if (guarded.ok()) {
+          ExpectSameDatabase(*guarded, *ParseCsv(mutant));
+        }
+        break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "mutant " << m << ": " << kind);
+    if (ExpectFailsAtItsLineOrParsesStably(mutant)) ++failed;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(failed, size_t{kMutants / 8});
+  EXPECT_LT(failed, size_t{kMutants * 7 / 8});
 }
 
 // ---------------------------------------------------------------------------
