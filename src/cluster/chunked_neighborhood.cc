@@ -142,6 +142,10 @@ template <typename Visit>
 void ChunkedNeighborhood::ForEachRound(double eps, common::ThreadPool& pool,
                                        const Visit& visit) const {
   const double reach = distance::PruneReach(dist_, eps);
+  // Without a lower bound the layout is the index order and every later
+  // position is a candidate: each query's candidates are then whole
+  // chunk-local ranges, refined without materializing them.
+  const bool prunes = dist_.LowerBoundFactor() > 0.0;
   distance::BatchOptions options;
   options.kernel = kernel_;
   const size_t num_chunks = store_.num_chunks();
@@ -168,18 +172,30 @@ void ChunkedNeighborhood::ForEachRound(double eps, common::ThreadPool& pool,
     //    they touch. A group shares its block's runs.
     std::vector<std::vector<size_t>> candidates(m);
     std::vector<std::vector<Run>> runs(m);
-    pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
-      std::vector<distance::IndexRun> upper;
-      for (size_t g = lo; g < hi; ++g) {
-        layout_.UpperRuns(queries[groups[g]] / kBlock, reach, upper);
-        for (size_t k = groups[g]; k < groups[g + 1]; ++k) {
-          // Only the positions after the query: the first run starts at
-          // its block.
-          upper.front().first = queries[k] + 1;
-          Candidates(queries[k], upper, reach, &candidates[k], &runs[k]);
+    if (prunes) {
+      pool.ParallelForChunked(0, groups.size() - 1, [&](size_t lo, size_t hi) {
+        std::vector<distance::IndexRun> upper;
+        for (size_t g = lo; g < hi; ++g) {
+          layout_.UpperRuns(queries[groups[g]] / kBlock, reach, upper);
+          for (size_t k = groups[g]; k < groups[g + 1]; ++k) {
+            // Only the positions after the query: the first run starts at
+            // its block.
+            upper.front().first = queries[k] + 1;
+            Candidates(queries[k], upper, reach, &candidates[k], &runs[k]);
+          }
+        }
+      });
+    } else {
+      // Index order: the query's own chunk after it, then every later
+      // chunk whole.
+      for (size_t k = 0; k < m; ++k) {
+        const size_t after = slot_at_[queries[k]].local + 1;
+        if (after < m) runs[k].push_back({qc, after, m});
+        for (size_t c = qc + 1; c < num_chunks; ++c) {
+          runs[k].push_back({c, 0, store_.chunk_size(c)});
         }
       }
-    });
+    }
     std::vector<char> touched(num_chunks, 0);
     for (const std::vector<Run>& query_runs : runs) {
       for (const Run& run : query_runs) touched[run.chunk] = 1;
@@ -220,16 +236,24 @@ void ChunkedNeighborhood::ForEachRound(double eps, common::ThreadPool& pool,
       pool.ParallelForChunked(0, m, [&](size_t lo, size_t hi) {
         for (size_t k = lo; k < hi; ++k) {
           const std::vector<Run>& query_runs = runs[k];
+          const size_t local = slot_at_[queries[k]].local;
           auto run = std::lower_bound(
               query_runs.begin(), query_runs.end(), first,
               [](const Run& r, size_t c) { return r.chunk < c; });
           for (; run != query_runs.end() && run->chunk <= last; ++run) {
-            distance::EpsilonRefineCross(
-                *query_chunk, dist_, slot_at_[queries[k]].local,
-                *pinned[run->chunk],
-                common::Span<const size_t>(candidates[k].data() + run->begin,
-                                           run->end - run->begin),
-                eps, store_.chunk_begin(run->chunk), accepted[k], options);
+            const size_t out_base = store_.chunk_begin(run->chunk);
+            if (prunes) {
+              distance::EpsilonRefineCross(
+                  *query_chunk, dist_, local, *pinned[run->chunk],
+                  common::Span<const size_t>(candidates[k].data() + run->begin,
+                                             run->end - run->begin),
+                  eps, out_base, accepted[k], options);
+            } else {
+              const distance::IndexRun range{run->begin, run->end};
+              distance::EpsilonRefineRuns(*query_chunk, dist_, local,
+                                          *pinned[run->chunk], {&range, 1}, eps,
+                                          out_base, accepted[k], options);
+            }
           }
         }
       });

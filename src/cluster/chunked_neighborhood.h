@@ -21,10 +21,11 @@
 // (distance::PruneRuns) on layout-ordered copies of the catalog midpoint
 // and half-length columns: each unordered pair the eager join refines is
 // refined once, here too (the symmetry argument of neighborhood.h covers
-// it). Refinement runs through distance::EpsilonRefineCross with the
-// query's chunk store on the query side; every store is built by one
-// constructor from the same endpoint doubles, so each decision matches the
-// monolithic refine bit for bit.
+// it). Refinement runs through distance::EpsilonRefineCross (or, without a
+// lower bound, EpsilonRefineRuns; see Memory) with the query's chunk store
+// on the query side; every store is built by one constructor from the same
+// endpoint doubles, so each decision matches the monolithic refine bit for
+// bit.
 //
 // Schedule. The build runs one round per query chunk, chunks in ascending
 // order. Round r
@@ -43,9 +44,12 @@
 // Memory. The cached graph (36 B per hit block pair, at most
 // min(#block pairs, #neighbor pairs) of them, plus 8 B per block) plus one
 // round's scratch: the candidates of chunk_capacity queries and the pairs
-// they accept. In the configurations without a lower bound
-// (LowerBoundFactor() ≤ 0) every later position is a candidate, so a round
-// holds up to chunk_capacity · size() of them.
+// they accept. Without a lower bound (LowerBoundFactor() ≤ 0) every later
+// position is a candidate; the layout is then the index order, so each
+// query's candidates are its own chunk after it and every later chunk
+// whole, refined as chunk-local ranges (distance::EpsilonRefineRuns)
+// without being materialized: a round holds one run per query and later
+// chunk.
 //
 // Residency and faults. Only the calling thread pins. A round pins its query
 // chunk, then each window's other chunks, the ones the cache already owns
@@ -109,8 +113,9 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
   size_t size() const override { return store_.size(); }
 
  private:
-  /// One query's candidates inside one chunk: the query's candidate list
-  /// [begin, end), as chunk-local indices.
+  /// One query's candidates inside one chunk: the slice [begin, end) of the
+  /// query's candidate list of chunk-local indices or, for a distance
+  /// without a lower bound, the chunk-local indices [begin, end) themselves.
   struct Run {
     size_t chunk;
     size_t begin;

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <limits>
+#include <fstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,8 +19,6 @@ constexpr uint32_t kMagic = 0x3143424Eu;
 constexpr uint64_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 // Fixed-size trailer: checksum + sentinel magic.
 constexpr uint64_t kTrailerBytes = 8 + 4;
-// Payload words per read of the load-time validation pass.
-constexpr uint64_t kLoadBlock = 8192;
 // Queries per NeighborsBatch slice while writing — bounds the writer's peak
 // resident lists the same way the blocked grouping pass bounds its own.
 constexpr size_t kWriteBatch = 1024;
@@ -144,72 +142,60 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
         std::to_string(expected_size));
   }
 
+  // Both reads are bounded by the file size checked above.
   h.offsets.resize(h.n + 1);
+  h.payload.resize(h.total_indices);
   in.read(reinterpret_cast<char*>(h.offsets.data()),
           static_cast<std::streamsize>(offsets_bytes));
-  if (!in.good()) {
-    return common::Status::IOError("unreadable offset table in " + path);
+  in.read(reinterpret_cast<char*>(h.payload.data()),
+          static_cast<std::streamsize>(h.total_indices * sizeof(uint64_t)));
+  uint64_t recorded = 0;
+  uint32_t trailing = 0;
+  if (!in.good() || !ReadRaw(in, &recorded) || !ReadRaw(in, &trailing)) {
+    return common::Status::IOError("unreadable neighbor cache file " + path);
   }
   if (h.offsets.front() != 0 || h.offsets.back() != h.total_indices) {
     return Corrupt(path, "offset table does not span the payload");
   }
-  // Every list holds at least its own index, so offsets strictly increase.
+
+  // Every list holds at least its own index, so offsets strictly increase;
+  // with the span check this keeps every list inside the payload.
   for (uint64_t i = 0; i < h.n; ++i) {
     if (h.offsets[i] >= h.offsets[i + 1]) {
       return Corrupt(path, "offset table is not strictly increasing");
     }
   }
-  h.payload_begin = kHeaderBytes + offsets_bytes;
-
-  // One streaming pass over the payload: every list strictly ascending,
-  // every index < n, every list holding its own index (Definition 4), and
-  // the checksum over payload then offsets. A list that passes could still
-  // be wrong only if a corruption also matched the checksum.
+  // One pass over the lists: every list strictly ascending, every index
+  // < n, every list holding its own index (Definition 4), and the checksum
+  // over payload then offsets. A list that passes could still be wrong only
+  // if a corruption also matched the checksum.
   uint64_t checksum = distance::HashInit();
-  std::vector<uint64_t> block(std::min(kLoadBlock, h.total_indices));
-  uint64_t list = 0;  // The list owning payload word `pos`.
-  uint64_t prev = 0;
-  bool saw_self = false;
-  for (uint64_t pos = 0; pos < h.total_indices;) {
-    const uint64_t count = std::min(kLoadBlock, h.total_indices - pos);
-    in.read(reinterpret_cast<char*>(block.data()),
-            static_cast<std::streamsize>(count * sizeof(uint64_t)));
-    if (!in.good()) {
-      return common::Status::IOError("unreadable payload in " + path);
-    }
-    checksum = FoldWords(checksum, block.data(), count);
-    for (uint64_t k = 0; k < count; ++k, ++pos) {
-      if (pos == h.offsets[list + 1]) ++list;
-      const uint64_t v = block[k];
-      const bool first = pos == h.offsets[list];
+  for (uint64_t i = 0; i < h.n; ++i) {
+    const uint64_t* list = h.payload.data() + h.offsets[i];
+    const uint64_t count = h.offsets[i + 1] - h.offsets[i];
+    bool saw_self = false;
+    for (uint64_t k = 0; k < count; ++k) {
+      const uint64_t v = list[k];
       if (v >= h.n) {
-        return Corrupt(path, "list " + std::to_string(list) +
+        return Corrupt(path, "list " + std::to_string(i) +
                                  " holds out-of-range index " +
                                  std::to_string(v));
       }
-      if (!first && v <= prev) {
-        return Corrupt(path, "list " + std::to_string(list) +
+      if (k > 0 && v <= list[k - 1]) {
+        return Corrupt(path, "list " + std::to_string(i) +
                                  " is not strictly ascending");
       }
-      saw_self = (saw_self && !first) || v == list;
-      if (pos + 1 == h.offsets[list + 1] && !saw_self) {
-        return Corrupt(path, "list " + std::to_string(list) +
-                                 " lacks its own index");
-      }
-      prev = v;
+      saw_self = saw_self || v == i;
     }
+    if (!saw_self) {
+      return Corrupt(path, "list " + std::to_string(i) +
+                               " lacks its own index");
+    }
+    checksum = FoldWords(checksum, list, count);
   }
   checksum = FoldWords(checksum, h.offsets.data(), h.offsets.size());
-  uint64_t recorded = 0;
-  if (!ReadRaw(in, &recorded)) {
-    return common::Status::IOError("unreadable checksum in " + path);
-  }
   if (recorded != checksum) return Corrupt(path, "checksum mismatch");
-
-  uint32_t trailing = 0;
-  if (!ReadRaw(in, &trailing) || trailing != kMagic) {
-    return Corrupt(path, "missing trailing sentinel");
-  }
+  if (trailing != kMagic) return Corrupt(path, "missing trailing sentinel");
   return h;
 }
 
@@ -313,60 +299,39 @@ FileNeighborhoodCache::Create(const NeighborhoodProvider& base,
     TRACLUS_RETURN_NOT_OK(header.status());
   }
 
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return common::Status::IOError("cannot reopen neighbor cache file " +
-                                   path);
-  }
   return std::unique_ptr<FileNeighborhoodCache>(new FileNeighborhoodCache(
-      std::move(header).ValueOrDie(), path, std::move(file), eps, loaded));
+      std::move(header).ValueOrDie(), path, eps, loaded));
 }
 
 FileNeighborhoodCache::FileNeighborhoodCache(NeighborCacheFileHeader header,
-                                             std::string path,
-                                             std::ifstream file, double eps,
+                                             std::string path, double eps,
                                              bool loaded_from_file)
     : header_(std::move(header)),
       path_(std::move(path)),
       eps_(eps),
-      loaded_from_file_(loaded_from_file) {
-  common::MutexLock lock(mu_);
-  file_ = std::move(file);
-}
+      loaded_from_file_(loaded_from_file) {}
 
-std::vector<size_t> FileNeighborhoodCache::ReadList(size_t i) const {
+std::vector<size_t> FileNeighborhoodCache::ListOf(size_t i) const {
   TRACLUS_DCHECK(i < header_.n);
-  const uint64_t begin = header_.offsets[i];
-  const uint64_t count = header_.offsets[i + 1] - begin;
-  std::vector<uint64_t> raw(count);
-  {
-    common::MutexLock lock(mu_);
-    file_.seekg(static_cast<std::streamoff>(header_.payload_begin +
-                                            begin * sizeof(uint64_t)));
-    file_.read(reinterpret_cast<char*>(raw.data()),
-               static_cast<std::streamsize>(count * sizeof(uint64_t)));
-    // Validated at load time; a failure here means the file changed
-    // underneath us mid-run.
-    TRACLUS_DCHECK(file_.good());
-  }
-  std::vector<size_t> list(raw.begin(), raw.end());
-  return list;
+  const uint64_t* payload = header_.payload.data();
+  return std::vector<size_t>(payload + header_.offsets[i],
+                             payload + header_.offsets[i + 1]);
 }
 
 std::vector<size_t> FileNeighborhoodCache::Neighbors(size_t query_index,
                                                      double eps) const {
   TRACLUS_DCHECK(eps == eps_);
   (void)eps;
-  return ReadList(query_index);
+  return ListOf(query_index);
 }
 
 std::vector<std::vector<size_t>> FileNeighborhoodCache::AllNeighbors(
     double eps, common::ThreadPool& pool) const {
   TRACLUS_DCHECK(eps == eps_);
   (void)eps;
-  (void)pool;  // Reads serialize on the file cursor; fan-out buys nothing.
+  (void)pool;  // Served on the calling thread, like NeighborhoodCache.
   std::vector<std::vector<size_t>> lists(header_.n);
-  for (size_t i = 0; i < header_.n; ++i) lists[i] = ReadList(i);
+  for (size_t i = 0; i < header_.n; ++i) lists[i] = ListOf(i);
   return lists;
 }
 
@@ -390,7 +355,7 @@ std::vector<std::vector<size_t>> FileNeighborhoodCache::NeighborsBatch(
   (void)pool;
   std::vector<std::vector<size_t>> lists(queries.size());
   for (size_t k = 0; k < queries.size(); ++k) {
-    lists[k] = ReadList(queries[k]);
+    lists[k] = ListOf(queries[k]);
   }
   return lists;
 }

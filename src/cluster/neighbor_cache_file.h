@@ -31,24 +31,31 @@
 // file is an unsupported version), the recorded key and ε against the
 // expected ones (stale → FailedPrecondition), total_indices against the
 // bytes left and the exact file size implied by the header (truncated →
-// IOError), and then, in one streaming pass, the offsets (spanning and
-// strictly increasing), the payload (every list strictly ascending,
-// indices < n, holding its own index — Definition 4's self-inclusion) and
-// the checksum (corrupt → InvalidArgument); a missing file is NotFound. A
-// bad file is NEVER silently served — the caller decides whether to
-// recompute. Writes go to `path + ".tmp"` and rename into place, so a
-// crashed writer cannot leave a half-written file under the live name.
+// IOError), then reads the offsets and the payload, each with one read, and
+// checks in one pass over memory the offsets (spanning and strictly
+// increasing), the payload (every list strictly ascending, indices < n,
+// holding its own index — Definition 4's self-inclusion), the checksum
+// (corrupt → InvalidArgument) and the trailing sentinel; a missing file is
+// NotFound. A bad file is NEVER silently served — the caller decides
+// whether to recompute. Writes go to `path + ".tmp"` and rename into place,
+// so a crashed writer cannot leave a half-written file under the live name.
+//
+// Memory. The cache serves every list from the payload words the load read
+// and validated, so it holds 8 B per list entry plus 8 B per list for the
+// offsets: 0.54 MB for the hurricane set at ε = 0.94, 35 MB for elk-half.
+// No run that opens a cache directory has a residency cap (the engine and
+// the CLI refuse --max-resident with a cache directory), and an uncapped
+// run already holds the whole SegmentStore (and, on a cold run, the join's
+// ε-graph). Nothing is read from the file after the load, so a file changed
+// underneath a running cache cannot change what it serves.
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "cluster/neighborhood.h"
 #include "distance/segment_distance.h"
@@ -62,18 +69,17 @@ inline constexpr uint32_t kNeighborCacheFileVersion = 3;
 /// The file holding `key`'s lists inside `directory`: nbc-<hex16 key>.bin.
 std::string NeighborCacheFilePath(const std::string& directory, uint64_t key);
 
-/// Validated header of a cache file: everything needed to serve lists with
-/// bounded residency (the payload itself stays on disk; the load reads it
-/// once, in bounded blocks, to validate it).
+/// A validated cache file: its header, offset table and payload, read once
+/// by the load and served from memory afterwards.
 struct NeighborCacheFileHeader {
   uint64_t key = 0;
   uint64_t n = 0;
   double eps = 0.0;
   uint64_t total_indices = 0;
-  /// n+1 entries, in index (not byte) units into the payload section.
+  /// n+1 entries, in index (not byte) units into the payload.
   std::vector<uint64_t> offsets;
-  /// Byte offset of payload[0] within the file.
-  uint64_t payload_begin = 0;
+  /// total_indices words: list i is payload[offsets[i], offsets[i+1]).
+  std::vector<uint64_t> payload;
 };
 
 /// Opens and fully validates a cache file against the expected key, size,
@@ -95,25 +101,24 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
                                       double eps, common::ThreadPool& pool);
 
 /// NeighborhoodProvider decorator that loads-or-computes through the cache
-/// directory: on key match it serves lists from the file; on miss (or any
+/// directory: on key match it serves the file's lists; on miss (or any
 /// stale/corrupt/truncated file) it recomputes through `base`, rewrites the
 /// file, and serves from the fresh copy. Either way, every served list
 /// equals base.Neighbors(i, eps) exactly — the writer computes through the
 /// same provider the direct path would use, so cached cluster output is
 /// byte-identical (the goldens pin this).
 ///
-/// Residency is bounded: only the offset table (O(n)) stays in memory;
-/// list payloads are read on demand through a seek behind an internal
-/// mutex, so concurrent queries are race-free and peak memory tracks the
-/// consumer's block size.
+/// The lists are served from the payload the load validated (see Memory in
+/// the file comment): the file is not read again, and every query is a
+/// lock-free copy, so concurrent queries are race-free.
 ///
 /// Bound to one ε at construction; querying a different ε is a programming
 /// error (checked).
 class FileNeighborhoodCache : public NeighborhoodProvider {
  public:
   /// Builds the cache for (store, config, eps) under `directory` (created
-  /// if absent). `base` must answer ε-queries over exactly `store`; it and
-  /// the directory must outlive the cache. Load failures fall back to
+  /// if absent). `base` must answer ε-queries over exactly `store`; the
+  /// cache keeps no reference to either. Load failures fall back to
   /// recompute+rewrite; genuine write/IO failures propagate.
   static common::Result<std::unique_ptr<FileNeighborhoodCache>> Create(
       const NeighborhoodProvider& base, const traj::SegmentStore& store,
@@ -123,7 +128,7 @@ class FileNeighborhoodCache : public NeighborhoodProvider {
   std::vector<size_t> Neighbors(size_t query_index, double eps) const override;
   std::vector<std::vector<size_t>> AllNeighbors(
       double eps, common::ThreadPool& pool) const override;
-  /// Answered from the offset table alone — no payload IO at all.
+  /// Answered from the offset table alone.
   std::vector<size_t> AllNeighborhoodSizes(
       double eps, common::ThreadPool& pool) const override;
   std::vector<std::vector<size_t>> NeighborsBatch(
@@ -139,19 +144,15 @@ class FileNeighborhoodCache : public NeighborhoodProvider {
 
  private:
   FileNeighborhoodCache(NeighborCacheFileHeader header, std::string path,
-                        std::ifstream file, double eps, bool loaded_from_file);
+                        double eps, bool loaded_from_file);
 
-  /// Reads list i's payload from disk. Serializes on mu_ (one shared read
-  /// cursor); a post-validation read failure is a programming/environment
-  /// error (file mutated underneath us) and DCHECK-fails.
-  std::vector<size_t> ReadList(size_t i) const TRACLUS_EXCLUDES(mu_);
+  /// A copy of list i.
+  std::vector<size_t> ListOf(size_t i) const;
 
   NeighborCacheFileHeader header_;
   std::string path_;
   double eps_;
   bool loaded_from_file_;
-  mutable common::Mutex mu_;
-  mutable std::ifstream file_ TRACLUS_GUARDED_BY(mu_);
 };
 
 }  // namespace traclus::cluster

@@ -5,7 +5,8 @@
 // of a saved hurricane-subset file, each mutant of which the engine must
 // heal into the uncached clustering — and served lists must be
 // byte-identical to the base provider on both the cold and the warm path —
-// through the raw provider API and through the full engine.
+// through the raw provider API and through the full engine, after the file
+// changes under a live cache, and under queries racing from 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,13 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "cluster/neighbor_cache_file.h"
 #include "cluster/neighborhood.h"
+#include "cluster/neighborhood_index.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -85,7 +88,7 @@ void SetWordAt(std::string* bytes, size_t pos, uint64_t v) {
   std::memcpy(bytes->data() + pos, &v, sizeof(v));
 }
 
-// v2 layout (cluster/neighbor_cache_file.h): the fixed header is 40 bytes,
+// v3 layout (cluster/neighbor_cache_file.h): the fixed header is 40 bytes,
 // total_indices is its last word, and offsets[0] follows it.
 constexpr size_t kTotalIndicesPos = 32;
 constexpr size_t kOffsetsPos = 40;
@@ -217,6 +220,113 @@ TEST(NeighborCacheFileTest, ColdMissThenWarmHitServesIdenticalLists) {
     ++files;
   }
   EXPECT_EQ(files, 2u);
+}
+
+TEST(NeighborCacheFileTest, ServesTheValidatedListsAfterTheFileChanges) {
+  const std::string dir = CacheDir("served_after_change");
+  const traj::SegmentStore store(BaseSegments());
+  const distance::SegmentDistance dist;
+  const BruteForceNeighborhood base(store, dist);
+  common::ThreadPool& pool = common::SharedPool(2);
+  auto cold = FileNeighborhoodCache::Create(base, store, dist.config(), kEps,
+                                            dir, pool);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  auto warm = FileNeighborhoodCache::Create(base, store, dist.config(), kEps,
+                                            dir, pool);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE((*warm)->loaded_from_file());
+
+  // Overwrite every payload word in place with 2^40, keeping the size: a
+  // cache that went back to the file after validating it would now serve
+  // out-of-range indices.
+  const std::string path = (*warm)->file_path();
+  const auto size = std::filesystem::file_size(path);
+  {
+    const uint64_t total = WordAt(ReadFileBytes(path), kTotalIndicesPos);
+    ASSERT_GT(total, 0u);
+    const std::vector<uint64_t> lies(total, uint64_t{1} << 40);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    const size_t payload_pos =
+        kOffsetsPos + (store.size() + 1) * sizeof(uint64_t);
+    f.seekp(static_cast<std::streamoff>(payload_pos));
+    f.write(reinterpret_cast<const char*>(lies.data()),
+            static_cast<std::streamsize>(total * sizeof(uint64_t)));
+    ASSERT_TRUE(f.good());
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), size);
+
+  const FileNeighborhoodCache& cache = **warm;
+  const auto expect = base.AllNeighbors(kEps, pool);
+  std::vector<size_t> all_queries(store.size());
+  for (size_t i = 0; i < store.size(); ++i) all_queries[i] = i;
+  EXPECT_EQ(cache.AllNeighbors(kEps, pool), expect);
+  EXPECT_EQ(cache.NeighborsBatch(all_queries, kEps, pool), expect);
+  const auto sizes = cache.AllNeighborhoodSizes(kEps, pool);
+  ASSERT_EQ(sizes.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(sizes[i], expect[i].size());
+    EXPECT_EQ(cache.Neighbors(i, kEps), expect[i]);
+  }
+}
+
+TEST(NeighborCacheFileTest, RacingQueriesOnOneWarmCacheServeTheBaseLists) {
+  const std::string dir = CacheDir("racing_queries");
+  datagen::HurricaneConfig subset;
+  subset.num_trajectories = 60;
+  core::DbscanGroupOptions group;
+  group.eps = 0.94;
+  const auto engine = core::TraclusEngine::Builder()
+                          .UseMdlPartitioning()
+                          .UseDbscanGrouping(group)
+                          .Build();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto partitioned = engine->Partition(datagen::GenerateHurricanes(subset));
+  ASSERT_TRUE(partitioned.ok());
+  const traj::SegmentStore& store = partitioned->store;
+  const distance::SegmentDistance dist;
+  const GridNeighborhoodIndex base(store, dist);
+  const double eps = group.eps;
+  common::ThreadPool& pool = common::SharedPool(2);
+  auto cold = FileNeighborhoodCache::Create(base, store, dist.config(), eps,
+                                            dir, pool);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  auto warm = FileNeighborhoodCache::Create(base, store, dist.config(), eps,
+                                            dir, pool);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE((*warm)->loaded_from_file());
+  const FileNeighborhoodCache& cache = **warm;
+  const auto expect = base.AllNeighbors(eps, pool);
+
+  // Each thread asks for every list one by one, then in a batch of its own
+  // shuffled order, twice; every answer must equal the base provider's.
+  constexpr int kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      common::Rng rng(static_cast<uint64_t>(t) + 1);
+      std::vector<size_t> order(store.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (int round = 0; round < 2; ++round) {
+        for (size_t i = order.size(); i > 1; --i) {
+          const auto j = rng.UniformInt(0, static_cast<int64_t>(i) - 1);
+          std::swap(order[i - 1], order[static_cast<size_t>(j)]);
+        }
+        for (const size_t i : order) {
+          if (cache.Neighbors(i, eps) != expect[i]) ++mismatches[t];
+        }
+        const auto lists = cache.NeighborsBatch(order, eps, pool);
+        for (size_t k = 0; k < order.size(); ++k) {
+          if (lists[k] != expect[order[k]]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 TEST(NeighborCacheFileTest, LoadFailsWithTypedStatusOnEveryBadFile) {

@@ -445,42 +445,51 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanBuildsTheGraphOnceWithFewFaults) {
   // Cap = chunks - 1 is the cyclic-LRU worst case for a walk over the
   // chunks. The provider builds the ε-graph once, in rounds over the query
   // chunks whose candidate walks alternate direction, from the calling
-  // thread only, and serves every later batch at that ε from the graph.
+  // thread only, and serves every later batch at that ε from it. With
+  // w∥ = 0 nothing is pruned: every round refines whole chunk-local ranges
+  // of every later chunk.
   const auto segs = RandomSegments(2400, 120, 6, 73);
-  const SegmentDistance dist;
-  DbscanOptions options;
-  options.eps = 4.0;
-  options.min_lns = 4;
-  const GridNeighborhoodIndex grid(segs, dist);
-  const ClusteringResult eager = DbscanSegments(segs, grid, options);
-  ASSERT_GT(eager.clusters.size(), 0u);
+  SegmentDistanceConfig no_par;
+  no_par.w_parallel = 0.0;
+  for (const SegmentDistanceConfig& config :
+       {SegmentDistanceConfig(), no_par}) {
+    SCOPED_TRACE(testing::Message() << "w_parallel " << config.w_parallel);
+    const SegmentDistance dist(config);
+    DbscanOptions options;
+    options.eps = 4.0;
+    options.min_lns = 4;
+    const GridNeighborhoodIndex grid(segs, dist);
+    const ClusteringResult eager = DbscanSegments(segs, grid, options);
+    ASSERT_GT(eager.clusters.size(), 0u);
 
-  std::vector<size_t> all(segs.size());
-  std::iota(all.begin(), all.end(), size_t{0});
-  std::vector<size_t> faults;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << threads << " threads");
-    const auto store = Chunked(segs, 300, 7);
-    ASSERT_EQ(store->num_chunks(), 8u);
-    const ChunkedNeighborhood provider(*store, dist);
-    options.num_threads = threads;
-    const ClusteringResult capped =
-        DbscanSegments(CatalogView(*store), provider, options);
-    EXPECT_EQ(capped.labels, eager.labels);
-    EXPECT_EQ(capped.num_noise, eager.num_noise);
+    std::vector<size_t> all(segs.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    std::vector<size_t> faults;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      const auto store = Chunked(segs, 300, 7);
+      ASSERT_EQ(store->num_chunks(), 8u);
+      const ChunkedNeighborhood provider(*store, dist);
+      options.num_threads = threads;
+      const ClusteringResult capped =
+          DbscanSegments(CatalogView(*store), provider, options);
+      EXPECT_EQ(capped.labels, eager.labels);
+      EXPECT_EQ(capped.num_noise, eager.num_noise);
 
-    // Chunk-major batches that refined both orders of every pair, batch by
-    // batch, took 63 faults here (30 batches); the per-ε build takes 21.
-    EXPECT_LT(store->chunk_faults(), 63u);
-    EXPECT_LE(store->peak_resident_chunks(), 7u);
-    faults.push_back(store->chunk_faults());
-    EXPECT_EQ(provider.NeighborsBatch(all, options.eps,
-                                      common::SharedPool(threads))
-                  .size(),
-              all.size());
-    EXPECT_EQ(store->chunk_faults(), faults.back());
+      // Chunk-major batches that refined both orders of every pair, batch
+      // by batch, took 63 faults here with the default weights (30
+      // batches); the per-ε build takes 21.
+      EXPECT_LT(store->chunk_faults(), 63u);
+      EXPECT_LE(store->peak_resident_chunks(), 7u);
+      faults.push_back(store->chunk_faults());
+      EXPECT_EQ(provider.NeighborsBatch(all, options.eps,
+                                        common::SharedPool(threads))
+                    .size(),
+                all.size());
+      EXPECT_EQ(store->chunk_faults(), faults.back());
+    }
+    EXPECT_EQ(faults[0], faults[1]);
   }
-  EXPECT_EQ(faults[0], faults[1]);
 }
 
 // --- Property suite: the tile join against the per-pair oracle -----------
