@@ -84,8 +84,10 @@ ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
       layout_(LayoutOf(store, dist, use_index)) {
   for (int d = 0; d < store_.dims(); ++d) {
     mid_[d] = layout_.Permuted(store_.midpoint_coords(d));
+    dir_[d] = layout_.Permuted(store_.direction_coords(d));
   }
   half_ = layout_.Permuted(store_.half_lengths());
+  len_ = layout_.Permuted(store_.lengths());
   TRACLUS_CHECK_LE(store_.size(), size_t{UINT32_MAX});
   slot_at_.reserve(store_.size());
   for (const size_t i : layout_.order()) {
@@ -96,7 +98,7 @@ ChunkedNeighborhood::ChunkedNeighborhood(const traj::ChunkedSegmentStore& store,
 }
 
 void ChunkedNeighborhood::Candidates(
-    size_t pq, const std::vector<distance::IndexRun>& blocks, double reach,
+    size_t pq, const std::vector<distance::IndexRun>& blocks, double eps,
     std::vector<size_t>* out, std::vector<Run>* runs) const {
   // Per-thread scratch: surviving positions and per-chunk counters (left
   // zeroed between queries).
@@ -105,10 +107,15 @@ void ChunkedNeighborhood::Candidates(
   thread_local std::vector<size_t> touched;
   chunk_count.resize(store_.num_chunks(), 0u);
 
-  const double* mid[geom::kMaxDims];
-  for (int d = 0; d < store_.dims(); ++d) mid[d] = mid_[d].data();
-  distance::PruneRuns({mid, static_cast<size_t>(store_.dims())}, half_.data(),
-                      pq, reach, blocks, found);
+  distance::PruneColumns columns;
+  columns.dims = store_.dims();
+  for (int d = 0; d < columns.dims; ++d) {
+    columns.mid[d] = mid_[d].data();
+    columns.dir[d] = dir_[d].data();
+  }
+  columns.half = half_.data();
+  columns.len = len_.data();
+  distance::PruneRuns(columns, pq, dist_, eps, blocks, found, kernel_);
   const size_t m = found.size();
 
   // Counting sort by chunk: one run per touched chunk, ascending, holding
@@ -181,7 +188,7 @@ void ChunkedNeighborhood::ForEachRound(double eps, common::ThreadPool& pool,
             // Only the positions after the query: the first run starts at
             // its block.
             upper.front().first = queries[k] + 1;
-            Candidates(queries[k], upper, reach, &candidates[k], &runs[k]);
+            Candidates(queries[k], upper, eps, &candidates[k], &runs[k]);
           }
         }
       });

@@ -17,15 +17,15 @@
 // (LowerBoundFactor() ≤ 0), use the index order without blocks
 // (BlockLayout(n)), whose blocks are never skipped. The query at position
 // p refines only the positions q > p in the blocks BlockLayout::UpperRuns
-// keeps for its block that pass the refine kernels' per-pair midpoint prune
-// (distance::PruneRuns) on layout-ordered copies of the catalog midpoint
-// and half-length columns: each unordered pair the eager join refines is
-// refined once, here too (the symmetry argument of neighborhood.h covers
-// it). Refinement runs through distance::EpsilonRefineCross (or, without a
-// lower bound, EpsilonRefineRuns; see Memory) with the query's chunk store
-// on the query side; every store is built by one constructor from the same
-// endpoint doubles, so each decision matches the monolithic refine bit for
-// bit.
+// keeps for its block that pass the refine kernels' two-stage per-pair
+// prune (distance::PruneRuns) on layout-ordered copies of the catalog
+// midpoint, direction, half-length and length columns: each unordered pair
+// the eager join refines is refined once, here too (the symmetry argument
+// of neighborhood.h covers it). Refinement runs through
+// distance::EpsilonRefineCross (or, without a lower bound,
+// EpsilonRefineRuns; see Memory) with the query's chunk store on the query
+// side; every store is built by one constructor from the same endpoint
+// doubles, so each decision matches the monolithic refine bit for bit.
 //
 // Schedule. The build runs one round per query chunk, chunks in ascending
 // order. Round r
@@ -127,11 +127,11 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
     uint32_t local;  // Its chunk-local index.
   };
 
-  /// The survivors of the per-pair midpoint prune of the segment at
+  /// The survivors of the per-pair prune (at `eps`) of the segment at
   /// position `pq` among the positions of `blocks`, itself excluded, grouped
   /// by chunk into `out`; appends one Run per touched chunk, ascending.
   void Candidates(size_t pq, const std::vector<distance::IndexRun>& blocks,
-                  double reach, std::vector<size_t>* out,
+                  double eps, std::vector<size_t>* out,
                   std::vector<Run>* runs) const;
   /// Runs the symmetric join round by round: calls visit(a, hits) across
   /// the pool for every block a with a position in the round's chunk, where
@@ -150,9 +150,12 @@ class ChunkedNeighborhood : public NeighborhoodProvider {
   /// The catalog's Morton block layout, or BlockLayout(n) (scan, or no
   /// lower bound).
   BlockLayout layout_;
-  /// Catalog midpoints (d < dims), half-lengths and slots in layout order.
+  /// Catalog midpoints and directions (d < dims), half-lengths, lengths
+  /// and slots in layout order.
   std::array<std::vector<double>, geom::kMaxDims> mid_;
+  std::array<std::vector<double>, geom::kMaxDims> dir_;
   std::vector<double> half_;
+  std::vector<double> len_;
   std::vector<Slot> slot_at_;
   mutable BlockGraphCache graphs_;
 };

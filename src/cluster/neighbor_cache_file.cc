@@ -149,9 +149,8 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
           static_cast<std::streamsize>(offsets_bytes));
   in.read(reinterpret_cast<char*>(h.payload.data()),
           static_cast<std::streamsize>(h.total_indices * sizeof(uint64_t)));
-  uint64_t recorded = 0;
   uint32_t trailing = 0;
-  if (!in.good() || !ReadRaw(in, &recorded) || !ReadRaw(in, &trailing)) {
+  if (!in.good() || !ReadRaw(in, &h.checksum) || !ReadRaw(in, &trailing)) {
     return common::Status::IOError("unreadable neighbor cache file " + path);
   }
   if (h.offsets.front() != 0 || h.offsets.back() != h.total_indices) {
@@ -194,15 +193,18 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
     checksum = FoldWords(checksum, list, count);
   }
   checksum = FoldWords(checksum, h.offsets.data(), h.offsets.size());
-  if (recorded != checksum) return Corrupt(path, "checksum mismatch");
+  if (h.checksum != checksum) return Corrupt(path, "checksum mismatch");
   if (trailing != kMagic) return Corrupt(path, "missing trailing sentinel");
   return h;
 }
 
-common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
-                                      const NeighborhoodProvider& base,
-                                      double eps, common::ThreadPool& pool) {
-  const uint64_t n = base.size();
+common::Result<NeighborCacheFileHeader> WriteNeighborCacheFile(
+    const std::string& path, uint64_t key, const NeighborhoodProvider& base,
+    double eps, common::ThreadPool& pool) {
+  NeighborCacheFileHeader h;
+  h.key = key;
+  h.n = base.size();
+  h.eps = eps;
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -210,47 +212,45 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
   }
 
   // Placeholder header + offsets first; the payload streams behind them in
-  // bounded slices, then one seek rewrites the real values. This keeps peak
-  // memory at O(slice) instead of materializing all n lists.
+  // bounded NeighborsBatch slices, then one seek rewrites the real values.
+  // The payload words stay in memory: the cache serves them.
   WriteRaw(out, kMagic);
   WriteRaw(out, kNeighborCacheFileVersion);
   WriteRaw(out, key);
-  WriteRaw(out, n);
+  WriteRaw(out, h.n);
   WriteRaw(out, DoubleBits(eps));
-  uint64_t total = 0;
-  WriteRaw(out, total);
-  std::vector<uint64_t> offsets(n + 1, 0);
-  out.write(reinterpret_cast<const char*>(offsets.data()),
-            static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
+  WriteRaw(out, h.total_indices);
+  h.offsets.assign(h.n + 1, 0);
+  out.write(reinterpret_cast<const char*>(h.offsets.data()),
+            static_cast<std::streamsize>(h.offsets.size() * sizeof(uint64_t)));
 
   std::vector<size_t> queries;
-  std::vector<uint64_t> flat;
-  uint64_t checksum = distance::HashInit();
-  for (uint64_t base_i = 0; base_i < n; base_i += kWriteBatch) {
-    const uint64_t hi = std::min<uint64_t>(n, base_i + kWriteBatch);
+  for (uint64_t base_i = 0; base_i < h.n; base_i += kWriteBatch) {
+    const uint64_t hi = std::min<uint64_t>(h.n, base_i + kWriteBatch);
     queries.clear();
     for (uint64_t i = base_i; i < hi; ++i) queries.push_back(i);
     const auto lists = base.NeighborsBatch(queries, eps, pool);
-    flat.clear();
+    const size_t slice = h.payload.size();
     for (uint64_t i = base_i; i < hi; ++i) {
-      const auto& list = lists[i - base_i];
-      offsets[i] = total;
-      total += list.size();
-      for (const size_t v : list) flat.push_back(v);
+      h.offsets[i] = h.payload.size();
+      for (const size_t v : lists[i - base_i]) h.payload.push_back(v);
     }
-    out.write(reinterpret_cast<const char*>(flat.data()),
-              static_cast<std::streamsize>(flat.size() * sizeof(uint64_t)));
-    checksum = FoldWords(checksum, flat.data(), flat.size());
+    out.write(reinterpret_cast<const char*>(h.payload.data() + slice),
+              static_cast<std::streamsize>((h.payload.size() - slice) *
+                                           sizeof(uint64_t)));
   }
-  offsets[n] = total;
-  checksum = FoldWords(checksum, offsets.data(), offsets.size());
-  WriteRaw(out, checksum);
+  h.total_indices = h.payload.size();
+  h.offsets[h.n] = h.total_indices;
+  h.checksum = FoldWords(distance::HashInit(), h.payload.data(),
+                         h.payload.size());
+  h.checksum = FoldWords(h.checksum, h.offsets.data(), h.offsets.size());
+  WriteRaw(out, h.checksum);
   WriteRaw(out, kMagic);
 
   out.seekp(static_cast<std::streamoff>(kHeaderBytes - sizeof(uint64_t)));
-  WriteRaw(out, total);
-  out.write(reinterpret_cast<const char*>(offsets.data()),
-            static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
+  WriteRaw(out, h.total_indices);
+  out.write(reinterpret_cast<const char*>(h.offsets.data()),
+            static_cast<std::streamsize>(h.offsets.size() * sizeof(uint64_t)));
   out.close();
   if (!out.good()) {
     std::error_code ec;
@@ -266,7 +266,7 @@ common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
     return common::Status::IOError("cannot move " + tmp + " into place: " +
                                    ec.message());
   }
-  return common::Status::OK();
+  return h;
 }
 
 common::Result<std::unique_ptr<FileNeighborhoodCache>>
@@ -286,16 +286,13 @@ FileNeighborhoodCache::Create(const NeighborhoodProvider& base,
   const std::string path = NeighborCacheFilePath(directory, key);
 
   auto header = LoadNeighborCacheFileHeader(path, key, store.size(), eps);
-  bool loaded = header.ok();
+  const bool loaded = header.ok();
   if (!loaded) {
     // Any load failure — missing, stale, truncated, corrupt — means the
-    // file cannot be served; recompute through the base provider and
-    // rewrite. Only a genuine write failure escapes.
-    TRACLUS_RETURN_NOT_OK(
-        WriteNeighborCacheFile(path, key, base, eps, pool));
-    header = LoadNeighborCacheFileHeader(path, key, store.size(), eps);
-    // A file we just wrote and cannot read back is an environment problem,
-    // not a cache miss.
+    // file cannot be served; recompute through the base provider, rewrite,
+    // and serve the lists just written (the file is not read back). Only a
+    // genuine write failure escapes.
+    header = WriteNeighborCacheFile(path, key, base, eps, pool);
     TRACLUS_RETURN_NOT_OK(header.status());
   }
 

@@ -41,13 +41,15 @@
 // so a crashed writer cannot leave a half-written file under the live name.
 //
 // Memory. The cache serves every list from the payload words the load read
-// and validated, so it holds 8 B per list entry plus 8 B per list for the
-// offsets: 0.54 MB for the hurricane set at ε = 0.94, 35 MB for elk-half.
-// No run that opens a cache directory has a residency cap (the engine and
-// the CLI refuse --max-resident with a cache directory), and an uncapped
-// run already holds the whole SegmentStore (and, on a cold run, the join's
-// ε-graph). Nothing is read from the file after the load, so a file changed
-// underneath a running cache cannot change what it serves.
+// and validated — or, on a cold miss, the words the writer computed and
+// wrote, without reading the file back — so it holds 8 B per list entry
+// plus 8 B per list for the offsets: 0.54 MB for the hurricane set at
+// ε = 0.94, 35 MB for elk-half. No run that opens a cache directory has a
+// residency cap (the engine and the CLI refuse --max-resident with a cache
+// directory), and an uncapped run already holds the whole SegmentStore
+// (and, on a cold run, the join's ε-graph). Nothing is read from the file
+// after the load or the write, so a file changed underneath a running
+// cache cannot change what it serves.
 
 #include <cstdint>
 #include <memory>
@@ -80,6 +82,8 @@ struct NeighborCacheFileHeader {
   std::vector<uint64_t> offsets;
   /// total_indices words: list i is payload[offsets[i], offsets[i+1]).
   std::vector<uint64_t> payload;
+  /// The file's checksum over the payload, then the offsets.
+  uint64_t checksum = 0;
 };
 
 /// Opens and fully validates a cache file against the expected key, size,
@@ -95,22 +99,24 @@ common::Result<NeighborCacheFileHeader> LoadNeighborCacheFileHeader(
 
 /// Computes every ε-neighborhood through `base` (in bounded NeighborsBatch
 /// slices across `pool`) and writes the v3 file for `key` at `path`,
-/// atomically (tmp + rename). Overwrites an existing file.
-common::Status WriteNeighborCacheFile(const std::string& path, uint64_t key,
-                                      const NeighborhoodProvider& base,
-                                      double eps, common::ThreadPool& pool);
+/// atomically (tmp + rename). Overwrites an existing file. Returns what it
+/// wrote — the header, offsets, payload and checksum a load of the file
+/// reads — so a cold cache serves it without reading the file back.
+common::Result<NeighborCacheFileHeader> WriteNeighborCacheFile(
+    const std::string& path, uint64_t key, const NeighborhoodProvider& base,
+    double eps, common::ThreadPool& pool);
 
 /// NeighborhoodProvider decorator that loads-or-computes through the cache
 /// directory: on key match it serves the file's lists; on miss (or any
 /// stale/corrupt/truncated file) it recomputes through `base`, rewrites the
-/// file, and serves from the fresh copy. Either way, every served list
+/// file, and serves the lists it wrote. Either way, every served list
 /// equals base.Neighbors(i, eps) exactly — the writer computes through the
 /// same provider the direct path would use, so cached cluster output is
 /// byte-identical (the goldens pin this).
 ///
-/// The lists are served from the payload the load validated (see Memory in
-/// the file comment): the file is not read again, and every query is a
-/// lock-free copy, so concurrent queries are race-free.
+/// The lists are served from the payload the load validated, or the writer
+/// wrote (see Memory in the file comment): the file is not read again, and
+/// every query is a lock-free copy, so concurrent queries are race-free.
 ///
 /// Bound to one ε at construction; querying a different ε is a programming
 /// error (checked).

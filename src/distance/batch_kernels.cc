@@ -32,83 +32,6 @@ constexpr size_t kDefaultRefineBlock = 256;
 // pair's columns, so regrouping a batch into blocks is bit-identical.
 constexpr size_t kTileCandidateBlock = 256;
 
-// Query-side state of the midpoint/half-length lower-bound prune, hoisted
-// out of the per-candidate loop. An unusable bound has reach = +inf, which
-// makes ProvablyFar false for every candidate without a branch.
-struct PruneContext {
-  double reach = 0.0;  // ε / c: the Euclidean radius that could matter.
-  double half_q = 0.0;
-  double mid_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
-  int dims = 2;
-};
-
-PruneContext MakePruneContext(const traj::SegmentStore& store,
-                              const SegmentDistance& dist, size_t query,
-                              double eps) {
-  PruneContext p;
-  p.dims = store.dims();
-  p.reach = PruneReach(dist, eps);
-  p.half_q = store.half_length(query);
-  for (int d = 0; d < p.dims; ++d) {
-    p.mid_q[d] = store.midpoint_coords(d)[query];
-  }
-  return p;
-}
-
-// The lower-bound prune over the candidates index(lo .. hi) of the columns
-// mid[0 .. dims) and half: candidate j is provably farther than ε from the
-// query when
-//   dist ≥ c·mindist ≥ c·(‖mid_q − mid_j‖ − h_q − h_j) > ε,
-// evaluated in squared form (no per-candidate sqrt) by ProvablyFar. Reads
-// only the candidate columns, so it serves one-store and two-store refines
-// and the catalog columns of PruneRuns alike, and it never prunes the query
-// against itself (midpoint distance 0). Branch-free: each candidate's tag(k)
-// is written to slots[m] and m advances only when the candidate survives, so
-// survivors compact in candidate order without a branch per candidate.
-// `slots` must have room for m + (hi − lo) entries. Returns the new m.
-template <int D, typename IndexFn, typename TagFn>
-size_t CompactSurvivorsD(const PruneContext& p, const double* const* mid,
-                         const double* half, size_t lo, size_t hi,
-                         const IndexFn& index, const TagFn& tag,
-                         size_t* slots, size_t m) {
-  const double* col[D];  // Local copies the compiler can keep in registers.
-  for (int d = 0; d < D; ++d) col[d] = mid[d];
-  for (size_t k = lo; k < hi; ++k) {
-    const size_t j = index(k);
-    double dmid_sq = 0.0;
-    for (int d = 0; d < D; ++d) {
-      const double diff = col[d][j] - p.mid_q[d];
-      dmid_sq += diff * diff;
-    }
-    slots[m] = tag(k);
-    m += ProvablyFar(dmid_sq, p.reach, p.half_q, half[j]) ? 0 : 1;
-  }
-  return m;
-}
-
-template <typename IndexFn, typename TagFn>
-size_t CompactSurvivors(const PruneContext& p, const double* const* mid,
-                        const double* half, size_t lo, size_t hi,
-                        const IndexFn& index, const TagFn& tag, size_t* slots,
-                        size_t m) {
-  if (p.dims == 3) {
-    return CompactSurvivorsD<3>(p, mid, half, lo, hi, index, tag, slots, m);
-  }
-  return CompactSurvivorsD<2>(p, mid, half, lo, hi, index, tag, slots, m);
-}
-
-// The same over the candidates index(lo .. hi) of store `cs`.
-template <typename IndexFn, typename TagFn>
-size_t CompactSurvivors(const PruneContext& p, const traj::SegmentStore& cs,
-                        size_t lo, size_t hi, const IndexFn& index,
-                        const TagFn& tag, size_t* slots, size_t m) {
-  TRACLUS_DCHECK(hi == lo || index(hi - 1) < cs.size());
-  const double* mid[geom::kMaxDims];
-  for (int d = 0; d < p.dims; ++d) mid[d] = cs.midpoint_coords(d).data();
-  return CompactSurvivors(p, mid, cs.half_lengths().data(), lo, hi, index,
-                          tag, slots, m);
-}
-
 // The SoA columns a kernel reads, hoisted out of the candidate loop once per
 // call.
 struct StoreColumns {
@@ -519,6 +442,349 @@ TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
 
 #endif  // TRACLUS_X86_SIMD
 
+// ---------------------------------------------------------------------------
+// The per-pair prune: one lane loop, two stages.
+//
+// Stage 1 is the midpoint bound of ProvablyFar. Stage 2 adds the angle term
+// of the distance (SegmentDistance::LowerBoundFactor proves the bound): with
+// L = max(len_q, len_j), H = h_q + h_j, d = ‖mid_q − mid_j‖ and
+// A = |d_q × d_j| (len_q·len_j for a directed pair with d_q·d_j ≤ 0),
+//   dist ≥ c·(d − H) + wθ·A/L,
+// so the pair is farther than ε when c·L·d + wθ·A > E·L + c·L·H for some
+// E ≥ ε. Multiplied through by L the test has no division, and where
+// wθ·A ≤ E·L both sides are non-negative, so squaring them removes the root
+// of d. A pair is pruned when
+//   wθ·A > E·L   or   (c·L)²·d² > (E·L − wθ·A + c⁺·L·H)²,
+// with E = ε·(1 + kPruneSlack) + wθ·kAngleSlack·L and c⁺ = c·(1 + kPruneSlack).
+// (A 3-D cross product needs one root for its norm; 2-D needs none.)
+//
+// The angle margin. The kernel computes dθ as len_j·√(1 − cos²θ) from a
+// rounded cos θ, and near θ = 0 that subtraction cancels, so A/L can exceed
+// the kernel's dθ by about len_j·√(β·u), u = 2⁻⁵³ — far more than any
+// relative margin on ε covers for a long segment. In full: the kernel's
+// cos θ = Dot(d_i, d_j) / (len_i·len_j) is within κ·u of the cosine of the
+// stored direction vectors, κ = 2·D + 5 (D products and sums in the dot, two
+// rounded norms, their product and the division, O(u²) rounded up), and the
+// clamp to [−1, 1] only moves it closer; then 1 − fl(cos²) ≥ sin²θ − β·u
+// with β = 2κ + 3, and √(x − y) ≥ √x − √y gives
+//   dθ_kernel ≥ len_j·(sin θ − √(β·u)) − O(u)·len_j.
+// A is within a few u·len_q·len_j of |d_q|·|d_j|·sin θ and the cached lengths
+// are within (D/2 + 1)·u of the norms, so with len_j ≤ L
+//   A/L ≤ dθ_kernel + L·(√(β·u) + O(u)).
+// β ≤ 32 for D ≤ 3, and √(32·u) = 2⁻²⁴ exactly; kAngleSlack doubles that,
+// which covers the O(u) terms and the rounding of stage 2's own operations
+// on wθ·A ≤ wθ·L² many times over. (The directed θ ≥ 90° branch needs none
+// of it: A = len_q·len_j rounds once, against the kernel's exact len_j, and
+// a product d_q·d_j ≤ 0 implies the kernel's cos θ ≤ 0.) ε keeps stage 1's
+// relative margin kPruneSlack, and c⁺ applies it to c·L·H, whose rounding
+// is relative to that term rather than to ε.
+//
+// Definition 4's self-inclusion is exempt: the lane whose candidate is
+// `self` survives whatever the bounds compute (stage 1 never prunes it, at
+// midpoint distance 0, but nothing should rest on stage 2's rounding there).
+// ---------------------------------------------------------------------------
+
+constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+constexpr int kCosErrorUlps = 2 * geom::kMaxDims + 5;
+constexpr int kSinSquaredErrorUlps = 2 * kCosErrorUlps + 3;
+static_assert(kSinSquaredErrorUlps <= 32, "√(β·u) ≤ 2⁻²⁴ needs β ≤ 32");
+constexpr double kSqrt32U = 0x1p-24;
+static_assert(kSqrt32U * kSqrt32U == 32 * kUnitRoundoff, "√(32·u) = 2⁻²⁴");
+constexpr double kAngleSlack = 2 * kSqrt32U;
+
+// "No candidate is the query" marker of the prune's and RefineRow's `self`
+// (refines across two stores: their candidates never hold the query).
+constexpr size_t kNoSelf = static_cast<size_t>(-1);
+
+// Query-side state of both prune stages, hoisted out of the candidate loop.
+// An unusable bound is +inf (reach, eps_hi), which fails every comparison
+// without a branch.
+struct PruneContext {
+  int dims = 2;
+  bool directed = true;
+  double reach = 0.0;  // Stage 1: ε / c, the Euclidean radius that matters.
+  double half_q = 0.0;
+  double len_q = 0.0;
+  double mid_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
+  double dir_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
+  double eps_hi = 0.0;       // Stage 2: ε·(1 + kPruneSlack).
+  double angle_slack = 0.0;  // wθ·kAngleSlack.
+  double w_angle = 0.0;
+  double c = 0.0;     // SegmentDistance::LowerBoundFactor.
+  double c_hi = 0.0;  // c·(1 + kPruneSlack).
+};
+
+PruneContext MakePruneContext(const PruneColumns& q, size_t query,
+                              const SegmentDistance& dist, double eps) {
+  const SegmentDistanceConfig& cfg = dist.config();
+  PruneContext p;
+  p.dims = q.dims;
+  p.directed = cfg.directed;
+  p.reach = PruneReach(dist, eps);
+  p.half_q = q.half[query];
+  p.len_q = q.len[query];
+  for (int d = 0; d < p.dims; ++d) {
+    p.mid_q[d] = q.mid[d][query];
+    p.dir_q[d] = q.dir[d][query];
+  }
+  // Like PruneReach: a non-finite or negative ε proves nothing.
+  p.eps_hi = std::isfinite(eps) && eps >= 0.0
+                 ? eps * (1.0 + kPruneSlack)
+                 : std::numeric_limits<double>::infinity();
+  p.angle_slack = cfg.w_angle * kAngleSlack;
+  p.w_angle = cfg.w_angle;
+  p.c = dist.LowerBoundFactor();
+  p.c_hi = p.c * (1.0 + kPruneSlack);
+  return p;
+}
+
+// Stage 2 for one pair that passed stage 1 (see the section comment). The
+// AVX2 lanes below run exactly these operations: the max is _mm256_max_pd's
+// selection, and every comparison is ordered, so a NaN anywhere never
+// prunes.
+template <int D>
+inline bool AngleFar(const PruneContext& p, double dmid_sq, double half_j,
+                     double len_j, const double* dir_j) {
+  const double l = p.len_q > len_j ? p.len_q : len_j;
+  const double h = p.half_q + half_j;
+  double area;
+  if constexpr (D == 2) {
+    area = std::fabs(p.dir_q[0] * dir_j[1] - p.dir_q[1] * dir_j[0]);
+  } else {
+    const double x = p.dir_q[1] * dir_j[2] - p.dir_q[2] * dir_j[1];
+    const double y = p.dir_q[2] * dir_j[0] - p.dir_q[0] * dir_j[2];
+    const double z = p.dir_q[0] * dir_j[1] - p.dir_q[1] * dir_j[0];
+    area = std::sqrt(x * x + y * y + z * z);
+  }
+  if (p.directed) {
+    double dot = 0.0;
+    for (int d = 0; d < D; ++d) dot += p.dir_q[d] * dir_j[d];
+    if (dot <= 0.0) area = p.len_q * len_j;
+  }
+  const double el = (p.eps_hi + p.angle_slack * l) * l;
+  const double wa = p.w_angle * area;
+  const double cl = p.c * l;
+  const double r = (el - wa) + p.c_hi * l * h;
+  return wa > el || cl * cl * dmid_sq > r * r;
+}
+
+// The scalar lane: true when either stage prunes candidate j.
+template <int D>
+inline bool FarScalar(const PruneContext& p, const PruneColumns& c,
+                      size_t j) {
+  double dmid_sq = 0.0;
+  for (int d = 0; d < D; ++d) {
+    const double diff = c.mid[d][j] - p.mid_q[d];
+    dmid_sq += diff * diff;
+  }
+  const double half_j = c.half[j];
+  if (ProvablyFar(dmid_sq, p.reach, p.half_q, half_j)) return true;
+  double dir_j[D];
+  for (int d = 0; d < D; ++d) dir_j[d] = c.dir[d][j];
+  return AngleFar<D>(p, dmid_sq, half_j, c.len[j], dir_j);
+}
+
+// The prune over the candidates index(lo .. hi) of the columns `c`:
+// each candidate's tag(k) is written to slots[m], and m advances when the
+// candidate survives (or is `self`), so survivors compact in candidate
+// order. `slots` must have room for m + (hi − lo) entries. Returns the new
+// m.
+template <int D, typename Index, typename Tag>
+size_t CompactScalar(const PruneContext& p, const PruneColumns& c, size_t lo,
+                     size_t hi, const Index& index, const Tag& tag,
+                     size_t self, size_t* slots, size_t m) {
+  for (size_t k = lo; k < hi; ++k) {
+    const size_t j = index(k);
+    slots[m] = tag(k);
+    m += j == self || !FarScalar<D>(p, c, j) ? 1 : 0;
+  }
+  return m;
+}
+
+#if defined(TRACLUS_X86_SIMD)
+
+// The positions k .. k + 3 of an index list or a contiguous range, as four
+// 64-bit lanes.
+TRACLUS_AVX2_FN inline __m256i IndexLanes(const IndexList& index, size_t k) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index.idx + k));
+}
+
+TRACLUS_AVX2_FN inline __m256i IndexLanes(const IndexRange& index, size_t k) {
+  return _mm256_add_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(index.first + k)),
+      _mm256_set_epi64x(3, 2, 1, 0));
+}
+
+// One prune column's entries at those positions: an unaligned load for a
+// range; for an index list, four scalar loads assembled into the vector.
+// The prune reads each column once per step, and on the measured Xeon that
+// beat _mm256_i64gather_pd (bench_assign's AssignSegments/1, whose ~260
+// listed candidates per query mostly survive stage 1: median 50.7 ms with
+// scalar loads, 57.4 ms with gathers, 55.6 ms for the scalar midpoint-only
+// prune before the angle stage, five runs each).
+TRACLUS_AVX2_FN inline __m256d PruneLanes(const double* col,
+                                          const IndexList& index, size_t k) {
+  const size_t* i = index.idx + k;
+  return _mm256_set_pd(col[i[3]], col[i[2]], col[i[1]], col[i[0]]);
+}
+
+TRACLUS_AVX2_FN inline __m256d PruneLanes(const double* col,
+                                          const IndexRange& index, size_t k) {
+  return _mm256_loadu_pd(col + index.first + k);
+}
+
+// Branch-free compress of four 64-bit lanes: for each 4-bit survivor mask,
+// the _mm256_permutevar8x32_epi32 indices that move the kept lanes to the
+// front in lane order, and how many there are (a table, not
+// __builtin_popcount, which without POPCNT in the target is a library call
+// from inside the ymm loop).
+struct CompressTable {
+  alignas(32) int32_t perm[16][8];
+  size_t count[16];
+};
+
+constexpr CompressTable MakeCompressTable() {
+  CompressTable t{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int kept = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((mask & (1 << lane)) == 0) continue;
+      t.perm[mask][2 * kept] = 2 * lane;
+      t.perm[mask][2 * kept + 1] = 2 * lane + 1;
+      ++kept;
+    }
+    t.count[mask] = static_cast<size_t>(kept);
+  }
+  return t;
+}
+
+constexpr CompressTable kCompress = MakeCompressTable();
+
+// The AVX2 lane loop: CompactScalar four candidates per step. Stage 1 runs
+// on every step; stage 2 only on the steps where stage 1 keeps a lane. Each
+// lane runs FarScalar's operations, so the survivors are the scalar loop's.
+// The kept tags are permuted to the front of one 4-lane store at slots[m]
+// (the lanes past the kept ones land in slots the next step overwrites).
+// The tail of fewer than four runs the scalar lane, after vzeroupper: the
+// upper ymm halves must be clean before any SSE code runs again.
+template <int D, typename Index, typename Tag>
+TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
+                                   const PruneColumns& c, size_t lo,
+                                   size_t hi, const Index& index,
+                                   const Tag& tag, size_t self, size_t* slots,
+                                   size_t m) {
+  __m256d mid_q[D], dir_q[D];
+  for (int d = 0; d < D; ++d) {
+    mid_q[d] = _mm256_set1_pd(p.mid_q[d]);
+    dir_q[d] = _mm256_set1_pd(p.dir_q[d]);
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d reach_half_q = _mm256_set1_pd(p.reach + p.half_q);
+  const __m256d slack = _mm256_set1_pd(1.0 + kPruneSlack);
+  const __m256d half_q = _mm256_set1_pd(p.half_q);
+  const __m256d len_q = _mm256_set1_pd(p.len_q);
+  const __m256d eps_hi = _mm256_set1_pd(p.eps_hi);
+  const __m256d angle_slack = _mm256_set1_pd(p.angle_slack);
+  const __m256d w_angle = _mm256_set1_pd(p.w_angle);
+  const __m256d cc = _mm256_set1_pd(p.c);
+  const __m256d c_hi = _mm256_set1_pd(p.c_hi);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  const __m256i self_v = _mm256_set1_epi64x(static_cast<long long>(self));
+
+  size_t k = lo;
+  for (; k + 4 <= hi; k += 4) {
+    __m256d dmid_sq = zero;
+    for (int d = 0; d < D; ++d) {
+      const __m256d diff =
+          _mm256_sub_pd(PruneLanes(c.mid[d], index, k), mid_q[d]);
+      dmid_sq = _mm256_add_pd(dmid_sq, _mm256_mul_pd(diff, diff));
+    }
+    const __m256d half_j = PruneLanes(c.half, index, k);
+    const __m256d threshold = _mm256_add_pd(reach_half_q, half_j);
+    int keep = ~_mm256_movemask_pd(_mm256_cmp_pd(
+                   dmid_sq,
+                   _mm256_mul_pd(_mm256_mul_pd(threshold, threshold), slack),
+                   _CMP_GT_OQ)) &
+               0xF;
+    if (keep != 0) {
+      const __m256d len_j = PruneLanes(c.len, index, k);
+      __m256d dir_j[D];
+      for (int d = 0; d < D; ++d) dir_j[d] = PruneLanes(c.dir[d], index, k);
+      const __m256d l = _mm256_max_pd(len_q, len_j);
+      const __m256d h = _mm256_add_pd(half_q, half_j);
+      __m256d area;
+      if constexpr (D == 2) {
+        area = _mm256_and_pd(
+            abs_mask, _mm256_sub_pd(_mm256_mul_pd(dir_q[0], dir_j[1]),
+                                    _mm256_mul_pd(dir_q[1], dir_j[0])));
+      } else {
+        const __m256d x = _mm256_sub_pd(_mm256_mul_pd(dir_q[1], dir_j[2]),
+                                        _mm256_mul_pd(dir_q[2], dir_j[1]));
+        const __m256d y = _mm256_sub_pd(_mm256_mul_pd(dir_q[2], dir_j[0]),
+                                        _mm256_mul_pd(dir_q[0], dir_j[2]));
+        const __m256d z = _mm256_sub_pd(_mm256_mul_pd(dir_q[0], dir_j[1]),
+                                        _mm256_mul_pd(dir_q[1], dir_j[0]));
+        area = _mm256_sqrt_pd(_mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
+            _mm256_mul_pd(z, z)));
+      }
+      if (p.directed) {
+        __m256d dot = zero;
+        for (int d = 0; d < D; ++d) {
+          dot = _mm256_add_pd(dot, _mm256_mul_pd(dir_q[d], dir_j[d]));
+        }
+        area = _mm256_blendv_pd(area, _mm256_mul_pd(len_q, len_j),
+                                _mm256_cmp_pd(dot, zero, _CMP_LE_OQ));
+      }
+      const __m256d el = _mm256_mul_pd(
+          _mm256_add_pd(eps_hi, _mm256_mul_pd(angle_slack, l)), l);
+      const __m256d wa = _mm256_mul_pd(w_angle, area);
+      const __m256d cl = _mm256_mul_pd(cc, l);
+      const __m256d r = _mm256_add_pd(_mm256_sub_pd(el, wa),
+                                      _mm256_mul_pd(_mm256_mul_pd(c_hi, l), h));
+      const __m256d far = _mm256_or_pd(
+          _mm256_cmp_pd(wa, el, _CMP_GT_OQ),
+          _mm256_cmp_pd(_mm256_mul_pd(_mm256_mul_pd(cl, cl), dmid_sq),
+                        _mm256_mul_pd(r, r), _CMP_GT_OQ));
+      keep &= ~_mm256_movemask_pd(far);
+    }
+    keep |= _mm256_movemask_pd(_mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(IndexLanes(index, k), self_v)));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kCompress.perm[keep]));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(slots + m),
+        _mm256_permutevar8x32_epi32(IndexLanes(tag, k), perm));
+    m += kCompress.count[keep];
+  }
+  _mm256_zeroupper();
+  return CompactScalar<D>(p, c, k, hi, index, tag, self, slots, m);
+}
+
+#endif  // TRACLUS_X86_SIMD
+
+// The prune lane loop the kernel choice picks (kSimd only when resolved to
+// it). Both keep the same survivors.
+template <typename Index, typename Tag>
+size_t CompactSurvivors(BatchKernel kernel, const PruneContext& p,
+                        const PruneColumns& c, size_t lo, size_t hi,
+                        const Index& index, const Tag& tag, size_t self,
+                        size_t* slots, size_t m) {
+#if defined(TRACLUS_X86_SIMD)
+  if (kernel == BatchKernel::kSimd) {
+    return p.dims == 3
+               ? CompactSimd<3>(p, c, lo, hi, index, tag, self, slots, m)
+               : CompactSimd<2>(p, c, lo, hi, index, tag, self, slots, m);
+  }
+#else
+  (void)kernel;
+#endif
+  return p.dims == 3
+             ? CompactScalar<3>(p, c, lo, hi, index, tag, self, slots, m)
+             : CompactScalar<2>(p, c, lo, hi, index, tag, self, slots, m);
+}
+
 // Dispatches an already-resolved kernel choice.
 template <typename Index>
 void BatchDispatch(BatchKernel kernel, const traj::SegmentStore& qs,
@@ -548,11 +814,7 @@ void AddStats(const RefineStats& counts, RefineStats* stats) {
   stats->accepted += counts.accepted;
 }
 
-// "No candidate is the query" marker of RefineRow's `self` (refines across
-// two stores: their candidates never hold the query).
-constexpr size_t kNoSelf = static_cast<size_t>(-1);
-
-// The ε-refine pipeline for one query row: lower-bound prune → batch
+// The ε-refine pipeline for one query row: two-stage prune → batch
 // distance → threshold. The query is qs[query]; the candidates are
 // cs[index(k)] for every k of every run, runs in order and k ascending
 // (IndexList or IndexRange{0}).
@@ -581,6 +843,7 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
   thread_local std::vector<double> distances;
   if (survivors.size() < 2 * block) survivors.resize(2 * block);
 
+  const PruneColumns columns = PruneColumnsOf(cs);
   size_t staged = 0;
   const auto refine_staged = [&] {
     distances.resize(staged);
@@ -601,8 +864,9 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
     for (size_t lo = run.first; lo < run.last; lo += block) {
       const size_t hi = std::min(run.last, lo + block);
       const size_t before = staged;
-      staged = CompactSurvivors(prune, cs, lo, hi, index, index,
-                                survivors.data(), staged);
+      TRACLUS_DCHECK(index(hi - 1) < cs.size());
+      staged = CompactSurvivors(kernel, prune, columns, lo, hi, index, index,
+                                self, survivors.data(), staged);
       counts.candidates += hi - lo;
       counts.pruned += (hi - lo) - (staged - before);
       if (staged >= block) refine_staged();
@@ -624,7 +888,8 @@ size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
   TRACLUS_DCHECK_EQ(qs.dims(), cs.dims());
   RefineStats counts;
   RefineRow(ResolveBatchKernel(options.kernel),
-            MakePruneContext(qs, dist, query, eps), qs, dist.config(), query,
+            MakePruneContext(PruneColumnsOf(qs), query, dist, eps), qs,
+            dist.config(), query,
             cs, runs, index, eps, &qs == &cs ? query : kNoSelf, out_base,
             BlockSize(options), out, counts);
   AddStats(counts, stats);
@@ -753,9 +1018,10 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
   // nothing.
   thread_local std::vector<PruneContext> prune;
   prune.clear();
+  const PruneColumns columns = PruneColumnsOf(store);
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(store, dist, q, eps));
+    prune.push_back(MakePruneContext(columns, q, dist, eps));
   }
 
   // Candidate-block-major: each block's columns serve every query while hot.
@@ -796,9 +1062,11 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   thread_local std::vector<double> distances;
   if (survivors.size() < block) survivors.resize(block);
   prune.clear();
+  const PruneColumns query_columns = PruneColumnsOf(query_store);
+  const PruneColumns cand_columns = PruneColumnsOf(cand_store);
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < query_store.size());
-    prune.push_back(MakePruneContext(query_store, dist, q, eps));
+    prune.push_back(MakePruneContext(query_columns, q, dist, eps));
   }
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out_position[qi] = kNoNearest;
@@ -815,9 +1083,9 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
     const size_t hi = std::min(candidates.size(), base + block);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const size_t kept =
-          CompactSurvivors(prune[qi], cand_store, base, hi,
+          CompactSurvivors(kernel, prune[qi], cand_columns, base, hi,
                            IndexList{candidates.data()}, IndexRange{0},
-                           survivors.data(), 0);
+                           kNoSelf, survivors.data(), 0);
       survivor_ids.resize(kept);
       for (size_t m = 0; m < kept; ++m) {
         survivor_ids[m] = candidates[survivors[m]];
@@ -875,25 +1143,31 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
-  double mid_dist_sq = 0.0;
-  for (int d = 0; d < store.dims(); ++d) {
-    const double diff =
-        store.midpoint_coords(d)[b] - store.midpoint_coords(d)[a];
-    mid_dist_sq += diff * diff;
-  }
-  return a != b && ProvablyFar(mid_dist_sq, PruneReach(dist, eps),
-                               store.half_length(a), store.half_length(b));
+  const PruneColumns columns = PruneColumnsOf(store);
+  const PruneContext p = MakePruneContext(columns, a, dist, eps);
+  return a != b && (store.dims() == 3 ? FarScalar<3>(p, columns, b)
+                                      : FarScalar<2>(p, columns, b));
 }
 
-void PruneRuns(common::Span<const double* const> mid, const double* half,
-               size_t query, double reach, common::Span<const IndexRun> runs,
-               std::vector<size_t>& survivors) {
-  TRACLUS_DCHECK(mid.size() == 2 || mid.size() == 3);
-  PruneContext p;
-  p.dims = static_cast<int>(mid.size());
-  p.reach = reach;
-  p.half_q = half[query];
-  for (int d = 0; d < p.dims; ++d) p.mid_q[d] = mid[d][query];
+PruneColumns PruneColumnsOf(const traj::SegmentStore& store) {
+  PruneColumns c;
+  c.dims = store.dims();
+  for (int d = 0; d < c.dims; ++d) {
+    c.mid[d] = store.midpoint_coords(d).data();
+    c.dir[d] = store.direction_coords(d).data();
+  }
+  c.half = store.half_lengths().data();
+  c.len = store.lengths().data();
+  return c;
+}
+
+void PruneRuns(const PruneColumns& columns, size_t query,
+               const SegmentDistance& dist, double eps,
+               common::Span<const IndexRun> runs,
+               std::vector<size_t>& survivors, BatchKernel kernel) {
+  TRACLUS_DCHECK(columns.dims == 2 || columns.dims == 3);
+  const BatchKernel resolved = ResolveBatchKernel(kernel);
+  const PruneContext p = MakePruneContext(columns, query, dist, eps);
   const IndexRange positions{0};
   size_t m = 0;
   for (const IndexRun& run : runs) {
@@ -902,11 +1176,11 @@ void PruneRuns(common::Span<const double* const> mid, const double* half,
     // Split the run around the query, which is never its own survivor.
     const bool split = run.first <= query && query < run.last;
     const size_t cut = split ? query : run.last;
-    m = CompactSurvivors(p, mid.data(), half, run.first, cut, positions,
-                         positions, survivors.data(), m);
+    m = CompactSurvivors(resolved, p, columns, run.first, cut, positions,
+                         positions, kNoSelf, survivors.data(), m);
     if (split) {
-      m = CompactSurvivors(p, mid.data(), half, cut + 1, run.last, positions,
-                           positions, survivors.data(), m);
+      m = CompactSurvivors(resolved, p, columns, cut + 1, run.last, positions,
+                           positions, kNoSelf, survivors.data(), m);
     }
   }
   survivors.resize(m);

@@ -14,7 +14,8 @@
 //     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
 //     PairwiseDistanceMatrix overload below;
 //   * the prune itself: PruneProvablyFar (one pair, for tests) and
-//     PruneRuns (caller-owned columns, for the chunked provider).
+//     PruneRuns (caller-owned columns, for the chunked provider). Every
+//     refine above prunes through the same lane loop as PruneRuns.
 //
 // Every operation has one implementation, written for two stores: the query
 // from one SegmentStore, the candidates from another. The one-store entry
@@ -30,19 +31,33 @@
 // three-component distance decides membership). This layer owns the
 // refinement half:
 //
-//   candidates ──▶ lower-bound prune ──▶ blocked batch distance ──▶ ≤ ε?
+//   candidates ──▶ stage 1: midpoint bound ──▶ stage 2: + angle term
+//              ──▶ blocked batch distance ──▶ ≤ ε?
 //
-//   * The prune is a midpoint/half-length triangle inequality: every point
+//   * Stage 1 is a midpoint/half-length triangle inequality: every point
 //     of segment L lies within half_length(L) of midpoint(L), so
 //       mindist(Li, Lj) ≥ ‖mid_i − mid_j‖ − h_i − h_j,
 //     and with the provable factor c = min(w⊥/2, w∥) from
 //     SegmentDistance::LowerBoundFactor,
-//       dist(Li, Lj) ≥ c · (‖mid_i − mid_j‖ − h_i − h_j).
-//     A candidate whose bound (with a conservative rounding margin) exceeds
-//     ε is provably outside the neighborhood and skips the full evaluation.
-//     The prune is branch-free: survivors are compacted into a staging
-//     buffer, and full batches of them go to the kernel. ProvablyFar is the
-//     comparison itself, shared with the tile join's block-pair prune.
+//       w⊥·d⊥ + w∥·d∥ ≥ c · (‖mid_i − mid_j‖ − h_i − h_j).
+//     ProvablyFar is this comparison, shared with the tile join's
+//     block-pair prune.
+//   * Stage 2 adds the third term of the distance, which stage 1 drops:
+//     wθ·dθ with dθ = |d_i × d_j| / max(len_i, len_j) (Definition 3; the
+//     shorter length for a directed pair at θ ≥ 90°), so
+//       dist ≥ c · (‖mid_i − mid_j‖ − h_i − h_j) + wθ·dθ,
+//     tested in a form with no square root and no division (2-D; a 3-D
+//     cross product needs one root for its norm). It runs only on the
+//     candidates stage 1 keeps, four lanes at a time, and the
+//     LowerBoundFactor comment proves it.
+//     A candidate either stage proves farther than ε (with the margins of
+//     kPruneSlack and the angle slack derived in batch_kernels.cc) skips the
+//     full evaluation; Definition 4's self-inclusion is exempt. The prune
+//     is one lane loop, picked by the kernel choice: the AVX2 kernel runs
+//     four candidates per step and the scalar kernel runs the same
+//     operations per candidate, so both keep the same survivors. Survivors
+//     are compacted branch-free into a staging buffer, and full batches of
+//     them go to the distance kernel.
 //   * The batch kernels evaluate the surviving pairs with EXACTLY the
 //     floating-point expressions of the cached pair path
 //     SegmentDistance::operator()(store, i, j) — results are bit-identical,
@@ -150,12 +165,17 @@ struct RefineStats {
   size_t accepted = 0;    ///< Emitted into the neighborhood.
 };
 
-/// Relative margin of the prune comparison. The bound arithmetic (a squared
-/// midpoint distance, two additions, one multiply) accumulates at most a few
-/// ulps (~1e-15 relative) of rounding; pruning only when the bound exceeds ε
-/// by this much larger margin keeps the prune admissible for every input the
-/// arithmetic can represent. The admissibility test in
-/// tests/segment_distance_test.cc attacks this claim on randomized data.
+/// Relative margin of both prune stages. Stage 1 (ProvablyFar) prunes only
+/// when the squared midpoint distance exceeds (ε/c + h_a + h_b)² by this
+/// factor, stage 2 when its bound exceeds ε·(1 + kPruneSlack), with the
+/// half-length term also inflated by it. The bound arithmetic (a squared
+/// midpoint distance, a few additions and multiplies) and the kernel's fold
+/// of w⊥·d⊥ + w∥·d∥ accumulate a few ulps (~1e-15 relative) of rounding, so
+/// this much larger margin keeps a pruned pair's computed distance above ε.
+/// The angle term needs an absolute margin on top, because the kernel's
+/// sin θ = √(1 − cos²θ) cancels near θ = 0; batch_kernels.cc derives it
+/// (kAngleSlack). The admissibility tests in tests/segment_distance_test.cc
+/// attack both on randomized and adversarial pairs.
 inline constexpr double kPruneSlack = 1e-9;
 
 /// The Euclidean reach ε / c of the lower-bound prune, with
@@ -324,27 +344,44 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
                                       common::ThreadPool& pool,
                                       BatchKernel kernel);
 
-/// The exact prune predicate the ε-refines apply: true when the
-/// midpoint/half-length bound (including its conservative rounding margin)
-/// proves dist(store, a, b) > eps. Admissibility — this never returns true
-/// for a true ε-neighbor — is what makes the refine exact; exposed so tests
-/// can attack the claim directly.
+/// The exact prune predicate the ε-refines apply: true when a != b and
+/// stage 1 (the midpoint/half-length bound) or stage 2 (that bound plus the
+/// angle term), each with its rounding margin, proves dist(store, a, b) >
+/// eps. Admissibility — this never returns true for a true ε-neighbor — is
+/// what makes the refine exact; exposed so tests can attack the claim
+/// directly. It runs the scalar lane of the prune loop, which the AVX2 lanes
+/// match decision for decision.
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps);
 
+/// The columns the prune reads, for queries and candidates alike: the
+/// midpoint and direction coordinates (dims of each), the half-lengths and
+/// the lengths, all indexed by one position.
+struct PruneColumns {
+  int dims = 2;
+  const double* mid[geom::kMaxDims] = {};
+  const double* dir[geom::kMaxDims] = {};
+  const double* half = nullptr;
+  const double* len = nullptr;
+};
+
+/// A store's prune columns.
+PruneColumns PruneColumnsOf(const traj::SegmentStore& store);
+
 /// The refine pipeline's per-pair prune over caller-owned columns: sets
 /// `survivors` to the positions p of `runs`, in run order, with p ≠ `query`
-/// and ProvablyFar(‖mid(query) − mid(p)‖², reach, half[query], half[p])
-/// false, where mid(p) = (mid[0][p], …, mid[dims − 1][p]) and `reach` is
-/// PruneReach(dist, ε). The refine kernels run this loop on their candidate
-/// store's columns, so over columns bit-identical to a store's it keeps
-/// exactly the candidates those kernels would refine. Serves the chunked
-/// provider, which prunes on the always-resident catalog before any chunk
-/// is pinned.
-void PruneRuns(common::Span<const double* const> mid, const double* half,
-               size_t query, double reach, common::Span<const IndexRun> runs,
-               std::vector<size_t>& survivors);
+/// and neither prune stage proving dist(query, p) > eps. The refine kernels
+/// run this loop on their stores' columns, so over columns bit-identical to
+/// a store's it keeps exactly the candidates those kernels would refine.
+/// `kernel` picks the lane loop (the survivors are the same either way).
+/// Serves the chunked provider, which prunes on the always-resident catalog
+/// before any chunk is pinned.
+void PruneRuns(const PruneColumns& columns, size_t query,
+               const SegmentDistance& dist, double eps,
+               common::Span<const IndexRun> runs,
+               std::vector<size_t>& survivors,
+               BatchKernel kernel = BatchKernel::kAuto);
 
 }  // namespace traclus::distance
 

@@ -103,9 +103,26 @@ class SegmentDistance {
   /// it to the nearer endpoint). Since the Lehmer mean of order 2 satisfies
   /// d⊥ ≥ max(l⊥1, l⊥2)/2, we get
   ///   mindist(Li, Lj) ≤ l⊥k + l∥k ≤ 2·d⊥ + d∥,
-  /// hence dist ≥ w⊥·d⊥ + w∥·d∥ ≥ min(w⊥/2, w∥) · mindist.
-  /// Returns 0 when either weight is 0 (no usable bound; indexes must fall back
-  /// to a scan).
+  /// hence w⊥·d⊥ + w∥·d∥ ≥ min(w⊥/2, w∥) · mindist. Nothing here depends on
+  /// the dimension, so it holds in 3-D as in 2-D.
+  /// Returns 0 when either weight is 0 (no usable bound from these two terms).
+  ///
+  /// The angle term adds to it (the ε-refines' second prune stage,
+  /// distance/batch_kernels.cc). With Li the longer segment (Lemma 2),
+  /// L = ‖Li‖ = max(‖Li‖, ‖Lj‖) and θ the angle between the directions d_i
+  /// and d_j, ‖d_i × d_j‖ = ‖Li‖·‖Lj‖·sin θ (the cross product's norm in
+  /// 3-D, |x_i·y_j − y_i·x_j| in 2-D), so
+  ///   * undirected, or directed with θ < 90°: dθ = ‖Lj‖·sin θ
+  ///     = ‖d_i × d_j‖ / L;
+  ///   * directed with θ ≥ 90° (d_i·d_j ≤ 0): dθ = ‖Lj‖ = ‖Li‖·‖Lj‖ / L.
+  /// Call that numerator A. Every term is non-negative and
+  /// mindist ≥ ‖mid_i − mid_j‖ − h_i − h_j (each segment lies within its
+  /// half-length h of its midpoint), so
+  ///   dist ≥ c·(‖mid_i − mid_j‖ − h_i − h_j) + wθ·A / L,
+  /// and dist ≥ wθ·A / L alone. With c = 0 (w⊥ = 0 or w∥ = 0) the first
+  /// term vanishes but the angle term alone still proves pairs far; with
+  /// wθ = 0 the bound is the midpoint bound; for L = 0 both segments are
+  /// points, A = 0, and only the midpoint term is left.
   double LowerBoundFactor() const {
     return std::min(config_.w_perpendicular / 2.0, config_.w_parallel);
   }

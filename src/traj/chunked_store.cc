@@ -80,6 +80,7 @@ common::Status ChunkedSegmentStore::Append(const geom::Segment& segment) {
   weight_.push_back(segment.weight());
   for (int d = 0; d < geom::kMaxDims; ++d) {
     midpoint_c_[d].push_back(d < dims_ ? midpoint[d] : 0.0);
+    direction_c_[d].push_back(d < dims_ ? direction[d] : 0.0);
   }
 
   if (chunks_.empty()) chunks_.emplace_back();

@@ -28,14 +28,15 @@
 //     eviction happens before a faulted chunk is inserted, so
 //     peak_resident_chunks() ≤ max_resident_chunks by construction.
 //
-// The *catalog* — per-segment length, half-length, midpoint, ids and weight
-// — is always resident regardless of regime. Those are exactly the columns
-// the query side needs without touching payload chunks: the block index and
-// the triangle-inequality prune read midpoints and half-lengths, DBSCAN's
-// density and cardinality read weights and trajectory ids. Payload chunks
-// (endpoints, direction columns, the AoS segment view) are only faulted for
-// the exact-distance refinement, which is what makes bounded mode genuinely
-// out-of-core for the hot phase.
+// The *catalog* — per-segment length, half-length, midpoint, direction, ids
+// and weight — is always resident regardless of regime. Those are exactly
+// the columns the query side needs without touching payload chunks: the
+// block index reads midpoints and half-lengths, the per-pair prune those
+// plus directions and lengths (its angle stage), DBSCAN's density and
+// cardinality read weights and trajectory ids. Payload chunks (endpoints,
+// the AoS segment view) are only faulted for the exact-distance
+// refinement, which is what makes bounded mode genuinely out-of-core for
+// the hot phase.
 //
 // Pin semantics: Chunk() returns a shared_ptr. The cache's residency
 // accounting covers cache-owned entries only (buffer-pool style) — a caller
@@ -146,6 +147,12 @@ class ChunkedSegmentStore {
     TRACLUS_DCHECK(d >= 0 && d < geom::kMaxDims);
     return midpoint_c_[d];
   }
+  /// Flat direction (end − start) coordinate columns (zero-filled for
+  /// d ≥ dims()), read by the catalog-side prune's angle stage.
+  const std::vector<double>& direction_coords(int d) const {
+    TRACLUS_DCHECK(d >= 0 && d < geom::kMaxDims);
+    return direction_c_[d];
+  }
 
   // --- Reader (after Finalize; thread-safe) -----------------------------
 
@@ -215,6 +222,7 @@ class ChunkedSegmentStore {
   std::vector<geom::SegmentId> id_;
   std::vector<geom::TrajectoryId> trajectory_id_;
   std::array<std::vector<double>, geom::kMaxDims> midpoint_c_;
+  std::array<std::vector<double>, geom::kMaxDims> direction_c_;
 
   // Payload chunks (chunks_.back() is the open chunk until sealed). Mutated
   // only by the single-writer ingest phase; structurally immutable after

@@ -329,6 +329,41 @@ TEST(NeighborCacheFileTest, RacingQueriesOnOneWarmCacheServeTheBaseLists) {
   }
 }
 
+// A cold cache serves what the writer returns instead of reading the file
+// back, so that must be exactly what a load of the file reads: header,
+// offsets, payload and checksum.
+TEST(NeighborCacheFileTest, WriteReturnsWhatALoadReads) {
+  const std::string dir = CacheDir("write_returns");
+  const traj::SegmentStore store(BaseSegments());
+  const distance::SegmentDistance dist;
+  const BruteForceNeighborhood base(store, dist);
+  common::ThreadPool& pool = common::SharedPool(2);
+  const uint64_t key = distance::NeighborhoodCacheKey(store, dist.config(),
+                                                      kEps);
+  const std::string path = NeighborCacheFilePath(dir, key);
+  const auto written = WriteNeighborCacheFile(path, key, base, kEps, pool);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  const auto loaded =
+      LoadNeighborCacheFileHeader(path, key, store.size(), kEps);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(written->key, loaded->key);
+  EXPECT_EQ(written->n, loaded->n);
+  EXPECT_EQ(std::memcmp(&written->eps, &loaded->eps, sizeof(double)), 0);
+  EXPECT_EQ(written->total_indices, loaded->total_indices);
+  EXPECT_EQ(written->offsets, loaded->offsets);
+  EXPECT_EQ(written->payload, loaded->payload);
+  EXPECT_EQ(written->checksum, loaded->checksum);
+
+  // A cold Create serves the same lists.
+  std::filesystem::remove(path);
+  auto cold = FileNeighborhoodCache::Create(base, store, dist.config(), kEps,
+                                            dir, pool);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE((*cold)->loaded_from_file());
+  EXPECT_EQ((*cold)->AllNeighbors(kEps, pool), base.AllNeighbors(kEps, pool));
+  EXPECT_TRUE(LoadNeighborCacheFileHeader(path, key, store.size(), kEps).ok());
+}
+
 TEST(NeighborCacheFileTest, LoadFailsWithTypedStatusOnEveryBadFile) {
   const std::string dir = CacheDir("typed_errors");
   const traj::SegmentStore store(BaseSegments());

@@ -941,10 +941,10 @@ TEST(BlockLayoutTest, SegmentRunsCoverEverythingWhenNothingIsProvable) {
   EXPECT_EQ(RunsOf(empty, {0, 0}, 1.0, reach), none);
 }
 
-// The refine kernels' counters on a fixed store, pinned to the values the
-// per-candidate branching prune produced before the branch-free compaction:
-// staging survivors differently must not change what is counted. Identical
-// for every kernel and block size.
+// The refine kernels' counters on a fixed store, pinned: staging survivors
+// differently must not change what is counted, and neither kernel may prune
+// differently. Identical for every kernel and block size. With w∥ = 0,
+// c = 0 and only the prune's angle stage can prune.
 TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
   const auto store = RandomSegments(200, 50, 5, 91);
   std::vector<size_t> queries(store.size());
@@ -955,8 +955,8 @@ TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
     distance::RefineStats range;  // Query 17 over the whole store.
   };
   const Pin pins[] = {
-      {1.0, {40000, 34874, 5126, 538}, {200, 172, 28, 2}},
-      {0.0, {40000, 0, 40000, 3554}, {200, 0, 200, 13}},  // No usable bound.
+      {1.0, {40000, 37164, 2836, 538}, {200, 189, 11, 2}},
+      {0.0, {40000, 1778, 38222, 3554}, {200, 30, 170, 13}},  // c = 0.
   };
   const auto expect_stats = [](const distance::RefineStats& got,
                                const distance::RefineStats& want) {

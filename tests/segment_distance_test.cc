@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -607,20 +608,30 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
 }
 
 TEST(BatchKernelTest, PruneIsAdmissible) {
-  // The lower bound must NEVER prune a true ε-neighbor: whenever the
-  // predicate fires, the exact distance must exceed ε. Swept over the
-  // adversarial corpus, random weight configurations, and an ε ladder.
+  // The two-stage bound must NEVER prune a true ε-neighbor: whenever the
+  // predicate fires, the exact distance must exceed ε, and no pair is
+  // pruned at ε equal to its own distance. Swept over the adversarial
+  // corpus, random weight configurations (the last two trials with w∥ = 0,
+  // where c = 0 and only the angle term prunes, and with wθ = 0), and an ε
+  // ladder.
   common::Rng rng(41);
   for (const bool three_d : {false, true}) {
     const traj::SegmentStore store = AdversarialStore(37, three_d);
     const size_t n = store.size();
-    for (int trial = 0; trial < 8; ++trial) {
+    for (int trial = 0; trial < 10; ++trial) {
       SegmentDistanceConfig cfg;
       cfg.w_perpendicular = rng.Uniform(0.05, 3.0);
-      cfg.w_parallel = rng.Uniform(0.05, 3.0);
-      cfg.w_angle = rng.Uniform(0.0, 3.0);
+      cfg.w_parallel = trial == 8 ? 0.0 : rng.Uniform(0.05, 3.0);
+      cfg.w_angle = trial == 9 ? 0.0 : rng.Uniform(0.0, 3.0);
       cfg.directed = rng.Bernoulli(0.5);
       const SegmentDistance dist(cfg);
+      for (size_t q = 0; q < n; ++q) {
+        for (size_t j = 0; j < n; ++j) {
+          const double exact = dist(store, q, j);
+          EXPECT_FALSE(PruneProvablyFar(store, dist, q, j, exact))
+              << "pruned (" << q << ", " << j << ") at eps = its distance";
+        }
+      }
       for (const double eps : {0.01, 1.0, 5.0, 25.0, 120.0}) {
         size_t pruned = 0;
         for (size_t q = 0; q < n; ++q) {
@@ -635,6 +646,183 @@ TEST(BatchKernelTest, PruneIsAdmissible) {
         // The sweep must actually exercise the prune somewhere.
         if (eps <= 1.0) {
           EXPECT_GT(pruned, 0u);
+        }
+      }
+    }
+  }
+}
+
+// The angle stage's edge cases: directions at 0°, 10⁻⁹ rad (where the
+// kernel's 1 − cos² cancels to 0 but |d_q × d_j| does not), 45°, exactly
+// 90°, 135° and exactly 180° (antiparallel); zero-length and equal-length
+// segments; short and long ones; nearly collinear neighbors whose
+// midpoint bound is tight. 2-D or 3-D (the 3-D set tilts a copy of each
+// segment out of the plane, so the cross product has all three components).
+traj::SegmentStore AngleEdgeStore(bool three_d) {
+  std::vector<Segment> segs;
+  const auto pt = [three_d](double x, double y, double z) {
+    return three_d ? Point(x, y, z) : Point(x, y);
+  };
+  const auto add = [&](const Point& s, const Point& e) {
+    segs.emplace_back(s, e, static_cast<geom::SegmentId>(segs.size()),
+                      static_cast<geom::TrajectoryId>(segs.size() % 3));
+  };
+  const double pi = std::acos(-1.0);
+  for (const double len : {0.0, 1.0, 3.0, 1000.0}) {
+    for (const double angle : {0.0, 1e-9, pi / 4, pi / 2, 3 * pi / 4, pi}) {
+      for (const double shift : {0.0, 0.5, 2.0}) {
+        const double x = std::cos(angle) * len;
+        const double y = angle == pi / 2 ? len : std::sin(angle) * len;
+        add(pt(shift, shift, 0.0), pt(shift + x, shift + y, 0.0));
+        if (three_d) {
+          add(pt(shift, 0.0, shift), pt(shift + x, 0.25 * y, shift + y));
+        }
+      }
+    }
+  }
+  // Exact axis-aligned right angles and reversals, equal lengths.
+  add(pt(0, 0, 0), pt(2, 0, 0));
+  add(pt(0, 0, 0), pt(0, 2, 0));
+  add(pt(2, 0, 0), pt(0, 0, 0));
+  add(pt(5, 1, 0), pt(5, 3, 0));
+  // A long segment and nearly collinear followers past its end: the
+  // followers tilt by 10⁻⁹ rad, so the kernel's dθ is 0 while A/L is about
+  // 10⁻⁶, with w∥ = c the bound is tight, and only the angle margin keeps
+  // such a pair (at ε = its distance) from being pruned.
+  add(pt(0, 0, 0), pt(1000, 0, 0));
+  for (const double gap : {0.25, 1.0, 4.0}) {
+    add(pt(1000 + gap, 0, 0), pt(2000 + gap, 1e-6, 0));
+    add(pt(1000 + gap, 0, 0), pt(2000 + gap, 0, 1e-6));
+  }
+  return traj::SegmentStore(std::move(segs));
+}
+
+std::vector<SegmentDistanceConfig> AngleEdgeConfigs() {
+  std::vector<SegmentDistanceConfig> configs;
+  for (const bool directed : {true, false}) {
+    SegmentDistanceConfig defaults;
+    defaults.directed = directed;
+    SegmentDistanceConfig tight = defaults;  // c = w∥ = 1, wθ > w⊥.
+    tight.w_perpendicular = 2.0;
+    tight.w_angle = 3.0;
+    SegmentDistanceConfig no_angle = defaults;
+    no_angle.w_angle = 0.0;
+    SegmentDistanceConfig no_parallel = defaults;  // c = 0.
+    no_parallel.w_parallel = 0.0;
+    SegmentDistanceConfig no_perpendicular = defaults;  // c = 0.
+    no_perpendicular.w_perpendicular = 0.0;
+    no_perpendicular.w_angle = 4.0;
+    for (const SegmentDistanceConfig& cfg :
+         {defaults, tight, no_angle, no_parallel, no_perpendicular}) {
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
+
+TEST(BatchKernelTest, PruneIsAdmissibleOnAngleEdgeCases) {
+  // The two-stage prune never prunes a pair within ε — in particular a pair
+  // at ε equal to its own exact distance — and the angle stage does prune
+  // (with c = 0, where stage 1 cannot, too).
+  for (const bool three_d : {false, true}) {
+    const traj::SegmentStore store = AngleEdgeStore(three_d);
+    const size_t n = store.size();
+    for (const SegmentDistanceConfig& cfg : AngleEdgeConfigs()) {
+      const SegmentDistance dist(cfg);
+      SCOPED_TRACE(testing::Message()
+                   << (three_d ? "3-D" : "2-D") << " w " << cfg.w_perpendicular
+                   << "/" << cfg.w_parallel << "/" << cfg.w_angle
+                   << (cfg.directed ? " directed" : " undirected"));
+      size_t pruned = 0;
+      for (size_t q = 0; q < n; ++q) {
+        EXPECT_FALSE(PruneProvablyFar(store, dist, q, q, 0.0));
+        for (size_t j = 0; j < n; ++j) {
+          const double exact = dist(store, q, j);
+          EXPECT_FALSE(PruneProvablyFar(store, dist, q, j, exact))
+              << "pruned (" << q << ", " << j << ") at eps = its distance "
+              << exact;
+          for (const double eps : {0.0, 0.1, 1.0, 10.0}) {
+            if (!PruneProvablyFar(store, dist, q, j, eps)) continue;
+            ++pruned;
+            EXPECT_GT(exact, eps) << "inadmissible prune at (" << q << ", "
+                                  << j << ") eps " << eps;
+          }
+        }
+      }
+      if (cfg.w_angle > 0.0) {
+        EXPECT_GT(pruned, 0u);
+      }
+    }
+  }
+}
+
+// Runs of every length mod 4 over a store, split unevenly.
+std::vector<IndexRun> RaggedRuns(size_t n) {
+  std::vector<IndexRun> runs;
+  size_t first = 0;
+  for (size_t len = 1; first < n; len = len % 7 + 1) {
+    const size_t last = std::min(n, first + len + 2);
+    runs.push_back({first, last});
+    first = last + (len % 3 == 0 ? 1 : 0);  // Skip a position now and then.
+  }
+  return runs;
+}
+
+TEST(BatchKernelTest, PruneLoopsKeepIdenticalSurvivors) {
+  // The AVX2 and scalar prune loops keep the same survivors, in the same
+  // order, over runs whose lengths are not multiples of 4 (the AVX2 tail
+  // runs the scalar lane) and over shuffled index lists; and each keeps
+  // exactly the candidates PruneProvablyFar does not prune.
+  if (!SimdAvailable()) GTEST_SKIP() << "no AVX2 on this CPU";
+  for (const bool three_d : {false, true}) {
+    for (const traj::SegmentStore& store :
+         {AdversarialStore(97, three_d), SymmetryStore(97, three_d),
+          AngleEdgeStore(three_d)}) {
+      const size_t n = store.size();
+      const std::vector<IndexRun> runs = RaggedRuns(n);
+      std::vector<size_t> shuffled(n);
+      for (size_t i = 0; i < n; ++i) shuffled[i] = (i * 7 + 3) % n;
+      std::vector<SegmentDistanceConfig> configs = KernelTestConfigs();
+      for (const SegmentDistanceConfig& cfg : AngleEdgeConfigs()) {
+        configs.push_back(cfg);
+      }
+      const PruneColumns columns = PruneColumnsOf(store);
+      for (const SegmentDistanceConfig& cfg : configs) {
+        const SegmentDistance dist(cfg);
+        for (const double eps : {0.0, 0.5, 3.0, 20.0}) {
+          for (size_t q = 0; q < n; ++q) {
+            std::vector<size_t> scalar, simd;
+            PruneRuns(columns, q, dist, eps, {runs.data(), runs.size()},
+                      scalar, BatchKernel::kScalar);
+            PruneRuns(columns, q, dist, eps, {runs.data(), runs.size()},
+                      simd, BatchKernel::kSimd);
+            ASSERT_EQ(simd, scalar) << "eps " << eps << " query " << q;
+            std::vector<size_t> expect;
+            for (const IndexRun& run : runs) {
+              for (size_t j = run.first; j < run.last; ++j) {
+                if (j != q && !PruneProvablyFar(store, dist, q, j, eps)) {
+                  expect.push_back(j);
+                }
+              }
+            }
+            ASSERT_EQ(scalar, expect) << "eps " << eps << " query " << q;
+
+            // Index lists (gathered lanes), with the query among them.
+            RefineStats stats[2];
+            std::vector<size_t> out[2];
+            for (const int k : {0, 1}) {
+              BatchOptions options;
+              options.kernel = k == 0 ? BatchKernel::kScalar
+                                      : BatchKernel::kSimd;
+              options.block = 13;
+              EpsilonRefineCross(store, dist, q, store,
+                                 {shuffled.data(), shuffled.size()}, eps, 0,
+                                 out[k], options, &stats[k]);
+            }
+            EXPECT_EQ(stats[1].pruned, stats[0].pruned)
+                << "eps " << eps << " query " << q;
+            EXPECT_EQ(stats[1].refined, stats[0].refined);
+          }
         }
       }
     }
