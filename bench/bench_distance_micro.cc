@@ -13,10 +13,8 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/matrix.h"
 #include "common/rng.h"
 #include "common/span.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/sieve_stage.h"
 #include "datagen/hurricane_generator.h"
@@ -296,123 +294,6 @@ void BM_EpsilonRefineBatch(benchmark::State& state) {
                 static_cast<double>(stats.candidates));
 }
 BENCHMARK(BM_EpsilonRefineBatch)->Arg(0)->Arg(1);
-
-// The batch primitive behind the baselines: all n² distances across a pool.
-// Arg = worker threads (1 = serial reference).
-void BM_PairwiseDistanceMatrix(benchmark::State& state) {
-  const auto& segs = Pool();
-  const distance::SegmentDistance dist;
-  auto& pool = common::SharedPool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        distance::PairwiseDistanceMatrix(segs, dist, pool));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(segs.size() * segs.size() / 2));
-}
-BENCHMARK(BM_PairwiseDistanceMatrix)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-// Store-backed matrix: the same n² distances through the invariant cache.
-void BM_PairwiseDistanceMatrixStoreCached(benchmark::State& state) {
-  const auto& store = StorePool();
-  const distance::SegmentDistance dist;
-  auto& pool = common::SharedPool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        distance::PairwiseDistanceMatrix(store, dist, pool));
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(store.size() * store.size() / 2));
-}
-BENCHMARK(BM_PairwiseDistanceMatrixStoreCached)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Tiled vs row-batched matrix fill (many-vs-many tiles). --------------
-// RowBatchedPairwiseMatrix reproduces the pre-tile PairwiseDistanceMatrix
-// loop — one DistanceBatch per row plus a strided full-column mirror —
-// as the fixed baseline of the tiled fill. The headline ratio
-// BM_PairwiseMatrixRowBatched* / BM_PairwiseMatrixTiled* (same kernel, same
-// thread count) is the tile speedup tracked per commit in the CI JSON
-// artifact. Entries are bit-identical between the two fills (pinned in
-// tests/segment_distance_test.cc), so the ratio is pure throughput.
-
-common::Matrix RowBatchedPairwiseMatrix(const traj::SegmentStore& store,
-                                        const distance::SegmentDistance& dist,
-                                        common::ThreadPool& pool,
-                                        distance::BatchKernel kernel) {
-  const size_t n = store.size();
-  const std::vector<size_t> all = AllIndices(n);
-  common::Matrix m(n, n, 0.0);
-  pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      if (i + 1 >= n) continue;
-      distance::DistanceBatch(
-          store, dist, i, common::Span<const size_t>(&all[i + 1], n - i - 1),
-          common::Span<double>(&m(i, i + 1), n - i - 1), kernel);
-      for (size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
-    }
-  });
-  return m;
-}
-
-void BM_PairwiseMatrixRowBatched(benchmark::State& state,
-                                 distance::BatchKernel kernel) {
-  if (kernel == distance::BatchKernel::kSimd && !distance::SimdAvailable()) {
-    state.SkipWithError("this CPU has no AVX2");
-    return;
-  }
-  const auto& store = StorePool();
-  const distance::SegmentDistance dist;
-  auto& pool = common::SharedPool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        RowBatchedPairwiseMatrix(store, dist, pool, kernel));
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(store.size() * store.size() / 2));
-}
-
-void BM_PairwiseMatrixTiled(benchmark::State& state,
-                            distance::BatchKernel kernel) {
-  if (kernel == distance::BatchKernel::kSimd && !distance::SimdAvailable()) {
-    state.SkipWithError("this CPU has no AVX2");
-    return;
-  }
-  const auto& store = StorePool();
-  const distance::SegmentDistance dist;
-  auto& pool = common::SharedPool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        distance::PairwiseDistanceMatrix(store, dist, pool, kernel));
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(store.size() * store.size() / 2));
-}
-
-void BM_PairwiseMatrixRowBatchedScalar(benchmark::State& state) {
-  BM_PairwiseMatrixRowBatched(state, distance::BatchKernel::kScalar);
-}
-void BM_PairwiseMatrixRowBatchedSimd(benchmark::State& state) {
-  BM_PairwiseMatrixRowBatched(state, distance::BatchKernel::kSimd);
-}
-void BM_PairwiseMatrixTiledScalar(benchmark::State& state) {
-  BM_PairwiseMatrixTiled(state, distance::BatchKernel::kScalar);
-}
-void BM_PairwiseMatrixTiledSimd(benchmark::State& state) {
-  BM_PairwiseMatrixTiled(state, distance::BatchKernel::kSimd);
-}
-BENCHMARK(BM_PairwiseMatrixRowBatchedScalar)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PairwiseMatrixRowBatchedSimd)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PairwiseMatrixTiledScalar)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PairwiseMatrixTiledSimd)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // --- Sieve-sampled grouping end to end (core/sieve_stage.h). -------------
 // The hurricane data set at the golden parameters (ε = 0.94, MinLns = 5),

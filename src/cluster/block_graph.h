@@ -1,14 +1,15 @@
 #ifndef TRACLUS_CLUSTER_BLOCK_GRAPH_H_
 #define TRACLUS_CLUSTER_BLOCK_GRAPH_H_
 
-// The ε-graph of a BlockLayout as bit matrices of block pairs, shared by the
-// two symmetric ε-joins: the eager cluster::TileJoin and the capped
-// cluster::ChunkedNeighborhood. Both refine each unordered pair of positions
-// p < q once and hand over the *upper hits* of a block a: the block pairs
-// (a, b), b ≥ a, with the accepted pairs (p in a, q in b) set in the 16×16
-// bit matrix of the pair. BlockGraph assembles all blocks' upper hits into
-// each block's own rows and serves the lists; HitCounts counts the bits of
-// upper hits as a join finds them and keeps none.
+// The ε-graph of a BlockLayout as bit matrices of block pairs, built by the
+// symmetric ε-join cluster::TileJoin over either store. It refines each
+// unordered pair of positions p < q once and hands over the *upper hits* of
+// a block a: the block pairs (a, b), b ≥ a, with the accepted pairs (p in a,
+// q in b) set in the 16×16 bit matrix of the pair; a block whose positions
+// lie in two chunks is handed over once per chunk, its hits to be ORed.
+// BlockGraph assembles all blocks' upper hits into each block's own rows and
+// serves the lists; HitCounts counts the bits of upper hits as the join finds
+// them and keeps none.
 //
 // Assembly. Block a's rows are its upper hits (the diagonal pair made
 // symmetric, plus the self bits of Definition 4) and the transposed upper

@@ -1,14 +1,16 @@
 #ifndef TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
 #define TRACLUS_CLUSTER_BLOCK_LAYOUT_H_
 
-// The block index of the ε-query (Lemma 3), shared by the eager join
-// (cluster::TileJoin), the chunked provider (cluster::ChunkedNeighborhood)
-// and snapshot serving (core::ClusterSnapshot::AssignSegments). It sorts the
-// segments by the Morton key of their midpoints and cuts that order into
-// blocks of kBlock positions, each carrying its midpoint MBR and largest
-// half-length. It reads only midpoint_coords(d) and half_lengths(), which
-// traj::SegmentStore and traj::ChunkedSegmentStore expose under the same
-// names with bit-identical values, so both get the same layout.
+// The block index of the ε-query (Lemma 3), shared by the ε-join
+// (cluster::TileJoin, over either store) and snapshot serving
+// (core::ClusterSnapshot::AssignSegments). It sorts the segments by the
+// Morton key of their midpoints and cuts that order into blocks of kBlock
+// positions, each carrying its midpoint MBR and largest half-length. It
+// reads only midpoint_coords(d) and half_lengths(), which traj::SegmentStore
+// and traj::ChunkedSegmentStore's catalog expose under the same names with
+// bit-identical values, so both get the same layout. The join copies either
+// store into layout order, so a block is a run of kBlock consecutive
+// positions of the copy, inside one chunk or across the border of two.
 //
 // A query box (a midpoint MBR and a largest half-length hmax_q) skips block b
 // when

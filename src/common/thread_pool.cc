@@ -213,15 +213,6 @@ void ThreadPool::ParallelForChunked(
   if (submit_error) std::rethrow_exception(submit_error);
 }
 
-void ThreadPool::ParallelForPairs(
-    size_t n, const std::function<void(size_t, size_t)>& pair_body) {
-  ParallelForChunked(0, n, [&pair_body, n](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      for (size_t j = i + 1; j < n; ++j) pair_body(i, j);
-    }
-  });
-}
-
 void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& body) {
   ParallelForChunked(begin, end, [&body](size_t lo, size_t hi) {

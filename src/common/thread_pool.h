@@ -69,14 +69,6 @@ class ThreadPool {
       size_t begin, size_t end,
       const std::function<void(size_t, size_t)>& body);
 
-  /// Runs `pair_body(i, j)` for every unordered pair 0 ≤ i < j < n, chunked
-  /// by leading index across the pool. The chunk owning i issues all of i's
-  /// pairs, so a body that writes only to (i, j)- and (j, i)-addressed slots
-  /// has exactly one writer per slot — symmetric matrix fills parallelize
-  /// race-freely and deterministically (see distance::PairwiseDistanceMatrix).
-  void ParallelForPairs(size_t n,
-                        const std::function<void(size_t, size_t)>& pair_body);
-
  private:
   void WorkerLoop() TRACLUS_EXCLUDES(mu_);
   void RecordException(std::exception_ptr e) TRACLUS_EXCLUDES(mu_);

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "cluster/chunked_neighborhood.h"
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighbor_cache_file.h"
 #include "cluster/neighborhood.h"
@@ -291,8 +290,8 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
 common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
     const traj::ChunkedSegmentStore& store, const RunContext& ctx) const {
   const distance::SegmentDistance dist(options_.distance);
-  const cluster::ChunkedNeighborhood provider(store, dist, options_.use_index,
-                                              ctx.distance_kernel);
+  const cluster::TileJoin provider(store, dist, options_.use_index,
+                                   ctx.distance_kernel);
 
   const cluster::DbscanOptions o = MakeDbscanOptions(options_, name(), ctx);
   try {

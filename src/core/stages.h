@@ -244,10 +244,11 @@ class DbscanGroupStage : public GroupStage {
   /// Out-of-core grouping: DBSCAN's density accounting and cardinality
   /// filter read the chunked store's always-resident catalog through a
   /// cluster::SegmentSetView, and the ε-queries are served by
-  /// cluster::ChunkedNeighborhood (block-pruned join or scan, per
-  /// use_index), which builds the ε-graph once, chunk-major, under the
-  /// store's residency cap. Labellings are byte-identical to Run on the
-  /// merged store.
+  /// cluster::TileJoin over the chunked store (block-pruned join or scan,
+  /// per use_index), which builds the ε-graph once, chunk-major, under the
+  /// store's residency cap, from a Morton-ordered copy of the store that it
+  /// frees on return. Labellings are byte-identical to Run on the merged
+  /// store.
   common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store,
       const RunContext& ctx) const override;

@@ -496,6 +496,29 @@ constexpr double kAngleSlack = 2 * kSqrt32U;
 // (refines across two stores: their candidates never hold the query).
 constexpr size_t kNoSelf = static_cast<size_t>(-1);
 
+// The columns the prune reads, for queries and candidates alike: the
+// midpoint and direction coordinates (dims of each), the half-lengths and the
+// lengths, all indexed by one position.
+struct PruneColumns {
+  int dims = 2;
+  const double* mid[geom::kMaxDims] = {};
+  const double* dir[geom::kMaxDims] = {};
+  const double* half = nullptr;
+  const double* len = nullptr;
+};
+
+PruneColumns PruneColumnsOf(const traj::SegmentStore& store) {
+  PruneColumns c;
+  c.dims = store.dims();
+  for (int d = 0; d < c.dims; ++d) {
+    c.mid[d] = store.midpoint_coords(d).data();
+    c.dir[d] = store.direction_coords(d).data();
+  }
+  c.half = store.half_lengths().data();
+  c.len = store.lengths().data();
+  return c;
+}
+
 // Query-side state of both prune stages, hoisted out of the candidate loop.
 // An unusable bound is +inf (reach, eps_hi), which fails every comparison
 // without a branch.
@@ -815,9 +838,8 @@ void AddStats(const RefineStats& counts, RefineStats* stats) {
 }
 
 // The ε-refine pipeline for one query row: two-stage prune → batch
-// distance → threshold. The query is qs[query]; the candidates are
-// cs[index(k)] for every k of every run, runs in order and k ascending
-// (IndexList or IndexRange{0}).
+// distance → threshold. The query is qs[query]; the candidates are cs[j]
+// for every j of every run, runs in order and j ascending.
 // Survivors of the prune are staged across blocks and runs and refined once
 // at least `block` of them are waiting, so short runs still fill the batch
 // kernels. Appends `out_base + j` for every candidate j within ε, in
@@ -832,13 +854,12 @@ void AddStats(const RefineStats& counts, RefineStats* stats) {
 // and write only these buffers plus the caller-owned `out`, so concurrent
 // refines on pool workers need no mutex (and hence no capability
 // annotations) — nothing is shared.
-template <typename Index>
 void RefineRow(BatchKernel kernel, const PruneContext& prune,
                const traj::SegmentStore& qs, const SegmentDistanceConfig& cfg,
                size_t query, const traj::SegmentStore& cs,
-               common::Span<const IndexRun> runs, const Index& index,
-               double eps, size_t self, size_t out_base, size_t block,
-               std::vector<size_t>& out, RefineStats& counts) {
+               common::Span<const IndexRun> runs, double eps, size_t self,
+               size_t out_base, size_t block, std::vector<size_t>& out,
+               RefineStats& counts) {
   thread_local std::vector<size_t> survivors;
   thread_local std::vector<double> distances;
   if (survivors.size() < 2 * block) survivors.resize(2 * block);
@@ -864,36 +885,16 @@ void RefineRow(BatchKernel kernel, const PruneContext& prune,
     for (size_t lo = run.first; lo < run.last; lo += block) {
       const size_t hi = std::min(run.last, lo + block);
       const size_t before = staged;
-      TRACLUS_DCHECK(index(hi - 1) < cs.size());
-      staged = CompactSurvivors(kernel, prune, columns, lo, hi, index, index,
-                                self, survivors.data(), staged);
+      TRACLUS_DCHECK(hi <= cs.size());
+      const IndexRange positions{0};
+      staged = CompactSurvivors(kernel, prune, columns, lo, hi, positions,
+                                positions, self, survivors.data(), staged);
       counts.candidates += hi - lo;
       counts.pruned += (hi - lo) - (staged - before);
       if (staged >= block) refine_staged();
     }
   }
   if (staged > 0) refine_staged();
-}
-
-// One query against candidate runs: the body of EpsilonRefineCross and
-// EpsilonRefineRuns. The query is its own candidate exactly when both stores are one
-// object.
-template <typename Index>
-size_t Refine(const traj::SegmentStore& qs, const SegmentDistance& dist,
-              size_t query, const traj::SegmentStore& cs,
-              common::Span<const IndexRun> runs, const Index& index,
-              double eps, size_t out_base, std::vector<size_t>& out,
-              const BatchOptions& options, RefineStats* stats) {
-  TRACLUS_DCHECK(query < qs.size());
-  TRACLUS_DCHECK_EQ(qs.dims(), cs.dims());
-  RefineStats counts;
-  RefineRow(ResolveBatchKernel(options.kernel),
-            MakePruneContext(PruneColumnsOf(qs), query, dist, eps), qs,
-            dist.config(), query,
-            cs, runs, index, eps, &qs == &cs ? query : kNoSelf, out_base,
-            BlockSize(options), out, counts);
-  AddStats(counts, stats);
-  return counts.accepted;
 }
 
 }  // namespace
@@ -958,26 +959,23 @@ void DistanceBatch(const traj::SegmentStore& store,
                 candidates.size(), IndexList{candidates.data()}, out.data());
 }
 
-size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
-                          const SegmentDistance& dist, size_t query,
-                          const traj::SegmentStore& cand_store,
-                          common::Span<const size_t> candidates, double eps,
-                          size_t out_base, std::vector<size_t>& out_indices,
-                          const BatchOptions& options, RefineStats* stats) {
-  const IndexRun all{0, candidates.size()};
-  return Refine(query_store, dist, query, cand_store, {&all, 1},
-                IndexList{candidates.data()}, eps, out_base, out_indices,
-                options, stats);
-}
-
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          const SegmentDistance& dist, size_t query,
                          const traj::SegmentStore& cand_store,
                          common::Span<const IndexRun> runs, double eps,
                          size_t out_base, std::vector<size_t>& out_indices,
                          const BatchOptions& options, RefineStats* stats) {
-  return Refine(query_store, dist, query, cand_store, runs, IndexRange{0},
-                eps, out_base, out_indices, options, stats);
+  TRACLUS_DCHECK(query < query_store.size());
+  TRACLUS_DCHECK_EQ(query_store.dims(), cand_store.dims());
+  // The query is its own candidate exactly when both stores are one object.
+  RefineStats counts;
+  RefineRow(ResolveBatchKernel(options.kernel),
+            MakePruneContext(PruneColumnsOf(query_store), query, dist, eps),
+            query_store, dist.config(), query, cand_store, runs, eps,
+            &query_store == &cand_store ? query : kNoSelf, out_base,
+            BlockSize(options), out_indices, counts);
+  AddStats(counts, stats);
+  return counts.accepted;
 }
 
 void DistanceTileRange(const traj::SegmentStore& store,
@@ -1033,8 +1031,7 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
     const IndexRun run{base, hi};
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       RefineRow(kernel, prune[qi], store, cfg, queries[qi], store, {&run, 1},
-                IndexRange{0}, eps, queries[qi], 0, block, out_lists[qi],
-                counts);
+                eps, queries[qi], 0, block, out_lists[qi], counts);
     }
   }
   AddStats(counts, stats);
@@ -1104,42 +1101,6 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   }
 }
 
-common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
-                                      const SegmentDistance& dist,
-                                      common::ThreadPool& pool,
-                                      BatchKernel kernel) {
-  const size_t n = store.size();
-  common::Matrix m(n, n, 0.0);
-  const BatchKernel resolved = ResolveBatchKernel(kernel);
-  const SegmentDistanceConfig& cfg = dist.config();
-  // Upper-triangle tile fill. The chunk owning rows [lo, hi) walks candidate
-  // blocks outermost so each block's SoA columns serve every row of the
-  // chunk while hot; the ragged diagonal start (row i owns columns > i) only
-  // trims the first block each row intersects. After a block is filled, its
-  // mirrored column entries are written as a blocked transpose — short
-  // contiguous runs instead of one full-column stride per row. The chunk
-  // owning row i writes dist(i, j) and its mirror m(j, i) for every j > i,
-  // so every element has exactly one writer and the matrix is identical for
-  // every thread count. The diagonal stays 0 (dist(L, L) = 0).
-  pool.ParallelForChunked(0, n, [&](size_t lo, size_t hi) {
-    for (size_t jb = lo + 1; jb < n; jb += kTileCandidateBlock) {
-      const size_t je = std::min(n, jb + kTileCandidateBlock);
-      const size_t row_end = std::min(hi, je);
-      for (size_t i = lo; i < row_end; ++i) {
-        const size_t first = std::max(i + 1, jb);
-        if (first >= je) continue;
-        BatchDispatch(resolved, store, store, cfg, i, je - first,
-                      IndexRange{first}, &m(i, first));
-      }
-      for (size_t j = jb; j < je; ++j) {
-        const size_t i_end = std::min(hi, j);
-        for (size_t i = lo; i < i_end; ++i) m(j, i) = m(i, j);
-      }
-    }
-  });
-  return m;
-}
-
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
@@ -1147,43 +1108,6 @@ bool PruneProvablyFar(const traj::SegmentStore& store,
   const PruneContext p = MakePruneContext(columns, a, dist, eps);
   return a != b && (store.dims() == 3 ? FarScalar<3>(p, columns, b)
                                       : FarScalar<2>(p, columns, b));
-}
-
-PruneColumns PruneColumnsOf(const traj::SegmentStore& store) {
-  PruneColumns c;
-  c.dims = store.dims();
-  for (int d = 0; d < c.dims; ++d) {
-    c.mid[d] = store.midpoint_coords(d).data();
-    c.dir[d] = store.direction_coords(d).data();
-  }
-  c.half = store.half_lengths().data();
-  c.len = store.lengths().data();
-  return c;
-}
-
-void PruneRuns(const PruneColumns& columns, size_t query,
-               const SegmentDistance& dist, double eps,
-               common::Span<const IndexRun> runs,
-               std::vector<size_t>& survivors, BatchKernel kernel) {
-  TRACLUS_DCHECK(columns.dims == 2 || columns.dims == 3);
-  const BatchKernel resolved = ResolveBatchKernel(kernel);
-  const PruneContext p = MakePruneContext(columns, query, dist, eps);
-  const IndexRange positions{0};
-  size_t m = 0;
-  for (const IndexRun& run : runs) {
-    TRACLUS_DCHECK(run.first <= run.last);
-    survivors.resize(m + (run.last - run.first));
-    // Split the run around the query, which is never its own survivor.
-    const bool split = run.first <= query && query < run.last;
-    const size_t cut = split ? query : run.last;
-    m = CompactSurvivors(resolved, p, columns, run.first, cut, positions,
-                         positions, kNoSelf, survivors.data(), m);
-    if (split) {
-      m = CompactSurvivors(resolved, p, columns, cut + 1, run.last, positions,
-                           positions, kNoSelf, survivors.data(), m);
-    }
-  }
-  survivors.resize(m);
 }
 
 }  // namespace traclus::distance

@@ -3,28 +3,25 @@
 
 // Batched distance kernels over the SegmentStore's flat arrays — the ε-query
 // hot path of the grouping phase (Lemma 3), the parameter heuristic
-// (§4.2/§4.4), and the all-pairs consumers (distance matrix, entropy profile,
-// k-medoids). The public surface is nine entry points:
+// (§4.2/§4.4), and the all-pairs consumers (entropy profile, k-medoids). The
+// public surface is six entry points:
 //
-//   * one query vs an index list: DistanceBatch (distances) and
-//     EpsilonRefineCross (ε-neighbors);
+//   * one query vs an index list: DistanceBatch;
 //   * one query vs contiguous ranges: EpsilonRefineRuns;
 //   * many queries vs many candidates, candidate-block-major so each block
 //     of SoA columns is loaded once and reused by every query row:
-//     DistanceTileRange, EpsilonRefineTile, NearestWithinEps, and the
-//     PairwiseDistanceMatrix overload below;
-//   * the prune itself: PruneProvablyFar (one pair, for tests) and
-//     PruneRuns (caller-owned columns, for the chunked provider). Every
-//     refine above prunes through the same lane loop as PruneRuns.
+//     DistanceTileRange, EpsilonRefineTile and NearestWithinEps;
+//   * the prune itself, for one pair: PruneProvablyFar (for tests). Every
+//     refine above prunes through the same lane loop.
 //
 // Every operation has one implementation, written for two stores: the query
 // from one SegmentStore, the candidates from another. The one-store entry
-// points pass the same store twice; EpsilonRefineCross and
-// EpsilonRefineRuns take either one store twice or two chunk-local stores
-// of a ChunkedSegmentStore. Chunk-local stores cache bit-identical invariants, so
-// both shapes execute the same floating-point operations on the same bits.
-// Index lists and contiguous ranges feed the same lane loop; only the load of
-// each step's candidates differs.
+// points pass the same store twice; EpsilonRefineRuns and NearestWithinEps
+// take either one store twice or two stores, such as two chunks of a
+// ChunkedSegmentStore. Stores built from the same segment values cache
+// bit-identical invariants, so both shapes execute the same floating-point
+// operations on the same bits. Index lists and contiguous ranges feed the
+// same lane loop; only the load of each step's candidates differs.
 //
 // Every ε-query in the pipeline decomposes into candidate generation (an
 // index emits segment indices) followed by refinement (the exact §2.3
@@ -87,24 +84,23 @@
 // code behind a scalar caller's back; tools/lint/check_determinism.py
 // enforces both rules.
 //
-// Consumers: the eager neighborhood join (cluster::TileJoin, behind
-// GridNeighborhoodIndex and BruteForceNeighborhood) refines each unordered
-// pair once: every query refines, through EpsilonRefineRuns, the runs after
-// its own position in the surviving blocks from its own block on, which is
-// exact because the distance is symmetric in the pair; the chunked provider
-// (cluster::ChunkedNeighborhood) refines the same unordered pairs once too:
-// it prunes each query's positions after its own in the surviving blocks on
-// its catalog with PruneRuns, and refines the survivors grouped by chunk,
-// with the query's chunk store on the query side, through
-// EpsilonRefineCross; the sharded stage re-checks halos with
-// EpsilonRefineTile. PairwiseDistanceMatrix, the entropy
-// NeighborhoodProfile, and the k-medoids baseline ride DistanceTileRange;
-// OPTICS streams blocked DistanceBatch calls; the sieve stage
-// (core::SieveGroupStage, one store passed twice) and the frozen snapshot
+// Consumers: the ε-join (cluster::TileJoin, behind GridNeighborhoodIndex,
+// BruteForceNeighborhood and the capped grouping stage) refines each
+// unordered pair once: every query refines, through EpsilonRefineRuns, the
+// runs after its own position in the surviving blocks from its own block on,
+// which is exact because the distance is symmetric in the pair. Over a
+// ChunkedSegmentStore the runs are clipped to each pinned chunk of a window
+// and refined with the query's chunk store on the query side, two stores
+// whose out_base is the candidate chunk's first position. The sharded stage
+// re-checks halos with EpsilonRefineTile. The entropy NeighborhoodProfile
+// and the k-medoids baseline ride DistanceTileRange; OPTICS streams blocked
+// DistanceBatch calls; the sieve stage (core::SieveGroupStage, one store
+// passed twice) and the frozen snapshot
 // (core::ClusterSnapshot::AssignSegments, two stores: each query segment
 // against the ascending candidates of the cluster::BlockLayout blocks not
-// skipped for it) assign through NearestWithinEps. Kernel selection is a per-run knob
-// (core::RunContext::distance_kernel, CLI --kernel auto|scalar|simd);
+// skipped for it) assign through NearestWithinEps. Kernel selection is a
+// per-run knob (core::RunContext::distance_kernel, CLI
+// --kernel auto|scalar|simd);
 // ParseBatchKernel below is the single string→kernel parsing path in the
 // tree — callers must not grow private switches.
 //
@@ -120,10 +116,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/result.h"
 #include "common/span.h"
-#include "common/thread_pool.h"
 #include "distance/segment_distance.h"
 #include "traj/segment_store.h"
 
@@ -216,50 +210,36 @@ void DistanceBatch(const traj::SegmentStore& store,
                    common::Span<double> out,
                    BatchKernel kernel = BatchKernel::kAuto);
 
-/// The batched ε-refine: the query segment lives in `query_store` (local
-/// index `query`) while the candidates live in `cand_store` (local indices
-/// `candidates`). For each candidate j with dist ≤ eps, appends
-/// `out_base + j` to `out_indices`, preserving candidate order: exactly the
-/// per-pair loop
-///   for j in candidates: if (dist(query, j) <= eps) emit out_base + j
-/// (plus the self-inclusion rule below), but with lower-bound pruning and
-/// blocked batch evaluation. Returns the
-/// number of indices appended; `stats` (optional) accumulates counters.
-///
-/// The chunked out-of-core neighborhood passes two distinct chunk-local
-/// SegmentStores of one ChunkedSegmentStore, with `out_base` the candidate
-/// chunk's first global index. Because chunk-local stores cache
-/// bit-identical invariants, the evaluation — Lemma 2 canonicalization
-/// included — executes the same floating-point operations as over the
-/// merged store, so results are bit-identical to passing that store twice.
-///
-/// Definition 4 self-inclusion applies only when `query_store` and
-/// `cand_store` are the same object (one store passed twice): the query
-/// then always passes when listed. Across two stores the query is never its
-/// own candidate; callers exclude it from its own chunk's candidates and
-/// append it themselves.
-size_t EpsilonRefineCross(const traj::SegmentStore& query_store,
-                          const SegmentDistance& dist, size_t query,
-                          const traj::SegmentStore& cand_store,
-                          common::Span<const size_t> candidates, double eps,
-                          size_t out_base, std::vector<size_t>& out_indices,
-                          const BatchOptions& options = {},
-                          RefineStats* stats = nullptr);
-
 /// A half-open candidate index range [first, last).
 struct IndexRun {
   size_t first = 0;
   size_t last = 0;
 };
 
-/// Multi-range ε-refine: EpsilonRefineCross over the cand_store indices of
-/// every run in turn, without materializing an index list, with the
-/// prune's survivors staged across runs so short runs still fill whole
-/// kernel batches. Emits in run order, ascending within a run, with the
-/// same `out_base` and self-inclusion rules. Serves the block-pruned tile
-/// join (cluster::TileJoin: the positions after the query's own in the
-/// blocks that survive its block-pair prune, one store passed twice); one
-/// run [first, last) over one store is the contiguous refine.
+/// The batched ε-refine over candidate runs: the query segment lives in
+/// `query_store` (local index `query`) while the candidates are the
+/// `cand_store` indices of every run in turn. For each candidate j with
+/// dist ≤ eps, appends `out_base + j` to `out_indices`, in run order and
+/// ascending within a run: exactly the per-pair loop
+///   for run in runs: for j in run: if (dist(query, j) <= eps) emit out_base + j
+/// (plus the self-inclusion rule below), but with lower-bound pruning and
+/// blocked batch evaluation, the prune's survivors staged across runs so
+/// short runs still fill whole kernel batches. Returns the number of
+/// indices appended; `stats` (optional) accumulates counters.
+///
+/// The ε-join (cluster::TileJoin) passes the positions after the query's own
+/// in the blocks that survive its block-pair prune: over one store passed
+/// twice, or over two chunk-local stores of a ChunkedSegmentStore with
+/// `out_base` the candidate chunk's first index. Because stores built from
+/// the same segment values cache bit-identical invariants, the evaluation —
+/// Lemma 2 canonicalization included — executes the same floating-point
+/// operations either way, so results are bit-identical to passing one
+/// merged store twice.
+///
+/// Definition 4 self-inclusion applies only when `query_store` and
+/// `cand_store` are the same object (one store passed twice): the query
+/// then always passes when listed. Across two stores the query is never its
+/// own candidate.
 size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
                          const SegmentDistance& dist, size_t query,
                          const traj::SegmentStore& cand_store,
@@ -331,19 +311,6 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
                       common::Span<double> out_distance,
                       const BatchOptions& options = {});
 
-/// Kernel-selecting overload of PairwiseDistanceMatrix (segment_distance.h):
-/// the same symmetric n×n matrix, filled through upper-triangle tiles — the
-/// chunk owning rows [lo, hi) walks candidate blocks once for all its rows
-/// (DistanceTileRange shape) and writes the mirrored columns as a blocked
-/// transpose instead of a full-column stride per row. The chunk owning row i
-/// writes dist(i, j) and its mirror for every j > i, so every element has
-/// exactly one writer and the matrix is identical for every thread count;
-/// entries are bit-identical to the row-batched fill and the pair path.
-common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
-                                      const SegmentDistance& dist,
-                                      common::ThreadPool& pool,
-                                      BatchKernel kernel);
-
 /// The exact prune predicate the ε-refines apply: true when a != b and
 /// stage 1 (the midpoint/half-length bound) or stage 2 (that bound plus the
 /// angle term), each with its rounding margin, proves dist(store, a, b) >
@@ -354,34 +321,6 @@ common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
 bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps);
-
-/// The columns the prune reads, for queries and candidates alike: the
-/// midpoint and direction coordinates (dims of each), the half-lengths and
-/// the lengths, all indexed by one position.
-struct PruneColumns {
-  int dims = 2;
-  const double* mid[geom::kMaxDims] = {};
-  const double* dir[geom::kMaxDims] = {};
-  const double* half = nullptr;
-  const double* len = nullptr;
-};
-
-/// A store's prune columns.
-PruneColumns PruneColumnsOf(const traj::SegmentStore& store);
-
-/// The refine pipeline's per-pair prune over caller-owned columns: sets
-/// `survivors` to the positions p of `runs`, in run order, with p ≠ `query`
-/// and neither prune stage proving dist(query, p) > eps. The refine kernels
-/// run this loop on their stores' columns, so over columns bit-identical to
-/// a store's it keeps exactly the candidates those kernels would refine.
-/// `kernel` picks the lane loop (the survivors are the same either way).
-/// Serves the chunked provider, which prunes on the always-resident catalog
-/// before any chunk is pinned.
-void PruneRuns(const PruneColumns& columns, size_t query,
-               const SegmentDistance& dist, double eps,
-               common::Span<const IndexRun> runs,
-               std::vector<size_t>& survivors,
-               BatchKernel kernel = BatchKernel::kAuto);
 
 }  // namespace traclus::distance
 

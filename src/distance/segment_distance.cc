@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "distance/batch_kernels.h"
 #include "distance/store_kernel_detail.h"
 #include "geom/vector_ops.h"
 
@@ -147,30 +146,6 @@ double SegmentDistance::Angle(const geom::Segment& a,
   const geom::Segment* lj = &b;
   Canonicalize(li, lj);
   return AngleCanonical(*li, *lj, config_.directed);
-}
-
-common::Matrix PairwiseDistanceMatrix(
-    const std::vector<geom::Segment>& segments, const SegmentDistance& dist,
-    common::ThreadPool& pool) {
-  const size_t n = segments.size();
-  common::Matrix m(n, n, 0.0);
-  // One writer per element: the chunk owning i writes (i, j) and (j, i) for
-  // all j > i. The pool's chunk oversubscription evens the triangular
-  // imbalance (later rows own fewer pairs) out.
-  pool.ParallelForPairs(n, [&](size_t i, size_t j) {
-    const double d = dist(segments[i], segments[j]);
-    m(i, j) = d;
-    m(j, i) = d;
-  });
-  return m;
-}
-
-common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
-                                      const SegmentDistance& dist,
-                                      common::ThreadPool& pool) {
-  // Rows stream through the batched kernels (bit-identical entries); see the
-  // kernel-selecting overload in distance/batch_kernels.h.
-  return PairwiseDistanceMatrix(store, dist, pool, BatchKernel::kAuto);
 }
 
 }  // namespace traclus::distance

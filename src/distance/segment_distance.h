@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "common/matrix.h"
-#include "common/thread_pool.h"
 #include "geom/segment.h"
 #include "traj/segment_store.h"
 
@@ -134,29 +132,6 @@ class SegmentDistance {
 
   SegmentDistanceConfig config_;
 };
-
-/// Full symmetric n×n matrix of dist(Li, Lj), evaluated in parallel across
-/// `pool`.
-///
-/// The pair set is partitioned by leading index into contiguous chunks; the
-/// chunk owning i writes both (i, j) and its mirror (j, i) for every j > i, so
-/// every element has exactly one writer and the result is identical for every
-/// thread count. The diagonal is 0 (dist(L, L) = 0).
-///
-/// O(n²) memory — intended for the baseline algorithms and experiment scripts
-/// that need random access to all pairs, not for the clustering hot path
-/// (which goes through NeighborhoodProvider).
-common::Matrix PairwiseDistanceMatrix(
-    const std::vector<geom::Segment>& segments, const SegmentDistance& dist,
-    common::ThreadPool& pool);
-
-/// Store-backed overload: same matrix, each row streamed as one contiguous
-/// blocked batch through the one-vs-many kernels of distance/batch_kernels.h
-/// (bit-identical entries; kAuto kernel). A kernel-selecting overload lives
-/// in batch_kernels.h.
-common::Matrix PairwiseDistanceMatrix(const traj::SegmentStore& store,
-                                      const SegmentDistance& dist,
-                                      common::ThreadPool& pool);
 
 }  // namespace traclus::distance
 

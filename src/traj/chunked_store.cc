@@ -1,8 +1,11 @@
 #include "traj/chunked_store.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace traclus::traj {
@@ -69,10 +72,7 @@ common::Status ChunkedSegmentStore::Append(const geom::Segment& segment) {
   // Catalog invariants: the exact floating-point expressions of the
   // SegmentStore constructor, so each catalog column is bit-identical to the
   // monolithic store's column for the same index.
-  const geom::Point direction = segment.Direction();
-  const double squared_length = direction.SquaredNorm();
-  const double length = std::sqrt(squared_length);
-  length_.push_back(length);
+  const double length = std::sqrt(segment.Direction().SquaredNorm());
   half_length_.push_back(0.5 * length);
   const geom::Point midpoint = segment.Midpoint();
   id_.push_back(segment.id());
@@ -80,7 +80,6 @@ common::Status ChunkedSegmentStore::Append(const geom::Segment& segment) {
   weight_.push_back(segment.weight());
   for (int d = 0; d < geom::kMaxDims; ++d) {
     midpoint_c_[d].push_back(d < dims_ ? midpoint[d] : 0.0);
-    direction_c_[d].push_back(d < dims_ ? direction[d] : 0.0);
   }
 
   if (chunks_.empty()) chunks_.emplace_back();
@@ -161,23 +160,28 @@ size_t ChunkedSegmentStore::chunk_size(size_t c) const {
 }
 
 common::Status ChunkedSegmentStore::LoadRaw(
-    size_t c, std::vector<geom::Segment>* out) const {
+    size_t c, size_t first, size_t count,
+    std::vector<geom::Segment>* out) const {
   const ChunkMeta& chunk = chunks_[c];
+  TRACLUS_DCHECK(first + count <= chunk.count);
   out->clear();
-  out->reserve(chunk.count);
   if (!chunk.spilled) {
-    *out = chunk.raw;
+    const auto begin = chunk.raw.begin() + static_cast<std::ptrdiff_t>(first);
+    out->assign(begin, begin + static_cast<std::ptrdiff_t>(count));
     return common::Status::OK();
   }
-  if (std::fseek(spill_, chunk.spill_offset, SEEK_SET) != 0) {
+  const long offset =
+      chunk.spill_offset + static_cast<long>(first * sizeof(SpillRecord));
+  if (std::fseek(spill_, offset, SEEK_SET) != 0) {
     return common::Status::IOError("ChunkedSegmentStore: spill seek failed");
   }
-  // One read per chunk: the chunk's records are contiguous in the file.
-  std::vector<SpillRecord> records(chunk.count);
+  // One read: the records are contiguous in the file.
+  std::vector<SpillRecord> records(count);
   if (std::fread(records.data(), sizeof(SpillRecord), records.size(),
                  spill_) != records.size()) {
     return common::Status::IOError("ChunkedSegmentStore: spill read failed");
   }
+  out->reserve(count);
   for (const SpillRecord& r : records) out->push_back(FromRecord(r, dims_));
   return common::Status::OK();
 }
@@ -196,7 +200,7 @@ common::Result<std::shared_ptr<const SegmentStore>> ChunkedSegmentStore::Chunk(
   common::MutexLock lock(mu_);
   if (auto hit = TouchLocked(c)) return hit;
   std::vector<geom::Segment> raw;
-  TRACLUS_RETURN_NOT_OK(LoadRaw(c, &raw));
+  TRACLUS_RETURN_NOT_OK(LoadRaw(c, 0, chunks_[c].count, &raw));
   ++faults_;
   auto store = std::make_shared<const SegmentStore>(std::move(raw));
   // Evict before insert: the cache never owns more than the cap, so the
@@ -252,10 +256,89 @@ common::Result<SegmentStore> ChunkedSegmentStore::Merge() const {
   all.reserve(size_);
   std::vector<geom::Segment> chunk_raw;
   for (size_t c = 0; c < chunk_count_; ++c) {
-    TRACLUS_RETURN_NOT_OK(LoadRaw(c, &chunk_raw));
+    TRACLUS_RETURN_NOT_OK(LoadRaw(c, 0, chunks_[c].count, &chunk_raw));
     all.insert(all.end(), chunk_raw.begin(), chunk_raw.end());
   }
   return SegmentStore(std::move(all));
+}
+
+common::Result<std::unique_ptr<ChunkedSegmentStore>>
+ChunkedSegmentStore::Permuted(const std::vector<size_t>& order) const {
+  if (!finalized_) {
+    return common::Status::FailedPrecondition(
+        "ChunkedSegmentStore: Permuted before Finalize");
+  }
+  // rank[i]: the copy's index of segment i (size_ until one is found).
+  std::vector<size_t> rank(size_, size_);
+  bool permutation = order.size() == size_;
+  for (size_t k = 0; permutation && k < size_; ++k) {
+    permutation = order[k] < size_ && rank[order[k]] == size_;
+    if (permutation) rank[order[k]] = k;
+  }
+  if (!permutation) {
+    return common::Status::InvalidArgument(
+        "ChunkedSegmentStore: Permuted needs a permutation of the " +
+        std::to_string(size_) + " indices");
+  }
+  auto copy = std::make_unique<ChunkedSegmentStore>(options_);
+  copy->dims_ = dims_;
+  const auto gather = [&order](const auto& column) {
+    std::decay_t<decltype(column)> out(order.size());
+    for (size_t k = 0; k < order.size(); ++k) out[k] = column[order[k]];
+    return out;
+  };
+  copy->half_length_ = gather(half_length_);
+  copy->weight_ = gather(weight_);
+  copy->id_ = gather(id_);
+  copy->trajectory_id_ = gather(trajectory_id_);
+  for (int d = 0; d < geom::kMaxDims; ++d) {
+    copy->midpoint_c_[d] = gather(midpoint_c_[d]);
+  }
+
+  // Each chunk of the copy is gathered in place, into its raw segments: its
+  // source indices in ascending order (a bitmap scan), a window of at most
+  // kWindow consecutive records of one source chunk per read, so the reads
+  // follow the file and the read buffer stays small next to a chunk.
+  constexpr size_t kWindow = 64;
+  const size_t capacity =
+      options_.chunk_capacity > 0 ? options_.chunk_capacity : size_;
+  common::MutexLock lock(mu_);
+  std::vector<uint64_t> marks((size_ + 63) / 64, 0);
+  std::vector<size_t> wanted;  // Source indices, ascending.
+  std::vector<geom::Segment> window;
+  for (size_t begin = 0; begin < size_; begin += capacity) {
+    const size_t end = std::min(size_, begin + capacity);
+    for (size_t k = begin; k < end; ++k) {
+      marks[order[k] / 64] |= uint64_t{1} << (order[k] % 64);
+    }
+    wanted.clear();
+    for (size_t w = 0; w < marks.size(); ++w) {
+      for (uint64_t word = marks[w]; word != 0; word &= word - 1) {
+        wanted.push_back(w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+      }
+      marks[w] = 0;
+    }
+    if (begin > 0) TRACLUS_RETURN_NOT_OK(copy->SealOpenChunk());
+    ChunkMeta& chunk = copy->chunks_.emplace_back();
+    chunk.raw.resize(end - begin);
+    for (size_t w = 0; w < wanted.size();) {
+      const size_t first = wanted[w];
+      const size_t c = chunk_of(first);
+      const size_t limit =
+          std::min(first + kWindow, chunk_begin(c) + chunks_[c].count);
+      size_t last = w + 1;
+      while (last < wanted.size() && wanted[last] < limit) ++last;
+      TRACLUS_RETURN_NOT_OK(LoadRaw(c, first - chunk_begin(c),
+                                    wanted[last - 1] - first + 1, &window));
+      for (; w < last; ++w) {
+        chunk.raw[rank[wanted[w]] - begin] = window[wanted[w] - first];
+      }
+    }
+    chunk.count = end - begin;
+    copy->size_ = end;
+  }
+  TRACLUS_RETURN_NOT_OK(copy->Finalize());
+  return copy;
 }
 
 }  // namespace traclus::traj

@@ -28,15 +28,20 @@
 //     eviction happens before a faulted chunk is inserted, so
 //     peak_resident_chunks() ≤ max_resident_chunks by construction.
 //
-// The *catalog* — per-segment length, half-length, midpoint, direction, ids
-// and weight — is always resident regardless of regime. Those are exactly
-// the columns the query side needs without touching payload chunks: the
-// block index reads midpoints and half-lengths, the per-pair prune those
-// plus directions and lengths (its angle stage), DBSCAN's density and
-// cardinality read weights and trajectory ids. Payload chunks (endpoints,
-// the AoS segment view) are only faulted for the exact-distance
-// refinement, which is what makes bounded mode genuinely out-of-core for
-// the hot phase.
+// The *catalog* — per-segment half-length, midpoint, ids and weight — is
+// always resident regardless of regime. Those are exactly the columns the
+// query side needs without touching payload chunks: the block index
+// (cluster/block_layout.h) reads midpoints and half-lengths, DBSCAN's
+// density and cardinality read weights and trajectory ids. Payload chunks
+// (endpoints, lengths, directions, the AoS segment view) are only faulted
+// for the ε-join's per-pair prune and exact refinement, which is what makes
+// bounded mode genuinely out-of-core for the hot phase.
+//
+// Permuted(order) copies the store into another order with the same shape,
+// gathering raw records by fixed-width offset the way Merge() reads them
+// (never through the reader cache). The ε-join (cluster::TileJoin) reads a
+// Morton-ordered copy, so a block of its layout is a run of positions inside
+// one or two chunks.
 //
 // Pin semantics: Chunk() returns a shared_ptr. The cache's residency
 // accounting covers cache-owned entries only (buffer-pool style) — a caller
@@ -127,7 +132,6 @@ class ChunkedSegmentStore {
 
   /// Catalog invariants, bit-identical to the monolithic SegmentStore's
   /// columns for the same indices (computed by the same expressions).
-  double length(size_t i) const { return length_[i]; }
   double half_length(size_t i) const { return half_length_[i]; }
   double weight(size_t i) const { return weight_[i]; }
   geom::SegmentId id(size_t i) const { return id_[i]; }
@@ -135,23 +139,16 @@ class ChunkedSegmentStore {
     return trajectory_id_[i];
   }
 
-  const std::vector<double>& lengths() const { return length_; }
   const std::vector<double>& half_lengths() const { return half_length_; }
   const std::vector<double>& weights() const { return weight_; }
   const std::vector<geom::TrajectoryId>& trajectory_ids() const {
     return trajectory_id_;
   }
-  /// Flat midpoint coordinate columns (zero-filled for d ≥ dims()), the
-  /// substrate of the catalog-side triangle-inequality prune.
+  /// Flat midpoint coordinate columns (zero-filled for d ≥ dims()), read by
+  /// the block index.
   const std::vector<double>& midpoint_coords(int d) const {
     TRACLUS_DCHECK(d >= 0 && d < geom::kMaxDims);
     return midpoint_c_[d];
-  }
-  /// Flat direction (end − start) coordinate columns (zero-filled for
-  /// d ≥ dims()), read by the catalog-side prune's angle stage.
-  const std::vector<double>& direction_coords(int d) const {
-    TRACLUS_DCHECK(d >= 0 && d < geom::kMaxDims);
-    return direction_c_[d];
   }
 
   // --- Reader (after Finalize; thread-safe) -----------------------------
@@ -184,6 +181,19 @@ class ChunkedSegmentStore {
   /// eagerly; the unbounded grouping path runs on this.
   common::Result<SegmentStore> Merge() const TRACLUS_EXCLUDES(mu_);
 
+  /// A finalized copy in which index k holds segment order[k], with the same
+  /// options (chunk capacity, residency cap, and so its own spill file in
+  /// bounded mode). `order` must be a permutation of [0, size()), else
+  /// InvalidArgument. The copy's segments and catalog entries are this
+  /// store's values, copied, so every column of the copy equals this store's
+  /// column permuted, bit for bit.
+  /// Raw records are gathered by offset as Merge() reads them, each chunk of
+  /// the copy in place from a few records per read: no chunk is faulted, the
+  /// reader cache and its counters are untouched, and at most one chunk of
+  /// raw records (the copy's open chunk) is held at a time.
+  common::Result<std::unique_ptr<ChunkedSegmentStore>> Permuted(
+      const std::vector<size_t>& order) const TRACLUS_EXCLUDES(mu_);
+
  private:
   struct ChunkMeta {
     size_t count = 0;
@@ -198,10 +208,11 @@ class ChunkedSegmentStore {
   /// once per chunk, off the per-segment path).
   common::Status SealOpenChunk() TRACLUS_EXCLUDES(mu_);
 
-  /// Loads chunk c's raw segments (from memory or the spill file). The
-  /// spill-file handle is seek/read shared state, so every load runs under
-  /// mu_ — enforced statically.
-  common::Status LoadRaw(size_t c, std::vector<geom::Segment>* out) const
+  /// Loads the raw segments [first, first + count) of chunk c (from memory
+  /// or the spill file) into `out`. The spill-file handle is seek/read
+  /// shared state, so every load runs under mu_ — enforced statically.
+  common::Status LoadRaw(size_t c, size_t first, size_t count,
+                         std::vector<geom::Segment>* out) const
       TRACLUS_REQUIRES(mu_);
 
   /// The cache-owned store of chunk c, moved to the LRU front; null on a
@@ -216,13 +227,11 @@ class ChunkedSegmentStore {
   int dims_ = 0;  // 0 = not yet determined.
 
   // Catalog columns.
-  std::vector<double> length_;
   std::vector<double> half_length_;
   std::vector<double> weight_;
   std::vector<geom::SegmentId> id_;
   std::vector<geom::TrajectoryId> trajectory_id_;
   std::array<std::vector<double>, geom::kMaxDims> midpoint_c_;
-  std::array<std::vector<double>, geom::kMaxDims> direction_c_;
 
   // Payload chunks (chunks_.back() is the open chunk until sealed). Mutated
   // only by the single-writer ingest phase; structurally immutable after

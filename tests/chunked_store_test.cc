@@ -2,7 +2,8 @@
 // the monolithic SegmentStore over the same segments (all invariant columns),
 // the spill/fault round trip in bounded mode preserves those bits, the LRU
 // reader cache never exceeds its residency cap, and Merge() reproduces the
-// eager freeze exactly. Also pins the SegmentStore::FromSegments factory that
+// eager freeze exactly, and Permuted() copies a store into another order
+// without faulting a chunk. Also pins the SegmentStore::FromSegments factory that
 // replaces the deprecated Group(vector) implicit freeze.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -104,7 +106,6 @@ TEST(ChunkedStoreTest, ChunksAreBitExactSlicesOfTheMonolithicStore) {
 
     // Catalog columns are bitwise the monolithic columns.
     for (size_t i = 0; i < store.size(); ++i) {
-      EXPECT_EQ(store.length(i), mono.length(i));
       EXPECT_EQ(store.half_length(i), mono.half_length(i));
       EXPECT_EQ(store.weight(i), mono.weight(i));
       EXPECT_EQ(store.id(i), mono.id(i));
@@ -411,6 +412,125 @@ TEST(ChunkedStoreTest, EmptyStoreFinalizesToZeroChunks) {
   const auto merged = store.Merge();
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged->empty());
+}
+
+// ---------------------------------------------------------------------------
+// Permuted: the ε-join's Morton-ordered copy.
+// ---------------------------------------------------------------------------
+
+// A permutation of [0, n) that keeps some runs of consecutive indices (the
+// copy reads those with one read) and breaks the rest.
+std::vector<size_t> MixedOrder(size_t n, uint64_t seed) {
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::mt19937_64 rng(seed);
+  for (size_t k = 0; k + 1 < n; k += 5) {
+    std::swap(order[k], order[rng() % n]);
+  }
+  return order;
+}
+
+TEST(ChunkedStoreTest, PermutedCopyIsTheStoreOfThePermutedSegments) {
+  for (const int dims : {2, 3}) {
+    const auto segments = RandomSegments(233, /*seed=*/61, dims);
+    const std::vector<size_t> order = MixedOrder(segments.size(), 62);
+    std::vector<geom::Segment> permuted;
+    for (const size_t i : order) permuted.push_back(segments[i]);
+    const SegmentStore mono(permuted);
+    // 40 is not a multiple of the join's 16-segment blocks; 0 is one chunk.
+    for (const size_t capacity : {40u, 64u, 0u}) {
+      for (const size_t resident : {0u, 2u}) {
+        SCOPED_TRACE(testing::Message() << dims << "-D capacity " << capacity
+                                        << " resident " << resident);
+        ChunkedStoreOptions options;
+        options.chunk_capacity = capacity;
+        options.max_resident_chunks = resident;
+        ChunkedSegmentStore store(options);
+        ASSERT_TRUE(store.AppendAll(segments).ok());
+        ASSERT_TRUE(store.Finalize().ok());
+        const auto copy = store.Permuted(order);
+        ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+        const ChunkedSegmentStore& c = **copy;
+        ASSERT_TRUE(c.finalized());
+        EXPECT_EQ(c.options().chunk_capacity, capacity);
+        EXPECT_EQ(c.options().max_resident_chunks, resident);
+        EXPECT_EQ(c.dims(), dims);
+        ASSERT_EQ(c.size(), store.size());
+        ASSERT_EQ(c.num_chunks(), store.num_chunks());
+
+        // The catalog is the source catalog permuted, bit for bit.
+        for (size_t k = 0; k < c.size(); ++k) {
+          const size_t i = order[k];
+          EXPECT_EQ(c.half_length(k), store.half_length(i));
+          EXPECT_EQ(c.weight(k), store.weight(i));
+          EXPECT_EQ(c.id(k), store.id(i));
+          EXPECT_EQ(c.trajectory_id(k), store.trajectory_id(i));
+          for (int d = 0; d < geom::kMaxDims; ++d) {
+            EXPECT_EQ(c.midpoint_coords(d)[k], store.midpoint_coords(d)[i]);
+          }
+        }
+        // Building the copy faulted no source chunk and cached none.
+        EXPECT_EQ(store.chunk_faults(), 0u);
+        EXPECT_EQ(store.peak_resident_chunks(), 0u);
+        EXPECT_EQ(store.resident_chunks(), 0u);
+
+        // Every chunk is a slice of the store of the permuted segments.
+        for (size_t k = 0; k < c.num_chunks(); ++k) {
+          const auto chunk = c.Chunk(k);
+          ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+          EXPECT_EQ((*chunk)->size(), c.chunk_size(k));
+          ExpectChunkIsExactSlice(**chunk, c.chunk_begin(k), mono);
+        }
+        if (resident > 0) {
+          EXPECT_LE(c.peak_resident_chunks(), resident);
+        }
+        const auto merged = c.Merge();
+        ASSERT_TRUE(merged.ok());
+        ExpectStoresIdentical(*merged, mono);
+      }
+    }
+  }
+}
+
+TEST(ChunkedStoreTest, PermutedOfTheEmptyStoreIsEmpty) {
+  for (const size_t resident : {0u, 3u}) {
+    ChunkedStoreOptions options;
+    options.chunk_capacity = 16;
+    options.max_resident_chunks = resident;
+    ChunkedSegmentStore store(options);
+    ASSERT_TRUE(store.Finalize().ok());
+    const auto copy = store.Permuted({});
+    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+    EXPECT_TRUE((*copy)->finalized());
+    EXPECT_EQ((*copy)->size(), 0u);
+    EXPECT_EQ((*copy)->num_chunks(), 0u);
+    EXPECT_EQ((*copy)->dims(), 2);
+  }
+}
+
+TEST(ChunkedStoreTest, PermutedRefusesWhatIsNotAPermutation) {
+  const auto segments = RandomSegments(20, /*seed=*/63);
+  ChunkedStoreOptions options;
+  options.chunk_capacity = 8;
+  options.max_resident_chunks = 1;
+  ChunkedSegmentStore store(options);
+  ASSERT_TRUE(store.AppendAll(segments).ok());
+  std::vector<size_t> identity(segments.size());
+  for (size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  EXPECT_EQ(store.Permuted(identity).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(store.Finalize().ok());
+  std::vector<size_t> short_order(identity.begin(), identity.end() - 1);
+  std::vector<size_t> repeated = identity;
+  repeated[3] = 4;
+  std::vector<size_t> out_of_range = identity;
+  out_of_range[5] = segments.size();
+  for (const auto& order : {short_order, repeated, out_of_range}) {
+    EXPECT_EQ(store.Permuted(order).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(store.Permuted(identity).ok());
+  EXPECT_EQ(store.chunk_faults(), 0u);
 }
 
 // ---------------------------------------------------------------------------

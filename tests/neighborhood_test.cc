@@ -1,8 +1,8 @@
 // Tests for ε-neighborhood providers: the block-pruned tile join in both of
 // its configurations (GridNeighborhoodIndex, BruteForceNeighborhood), the
-// chunk-major provider over a residency-capped chunked store, and a property
-// suite pinning the join to the per-pair oracle — the exactness property
-// that makes Lemma 3's index usable.
+// same join over a residency-capped chunked store, and a property suite
+// pinning the join to the per-pair oracle — the exactness property that
+// makes Lemma 3's index usable.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "cluster/block_layout.h"
-#include "cluster/chunked_neighborhood.h"
 #include "cluster/dbscan_segments.h"
 #include "cluster/neighborhood.h"
 #include "cluster/neighborhood_index.h"
@@ -279,7 +278,7 @@ TEST(GridNeighborhoodIndexTest, NeighborsBatchMatchesPerQuery) {
   }
 }
 
-// --- ChunkedNeighborhood: chunk-major batches over a capped store ---------
+// --- TileJoin over a capped chunked store: chunk-major batches -----------
 
 traj::SegmentStore Random3d(size_t n, double world, double max_len,
                             uint64_t seed) {
@@ -347,7 +346,7 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
 
       const auto store = Chunked(segs, kCapacity, kCap);
       ASSERT_GT(store->num_chunks(), kCap);
-      const ChunkedNeighborhood chunked(*store, dist, use_index, kernel);
+      const TileJoin chunked(*store, dist, use_index, kernel);
 
       std::vector<size_t> shuffled(segs.size());
       std::iota(shuffled.begin(), shuffled.end(), size_t{0});
@@ -386,7 +385,15 @@ void ExpectBatchesMatchMonolithic(const traj::SegmentStore& segs,
       for (size_t i = 0; i < segs.size(); ++i) {
         EXPECT_EQ(sizes[i], expect[i].size()) << "query " << i;
       }
-      EXPECT_LE(store->peak_resident_chunks(), kCap);
+      // The join reads and faults the Morton-ordered copy, or the store
+      // itself in index order; the copy faults nothing on the source.
+      const traj::ChunkedSegmentStore* read = chunked.read_store();
+      ASSERT_NE(read, nullptr);
+      EXPECT_LE(read->peak_resident_chunks(), kCap);
+      EXPECT_GT(read->chunk_faults(), 0u);
+      if (read != store.get()) {
+        EXPECT_EQ(store->chunk_faults(), 0u);
+      }
     }
   }
 }
@@ -443,11 +450,11 @@ TEST(ChunkedNeighborhoodTest, ZeroWeightGridScansWholeChunks) {
 
 TEST(ChunkedNeighborhoodTest, CappedDbscanBuildsTheGraphOnceWithFewFaults) {
   // Cap = chunks - 1 is the cyclic-LRU worst case for a walk over the
-  // chunks. The provider builds the ε-graph once, in rounds over the query
+  // chunks. The join builds the ε-graph once, in rounds over the query
   // chunks whose candidate walks alternate direction, from the calling
   // thread only, and serves every later batch at that ε from it. With
-  // w∥ = 0 nothing is pruned: every round refines whole chunk-local ranges
-  // of every later chunk.
+  // w∥ = 0 nothing is pruned: the layout is the index order, and every
+  // round refines whole chunk-local ranges of every later chunk.
   const auto segs = RandomSegments(2400, 120, 6, 73);
   SegmentDistanceConfig no_par;
   no_par.w_parallel = 0.0;
@@ -469,24 +476,34 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanBuildsTheGraphOnceWithFewFaults) {
       SCOPED_TRACE(testing::Message() << threads << " threads");
       const auto store = Chunked(segs, 300, 7);
       ASSERT_EQ(store->num_chunks(), 8u);
-      const ChunkedNeighborhood provider(*store, dist);
+      const TileJoin provider(*store, dist, /*prune_blocks=*/true,
+                              distance::BatchKernel::kAuto);
       options.num_threads = threads;
       const ClusteringResult capped =
           DbscanSegments(CatalogView(*store), provider, options);
       EXPECT_EQ(capped.labels, eager.labels);
       EXPECT_EQ(capped.num_noise, eager.num_noise);
 
-      // Chunk-major batches that refined both orders of every pair, batch
-      // by batch, took 63 faults here with the default weights (30
-      // batches); the per-ε build takes 21.
-      EXPECT_LT(store->chunk_faults(), 63u);
-      EXPECT_LE(store->peak_resident_chunks(), 7u);
-      faults.push_back(store->chunk_faults());
+      // The store the join faults: the Morton-ordered copy with the default
+      // weights (the source then takes no fault), the source itself in
+      // index order with w∥ = 0. Chunk-major batches that refined both
+      // orders of every pair, batch by batch, took 63 faults here with the
+      // default weights (30 batches); the per-ε build takes 8, one per
+      // chunk, with either weights.
+      const traj::ChunkedSegmentStore* read = provider.read_store();
+      ASSERT_NE(read, nullptr);
+      EXPECT_EQ(read == store.get(), config.w_parallel == 0.0);
+      if (read != store.get()) {
+        EXPECT_EQ(store->chunk_faults(), 0u);
+      }
+      EXPECT_LT(read->chunk_faults(), 63u);
+      EXPECT_LE(read->peak_resident_chunks(), 7u);
+      faults.push_back(read->chunk_faults());
       EXPECT_EQ(provider.NeighborsBatch(all, options.eps,
                                         common::SharedPool(threads))
                     .size(),
                 all.size());
-      EXPECT_EQ(store->chunk_faults(), faults.back());
+      EXPECT_EQ(read->chunk_faults(), faults.back());
     }
     EXPECT_EQ(faults[0], faults[1]);
   }
@@ -673,8 +690,7 @@ TEST(TileJoinPropertyTest, EveryConfigurationMatchesThePerPairOracle) {
             for (const size_t i : {size_t{0}, n / 2, n - 1}) {
               EXPECT_EQ(join.Neighbors(i, eps), expect[i]) << "query " << i;
             }
-            const ChunkedNeighborhood chunked(*capped, dist, use_index,
-                                              kernel);
+            const TileJoin chunked(*capped, dist, use_index, kernel);
             EXPECT_EQ(chunked.AllNeighbors(eps, pool), expect);
             const auto chunked_batch =
                 chunked.NeighborsBatch(queries, eps, pool);
@@ -722,12 +738,12 @@ TEST(TileJoinPropertyTest, InterleavedEpsNeverServesAStaleGraph) {
         const TileJoin eager(segs, dist, use_index,
                              distance::BatchKernel::kAuto);
         std::unique_ptr<traj::ChunkedSegmentStore> store;
-        std::unique_ptr<ChunkedNeighborhood> chunked;
+        std::unique_ptr<TileJoin> chunked;
         if (cap > 0) {
           store = Chunked(segs, kCapacity, cap);
           ASSERT_EQ(store->num_chunks(), 6u);
-          chunked = std::make_unique<ChunkedNeighborhood>(*store, dist,
-                                                          use_index);
+          chunked = std::make_unique<TileJoin>(*store, dist, use_index,
+                                               distance::BatchKernel::kAuto);
         }
         const NeighborhoodProvider& join =
             cap > 0 ? static_cast<const NeighborhoodProvider&>(*chunked)
@@ -744,7 +760,7 @@ TEST(TileJoinPropertyTest, InterleavedEpsNeverServesAStaleGraph) {
         EXPECT_EQ(join.Neighbors(17, e1), expect1[17]);
         EXPECT_EQ(join.Neighbors(17, e2), expect2[17]);
         if (store != nullptr) {
-          EXPECT_LE(store->peak_resident_chunks(), cap);
+          EXPECT_LE(chunked->read_store()->peak_resident_chunks(), cap);
         }
       }
     }
@@ -772,11 +788,13 @@ TEST(TileJoinPropertyTest, ConcurrentFirstQueriesAgreeWithTheOracle) {
                      << round << " cap " << cap);
         const GridNeighborhoodIndex grid(segs, dist);
         std::unique_ptr<traj::ChunkedSegmentStore> store;
-        std::unique_ptr<ChunkedNeighborhood> chunked;
+        std::unique_ptr<TileJoin> chunked;
         if (cap > 0) {
           store = Chunked(segs, 40, cap);
           ASSERT_EQ(store->num_chunks(), 8u);
-          chunked = std::make_unique<ChunkedNeighborhood>(*store, dist);
+          chunked = std::make_unique<TileJoin>(*store, dist,
+                                               /*prune_blocks=*/true,
+                                               distance::BatchKernel::kAuto);
         }
         const NeighborhoodProvider& join =
             cap > 0 ? static_cast<const NeighborhoodProvider&>(*chunked)
@@ -801,7 +819,7 @@ TEST(TileJoinPropertyTest, ConcurrentFirstQueriesAgreeWithTheOracle) {
         for (std::thread& thread : threads) thread.join();
         EXPECT_EQ(mismatches.load(), 0u);
         if (store != nullptr) {
-          EXPECT_LE(store->peak_resident_chunks(), cap);
+          EXPECT_LE(chunked->read_store()->peak_resident_chunks(), cap);
         }
       }
     }

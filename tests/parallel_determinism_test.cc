@@ -171,29 +171,6 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAtOneVsNThreads) {
   }
 }
 
-TEST(ParallelDeterminismTest, PairwiseMatrixMatchesSerialEvaluation) {
-  const auto& all = TestSegments();
-  const std::vector<geom::Segment> segments(
-      all.begin(), all.begin() + std::min<size_t>(all.size(), 300));
-  const distance::SegmentDistance dist;
-  const auto serial =
-      distance::PairwiseDistanceMatrix(segments, dist, common::SharedPool(1));
-  const auto parallel =
-      distance::PairwiseDistanceMatrix(segments, dist, common::SharedPool(4));
-  ASSERT_EQ(serial.rows(), segments.size());
-  ASSERT_EQ(parallel.rows(), segments.size());
-  for (size_t i = 0; i < segments.size(); ++i) {
-    EXPECT_EQ(serial(i, i), 0.0);
-    for (size_t j = 0; j < segments.size(); ++j) {
-      EXPECT_EQ(serial(i, j), parallel(i, j));
-      EXPECT_EQ(parallel(i, j), parallel(j, i));
-      if (i != j) {
-        EXPECT_EQ(parallel(i, j), dist(segments[i], segments[j]));
-      }
-    }
-  }
-}
-
 TEST(ParallelDeterminismTest, NeighborhoodProfileIdenticalAcrossThreads) {
   const auto& all = TestSegments();
   const traj::SegmentStore segments(std::vector<geom::Segment>(

@@ -479,11 +479,11 @@ TEST(BatchKernelTest, DistanceAndRefineAreSymmetricInThePair) {
         for (const double eps : {0.0, 0.5, 3.0, 20.0, dist(store, 3, 11)}) {
           std::vector<std::vector<char>> within(n, std::vector<char>(n, 0));
           std::vector<size_t> out;
+          const IndexRun everything{0, n};
           for (size_t q = 0; q < n; ++q) {
             out.clear();
-            EpsilonRefineCross(store, dist, q, store,
-                               common::Span<const size_t>(all.data(), n), eps,
-                               0, out, options);
+            EpsilonRefineRuns(store, dist, q, store, {&everything, 1}, eps, 0,
+                              out, options);
             for (const size_t j : out) within[q][j] = 1;
           }
           for (size_t i = 0; i < n; ++i) {
@@ -538,9 +538,9 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               options.block = block;
               std::vector<size_t> got;
               RefineStats stats;
-              EpsilonRefineCross(store, dist, q, store,
-                                 common::Span<const size_t>(all.data(), n),
-                                 eps, 0, got, options, &stats);
+              const IndexRun everything{0, n};
+              EpsilonRefineRuns(store, dist, q, store, {&everything, 1}, eps,
+                                0, got, options, &stats);
               EXPECT_EQ(got, expect)
                   << BatchKernelName(kernel) << " block " << block << " eps "
                   << eps << " query " << q;
@@ -549,7 +549,7 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               EXPECT_EQ(stats.accepted, got.size());
 
               // One store as runs: three ranges covering it (the middle one
-              // empty) reproduce the single-list refine, self included.
+              // empty) reproduce the single-run refine, self included.
               std::vector<size_t> got_runs;
               RefineStats runs_stats;
               const IndexRun thirds[] = {{0, n / 3}, {n / 3, n / 3},
@@ -565,22 +565,27 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
               EXPECT_EQ(runs_stats.accepted, stats.accepted);
 
               // Query from its chunk, candidates chunk by chunk, shifted by
-              // out_base = the chunk's first global index: once as index
-              // lists, once as runs split around the query.
+              // out_base = the chunk's first global index: once as runs
+              // split around the query, once cut into runs of at most 5.
               std::vector<size_t> got_list, got_range;
               RefineStats list_stats, range_stats;
               for (size_t c = 0; c < chunks.size(); ++c) {
                 const size_t len = chunks[c].size();
                 const bool own = c == qc;
-                std::vector<size_t> local;
-                for (size_t j = 0; j < len; ++j) {
-                  if (!own || j != q_local) local.push_back(j);
-                }
-                EpsilonRefineCross(
-                    chunks[qc], dist, q_local, chunks[c],
-                    common::Span<const size_t>(local.data(), local.size()),
-                    eps, bounds[c], got_list, options, &list_stats);
                 const size_t split = own ? q_local : len;
+                std::vector<IndexRun> pieces;
+                for (size_t j = 0; j < len; j += 5) {
+                  const size_t end = std::min(len, j + 5);
+                  if (j <= split && split < end) {
+                    pieces.push_back({j, split});
+                    pieces.push_back({split + 1, end});
+                  } else {
+                    pieces.push_back({j, end});
+                  }
+                }
+                EpsilonRefineRuns(chunks[qc], dist, q_local, chunks[c],
+                                  {pieces.data(), pieces.size()}, eps,
+                                  bounds[c], got_list, options, &list_stats);
                 const IndexRun around[] = {{0, split},
                                            {std::min(split + 1, len), len}};
                 EpsilonRefineRuns(chunks[qc], dist, q_local, chunks[c],
@@ -588,7 +593,8 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
                                   options, &range_stats);
               }
               EXPECT_EQ(got_list, expect_cross)
-                  << "cross " << BatchKernelName(kernel) << " block " << block
+                  << "cross-pieces " << BatchKernelName(kernel) << " block "
+                  << block
                   << " eps " << eps << " query " << q;
               EXPECT_EQ(got_range, expect_cross)
                   << "cross-runs " << BatchKernelName(kernel) << " block "
@@ -769,10 +775,11 @@ std::vector<IndexRun> RaggedRuns(size_t n) {
 }
 
 TEST(BatchKernelTest, PruneLoopsKeepIdenticalSurvivors) {
-  // The AVX2 and scalar prune loops keep the same survivors, in the same
-  // order, over runs whose lengths are not multiples of 4 (the AVX2 tail
-  // runs the scalar lane) and over shuffled index lists; and each keeps
-  // exactly the candidates PruneProvablyFar does not prune.
+  // The AVX2 and scalar prune loops keep the same survivors over runs whose
+  // lengths are not multiples of 4 (the AVX2 tail runs the scalar lane):
+  // refining each run alone, both prune exactly the candidates
+  // PruneProvablyFar prunes, and accept the same ones. Over shuffled index
+  // lists (gathered lanes) both assign the same nearest candidate.
   if (!SimdAvailable()) GTEST_SKIP() << "no AVX2 on this CPU";
   for (const bool three_d : {false, true}) {
     for (const traj::SegmentStore& store :
@@ -786,60 +793,46 @@ TEST(BatchKernelTest, PruneLoopsKeepIdenticalSurvivors) {
       for (const SegmentDistanceConfig& cfg : AngleEdgeConfigs()) {
         configs.push_back(cfg);
       }
-      const PruneColumns columns = PruneColumnsOf(store);
       for (const SegmentDistanceConfig& cfg : configs) {
         const SegmentDistance dist(cfg);
         for (const double eps : {0.0, 0.5, 3.0, 20.0}) {
           for (size_t q = 0; q < n; ++q) {
-            std::vector<size_t> scalar, simd;
-            PruneRuns(columns, q, dist, eps, {runs.data(), runs.size()},
-                      scalar, BatchKernel::kScalar);
-            PruneRuns(columns, q, dist, eps, {runs.data(), runs.size()},
-                      simd, BatchKernel::kSimd);
-            ASSERT_EQ(simd, scalar) << "eps " << eps << " query " << q;
-            std::vector<size_t> expect;
             for (const IndexRun& run : runs) {
+              size_t expect_pruned = 0;
               for (size_t j = run.first; j < run.last; ++j) {
-                if (j != q && !PruneProvablyFar(store, dist, q, j, eps)) {
-                  expect.push_back(j);
-                }
+                if (PruneProvablyFar(store, dist, q, j, eps)) ++expect_pruned;
               }
+              RefineStats stats[2];
+              std::vector<size_t> out[2];
+              for (const int k : {0, 1}) {
+                BatchOptions options;
+                options.kernel = k == 0 ? BatchKernel::kScalar
+                                        : BatchKernel::kSimd;
+                EpsilonRefineRuns(store, dist, q, store, {&run, 1}, eps, 0,
+                                  out[k], options, &stats[k]);
+              }
+              ASSERT_EQ(stats[0].pruned, expect_pruned)
+                  << "eps " << eps << " query " << q << " run " << run.first;
+              ASSERT_EQ(stats[1].pruned, expect_pruned)
+                  << "eps " << eps << " query " << q << " run " << run.first;
+              ASSERT_EQ(out[1], out[0]) << "eps " << eps << " query " << q;
             }
-            ASSERT_EQ(scalar, expect) << "eps " << eps << " query " << q;
 
             // Index lists (gathered lanes), with the query among them.
-            RefineStats stats[2];
-            std::vector<size_t> out[2];
+            size_t pos[2];
+            double best[2];
             for (const int k : {0, 1}) {
               BatchOptions options;
               options.kernel = k == 0 ? BatchKernel::kScalar
                                       : BatchKernel::kSimd;
               options.block = 13;
-              EpsilonRefineCross(store, dist, q, store,
-                                 {shuffled.data(), shuffled.size()}, eps, 0,
-                                 out[k], options, &stats[k]);
+              NearestWithinEps(store, dist, {&q, 1}, store,
+                               {shuffled.data(), shuffled.size()}, eps,
+                               {&pos[k], 1}, {&best[k], 1}, options);
             }
-            EXPECT_EQ(stats[1].pruned, stats[0].pruned)
-                << "eps " << eps << " query " << q;
-            EXPECT_EQ(stats[1].refined, stats[0].refined);
+            EXPECT_EQ(pos[1], pos[0]) << "eps " << eps << " query " << q;
+            ExpectBitEqual(best[1], best[0], "nearest", q, pos[0]);
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchKernelTest, PairwiseMatrixBatchedMatchesPerPair) {
-  const traj::SegmentStore store = AdversarialStore(43, false);
-  const SegmentDistance dist;
-  for (const BatchKernel kernel : AvailableKernels()) {
-    for (const int threads : {1, 4}) {
-      const common::Matrix m = PairwiseDistanceMatrix(
-          store, dist, common::SharedPool(threads), kernel);
-      for (size_t i = 0; i < store.size(); ++i) {
-        for (size_t j = 0; j < store.size(); ++j) {
-          ExpectBitEqual(m(i, j), i == j ? 0.0 : dist(store, i, j), "matrix",
-                         i, j);
         }
       }
     }
@@ -1135,26 +1128,25 @@ TEST(BatchKernelTest, GatheredLanesMatchPairPathOnUnorderedTiedLists) {
             BatchOptions options;
             options.kernel = kernel;
             options.block = block;
+            // The refine across the two stores, over runs of every length
+            // mod 4.
+            const std::vector<IndexRun> runs = RaggedRuns(n - half);
             for (size_t q = 0; q < half; ++q) {
-              for (const std::vector<size_t>& list : hi_lists) {
-                // Reference: the per-pair loop in list order, duplicates
-                // kept, indices shifted to global.
-                std::vector<size_t> expect;
-                for (const size_t j : list) {
+              std::vector<size_t> expect;
+              for (const IndexRun& run : runs) {
+                for (size_t j = run.first; j < run.last; ++j) {
                   if (dist(store, q, half + j) <= eps) {
                     expect.push_back(half + j);
                   }
                 }
-                std::vector<size_t> got;
-                EpsilonRefineCross(
-                    lo_chunk, dist, q, hi_chunk,
-                    common::Span<const size_t>(list.data(), list.size()), eps,
-                    half, got, options);
-                EXPECT_EQ(got, expect)
-                    << BatchKernelName(kernel) << " block " << block
-                    << " eps " << eps << " query " << q << " list length "
-                    << list.size();
               }
+              std::vector<size_t> got;
+              EpsilonRefineRuns(lo_chunk, dist, q, hi_chunk,
+                                {runs.data(), runs.size()}, eps, half, got,
+                                options);
+              EXPECT_EQ(got, expect)
+                  << BatchKernelName(kernel) << " block " << block << " eps "
+                  << eps << " query " << q;
             }
 
             // Nearest assignment across the two stores; duplicates make

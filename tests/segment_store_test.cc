@@ -114,21 +114,5 @@ TEST(SegmentStoreTest, DistanceFastPathIsBitIdentical) {
   }
 }
 
-TEST(SegmentStoreTest, PairwiseMatrixMatchesVectorPath) {
-  const auto segs = RandomSegments(64, 19);
-  const traj::SegmentStore store(segs);
-  const distance::SegmentDistance dist;
-  auto& pool = common::SharedPool(2);
-  const auto from_vector = distance::PairwiseDistanceMatrix(segs, dist, pool);
-  const auto from_store = distance::PairwiseDistanceMatrix(store, dist, pool);
-  ASSERT_EQ(from_store.rows(), from_vector.rows());
-  ASSERT_EQ(from_store.cols(), from_vector.cols());
-  for (size_t i = 0; i < from_store.rows(); ++i) {
-    for (size_t j = 0; j < from_store.cols(); ++j) {
-      EXPECT_EQ(from_store(i, j), from_vector(i, j));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace traclus
