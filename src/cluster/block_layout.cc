@@ -92,7 +92,7 @@ BlockLayout::BlockLayout(size_t n, int dims, const double* const* mid,
 
   const double inf = std::numeric_limits<double>::infinity();
   for (size_t first = 0; first < n; first += kBlock) {
-    Box b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0};
+    Box b{{inf, inf, inf}, {-inf, -inf, -inf}, 0.0, 0.0};
     double probe = 0.0;  // Sums every input: non-finite if any one is.
     for (size_t p = first; p < std::min(n, first + kBlock); ++p) {
       const size_t i = order_[p];
@@ -108,6 +108,10 @@ BlockLayout::BlockLayout(size_t n, int dims, const double* const* mid,
     // overflows marks coordinates too large to bound safely; such a block
     // is never skipped.
     if (!std::isfinite(probe)) b.hmax = inf;
+    b.scale = b.hmax;
+    for (int d = 0; d < dims; ++d) {
+      b.scale += std::max(std::fabs(b.lo[d]), std::fabs(b.hi[d]));
+    }
     blocks_.push_back(b);
   }
 }
@@ -146,20 +150,23 @@ void BlockLayout::ToSortedIndices(std::vector<size_t>& list,
   list.resize(kept);
 }
 
-void BlockLayout::SegmentRuns(const double* mid, double half, double reach,
+void BlockLayout::SegmentRuns(const double* mid, double half,
+                              const distance::Reach& reach,
                               std::vector<distance::IndexRun>& runs) const {
   Box q;
   q.hmax = half;
+  q.scale = half;
   double probe = half;  // Non-finite if any input is, as for a block.
   for (int d = 0; d < dims_; ++d) {
     q.lo[d] = q.hi[d] = mid[d];
+    q.scale += std::fabs(mid[d]);
     probe += mid[d];
   }
   if (!std::isfinite(probe)) q.hmax = std::numeric_limits<double>::infinity();
   CandidateRuns(q, reach, 0, runs);
 }
 
-void BlockLayout::UpperRuns(size_t a, double reach,
+void BlockLayout::UpperRuns(size_t a, const distance::Reach& reach,
                             std::vector<distance::IndexRun>& runs) const {
   TRACLUS_DCHECK(a < num_blocks());
   CandidateRuns(a < blocks_.size() ? blocks_[a] : Box{}, reach, a, runs);
@@ -168,12 +175,13 @@ void BlockLayout::UpperRuns(size_t a, double reach,
   TRACLUS_DCHECK(!runs.empty() && runs.front().first == a * kBlock);
 }
 
-void BlockLayout::CandidateRuns(const Box& q, double reach, size_t first_block,
+void BlockLayout::CandidateRuns(const Box& q, const distance::Reach& reach,
+                                size_t first_block,
                                 std::vector<distance::IndexRun>& runs) const {
   runs.clear();
   const size_t n = order_.size();
   // An infinite reach or hmax skips nothing: one run over every position.
-  if (blocks_.empty() || std::isinf(reach) || std::isinf(q.hmax)) {
+  if (blocks_.empty() || std::isinf(reach.radius) || std::isinf(q.hmax)) {
     runs.push_back({first_block * kBlock, n});
     return;
   }
@@ -187,7 +195,10 @@ void BlockLayout::CandidateRuns(const Box& q, double reach, size_t first_block,
           std::max({0.0, cb.lo[d] - q.hi[d], q.lo[d] - cb.hi[d]});
       mind_sq += gap * gap;
     }
-    if (distance::ProvablyFar(mind_sq, reach, q.hmax, cb.hmax)) continue;
+    if (distance::ProvablyFar(mind_sq, reach.At(q.scale + cb.scale), q.hmax,
+                              cb.hmax)) {
+      continue;
+    }
     const size_t first = b * kBlock;
     const size_t last = std::min(n, first + kBlock);
     if (!runs.empty() && runs.back().last == first) {

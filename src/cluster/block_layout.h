@@ -15,13 +15,15 @@
 // A query box (a midpoint MBR and a largest half-length hmax_q) skips block b
 // when
 //   c·(mindist(midMBR_q, midMBR_b) − hmax_q − hmax_b) > ε
-// (distance::ProvablyFar, with the margin of the per-pair prune). The joins
+// (distance::ProvablyFar, with the margins of the per-pair prune; the scale
+// margin reads each box's largest corner 1-norm plus its hmax). The joins
 // test block a of the layout as the query box of its own segments, only
 // against blocks b ≥ a (UpperRuns), since they refine each unordered pair
 // once, from the lower of its two positions. Serving tests an outside
 // segment as the degenerate box of its midpoint, with its half-length as
 // hmax_q. Each input bounds its per-pair counterpart monotonically, so a
-// skipped block holds only candidates the per-pair prune would drop.
+// skipped block holds only pairs whose midpoint bound, at their own scale,
+// proves them farther than ε.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,16 +81,17 @@ class BlockLayout {
                        std::vector<uint64_t>& bits) const;
 
   /// Sets `runs` to the positions in the blocks b ≥ a not skipped for block
-  /// a at `reach`: every position from block a on without blocks or at
-  /// reach +inf. Block a itself is never skipped.
-  void UpperRuns(size_t a, double reach,
+  /// a at `reach` (distance::PruneReach): every position from block a on
+  /// without blocks or at a radius of +inf. Block a itself is never skipped.
+  void UpperRuns(size_t a, const distance::Reach& reach,
                  std::vector<distance::IndexRun>& runs) const;
 
   /// Sets `runs` to the positions in the blocks not skipped at `reach` for a
   /// segment outside the layout with midpoint mid[0 .. dims) and half-length
-  /// `half`: all of them without blocks, at reach +inf, or when the midpoint
-  /// or half-length is non-finite.
-  void SegmentRuns(const double* mid, double half, double reach,
+  /// `half`: all of them without blocks, at a radius of +inf, or when the
+  /// midpoint or half-length is non-finite.
+  void SegmentRuns(const double* mid, double half,
+                   const distance::Reach& reach,
                    std::vector<distance::IndexRun>& runs) const;
 
  private:
@@ -97,12 +100,14 @@ class BlockLayout {
     double lo[geom::kMaxDims];  // Midpoint MBR.
     double hi[geom::kMaxDims];
     double hmax;  // Largest half-length; +inf when anything is non-finite.
+    double scale;  // Σ_d max(|lo[d]|, |hi[d]|) + hmax.
   };
 
   BlockLayout(size_t n, int dims, const double* const* mid,
               const double* half);
   // The positions of the blocks b ≥ first_block not skipped for `q`.
-  void CandidateRuns(const Box& q, double reach, size_t first_block,
+  void CandidateRuns(const Box& q, const distance::Reach& reach,
+                     size_t first_block,
                      std::vector<distance::IndexRun>& runs) const;
 
   int dims_ = 2;

@@ -148,7 +148,7 @@ template <typename Visit>
 void TileJoin::ForEachUpperBlock(double eps, common::ThreadPool& pool,
                                  const Visit& visit) const {
   const Layout& l = layout();
-  const double reach = distance::PruneReach(dist_, eps);
+  const distance::Reach reach = distance::PruneReach(dist_, eps);
   distance::BatchOptions options;
   options.kernel = kernel_;
   const size_t num_chunks = l.num_chunks();

@@ -174,6 +174,24 @@ common::Status NoCappedPath(const char* stage) {
       "max_resident_chunks");
 }
 
+// The eager entry points build no chunked store, so a chunk knob set on
+// their context would be silently ignored: refuse it instead, naming it.
+common::Status RefuseChunkKnobs(const RunContext& ctx) {
+  const auto refuse = [](const char* knob, size_t value) {
+    return common::Status::InvalidArgument(
+        std::string(knob) + " (" + std::to_string(value) +
+        ") applies only to a streaming run (Run(TrajectorySource&)); an "
+        "eager run builds no chunked store");
+  };
+  if (ctx.chunk_capacity != 0) {
+    return refuse("chunk_capacity", ctx.chunk_capacity);
+  }
+  if (ctx.max_resident_chunks != 0) {
+    return refuse("max_resident_chunks", ctx.max_resident_chunks);
+  }
+  return common::Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -673,22 +691,26 @@ TraclusEngine::RepresentativesImpl(const traj::SegmentStore& store,
 
 common::Result<PartitionOutput> TraclusEngine::Partition(
     const traj::TrajectoryDatabase& db, const RunContext& ctx) const {
+  TRACLUS_RETURN_NOT_OK(RefuseChunkKnobs(ctx));
   return PartitionImpl(db, ResolveContext(ctx));
 }
 
 common::Result<cluster::ClusteringResult> TraclusEngine::Group(
     const traj::SegmentStore& store, const RunContext& ctx) const {
+  TRACLUS_RETURN_NOT_OK(RefuseChunkKnobs(ctx));
   return GroupImpl(store, ResolveContext(ctx));
 }
 
 common::Result<std::vector<traj::Trajectory>> TraclusEngine::Representatives(
     const traj::SegmentStore& store,
     const cluster::ClusteringResult& clustering, const RunContext& ctx) const {
+  TRACLUS_RETURN_NOT_OK(RefuseChunkKnobs(ctx));
   return RepresentativesImpl(store, clustering, ResolveContext(ctx));
 }
 
 common::Result<TraclusResult> TraclusEngine::Run(
     const traj::TrajectoryDatabase& db, const RunContext& ctx) const {
+  TRACLUS_RETURN_NOT_OK(RefuseChunkKnobs(ctx));
   const RunContext rctx = ResolveContext(ctx);
   TraclusResult out;
   {

@@ -445,7 +445,7 @@ common::Status ClusterSnapshot::AssignSegments(
     }
   }
   const distance::SegmentDistance dist(params_.distance);
-  const double reach = distance::PruneReach(dist, params_.eps);
+  const distance::Reach reach = distance::PruneReach(dist, params_.eps);
   distance::BatchOptions batch;
   batch.kernel = options.kernel;
   common::ThreadPool& pool = common::SharedPool(options.num_threads);

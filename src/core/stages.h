@@ -81,8 +81,10 @@ struct RunContext {
   bool shard_local = false;
   /// Streaming runs only (TraclusEngine::Run(TrajectorySource&)): segments
   /// per chunk of the run's ChunkedSegmentStore. 0 = unbounded (one chunk).
-  /// Eager runs ignore both chunk knobs. Results are bit-identical for every
-  /// value — chunking changes residency, never arithmetic.
+  /// The eager entry points (Run(TrajectoryDatabase), Partition, Group,
+  /// Representatives) refuse a nonzero value of either chunk knob with
+  /// kInvalidArgument naming it. Results are bit-identical for every value —
+  /// chunking changes residency, never arithmetic.
   size_t chunk_capacity = 0;
   /// Persistent neighbor cache (cluster/neighbor_cache_file.h): when
   /// non-empty, the DBSCAN/OPTICS group stages wrap their neighborhood
@@ -98,7 +100,8 @@ struct RunContext {
   /// residency-capped streaming run rejects it (kInvalidArgument): the
   /// capped path builds no file cache.
   std::string neighbor_cache_dir;
-  /// Streaming runs only: residency cap of the chunked store's reader cache.
+  /// Streaming runs only (eager entry points refuse it, as above):
+  /// residency cap of the chunked store's reader cache.
   /// 0 = unbounded (no spill; the grouping phase runs on the merged store).
   /// > 0 enables the out-of-core grouping path: cold chunks spill to a temp
   /// file and at most this many chunk stores are cache-resident at once.

@@ -443,7 +443,7 @@ TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
 #endif  // TRACLUS_X86_SIMD
 
 // ---------------------------------------------------------------------------
-// The per-pair prune: one lane loop, two stages.
+// The per-pair prune: one lane loop, three stages.
 //
 // Stage 1 is the midpoint bound of ProvablyFar. Stage 2 adds the angle term
 // of the distance (SegmentDistance::LowerBoundFactor proves the bound): with
@@ -479,9 +479,64 @@ TRACLUS_AVX2_FN void BatchSimd(const traj::SegmentStore& qs,
 // relative margin kPruneSlack, and c⁺ applies it to c·L·H, whose rounding
 // is relative to that term rather than to ε.
 //
+// Stage 3 swaps the midpoint term for the perpendicular one (the
+// LowerBoundFactor comment proves it): dist ≥ w⊥·d⊥ + wθ·dθ, and with Li the
+// longer segment, d_i its direction and C_k = ‖d_i × (q_k − s_i)‖² for the
+// endpoints q_k of Lj, d⊥ ≥ √((C_1 + C_2)/2) / L. The stage evaluates
+// (C_1 + C_2)/2 as G = ‖d_i × Δmid‖² + ‖d_q × d_j‖²/4 (Δmid = mid_j − mid_q,
+// stage 1's difference; the cross product is stage 2's): both are the same
+// quantity, because s_i − mid_i and q_k − mid_j are ∓d_i/2 and ∓d_j/2, so
+// d_i × (q_k − s_i) = d_i × Δmid ∓ (d_i × d_j)/2 and the cross terms cancel in
+// the sum. It reads no endpoint column, and only Li's direction depends on
+// the roles. A pair is pruned when
+//   w⊥²·G > r²   with   r = (E + w⊥·P)·L − wθ·A ≥ 0,
+// E being stage 2's ε·(1 + kPruneSlack) + wθ·kAngleSlack·L and P the
+// perpendicular margin below: again no division and no root, in 2-D and
+// 3-D. Only a strict length compare fixes the roles, so tied or NaN lengths
+// prune nothing here (the kernel breaks such ties by id, which this stage
+// does not repeat).
+//
+// The scale margins. The kernel gets l⊥k and l∥k by subtracting the
+// projection s + dir·u from a point, and that rounds at the scale of the
+// coordinates, not of the distance: 10⁹-translated copies of a pair lose
+// about 10⁻⁷ of it, and so do the cached midpoints fl(s + e)·0.5. So every
+// stage adds a margin that grows with the pair's scale S: the query's
+// ‖mid_q‖₁ + h_q plus the candidate store's SegmentStore::scale, a bound on
+// the norm of every endpoint and every difference of two (D ≤ 3,
+// u = 2⁻⁵³, O(u²) rounded up):
+//   * the kernel's l⊥k: an error in u only slides the projection along the
+//     line, which lengthens p − proj; dir·u, s + dir·u, p − proj, the squared
+//     sum and its root take at most 7·u·S off l⊥k, and the Lehmer mean's
+//     squares, sums and division 5·u·S more. Its d∥ does feel the error in
+//     u (the slide is along the line): at most 16·u·S. The fold adds
+//     2·u·(w⊥ + w∥)·S;
+//   * the midpoint bound overstates mindist by at most 12·u·S (the two
+//     rounded midpoints, ‖Δmid‖'s own rounding, the rounded half-lengths).
+//     So c·(‖Δmid‖ − H) may exceed the kernel's w⊥·d⊥ + w∥·d∥ by
+//     (14·w⊥ + 18·w∥ + 12·c)·u·S, and stages 1 and 2 add Reach::per_scale·S
+//     = kScaleSlack·(w⊥ + w∥ + c)/c·S to the query's half-length:
+//     kScaleSlack = 2⁻⁴⁵ = 256·u is fourteen times the 18·u needed;
+//   * stage 3 measures to the line through mid_i along dir_i from the points
+//     mid_j ± dir_j/2, which lie within 2·u·S of the kernel's line and
+//     endpoints; Δmid, the cancelling cross products, the squares and sums,
+//     and L read as the rounded length rather than ‖dir‖ add at most
+//     9·u·S to √G / L. With the kernel's 12·u·S that is 23·u·S, and
+//     P = kScaleSlack·S is eleven times it, which also covers the rounding of
+//     r and of the final comparison on the w⊥·P part of r (the ε part keeps
+//     kPruneSlack, the angle part kAngleSlack's factor 2).
+// Gradual underflow takes at most 2⁻⁵³⁵ more off the kernel's d⊥ (a squared
+// term's absolute error, under a root), hence the floor kPerpFloor = 2⁻⁵²⁵
+// in P. The rest of stage 3's analysis is relative, so it runs only where
+// its numbers are normal and finite: L ≥ 2⁻⁴⁰⁰ (a normal den in the kernel;
+// the stage's own underflow in d_i × Δmid then stays below 2⁻⁶⁷⁰ on √G / L),
+// r ≥ 2⁻⁴⁰⁰ (which also demands r ≥ 0), w⊥ within [2⁻¹⁰⁰, 2¹⁰⁰] (so
+// w⊥²·G > r² forces G ≥ 2⁻¹⁰⁰⁰, where underflow in G is relative noise), and
+// w⊥²·G < +∞ (an overflowed cross product reads +∞ and proves nothing).
+//
 // Definition 4's self-inclusion is exempt: the lane whose candidate is
 // `self` survives whatever the bounds compute (stage 1 never prunes it, at
-// midpoint distance 0, but nothing should rest on stage 2's rounding there).
+// midpoint distance 0, but nothing should rest on the later stages' rounding
+// there).
 // ---------------------------------------------------------------------------
 
 constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
@@ -492,19 +547,29 @@ constexpr double kSqrt32U = 0x1p-24;
 static_assert(kSqrt32U * kSqrt32U == 32 * kUnitRoundoff, "√(32·u) = 2⁻²⁴");
 constexpr double kAngleSlack = 2 * kSqrt32U;
 
+constexpr double kScaleSlack = 0x1p-45;
+static_assert(kScaleSlack >= 14 * 18 * kUnitRoundoff,
+              "the midpoint term's scale margin must dwarf its 18·u error");
+static_assert(kScaleSlack >= 11 * 23 * kUnitRoundoff,
+              "the perpendicular margin must dwarf its 23·u·S error");
+constexpr double kPerpFloor = 0x1p-525;
+constexpr double kPerpMin = 0x1p-400;         // Smallest L and r stage 3 uses.
+constexpr double kPerpWeightRange = 0x1p100;  // w⊥ within [1/this, this].
+
 // "No candidate is the query" marker of the prune's and RefineRow's `self`
 // (refines across two stores: their candidates never hold the query).
 constexpr size_t kNoSelf = static_cast<size_t>(-1);
 
 // The columns the prune reads, for queries and candidates alike: the
 // midpoint and direction coordinates (dims of each), the half-lengths and the
-// lengths, all indexed by one position.
+// lengths, all indexed by one position; and the store's scale.
 struct PruneColumns {
   int dims = 2;
   const double* mid[geom::kMaxDims] = {};
   const double* dir[geom::kMaxDims] = {};
   const double* half = nullptr;
   const double* len = nullptr;
+  double scale = 0.0;
 };
 
 PruneColumns PruneColumnsOf(const traj::SegmentStore& store) {
@@ -516,17 +581,18 @@ PruneColumns PruneColumnsOf(const traj::SegmentStore& store) {
   }
   c.half = store.half_lengths().data();
   c.len = store.lengths().data();
+  c.scale = store.scale();
   return c;
 }
 
-// Query-side state of both prune stages, hoisted out of the candidate loop.
-// An unusable bound is +inf (reach, eps_hi), which fails every comparison
-// without a branch.
+// Query-side state of the three prune stages, hoisted out of the candidate
+// loop. An unusable bound is +inf (reach, eps_hi) or a zero weight
+// (w_perp_sq), which fails every comparison without a branch.
 struct PruneContext {
   int dims = 2;
   bool directed = true;
-  double reach = 0.0;  // Stage 1: ε / c, the Euclidean radius that matters.
-  double half_q = 0.0;
+  double reach = 0.0;   // Stage 1: ε / c, the Euclidean radius that matters.
+  double half_q = 0.0;  // h_q plus the midpoint term's scale margin.
   double len_q = 0.0;
   double mid_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
   double dir_q[geom::kMaxDims] = {0.0, 0.0, 0.0};
@@ -535,21 +601,32 @@ struct PruneContext {
   double w_angle = 0.0;
   double c = 0.0;     // SegmentDistance::LowerBoundFactor.
   double c_hi = 0.0;  // c·(1 + kPruneSlack).
+  double w_perp_sq = 0.0;    // Stage 3: w⊥², 0 outside kPerpWeightRange.
+  double perp_margin = 0.0;  // w⊥·P.
 };
 
+// The context of query `query` of the columns `q` against candidates of a
+// store whose scale is `cand_scale`.
 PruneContext MakePruneContext(const PruneColumns& q, size_t query,
-                              const SegmentDistance& dist, double eps) {
+                              double cand_scale, const SegmentDistance& dist,
+                              double eps) {
   const SegmentDistanceConfig& cfg = dist.config();
   PruneContext p;
   p.dims = q.dims;
   p.directed = cfg.directed;
-  p.reach = PruneReach(dist, eps);
-  p.half_q = q.half[query];
-  p.len_q = q.len[query];
+  // The pair's scale S: the query's ‖mid_q‖₁ + h_q plus the candidates'
+  // bound.
+  double scale = q.half[query];
   for (int d = 0; d < p.dims; ++d) {
     p.mid_q[d] = q.mid[d][query];
     p.dir_q[d] = q.dir[d][query];
+    scale += std::fabs(p.mid_q[d]);
   }
+  scale += cand_scale;
+  const Reach reach = PruneReach(dist, eps);
+  p.reach = reach.radius;
+  p.half_q = q.half[query] + reach.per_scale * scale;
+  p.len_q = q.len[query];
   // Like PruneReach: a non-finite or negative ε proves nothing.
   p.eps_hi = std::isfinite(eps) && eps >= 0.0
                  ? eps * (1.0 + kPruneSlack)
@@ -558,53 +635,85 @@ PruneContext MakePruneContext(const PruneColumns& q, size_t query,
   p.w_angle = cfg.w_angle;
   p.c = dist.LowerBoundFactor();
   p.c_hi = p.c * (1.0 + kPruneSlack);
+  const double w_perp = cfg.w_perpendicular;
+  p.w_perp_sq = w_perp >= 1.0 / kPerpWeightRange && w_perp <= kPerpWeightRange
+                    ? w_perp * w_perp
+                    : 0.0;
+  p.perp_margin = w_perp * (kScaleSlack * scale + kPerpFloor);
   return p;
 }
 
-// Stage 2 for one pair that passed stage 1 (see the section comment). The
-// AVX2 lanes below run exactly these operations: the max is _mm256_max_pd's
-// selection, and every comparison is ordered, so a NaN anywhere never
-// prunes.
+// Stages 2 and 3 for one pair that passed stage 1 (see the section comment);
+// diff[d] = mid_j[d] − mid_q[d] and dmid_sq are stage 1's. The AVX2 lanes
+// below run exactly these operations: the max and the role pick are
+// blendv selections, and every comparison is ordered, so a NaN anywhere
+// never prunes.
 template <int D>
-inline bool AngleFar(const PruneContext& p, double dmid_sq, double half_j,
-                     double len_j, const double* dir_j) {
+inline bool AngleOrPerpFar(const PruneContext& p, const double* diff,
+                           double dmid_sq, double half_j, double len_j,
+                           const double* dir_j) {
   const double l = p.len_q > len_j ? p.len_q : len_j;
   const double h = p.half_q + half_j;
+  double cross_sq;  // ‖d_q × d_j‖².
   double area;
   if constexpr (D == 2) {
-    area = std::fabs(p.dir_q[0] * dir_j[1] - p.dir_q[1] * dir_j[0]);
+    const double z = p.dir_q[0] * dir_j[1] - p.dir_q[1] * dir_j[0];
+    cross_sq = z * z;
+    area = std::fabs(z);
   } else {
     const double x = p.dir_q[1] * dir_j[2] - p.dir_q[2] * dir_j[1];
     const double y = p.dir_q[2] * dir_j[0] - p.dir_q[0] * dir_j[2];
     const double z = p.dir_q[0] * dir_j[1] - p.dir_q[1] * dir_j[0];
-    area = std::sqrt(x * x + y * y + z * z);
+    cross_sq = x * x + y * y + z * z;
+    area = std::sqrt(cross_sq);
   }
   if (p.directed) {
     double dot = 0.0;
     for (int d = 0; d < D; ++d) dot += p.dir_q[d] * dir_j[d];
     if (dot <= 0.0) area = p.len_q * len_j;
   }
-  const double el = (p.eps_hi + p.angle_slack * l) * l;
+  const double e = p.eps_hi + p.angle_slack * l;
+  const double el = e * l;
   const double wa = p.w_angle * area;
   const double cl = p.c * l;
   const double r = (el - wa) + p.c_hi * l * h;
-  return wa > el || cl * cl * dmid_sq > r * r;
+  if (wa > el || cl * cl * dmid_sq > r * r) return true;
+
+  // Stage 3: G = ‖d_i × Δmid‖² + ‖d_q × d_j‖²/4 with d_i the longer's.
+  const double* dir_i = p.len_q > len_j ? p.dir_q : dir_j;
+  double x_sq;
+  if constexpr (D == 2) {
+    const double x = dir_i[0] * diff[1] - dir_i[1] * diff[0];
+    x_sq = x * x;
+  } else {
+    const double x = dir_i[1] * diff[2] - dir_i[2] * diff[1];
+    const double y = dir_i[2] * diff[0] - dir_i[0] * diff[2];
+    const double z = dir_i[0] * diff[1] - dir_i[1] * diff[0];
+    x_sq = x * x + y * y + z * z;
+  }
+  const double g = x_sq + 0.25 * cross_sq;
+  const double r3 = (e + p.perp_margin) * l - wa;
+  const double lhs = p.w_perp_sq * g;
+  return (p.len_q < len_j || len_j < p.len_q) && l >= kPerpMin &&
+         r3 >= kPerpMin && lhs > r3 * r3 &&
+         lhs < std::numeric_limits<double>::infinity();
 }
 
-// The scalar lane: true when either stage prunes candidate j.
+// The scalar lane: true when any stage prunes candidate j.
 template <int D>
 inline bool FarScalar(const PruneContext& p, const PruneColumns& c,
                       size_t j) {
+  double diff[D];
   double dmid_sq = 0.0;
   for (int d = 0; d < D; ++d) {
-    const double diff = c.mid[d][j] - p.mid_q[d];
-    dmid_sq += diff * diff;
+    diff[d] = c.mid[d][j] - p.mid_q[d];
+    dmid_sq += diff[d] * diff[d];
   }
   const double half_j = c.half[j];
   if (ProvablyFar(dmid_sq, p.reach, p.half_q, half_j)) return true;
   double dir_j[D];
   for (int d = 0; d < D; ++d) dir_j[d] = c.dir[d][j];
-  return AngleFar<D>(p, dmid_sq, half_j, c.len[j], dir_j);
+  return AngleOrPerpFar<D>(p, diff, dmid_sq, half_j, c.len[j], dir_j);
 }
 
 // The prune over the candidates index(lo .. hi) of the columns `c`:
@@ -684,8 +793,15 @@ constexpr CompressTable MakeCompressTable() {
 constexpr CompressTable kCompress = MakeCompressTable();
 
 // The AVX2 lane loop: CompactScalar four candidates per step. Stage 1 runs
-// on every step; stage 2 only on the steps where stage 1 keeps a lane. Each
-// lane runs FarScalar's operations, so the survivors are the scalar loop's.
+// on every step, stages 2 and 3 together on the steps where stage 1 keeps a
+// lane: a lane is kept when no stage proves it far, which is FarScalar's
+// decision (it returns at the first stage that does), so the survivors are
+// the scalar loop's. A separate branch into stage 3 for the steps stage 2
+// leaves a lane in mispredicts too often to pay: at seed 0, one thread, the
+// hurricane join's prune and refine took 38.1 ms without stage 3, 39.9 ms
+// with it behind its own branch and 34.8 ms with it fused into stage 2's
+// (elk-half: 125 and 103 ms without and fused; medians of per-round
+// minima, interleaved rounds).
 // The kept tags are permuted to the front of one 4-lane store at slots[m]
 // (the lanes past the kept ones land in slots the next step overwrites).
 // The tail of fewer than four runs the scalar lane, after vzeroupper: the
@@ -711,17 +827,22 @@ TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
   const __m256d w_angle = _mm256_set1_pd(p.w_angle);
   const __m256d cc = _mm256_set1_pd(p.c);
   const __m256d c_hi = _mm256_set1_pd(p.c_hi);
+  const __m256d w_perp_sq = _mm256_set1_pd(p.w_perp_sq);
+  const __m256d perp_margin = _mm256_set1_pd(p.perp_margin);
+  const __m256d quarter = _mm256_set1_pd(0.25);
+  const __m256d perp_min = _mm256_set1_pd(kPerpMin);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
   const __m256i self_v = _mm256_set1_epi64x(static_cast<long long>(self));
 
   size_t k = lo;
   for (; k + 4 <= hi; k += 4) {
+    __m256d diff[D];
     __m256d dmid_sq = zero;
     for (int d = 0; d < D; ++d) {
-      const __m256d diff =
-          _mm256_sub_pd(PruneLanes(c.mid[d], index, k), mid_q[d]);
-      dmid_sq = _mm256_add_pd(dmid_sq, _mm256_mul_pd(diff, diff));
+      diff[d] = _mm256_sub_pd(PruneLanes(c.mid[d], index, k), mid_q[d]);
+      dmid_sq = _mm256_add_pd(dmid_sq, _mm256_mul_pd(diff[d], diff[d]));
     }
     const __m256d half_j = PruneLanes(c.half, index, k);
     const __m256d threshold = _mm256_add_pd(reach_half_q, half_j);
@@ -736,11 +857,12 @@ TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
       for (int d = 0; d < D; ++d) dir_j[d] = PruneLanes(c.dir[d], index, k);
       const __m256d l = _mm256_max_pd(len_q, len_j);
       const __m256d h = _mm256_add_pd(half_q, half_j);
-      __m256d area;
+      __m256d cross_sq, area;
       if constexpr (D == 2) {
-        area = _mm256_and_pd(
-            abs_mask, _mm256_sub_pd(_mm256_mul_pd(dir_q[0], dir_j[1]),
-                                    _mm256_mul_pd(dir_q[1], dir_j[0])));
+        const __m256d z = _mm256_sub_pd(_mm256_mul_pd(dir_q[0], dir_j[1]),
+                                        _mm256_mul_pd(dir_q[1], dir_j[0]));
+        cross_sq = _mm256_mul_pd(z, z);
+        area = _mm256_and_pd(abs_mask, z);
       } else {
         const __m256d x = _mm256_sub_pd(_mm256_mul_pd(dir_q[1], dir_j[2]),
                                         _mm256_mul_pd(dir_q[2], dir_j[1]));
@@ -748,9 +870,10 @@ TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
                                         _mm256_mul_pd(dir_q[0], dir_j[2]));
         const __m256d z = _mm256_sub_pd(_mm256_mul_pd(dir_q[0], dir_j[1]),
                                         _mm256_mul_pd(dir_q[1], dir_j[0]));
-        area = _mm256_sqrt_pd(_mm256_add_pd(
+        cross_sq = _mm256_add_pd(
             _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
-            _mm256_mul_pd(z, z)));
+            _mm256_mul_pd(z, z));
+        area = _mm256_sqrt_pd(cross_sq);
       }
       if (p.directed) {
         __m256d dot = zero;
@@ -760,8 +883,8 @@ TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
         area = _mm256_blendv_pd(area, _mm256_mul_pd(len_q, len_j),
                                 _mm256_cmp_pd(dot, zero, _CMP_LE_OQ));
       }
-      const __m256d el = _mm256_mul_pd(
-          _mm256_add_pd(eps_hi, _mm256_mul_pd(angle_slack, l)), l);
+      const __m256d e = _mm256_add_pd(eps_hi, _mm256_mul_pd(angle_slack, l));
+      const __m256d el = _mm256_mul_pd(e, l);
       const __m256d wa = _mm256_mul_pd(w_angle, area);
       const __m256d cl = _mm256_mul_pd(cc, l);
       const __m256d r = _mm256_add_pd(_mm256_sub_pd(el, wa),
@@ -770,7 +893,42 @@ TRACLUS_AVX2_FN size_t CompactSimd(const PruneContext& p,
           _mm256_cmp_pd(wa, el, _CMP_GT_OQ),
           _mm256_cmp_pd(_mm256_mul_pd(_mm256_mul_pd(cl, cl), dmid_sq),
                         _mm256_mul_pd(r, r), _CMP_GT_OQ));
-      keep &= ~_mm256_movemask_pd(far);
+
+      // Stage 3, in the same step (see the loop comment).
+      const __m256d q_longer = _mm256_cmp_pd(len_q, len_j, _CMP_GT_OQ);
+      __m256d dir_i[D];
+      for (int d = 0; d < D; ++d) {
+        dir_i[d] = _mm256_blendv_pd(dir_j[d], dir_q[d], q_longer);
+      }
+      __m256d x_sq;
+      if constexpr (D == 2) {
+        const __m256d x = _mm256_sub_pd(_mm256_mul_pd(dir_i[0], diff[1]),
+                                        _mm256_mul_pd(dir_i[1], diff[0]));
+        x_sq = _mm256_mul_pd(x, x);
+      } else {
+        const __m256d x = _mm256_sub_pd(_mm256_mul_pd(dir_i[1], diff[2]),
+                                        _mm256_mul_pd(dir_i[2], diff[1]));
+        const __m256d y = _mm256_sub_pd(_mm256_mul_pd(dir_i[2], diff[0]),
+                                        _mm256_mul_pd(dir_i[0], diff[2]));
+        const __m256d z = _mm256_sub_pd(_mm256_mul_pd(dir_i[0], diff[1]),
+                                        _mm256_mul_pd(dir_i[1], diff[0]));
+        x_sq = _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
+            _mm256_mul_pd(z, z));
+      }
+      const __m256d g = _mm256_add_pd(x_sq, _mm256_mul_pd(quarter, cross_sq));
+      const __m256d r3 =
+          _mm256_sub_pd(_mm256_mul_pd(_mm256_add_pd(e, perp_margin), l), wa);
+      const __m256d lhs = _mm256_mul_pd(w_perp_sq, g);
+      const __m256d far3 = _mm256_and_pd(
+          _mm256_and_pd(_mm256_cmp_pd(len_q, len_j, _CMP_NEQ_OQ),
+                        _mm256_cmp_pd(l, perp_min, _CMP_GE_OQ)),
+          _mm256_and_pd(
+              _mm256_and_pd(_mm256_cmp_pd(r3, perp_min, _CMP_GE_OQ),
+                            _mm256_cmp_pd(lhs, _mm256_mul_pd(r3, r3),
+                                          _CMP_GT_OQ)),
+              _mm256_cmp_pd(lhs, inf, _CMP_LT_OQ)));
+      keep &= ~_mm256_movemask_pd(_mm256_or_pd(far, far3));
     }
     keep |= _mm256_movemask_pd(_mm256_castsi256_pd(
         _mm256_cmpeq_epi64(IndexLanes(index, k), self_v)));
@@ -918,14 +1076,16 @@ BatchKernel ResolveBatchKernel(BatchKernel kernel) {
   return BatchKernel::kSimd;
 }
 
-double PruneReach(const SegmentDistance& dist, double eps) {
+Reach PruneReach(const SegmentDistance& dist, double eps) {
+  const SegmentDistanceConfig& cfg = dist.config();
   const double c = dist.LowerBoundFactor();
   // A zero factor (degenerate weights) or a non-finite/negative ε leaves no
   // provable prune.
   if (!(c > 0.0) || !std::isfinite(eps) || eps < 0.0) {
-    return std::numeric_limits<double>::infinity();
+    return {std::numeric_limits<double>::infinity(), 0.0};
   }
-  return eps / c;
+  return {eps / c,
+          kScaleSlack * (cfg.w_perpendicular + cfg.w_parallel + c) / c};
 }
 
 const char* BatchKernelName(BatchKernel kernel) {
@@ -970,7 +1130,8 @@ size_t EpsilonRefineRuns(const traj::SegmentStore& query_store,
   // The query is its own candidate exactly when both stores are one object.
   RefineStats counts;
   RefineRow(ResolveBatchKernel(options.kernel),
-            MakePruneContext(PruneColumnsOf(query_store), query, dist, eps),
+            MakePruneContext(PruneColumnsOf(query_store), query,
+                             cand_store.scale(), dist, eps),
             query_store, dist.config(), query, cand_store, runs, eps,
             &query_store == &cand_store ? query : kNoSelf, out_base,
             BlockSize(options), out_indices, counts);
@@ -1019,7 +1180,7 @@ size_t EpsilonRefineTile(const traj::SegmentStore& store,
   const PruneColumns columns = PruneColumnsOf(store);
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < store.size());
-    prune.push_back(MakePruneContext(columns, q, dist, eps));
+    prune.push_back(MakePruneContext(columns, q, columns.scale, dist, eps));
   }
 
   // Candidate-block-major: each block's columns serve every query while hot.
@@ -1063,7 +1224,8 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
   const PruneColumns cand_columns = PruneColumnsOf(cand_store);
   for (const size_t q : queries) {
     TRACLUS_DCHECK(q < query_store.size());
-    prune.push_back(MakePruneContext(query_columns, q, dist, eps));
+    prune.push_back(
+        MakePruneContext(query_columns, q, cand_columns.scale, dist, eps));
   }
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out_position[qi] = kNoNearest;
@@ -1105,7 +1267,8 @@ bool PruneProvablyFar(const traj::SegmentStore& store,
                       const SegmentDistance& dist, size_t a, size_t b,
                       double eps) {
   const PruneColumns columns = PruneColumnsOf(store);
-  const PruneContext p = MakePruneContext(columns, a, dist, eps);
+  const PruneContext p =
+      MakePruneContext(columns, a, columns.scale, dist, eps);
   return a != b && (store.dims() == 3 ? FarScalar<3>(p, columns, b)
                                       : FarScalar<2>(p, columns, b));
 }

@@ -28,8 +28,9 @@
 // three-component distance decides membership). This layer owns the
 // refinement half:
 //
-//   candidates ──▶ stage 1: midpoint bound ──▶ stage 2: + angle term
-//              ──▶ blocked batch distance ──▶ ≤ ε?
+//   candidates ──▶ stage 1: midpoint bound ──▶ stages 2 and 3: + angle term,
+//              and perpendicular + angle terms ──▶ blocked batch distance
+//              ──▶ ≤ ε?
 //
 //   * Stage 1 is a midpoint/half-length triangle inequality: every point
 //     of segment L lies within half_length(L) of midpoint(L), so
@@ -44,17 +45,26 @@
 //     shorter length for a directed pair at θ ≥ 90°), so
 //       dist ≥ c · (‖mid_i − mid_j‖ − h_i − h_j) + wθ·dθ,
 //     tested in a form with no square root and no division (2-D; a 3-D
-//     cross product needs one root for its norm). It runs only on the
-//     candidates stage 1 keeps, four lanes at a time, and the
-//     LowerBoundFactor comment proves it.
-//     A candidate either stage proves farther than ε (with the margins of
-//     kPruneSlack and the angle slack derived in batch_kernels.cc) skips the
-//     full evaluation; Definition 4's self-inclusion is exempt. The prune
-//     is one lane loop, picked by the kernel choice: the AVX2 kernel runs
-//     four candidates per step and the scalar kernel runs the same
-//     operations per candidate, so both keep the same survivors. Survivors
-//     are compacted branch-free into a staging buffer, and full batches of
-//     them go to the distance kernel.
+//     cross product needs one root for its norm). The LowerBoundFactor
+//     comment proves it.
+//   * Stage 3 swaps the midpoint term for the perpendicular one, which
+//     near-parallel neighbours do not escape: with Li the longer segment
+//     (Lemma 2), L its length and C_k = ‖d_i × (q_k − s_i)‖² for the
+//     endpoints q_k of Lj, l⊥k = √C_k / L and the Lehmer mean d⊥ is at least
+//     their quadratic mean, so
+//       dist ≥ w⊥·√((C_1 + C_2)/2) / L + wθ·dθ,
+//     squared into a test with no root and no division in 2-D and 3-D. Only
+//     a strict length compare fixes the roles: tied or NaN lengths, and a
+//     degenerate Li, prune nothing here. Stages 2 and 3 run together, four
+//     lanes at a time, on the candidates stage 1 keeps.
+//     A candidate any stage proves farther than ε (with the margins of
+//     kPruneSlack, the angle slack and the scale margins derived in
+//     batch_kernels.cc) skips the full evaluation; Definition 4's
+//     self-inclusion is exempt. The prune is one lane loop, picked by the
+//     kernel choice: the AVX2 kernel runs four candidates per step and the
+//     scalar kernel runs the same operations per candidate, so both keep the
+//     same survivors. Survivors are compacted branch-free into a staging
+//     buffer, and full batches of them go to the distance kernel.
 //   * The batch kernels evaluate the surviving pairs with EXACTLY the
 //     floating-point expressions of the cached pair path
 //     SegmentDistance::operator()(store, i, j) — results are bit-identical,
@@ -113,6 +123,7 @@
 // common::Mutex with TRACLUS_GUARDED_BY.
 
 #include <cstddef>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -159,31 +170,49 @@ struct RefineStats {
   size_t accepted = 0;    ///< Emitted into the neighborhood.
 };
 
-/// Relative margin of both prune stages. Stage 1 (ProvablyFar) prunes only
+/// Relative margin of the prune stages. Stage 1 (ProvablyFar) prunes only
 /// when the squared midpoint distance exceeds (ε/c + h_a + h_b)² by this
-/// factor, stage 2 when its bound exceeds ε·(1 + kPruneSlack), with the
-/// half-length term also inflated by it. The bound arithmetic (a squared
+/// factor, stages 2 and 3 when their bounds exceed ε·(1 + kPruneSlack), with
+/// the half-length term also inflated by it. The bound arithmetic (a squared
 /// midpoint distance, a few additions and multiplies) and the kernel's fold
 /// of w⊥·d⊥ + w∥·d∥ accumulate a few ulps (~1e-15 relative) of rounding, so
 /// this much larger margin keeps a pruned pair's computed distance above ε.
-/// The angle term needs an absolute margin on top, because the kernel's
-/// sin θ = √(1 − cos²θ) cancels near θ = 0; batch_kernels.cc derives it
-/// (kAngleSlack). The admissibility tests in tests/segment_distance_test.cc
-/// attack both on randomized and adversarial pairs.
+/// Two absolute margins come on top, both derived in batch_kernels.cc: the
+/// angle term's (kAngleSlack), because the kernel's sin θ = √(1 − cos²θ)
+/// cancels near θ = 0, and one that grows with the coordinates (Reach and
+/// SegmentStore::scale), because the kernel's projections and the cached
+/// midpoints round at the scale of the coordinates, not of the distance.
+/// The admissibility tests in tests/segment_distance_test.cc attack all of
+/// them on randomized, adversarial and 10⁹-translated pairs.
 inline constexpr double kPruneSlack = 1e-9;
 
-/// The Euclidean reach ε / c of the lower-bound prune, with
-/// c = SegmentDistance::LowerBoundFactor(). +inf when nothing is provable
-/// (c = 0, or ε non-finite or negative), which makes ProvablyFar false.
-double PruneReach(const SegmentDistance& dist, double eps);
+/// Stage 1's reach for one ε (PruneReach): the Euclidean radius ε / c,
+/// c = SegmentDistance::LowerBoundFactor(), and the rounding margin the
+/// midpoint bound adds per unit of a pair's scale. A pair's scale is the sum
+/// of its two segments' ‖midpoint‖₁ + half-length, or any upper bound on it
+/// (SegmentStore::scale of each side, or a midpoint box's corner norm plus
+/// its largest half-length).
+struct Reach {
+  double radius = std::numeric_limits<double>::infinity();
+  double per_scale = 0.0;
+  /// The reach of a pair of scale at most `scale`: +inf (nothing provable)
+  /// when the radius is, NaN (which never prunes) when the scale is.
+  double At(double scale) const { return radius + per_scale * scale; }
+};
+
+/// The reach of the lower-bound prune at ε. The radius is +inf when nothing
+/// is provable (c = 0, or ε non-finite or negative), which makes
+/// ProvablyFar false.
+Reach PruneReach(const SegmentDistance& dist, double eps);
 
 /// The prune's comparison: true when two segments whose midpoints are
 /// √mid_dist_sq apart and whose half-lengths are at most half_a and half_b
 /// are provably farther apart than ε, i.e. c·(√mid_dist_sq − half_a − half_b)
-/// exceeds ε with the kPruneSlack margin; `reach` is PruneReach(dist, ε).
-/// Every input enters monotonically, so a lower bound on the midpoint
-/// distance and upper bounds on the half-lengths (a pair of boxes around
-/// many midpoints) prune only pairs the per-pair test would prune.
+/// exceeds ε with the kPruneSlack margin; `reach` is PruneReach(dist, ε)
+/// taken At the pair's scale. Every input enters monotonically, so a lower
+/// bound on the midpoint distance and upper bounds on the half-lengths and
+/// the scale (a pair of boxes around many midpoints) prune only pairs the
+/// per-pair test would prune.
 inline bool ProvablyFar(double mid_dist_sq, double reach, double half_a,
                         double half_b) {
   const double threshold = reach + half_a + half_b;
@@ -312,9 +341,9 @@ void NearestWithinEps(const traj::SegmentStore& query_store,
                       const BatchOptions& options = {});
 
 /// The exact prune predicate the ε-refines apply: true when a != b and
-/// stage 1 (the midpoint/half-length bound) or stage 2 (that bound plus the
-/// angle term), each with its rounding margin, proves dist(store, a, b) >
-/// eps. Admissibility — this never returns true for a true ε-neighbor — is
+/// stage 1 (the midpoint/half-length bound), stage 2 (that bound plus the
+/// angle term) or stage 3 (the perpendicular plus the angle term), each with
+/// its rounding margins, proves dist(store, a, b) > eps. Admissibility — this never returns true for a true ε-neighbor — is
 /// what makes the refine exact; exposed so tests can attack the claim
 /// directly. It runs the scalar lane of the prune loop, which the AVX2 lanes
 /// match decision for decision.

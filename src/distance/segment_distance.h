@@ -121,6 +121,24 @@ class SegmentDistance {
   /// term vanishes but the angle term alone still proves pairs far; with
   /// wθ = 0 the bound is the midpoint bound; for L = 0 both segments are
   /// points, A = 0, and only the midpoint term is left.
+  ///
+  /// The third prune stage keeps the angle term and swaps the midpoint term
+  /// for the perpendicular one. With Li the longer segment, s_i its start,
+  /// d_i = e_i − s_i and q_1, q_2 the endpoints of Lj, the distance from q_k
+  /// to the line of Li is the cross product's norm over the base,
+  ///   l⊥k = ‖d_i × (q_k − s_i)‖ / L = √C_k / L
+  /// (|x_i·y_k − y_i·x_k| / L in 2-D). The Lehmer mean of order 2 is at
+  /// least the quadratic mean: (a² + b²)/(a + b) ≥ √((a² + b²)/2) squares to
+  /// 2·(a² + b²) ≥ (a + b)², i.e. (a − b)² ≥ 0. So
+  ///   d⊥ ≥ √((l⊥1² + l⊥2²)/2) = √((C_1 + C_2)/2) / L,
+  /// and since w∥·d∥ ≥ 0,
+  ///   dist ≥ w⊥·√((C_1 + C_2)/2) / L + wθ·A / L.
+  /// Equality holds when l⊥1 = l⊥2 and d∥ = 0 (a parallel Lj level with an
+  /// end of Li), which is why the stage needs its own rounding margin.
+  /// Writing s_i = mid_i − d_i/2 and q_k = mid_j ∓ d_j/2, the cross terms
+  /// cancel in the sum:
+  ///   (C_1 + C_2)/2 = ‖d_i × (mid_j − mid_i)‖² + ‖d_i × d_j‖²/4,
+  /// which is how the stage evaluates it.
   double LowerBoundFactor() const {
     return std::min(config_.w_perpendicular / 2.0, config_.w_parallel);
   }

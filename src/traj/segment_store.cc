@@ -1,5 +1,6 @@
 #include "traj/segment_store.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace traclus::traj {
@@ -44,12 +45,15 @@ SegmentStore::SegmentStore(std::vector<geom::Segment> segments)
     trajectory_id_[i] = s.trajectory_id();
     weight_[i] = s.weight();
     // Flat SoA coordinate columns: bit-exact component copies.
+    double extent = half_length_[i];
     for (int d = 0; d < dims_; ++d) {
       start_c_[d][i] = s.start()[d];
       end_c_[d][i] = s.end()[d];
       direction_c_[d][i] = direction_[i][d];
       midpoint_c_[d][i] = midpoint_[i][d];
+      extent += std::fabs(midpoint_[i][d]);
     }
+    if (std::isfinite(extent)) scale_ = std::max(scale_, extent);
   }
 }
 

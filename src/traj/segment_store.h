@@ -114,6 +114,12 @@ class SegmentStore {
   }
   double weight(size_t i) const { return weight_[i]; }
 
+  /// The largest ‖midpoint(i)‖₁ + half_length(i) over the segments whose
+  /// sum is finite (0 when none is). It bounds the norm of every finite
+  /// endpoint, so the ε-prune's rounding margins, which grow with the
+  /// coordinates, scale by it (distance/batch_kernels.h).
+  double scale() const { return scale_; }
+
   // --- Whole-column access for kernels and diagnostics ------------------
   const std::vector<double>& lengths() const { return length_; }
   const std::vector<double>& squared_lengths() const {
@@ -171,6 +177,7 @@ class SegmentStore {
   std::array<std::vector<double>, geom::kMaxDims> direction_c_;
   std::array<std::vector<double>, geom::kMaxDims> midpoint_c_;
   int dims_ = 2;
+  double scale_ = 0.0;
 };
 
 }  // namespace traclus::traj

@@ -147,6 +147,34 @@ TEST(EngineRunTest, EmptySegmentSetIsValidGroupInput) {
   EXPECT_TRUE(grouped->labels.empty());
 }
 
+TEST(EngineRunTest, EagerEntryPointsRefuseChunkKnobs) {
+  // The chunk knobs steer only a streaming run's chunked store; every eager
+  // entry point refuses either one, naming it, before looking at its input
+  // (an empty database would otherwise be FailedPrecondition).
+  const auto engine = TraclusEngine::Builder().Build();
+  ASSERT_TRUE(engine.ok());
+  const traj::TrajectoryDatabase empty;
+  for (const char* knob : {"chunk_capacity", "max_resident_chunks"}) {
+    SCOPED_TRACE(knob);
+    RunContext ctx;
+    (std::string(knob) == "chunk_capacity" ? ctx.chunk_capacity
+                                           : ctx.max_resident_chunks) = 64;
+    const common::Status statuses[] = {
+        engine->Run(empty, ctx).status(),
+        engine->Partition(empty, ctx).status(),
+        engine->Group(traj::SegmentStore{}, ctx).status(),
+        engine->Representatives({}, cluster::ClusteringResult{}, ctx)
+            .status()};
+    for (const common::Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.ToString().find(knob), std::string::npos)
+          << status.ToString();
+    }
+  }
+  // With both knobs at 0 the same calls run as before.
+  EXPECT_TRUE(engine->Group(traj::SegmentStore{}, RunContext{}).ok());
+}
+
 TEST(EngineRunTest, RepresentativesWithoutStageIsFailedPrecondition) {
   const auto engine =
       TraclusEngine::Builder().WithoutRepresentatives().Build();

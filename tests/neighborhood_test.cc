@@ -839,14 +839,15 @@ TEST(TileJoinPropertyTest, EmptyStoreAndEmptyBatch) {
 
 // BlockLayout::SegmentRuns of every segment of `queries` against the layout
 // of `cands`: the runs are ascending, disjoint and inside [0, n), and every
-// position outside them holds a candidate that the per-pair prune drops (the
-// kernels' squared midpoint distance, summed in dimension order, through
-// distance::ProvablyFar). Returns the positions skipped over all queries.
+// position outside them holds a candidate that the per-pair midpoint bound
+// drops (the kernels' squared midpoint distance, summed in dimension order,
+// through distance::ProvablyFar at the pair's own scale). Returns the
+// positions skipped over all queries.
 size_t ExpectSegmentRunsAdmissible(const traj::SegmentStore& cands,
                                    const traj::SegmentStore& queries,
                                    const SegmentDistance& dist, double eps) {
   const BlockLayout layout = BlockLayout::Morton(cands);
-  const double reach = distance::PruneReach(dist, eps);
+  const distance::Reach reach = distance::PruneReach(dist, eps);
   const size_t n = cands.size();
   size_t skipped = 0;
   std::vector<distance::IndexRun> runs;
@@ -870,11 +871,13 @@ size_t ExpectSegmentRunsAdmissible(const traj::SegmentStore& cands,
       ++skipped;
       const size_t j = layout.order()[p];
       double dmid_sq = 0.0;
+      double scale = queries.half_length(q) + cands.half_length(j);
       for (int d = 0; d < cands.dims(); ++d) {
         const double diff = cands.midpoint_coords(d)[j] - mid[d];
         dmid_sq += diff * diff;
+        scale += std::fabs(mid[d]) + std::fabs(cands.midpoint_coords(d)[j]);
       }
-      EXPECT_TRUE(distance::ProvablyFar(dmid_sq, reach,
+      EXPECT_TRUE(distance::ProvablyFar(dmid_sq, reach.At(scale),
                                         queries.half_length(q),
                                         cands.half_length(j)))
           << "query " << q << " skips candidate " << j;
@@ -886,7 +889,8 @@ size_t ExpectSegmentRunsAdmissible(const traj::SegmentStore& cands,
 // The runs of one query segment with midpoint `mid` and half-length `half`.
 std::vector<std::pair<size_t, size_t>> RunsOf(const BlockLayout& layout,
                                               std::vector<double> mid,
-                                              double half, double reach) {
+                                              double half,
+                                              const distance::Reach& reach) {
   std::vector<distance::IndexRun> runs;
   layout.SegmentRuns(mid.data(), half, reach, runs);
   std::vector<std::pair<size_t, size_t>> out;
@@ -929,7 +933,7 @@ TEST(BlockLayoutTest, SegmentRunsWithCoincidentMidpoints) {
             cands.size());
   const BlockLayout layout = BlockLayout::Morton(cands);
   const std::vector<std::pair<size_t, size_t>> all = {{0, cands.size()}};
-  const double reach = distance::PruneReach(dist, 2.0);
+  const distance::Reach reach = distance::PruneReach(dist, 2.0);
   EXPECT_EQ(RunsOf(layout, {3, 4}, 0.0, reach), all);
   EXPECT_TRUE(RunsOf(layout, {100.5, 100}, 0.5, reach).empty());
 }
@@ -940,7 +944,7 @@ TEST(BlockLayoutTest, SegmentRunsCoverEverythingWhenNothingIsProvable) {
   const std::vector<std::pair<size_t, size_t>> all = {{0, cands.size()}};
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const double reach = distance::PruneReach(SegmentDistance(), 1.0);
+  const distance::Reach reach = distance::PruneReach(SegmentDistance(), 1.0);
   // A far query skips blocks; a non-finite midpoint or half-length skips none.
   EXPECT_NE(RunsOf(layout, {500, 500}, 1.0, reach), all);
   EXPECT_EQ(RunsOf(layout, {nan, 500}, 1.0, reach), all);
@@ -950,8 +954,9 @@ TEST(BlockLayoutTest, SegmentRunsCoverEverythingWhenNothingIsProvable) {
   // Nor does an infinite reach: w⊥ = 0 makes the lower-bound factor 0.
   SegmentDistanceConfig no_perp;
   no_perp.w_perpendicular = 0.0;
-  const double no_reach = distance::PruneReach(SegmentDistance(no_perp), 1.0);
-  EXPECT_TRUE(std::isinf(no_reach));
+  const distance::Reach no_reach =
+      distance::PruneReach(SegmentDistance(no_perp), 1.0);
+  EXPECT_TRUE(std::isinf(no_reach.radius));
   EXPECT_EQ(RunsOf(layout, {500, 500}, 1.0, no_reach), all);
   // A layout with nothing in it is one empty run.
   const BlockLayout empty = BlockLayout::Morton(traj::SegmentStore());
@@ -962,7 +967,7 @@ TEST(BlockLayoutTest, SegmentRunsCoverEverythingWhenNothingIsProvable) {
 // The refine kernels' counters on a fixed store, pinned: staging survivors
 // differently must not change what is counted, and neither kernel may prune
 // differently. Identical for every kernel and block size. With w∥ = 0,
-// c = 0 and only the prune's angle stage can prune.
+// c = 0 and only the prune's angle and perpendicular stages can prune.
 TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
   const auto store = RandomSegments(200, 50, 5, 91);
   std::vector<size_t> queries(store.size());
@@ -973,8 +978,8 @@ TEST(RefineStatsTest, TileAndRangeCountersArePinned) {
     distance::RefineStats range;  // Query 17 over the whole store.
   };
   const Pin pins[] = {
-      {1.0, {40000, 37164, 2836, 538}, {200, 189, 11, 2}},
-      {0.0, {40000, 1778, 38222, 3554}, {200, 30, 170, 13}},  // c = 0.
+      {1.0, {40000, 38780, 1220, 538}, {200, 195, 5, 2}},
+      {0.0, {40000, 36290, 3710, 3554}, {200, 187, 13, 13}},  // c = 0.
   };
   const auto expect_stats = [](const distance::RefineStats& got,
                                const distance::RefineStats& want) {

@@ -613,45 +613,116 @@ TEST(BatchKernelTest, EpsilonRefineMatchesPerPairLoopAtEveryBlockSize) {
   }
 }
 
+// `x` moved by `steps` ulps (down for a negative count).
+double Ulps(double x, int steps) {
+  const double toward = steps < 0 ? -std::numeric_limits<double>::infinity()
+                                  : std::numeric_limits<double>::infinity();
+  for (int k = 0; k < std::abs(steps); ++k) x = std::nextafter(x, toward);
+  return x;
+}
+
+// The perpendicular stage's edge cases, at the origin and translated by 10⁶
+// and 10⁹, where the kernel's projection and the stage's cross products
+// cancel at the scale of the coordinates (at 10⁹ the two drift about 10⁻⁷
+// apart, which only the perpendicular margin covers when wθ = 0). A segment
+// Li of length 10 along a direction (3-4-5 and 7-24-25 slopes, a 10⁻⁹ rad
+// tilt; out of the plane in 3-D), and beside it
+//   * parallel followers of length 4 level with Li's start, offset sideways
+//     by exactly 1, by 1 ± 1, 2 and 4 ulps, and by 1.25, 1.5 and 1.75, and
+//     one level with Li's end: d∥ = 0 and l⊥1 = l⊥2, so the stage's bound
+//     w⊥·d⊥ is the whole distance;
+//   * collinear ones (d⊥ = 0): from Li's start (distance 0), inside Li
+//     (d∥ = 3) and past its end (d∥ = 1);
+//   * an equal-length copy offset by 1, and zero-length segments beside Li
+//     and on it.
+// Ids continue from segs.size().
+void AddPerpEdgeSegments(bool three_d, std::vector<Segment>& segs) {
+  const auto add = [&segs](const Point& s, const Point& e) {
+    segs.emplace_back(s, e, static_cast<geom::SegmentId>(segs.size()),
+                      static_cast<geom::TrajectoryId>(segs.size() % 3));
+  };
+  struct Frame {
+    Point dir;     // Unit direction of Li.
+    Point normal;  // Unit, orthogonal to dir.
+  };
+  const std::vector<Frame> frames =
+      three_d
+          ? std::vector<Frame>{{Point(0.48, 0.6, 0.64), Point(-0.8, 0, 0.6)},
+                               {Point(0.28, 0, 0.96), Point(0, 1, 0)},
+                               {Point(0.6, 1e-9, 0.8), Point(-0.8, 0, 0.6)}}
+          : std::vector<Frame>{{Point(0.6, 0.8), Point(-0.8, 0.6)},
+                               {Point(0.28, 0.96), Point(-0.96, 0.28)},
+                               {Point(1, 1e-9), Point(-1e-9, 1)}};
+  for (const double t : {0.0, 1e6, 1e9}) {
+    const Point s = three_d ? Point(t, t, t) : Point(t, t);
+    for (const Frame& f : frames) {
+      add(s, s + f.dir * 10.0);
+      for (const double offset :
+           {1.0, Ulps(1.0, -1), Ulps(1.0, -2), Ulps(1.0, -4), Ulps(1.0, 1),
+            Ulps(1.0, 2), Ulps(1.0, 4), 1.25, 1.5, 1.75}) {
+        const Point start = s + f.normal * offset;
+        add(start, start + f.dir * 4.0);
+      }
+      const Point beside = s + f.normal * 1.25;
+      add(beside + f.dir * 6.0, beside + f.dir * 10.0);
+      add(s, s + f.dir * 4.0);
+      add(s + f.dir * 3.0, s + f.dir * 7.0);
+      add(s + f.dir * 11.0, s + f.dir * 14.0);
+      add(s + f.normal, s + f.normal + f.dir * 10.0);
+      add(s + f.normal + f.dir * 5.0, s + f.normal + f.dir * 5.0);
+      add(s + f.dir * 5.0, s + f.dir * 5.0);
+    }
+  }
+}
+
+traj::SegmentStore PerpEdgeStore(bool three_d) {
+  std::vector<Segment> segs;
+  AddPerpEdgeSegments(three_d, segs);
+  return traj::SegmentStore(std::move(segs));
+}
+
 TEST(BatchKernelTest, PruneIsAdmissible) {
-  // The two-stage bound must NEVER prune a true ε-neighbor: whenever the
+  // The three-stage bound must NEVER prune a true ε-neighbor: whenever the
   // predicate fires, the exact distance must exceed ε, and no pair is
   // pruned at ε equal to its own distance. Swept over the adversarial
-  // corpus, random weight configurations (the last two trials with w∥ = 0,
-  // where c = 0 and only the angle term prunes, and with wθ = 0), and an ε
+  // corpus and the perpendicular stage's edge cases, random weight
+  // configurations (the last two trials with w∥ = 0, where c = 0 and only
+  // the angle and perpendicular terms prune, and with wθ = 0), and an ε
   // ladder.
   common::Rng rng(41);
   for (const bool three_d : {false, true}) {
-    const traj::SegmentStore store = AdversarialStore(37, three_d);
-    const size_t n = store.size();
-    for (int trial = 0; trial < 10; ++trial) {
-      SegmentDistanceConfig cfg;
-      cfg.w_perpendicular = rng.Uniform(0.05, 3.0);
-      cfg.w_parallel = trial == 8 ? 0.0 : rng.Uniform(0.05, 3.0);
-      cfg.w_angle = trial == 9 ? 0.0 : rng.Uniform(0.0, 3.0);
-      cfg.directed = rng.Bernoulli(0.5);
-      const SegmentDistance dist(cfg);
-      for (size_t q = 0; q < n; ++q) {
-        for (size_t j = 0; j < n; ++j) {
-          const double exact = dist(store, q, j);
-          EXPECT_FALSE(PruneProvablyFar(store, dist, q, j, exact))
-              << "pruned (" << q << ", " << j << ") at eps = its distance";
-        }
-      }
-      for (const double eps : {0.01, 1.0, 5.0, 25.0, 120.0}) {
-        size_t pruned = 0;
+    for (const traj::SegmentStore& store :
+         {AdversarialStore(37, three_d), PerpEdgeStore(three_d)}) {
+      const size_t n = store.size();
+      for (int trial = 0; trial < 10; ++trial) {
+        SegmentDistanceConfig cfg;
+        cfg.w_perpendicular = rng.Uniform(0.05, 3.0);
+        cfg.w_parallel = trial == 8 ? 0.0 : rng.Uniform(0.05, 3.0);
+        cfg.w_angle = trial == 9 ? 0.0 : rng.Uniform(0.0, 3.0);
+        cfg.directed = rng.Bernoulli(0.5);
+        const SegmentDistance dist(cfg);
         for (size_t q = 0; q < n; ++q) {
           for (size_t j = 0; j < n; ++j) {
-            if (!PruneProvablyFar(store, dist, q, j, eps)) continue;
-            ++pruned;
-            EXPECT_GT(dist(store, q, j), eps)
-                << "inadmissible prune at (" << q << ", " << j << ") eps "
-                << eps;
+            const double exact = dist(store, q, j);
+            EXPECT_FALSE(PruneProvablyFar(store, dist, q, j, exact))
+                << "pruned (" << q << ", " << j << ") at eps = its distance";
           }
         }
-        // The sweep must actually exercise the prune somewhere.
-        if (eps <= 1.0) {
-          EXPECT_GT(pruned, 0u);
+        for (const double eps : {0.01, 1.0, 5.0, 25.0, 120.0}) {
+          size_t pruned = 0;
+          for (size_t q = 0; q < n; ++q) {
+            for (size_t j = 0; j < n; ++j) {
+              if (!PruneProvablyFar(store, dist, q, j, eps)) continue;
+              ++pruned;
+              EXPECT_GT(dist(store, q, j), eps)
+                  << "inadmissible prune at (" << q << ", " << j << ") eps "
+                  << eps;
+            }
+          }
+          // The sweep must actually exercise the prune somewhere.
+          if (eps <= 1.0) {
+            EXPECT_GT(pruned, 0u);
+          }
         }
       }
     }
@@ -664,6 +735,7 @@ TEST(BatchKernelTest, PruneIsAdmissible) {
 // segments; short and long ones; nearly collinear neighbors whose
 // midpoint bound is tight. 2-D or 3-D (the 3-D set tilts a copy of each
 // segment out of the plane, so the cross product has all three components).
+// The perpendicular stage's edge cases (AddPerpEdgeSegments) ride along.
 traj::SegmentStore AngleEdgeStore(bool three_d) {
   std::vector<Segment> segs;
   const auto pt = [three_d](double x, double y, double z) {
@@ -700,6 +772,7 @@ traj::SegmentStore AngleEdgeStore(bool three_d) {
     add(pt(1000 + gap, 0, 0), pt(2000 + gap, 1e-6, 0));
     add(pt(1000 + gap, 0, 0), pt(2000 + gap, 0, 1e-6));
   }
+  AddPerpEdgeSegments(three_d, segs);
   return traj::SegmentStore(std::move(segs));
 }
 
@@ -727,9 +800,10 @@ std::vector<SegmentDistanceConfig> AngleEdgeConfigs() {
 }
 
 TEST(BatchKernelTest, PruneIsAdmissibleOnAngleEdgeCases) {
-  // The two-stage prune never prunes a pair within ε — in particular a pair
-  // at ε equal to its own exact distance — and the angle stage does prune
-  // (with c = 0, where stage 1 cannot, too).
+  // The three-stage prune never prunes a pair within ε — in particular a
+  // pair at ε equal to its own exact distance, which on the parallel
+  // followers at 1 ± ulps is the perpendicular stage's bound itself — and
+  // the later stages do prune (with c = 0, where stage 1 cannot, too).
   for (const bool three_d : {false, true}) {
     const traj::SegmentStore store = AngleEdgeStore(three_d);
     const size_t n = store.size();
@@ -762,6 +836,45 @@ TEST(BatchKernelTest, PruneIsAdmissibleOnAngleEdgeCases) {
   }
 }
 
+TEST(BatchKernelTest, PerpendicularStagePrunesOffsetParallels) {
+  // Li of length 10 and a parallel follower of length 4 starting level with
+  // it, 1 to the side: the distance is w⊥·1. Their midpoints are √10 apart
+  // against half-lengths summing to 7, and the angle term is 0, so stages 1
+  // and 2 prove nothing; the perpendicular stage prunes the pair at ε = 0.5
+  // in both orders, at the origin and translated by 10⁶ and 10⁹, but never
+  // at ε = its distance. An equal-length follower is the same distance
+  // away, and tied lengths leave this stage out.
+  for (const bool three_d : {false, true}) {
+    for (const double t : {0.0, 1e6, 1e9}) {
+      const auto pt = [three_d, t](double x, double y) {
+        return three_d ? Point(t + x, t + y, t) : Point(t + x, t + y);
+      };
+      const traj::SegmentStore store({Segment(pt(0, 0), pt(10, 0), 0, 0),
+                                      Segment(pt(0, 1), pt(4, 1), 1, 1),
+                                      Segment(pt(0, 1), pt(10, 1), 2, 2)});
+      for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
+        const SegmentDistance dist(cfg);
+        SCOPED_TRACE(testing::Message()
+                     << (three_d ? "3-D" : "2-D") << " t " << t << " w "
+                     << cfg.w_perpendicular << "/" << cfg.w_parallel << "/"
+                     << cfg.w_angle);
+        const double eps = 0.5 * cfg.w_perpendicular;
+        EXPECT_TRUE(PruneProvablyFar(store, dist, 0, 1, eps));
+        EXPECT_TRUE(PruneProvablyFar(store, dist, 1, 0, eps));
+        EXPECT_FALSE(PruneProvablyFar(store, dist, 0, 2, eps));
+        EXPECT_GT(dist(store, 0, 2), eps);
+        for (size_t a = 0; a < 3; ++a) {
+          for (size_t b = 0; b < 3; ++b) {
+            EXPECT_FALSE(
+                PruneProvablyFar(store, dist, a, b, dist(store, a, b)))
+                << a << " " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 // Runs of every length mod 4 over a store, split unevenly.
 std::vector<IndexRun> RaggedRuns(size_t n) {
   std::vector<IndexRun> runs;
@@ -779,7 +892,10 @@ TEST(BatchKernelTest, PruneLoopsKeepIdenticalSurvivors) {
   // lengths are not multiples of 4 (the AVX2 tail runs the scalar lane):
   // refining each run alone, both prune exactly the candidates
   // PruneProvablyFar prunes, and accept the same ones. Over shuffled index
-  // lists (gathered lanes) both assign the same nearest candidate.
+  // lists (gathered lanes) both assign the same nearest candidate. The
+  // angle edge store carries the perpendicular stage's shapes, so all three
+  // stages decide lanes here (PerpendicularStagePrunesOffsetParallels shows
+  // the third one pruning where the first two cannot).
   if (!SimdAvailable()) GTEST_SKIP() << "no AVX2 on this CPU";
   for (const bool three_d : {false, true}) {
     for (const traj::SegmentStore& store :
@@ -1012,6 +1128,55 @@ TEST(BatchKernelTest, NearestWithinEpsMatchesReferenceArgmin) {
                   << block << " eps " << eps << " query " << q;
               ExpectBitEqual(cross_dist[q], one_dist[q], "nearest-cross", q,
                              cross_pos[q]);
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Near-parallel candidates at ε ± ulps: every segment of the
+  // perpendicular edge store queries, at ε = 1 and 1 ± 1 ulp, the segments at
+  // least 0.5 from it, so its nearest is a follower offset by 1 ± ulps (or
+  // the segment it follows) on the boundary. The nearest within ε must be
+  // the reference's in every kernel and block size.
+  for (const bool three_d : {false, true}) {
+    const traj::SegmentStore store = PerpEdgeStore(three_d);
+    const size_t n = store.size();
+    for (const SegmentDistanceConfig& cfg : KernelTestConfigs()) {
+      const SegmentDistance dist(cfg);
+      for (size_t q = 0; q < n; ++q) {
+        std::vector<size_t> cands;
+        for (size_t j = 0; j < n; ++j) {
+          if (dist(store, q, j) >= 0.5) cands.push_back(j);
+        }
+        for (const double eps : {Ulps(1.0, -1), 1.0, Ulps(1.0, 1)}) {
+          size_t expect_pos = kNoNearest;
+          double expect_dist = std::numeric_limits<double>::infinity();
+          for (size_t c = 0; c < cands.size(); ++c) {
+            const double d = dist(store, q, cands[c]);
+            if (d <= eps && d < expect_dist) {
+              expect_dist = d;
+              expect_pos = c;
+            }
+          }
+          for (const BatchKernel kernel : AvailableKernels()) {
+            for (const size_t block : {size_t{1}, size_t{7}, size_t{256}}) {
+              BatchOptions options;
+              options.kernel = kernel;
+              options.block = block;
+              size_t pos = 0;
+              double dmin = 0.0;
+              NearestWithinEps(store, dist, {&q, 1}, store,
+                               {cands.data(), cands.size()}, eps, {&pos, 1},
+                               {&dmin, 1}, options);
+              EXPECT_EQ(pos, expect_pos)
+                  << BatchKernelName(kernel) << " block " << block << " eps "
+                  << eps << " query " << q;
+              if (expect_pos != kNoNearest) {
+                ExpectBitEqual(dmin, expect_dist, "near-parallel", q,
+                               cands[expect_pos]);
+              }
             }
           }
         }
