@@ -308,7 +308,6 @@ BENCHMARK(BM_EpsilonRefineBatch)->Arg(0)->Arg(1);
 struct SieveFixture {
   traj::SegmentStore store;
   std::shared_ptr<const core::GroupStage> inner;
-  core::SieveGroupOptions sieve;   // Every field but the stride k.
   cluster::ClusteringResult full;  // The inner backend's (unsieved) run.
 };
 
@@ -326,8 +325,6 @@ const SieveFixture& SievePool() {
     core::DbscanGroupOptions group;
     group.eps = 0.94;
     group.min_lns = 5.0;
-    f->sieve.eps = group.eps;
-    f->sieve.distance = group.distance;
     f->inner = std::make_shared<core::DbscanGroupStage>(group);
     auto full = f->inner->Run(f->store, core::RunContext{});
     if (!full.ok()) std::abort();
@@ -387,7 +384,7 @@ double SieveQuality(const SieveFixture& f,
 void BM_SieveGroupEndToEnd(benchmark::State& state) {
   const SieveFixture& f = SievePool();
   const size_t k = static_cast<size_t>(state.range(0));
-  core::SieveGroupOptions sieve = f.sieve;
+  core::SieveGroupOptions sieve;
   sieve.k = k;
   const std::shared_ptr<const core::GroupStage> stage =
       k <= 1 ? f.inner

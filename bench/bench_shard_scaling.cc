@@ -124,9 +124,6 @@ void RunShardedGrouping(benchmark::State& state,
   core::ShardedRunStats stats;
   core::ShardedGroupOptions sharded;
   sharded.shards = shards;
-  sharded.eps = group.eps;
-  sharded.min_lns = group.min_lns;
-  sharded.distance = group.distance;
   sharded.stats = &stats;
   // The S = 1 row runs the inner DBSCAN backend directly (sharding needs
   // S ≥ 2); its time is the baseline of the other rows' speedup.

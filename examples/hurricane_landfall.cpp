@@ -85,11 +85,10 @@ int main() {
   // Scaling to a full Best Track archive: sieve-sampled grouping
   // (README "Sieve + tiled kernels"). Only every 4th hurricane's segments go
   // through DBSCAN; the rest are batch-assigned to the nearest sampled
-  // cluster member within eps — O((n/k)² + n·|sample|) instead of O(n²),
-  // deterministic for a fixed (k, offset).
+  // cluster member within the DBSCAN stage's eps — O((n/k)² + n·|sample|)
+  // instead of O(n²), deterministic for a fixed (k, offset).
   traclus::core::SieveGroupOptions sieve;
   sieve.k = 4;  // Cluster a 1-in-4 trajectory sample.
-  sieve.eps = group.eps;
   const auto sieved_engine = traclus::core::TraclusEngine::Builder()
                                  .UseDbscanGrouping(group)
                                  .UseSweepRepresentatives(reps)

@@ -7,6 +7,7 @@
 
 #include "common/span.h"
 #include "geom/segment.h"
+#include "traj/chunked_store.h"
 #include "traj/segment_store.h"
 
 namespace traclus::cluster {
@@ -58,6 +59,16 @@ struct SegmentSetView {
     view.trajectory_ids = store.trajectory_ids();
     return view;
   }
+
+  /// The chunked store's always-resident catalog: reading it faults no
+  /// payload chunk.
+  static SegmentSetView Of(const traj::ChunkedSegmentStore& store) {
+    SegmentSetView view;
+    view.count = store.size();
+    view.weights = store.weights();
+    view.trajectory_ids = store.trajectory_ids();
+    return view;
+  }
 };
 
 /// The set of participating trajectories PTR(C) of a cluster (Definition 10):
@@ -85,6 +96,18 @@ std::unordered_set<geom::TrajectoryId> ParticipatingTrajectories(
     const SegmentSetView& view, const Cluster& cluster);
 size_t TrajectoryCardinality(const SegmentSetView& view,
                              const Cluster& cluster);
+
+/// The trajectory-cardinality filter of Fig. 12 step 3 (lines 13-16), the
+/// one copy every grouping backend applies. `raw` holds the clusters as
+/// found, each with id equal to its index, and labels that name one of them
+/// or kNoise. Clusters with |PTR(C)| (Definition 10) below the threshold are
+/// removed and their members become noise; the threshold is
+/// `min_trajectory_cardinality`, or `min_lns` when that is negative (0
+/// keeps every cluster). Survivors are renumbered densely in raw order and
+/// num_noise is recounted.
+ClusteringResult FilterByTrajectoryCardinality(
+    const SegmentSetView& view, double min_trajectory_cardinality,
+    double min_lns, ClusteringResult raw);
 
 }  // namespace traclus::cluster
 

@@ -126,7 +126,6 @@ ClusteringResult DbscanSegments(const SegmentSetView& view,
   const size_t n = view.size();
   ClusteringResult result;
   result.labels.assign(n, kUnclassified);
-  std::vector<Cluster> raw_clusters;
   std::deque<size_t> queue;
 
   // ε-neighborhood queries are computed in bounded blocks across the pool
@@ -187,33 +186,14 @@ ClusteringResult DbscanSegments(const SegmentSetView& view,
       }
     }
 
-    raw_clusters.push_back(std::move(cluster));
+    result.clusters.push_back(std::move(cluster));
     ++cluster_id;  // Line 10.
   }
 
   // Step 3 (lines 13-16): trajectory-cardinality filter.
-  const double cardinality_threshold = options.min_trajectory_cardinality < 0.0
-                                           ? options.min_lns
-                                           : options.min_trajectory_cardinality;
-  std::vector<int> remap(raw_clusters.size(), kNoise);
-  int dense_id = 0;
-  for (auto& cluster : raw_clusters) {
-    const double ptr =
-        static_cast<double>(TrajectoryCardinality(view, cluster));
-    // Removed; members become noise.
-    if (ptr < cardinality_threshold) continue;
-    remap[cluster.id] = dense_id;
-    cluster.id = dense_id;
-    result.clusters.push_back(std::move(cluster));
-    ++dense_id;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (result.labels[i] >= 0) {
-      result.labels[i] = remap[result.labels[i]];
-    }
-    if (result.labels[i] == kNoise) ++result.num_noise;
-    TRACLUS_DCHECK(result.labels[i] != kUnclassified);
-  }
+  result = FilterByTrajectoryCardinality(
+      view, options.min_trajectory_cardinality, options.min_lns,
+      std::move(result));
   if (options.progress) options.progress(1.0);
   return result;
 }

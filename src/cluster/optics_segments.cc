@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/span.h"
@@ -128,9 +129,8 @@ ClusteringResult ExtractDbscanClustering(
     const traj::SegmentStore& store, const OpticsResult& optics,
     double eps_cut, double min_lns, double min_trajectory_cardinality) {
   const size_t n = store.size();
-  ClusteringResult result;
-  result.labels.assign(n, kNoise);
-  std::vector<Cluster> raw;
+  ClusteringResult raw;
+  raw.labels.assign(n, kNoise);
 
   int cluster_id = -1;
   for (size_t k = 0; k < optics.ordering.size(); ++k) {
@@ -140,37 +140,20 @@ ClusteringResult ExtractDbscanClustering(
     if (r > eps_cut) {
       if (c <= eps_cut) {  // New cluster seeded by a core object.
         ++cluster_id;
-        raw.push_back(Cluster{cluster_id, {}});
-        raw.back().member_indices.push_back(idx);
-        result.labels[idx] = cluster_id;
+        raw.clusters.push_back(Cluster{cluster_id, {}});
+        raw.clusters.back().member_indices.push_back(idx);
+        raw.labels[idx] = cluster_id;
       }
       // else: noise (stays kNoise).
     } else if (cluster_id >= 0) {
-      raw[cluster_id].member_indices.push_back(idx);
-      result.labels[idx] = cluster_id;
+      raw.clusters[cluster_id].member_indices.push_back(idx);
+      raw.labels[idx] = cluster_id;
     }
   }
 
-  const double threshold =
-      min_trajectory_cardinality < 0.0 ? min_lns : min_trajectory_cardinality;
-  std::vector<int> remap(raw.size(), kNoise);
-  int dense_id = 0;
-  for (auto& cluster : raw) {
-    if (static_cast<double>(TrajectoryCardinality(store, cluster)) <
-        threshold) {
-      continue;
-    }
-    remap[cluster.id] = dense_id;
-    cluster.id = dense_id;
-    result.clusters.push_back(std::move(cluster));
-    ++dense_id;
-  }
-  result.num_noise = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (result.labels[i] >= 0) result.labels[i] = remap[result.labels[i]];
-    if (result.labels[i] == kNoise) ++result.num_noise;
-  }
-  return result;
+  return FilterByTrajectoryCardinality(SegmentSetView::Of(store),
+                                       min_trajectory_cardinality, min_lns,
+                                       std::move(raw));
 }
 
 }  // namespace traclus::cluster

@@ -29,35 +29,27 @@ bool LexLess(const CellCoord& a, const CellCoord& b) {
 
 }  // namespace
 
-ShardGrid::ShardGrid(const traj::SegmentStore& store, size_t num_shards,
-                     double cell_size)
+ShardGrid::ShardGrid(const traj::SegmentStore& store, size_t num_shards)
     : store_(store), dims_(store.dims()) {
   TRACLUS_CHECK_GT(num_shards, 0u);
   const size_t n = store.size();
   owned_.resize(num_shards);
   h_max_.assign(num_shards, 0.0);
   owner_.assign(n, 0);
-  if (n == 0) {
-    cell_size_ = cell_size > 0.0 ? cell_size : 1.0;
-    return;
-  }
+  if (n == 0) return;
 
-  // Cell size: caller's, or the auto heuristic — the midpoint bbox's largest
-  // extent split into ceil(sqrt(16 · S)) cells per axis, giving the balanced
-  // split roughly 16 occupied-cell granules per shard to work with.
-  if (cell_size > 0.0) {
-    cell_size_ = cell_size;
-  } else {
-    double extent = 0.0;
-    for (int d = 0; d < dims_; ++d) {
-      const std::vector<double>& mid = store_.midpoint_coords(d);
-      const auto [lo, hi] = std::minmax_element(mid.begin(), mid.end());
-      extent = std::max(extent, *hi - *lo);
-    }
-    const double cells_per_axis = std::ceil(
-        std::sqrt(16.0 * static_cast<double>(num_shards)));
-    cell_size_ = std::max(extent / cells_per_axis, 1e-9);
+  // Cell size: the midpoint bbox's largest extent split into
+  // ceil(sqrt(16 · S)) cells per axis, giving the balanced split roughly 16
+  // occupied-cell granules per shard to work with.
+  double extent = 0.0;
+  for (int d = 0; d < dims_; ++d) {
+    const std::vector<double>& mid = store_.midpoint_coords(d);
+    const auto [lo, hi] = std::minmax_element(mid.begin(), mid.end());
+    extent = std::max(extent, *hi - *lo);
   }
+  const double cells_per_axis =
+      std::ceil(std::sqrt(16.0 * static_cast<double>(num_shards)));
+  const double cell_size = std::max(extent / cells_per_axis, 1e-9);
 
   // Per-segment cell coordinates, then the occupied-cell list in
   // lexicographic order with occupancy counts.
@@ -65,7 +57,7 @@ ShardGrid::ShardGrid(const traj::SegmentStore& store, size_t num_shards,
   for (int d = 0; d < dims_; ++d) {
     const std::vector<double>& mid = store_.midpoint_coords(d);
     for (size_t i = 0; i < n; ++i) {
-      const int64_t c = static_cast<int64_t>(std::floor(mid[i] / cell_size_));
+      const int64_t c = static_cast<int64_t>(std::floor(mid[i] / cell_size));
       if (d == 0) {
         coord[i].x = c;
       } else if (d == 1) {

@@ -34,8 +34,8 @@
 // the dilation carries a relative slack of 1e-9 so boundary cases stay
 // inclusive. Per-segment boxes keep one long segment from widening the whole
 // shard's halo: only the corridor it actually spans is marked. The result is
-// a pure function of (store, num_shards, cell_size, reach) — independent of
-// thread count and evaluation order.
+// a pure function of (store, num_shards, reach) — independent of thread
+// count and evaluation order.
 //
 // Tightness: on the hurricane corpus (ε = 0.94, heavy-tailed segment
 // lengths) this bound measures within a few percent of the exact
@@ -57,16 +57,14 @@ namespace traclus::cluster {
 /// state — no mutex needed).
 class ShardGrid {
  public:
-  /// Decomposes `store` into `num_shards` shards (must be ≥ 1). `cell_size`
-  /// ≤ 0 selects the automatic heuristic: the midpoint bounding box's
-  /// largest extent divided by ceil(sqrt(16 · num_shards)) cells per axis —
-  /// roughly 16 occupied-cell granules per shard, enough for the balanced
-  /// split to even out skew without shredding spatial coherence.
-  ShardGrid(const traj::SegmentStore& store, size_t num_shards,
-            double cell_size = 0.0);
+  /// Decomposes `store` into `num_shards` shards (must be ≥ 1). The
+  /// ownership cell size is the midpoint bounding box's largest extent
+  /// divided by ceil(sqrt(16 · num_shards)) cells per axis — roughly 16
+  /// occupied-cell granules per shard, enough for the balanced split to even
+  /// out skew without shredding spatial coherence.
+  ShardGrid(const traj::SegmentStore& store, size_t num_shards);
 
   size_t num_shards() const { return owned_.size(); }
-  double cell_size() const { return cell_size_; }
   /// Number of occupied grid cells (≤ store.size()).
   size_t num_cells() const { return cells_.size(); }
 
@@ -96,7 +94,6 @@ class ShardGrid {
   };
 
   const traj::SegmentStore& store_;
-  double cell_size_ = 1.0;
   int dims_ = 2;
   /// Occupied cells in lexicographic (x, y, z) order.
   std::vector<Cell> cells_;

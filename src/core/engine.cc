@@ -155,16 +155,6 @@ cluster::RepresentativeOptions MakeRepresentativeOptions(
   return o;
 }
 
-// The always-resident catalog columns of a chunked store, viewed the way
-// DBSCAN's density accounting wants them.
-cluster::SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
-  cluster::SegmentSetView view;
-  view.count = store.size();
-  view.weights = store.weights();
-  view.trajectory_ids = store.trajectory_ids();
-  return view;
-}
-
 // The chunked-store default: a stage without an out-of-core path refuses a
 // capped run instead of merging the store, which would break the cap.
 common::Status NoCappedPath(const char* stage) {
@@ -289,6 +279,16 @@ common::Status DbscanGroupStage::Validate() const {
   return ValidateDistanceConfig(options_.distance);
 }
 
+std::optional<DensityParams> DbscanGroupStage::density() const {
+  DensityParams p;
+  p.eps = options_.eps;
+  p.min_lns = options_.min_lns;
+  p.min_trajectory_cardinality = options_.min_trajectory_cardinality;
+  p.use_weights = options_.use_weights;
+  p.distance = options_.distance;
+  return p;
+}
+
 common::Result<cluster::ClusteringResult> DbscanGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
   const distance::SegmentDistance dist(options_.distance);
@@ -315,7 +315,8 @@ common::Result<cluster::ClusteringResult> DbscanGroupStage::RunChunked(
   try {
     // The same Fig. 12 walk as Run: expansion reads the catalog view, the
     // ε-queries fault payload chunks under the store's residency cap.
-    return cluster::DbscanSegments(CatalogView(store), provider, o);
+    return cluster::DbscanSegments(cluster::SegmentSetView::Of(store),
+                                   provider, o);
   } catch (const common::OperationCancelled&) {
     return CancelledIn(name());
   }
@@ -338,6 +339,16 @@ common::Status OpticsGroupStage::Validate() const {
         "(or <= 0 for 'use eps')");
   }
   return ValidateDistanceConfig(options_.distance);
+}
+
+std::optional<DensityParams> OpticsGroupStage::density() const {
+  DensityParams p;
+  p.eps = options_.eps;
+  p.min_lns = options_.min_lns;
+  p.min_trajectory_cardinality = options_.min_trajectory_cardinality;
+  p.use_weights = false;
+  p.distance = options_.distance;
+  return p;
 }
 
 common::Result<cluster::ClusteringResult> OpticsGroupStage::Run(

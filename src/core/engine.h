@@ -169,16 +169,17 @@ class TraclusEngine {
     /// (core/sieve_stage.h): every run groups only the 1-in-`options.k`
     /// trajectory sample (residue class `options.offset`) through the
     /// wrapped backend and batch-assigns the rest to the nearest cluster
-    /// within `options.eps`. Call after the grouping backend is chosen
-    /// (Use*Grouping / SetGroupStage); calling it with no group stage
-    /// configured, or with k < 2, is a Build() validation failure.
+    /// within the wrapped backend's ε. Call after the grouping backend is
+    /// chosen (Use*Grouping / SetGroupStage); calling it with no group stage
+    /// configured, one that reports no GroupStage::density(), or k < 2 is a
+    /// Build() validation failure.
     Builder& WithSieveGrouping(const SieveGroupOptions& options);
     /// Wraps the currently configured group stage in a ShardedGroupStage
     /// (core/sharded_stage.h): every run decomposes the segment database over
     /// a cell grid into `options.shards` shards, runs the wrapped backend
     /// independently per shard (in parallel across the run's threads), and
-    /// merges shard-border clusters through a halo exchange behind the
-    /// communicator seam. Same call-after-the-backend contract as
+    /// merges shard-border clusters through their halos, with the wrapped
+    /// backend's density parameters. Same call-after-the-backend contract as
     /// WithSieveGrouping; shards < 2 fails Build(). Composes with the sieve:
     /// apply sharding first so the sieve's sampled sub-database is what gets
     /// sharded.

@@ -1,7 +1,6 @@
 #include "core/sharded_stage.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -13,19 +12,12 @@
 #include "common/logging.h"
 #include "common/span.h"
 #include "common/thread_pool.h"
-#include "core/shard_comm.h"
 #include "distance/batch_kernels.h"
 #include "geom/segment.h"
 
 namespace traclus::core {
 
 namespace {
-
-// Tag of the one message kind the stage exchanges: the halo record batch.
-constexpr int kBorderTag = 0;
-// Wire shape of one record: {global index, post-dissolution label as int64,
-// core flag}.
-constexpr size_t kRecordWords = 3;
 
 common::Status CancelledIn(const char* stage) {
   return common::Status::Cancelled(std::string("run cancelled in stage '") +
@@ -38,8 +30,8 @@ void Report(const RunContext& ctx, const char* stage, double fraction) {
 
 /// Everything one shard (rank) computes in superstep 1 and consumes in
 /// superstep 2. Each slot is written only by the pool task running that
-/// rank; the driver reads between supersteps (the pool's blocking
-/// ParallelFor is the barrier), so no per-slot locking is needed.
+/// rank; peers and the calling thread read it after the pool's blocking
+/// ParallelFor (the barrier), so no per-slot locking is needed.
 struct ShardState {
   common::Status status = common::Status::OK();
   /// Local index → global index: owned segments (ascending) then ghosts
@@ -115,27 +107,22 @@ common::Status ShardedGroupStage::Validate() const {
         "ShardedGroupStage requires a non-null inner group stage");
   }
   TRACLUS_RETURN_NOT_OK(inner_->Validate());
+  if (!inner_->density()) {
+    return common::Status::InvalidArgument(
+        std::string("ShardedGroupStage needs an inner group stage that "
+                    "reports GroupStage::density(); '") +
+        inner_->name() + "' reports none");
+  }
   if (options_.shards < 2) {
     return common::Status::OutOfRange(
         "shard count must be >= 2 (without sharding, use the inner group "
         "stage directly)");
   }
-  if (!(options_.eps > 0.0) || !std::isfinite(options_.eps)) {
-    return common::Status::OutOfRange(
-        "sharded grouping eps must be positive and finite");
-  }
-  if (!(options_.min_lns >= 1.0) || !std::isfinite(options_.min_lns)) {
-    return common::Status::OutOfRange(
-        "sharded grouping MinLns must be finite and >= 1");
-  }
-  const distance::SegmentDistanceConfig& d = options_.distance;
-  if (!std::isfinite(d.w_perpendicular) || d.w_perpendicular < 0.0 ||
-      !std::isfinite(d.w_parallel) || d.w_parallel < 0.0 ||
-      !std::isfinite(d.w_angle) || d.w_angle < 0.0) {
-    return common::Status::InvalidArgument(
-        "sharded grouping distance weights must be finite and non-negative");
-  }
   return common::Status::OK();
+}
+
+std::optional<DensityParams> ShardedGroupStage::density() const {
+  return inner_ != nullptr ? inner_->density() : std::nullopt;
 }
 
 common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
@@ -146,6 +133,8 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     // Nothing to decompose: the inner stage returns the empty clustering.
     return inner_->Run(store, ctx);
   }
+  // Validate refuses an inner stage without density parameters.
+  const DensityParams params = inner_->density().value();
   if (ctx.cancellation != nullptr && ctx.cancellation->cancelled()) {
     return CancelledIn(name());
   }
@@ -154,11 +143,11 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   // Decomposition: cell grid over midpoints, halo radius ε/c in midpoint
   // space (c = the distance's triangle-inequality lower-bound factor; a
   // degenerate factor ghosts everything, which is correct and merely slow).
-  const cluster::ShardGrid grid(store, S, options_.cell_size);
-  const distance::SegmentDistance dist(options_.distance);
+  const cluster::ShardGrid grid(store, S);
+  const distance::SegmentDistance dist(params.distance);
   const double factor = dist.LowerBoundFactor();
   const double reach = factor > 0.0
-                           ? options_.eps / factor
+                           ? params.eps / factor
                            : std::numeric_limits<double>::infinity();
   const std::vector<std::vector<size_t>> ghosts = grid.GhostLists(reach);
 
@@ -172,44 +161,17 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   inner_ctx.progress = nullptr;
 
   std::vector<ShardState> states(S);
-  InProcessShardGroup comm_group(static_cast<int>(S));
   common::ThreadPool& pool = common::SharedPool(ctx.num_threads);
 
-  // --- Superstep 1: shard-local clustering, border analysis, sends. ------
-  // Every rank ends by sending one record batch to every peer (possibly
-  // empty); the blocking ParallelFor is the BSP barrier that orders those
-  // sends before superstep 2's receives.
+  // --- Superstep 1: shard-local clustering and border analysis. ----------
+  // The blocking ParallelFor is the barrier: superstep 2 reads every
+  // owner's post-dissolution labels and core flags only after it returns.
   pool.ParallelFor(0, S, [&](size_t s) {
     ShardState& st = states[s];
-    ShardCommunicator& comm = comm_group.comm(static_cast<int>(s));
     const std::vector<size_t>& owned = grid.owned()[s];
     const std::vector<size_t>& ghost = ghosts[s];
     st.owned_count = owned.size();
-
-    const auto send_all = [&](bool empty_only) {
-      for (size_t r = 0; r < S; ++r) {
-        if (r == s) continue;
-        std::vector<uint64_t> payload;
-        if (!empty_only) {
-          // Records for owned(s) ∩ ghosts(r), ascending by global index
-          // (ghosts[r] is ascending).
-          for (const size_t j : ghosts[r]) {
-            if (grid.owner_of(j) != s) continue;
-            const size_t li = LocalIndexOf(owned, j);
-            payload.push_back(static_cast<uint64_t>(j));
-            payload.push_back(static_cast<uint64_t>(
-                static_cast<int64_t>(st.local.labels[li])));
-            payload.push_back(st.core[li] ? 1u : 0u);
-          }
-        }
-        comm.Send(static_cast<int>(r), kBorderTag, std::move(payload));
-      }
-    };
-
-    if (owned.empty()) {
-      send_all(/*empty_only=*/true);
-      return;
-    }
+    if (owned.empty()) return;
 
     // Shard-local store: owned segments then ghosts, each ascending. The
     // rebuilt invariant cache is bit-identical to the global store's for the
@@ -232,7 +194,6 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
     auto inner_result = inner_->Run(local_store, inner_ctx);
     if (!inner_result.ok()) {
       st.status = inner_result.status();
-      send_all(/*empty_only=*/true);  // Keep the exchange well-formed.
       return;
     }
     st.local = *std::move(inner_result);
@@ -256,7 +217,7 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
       distance::EpsilonRefineTile(
           local_store, dist,
           common::Span<const size_t>(queries.data(), queries.size()),
-          st.owned_count, local_size, options_.eps,
+          st.owned_count, local_size, params.eps,
           st.ghost_neighbors.data(), batch);
     }
     std::vector<size_t> border;
@@ -273,16 +234,16 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
       distance::EpsilonRefineTile(
           local_store, dist,
           common::Span<const size_t>(border.data(), border.size()), 0,
-          local_size, options_.eps, full.data(), batch);
+          local_size, params.eps, full.data(), batch);
       const std::vector<double>& weights = local_store.weights();
       for (size_t b = 0; b < border.size(); ++b) {
         double mass = 0.0;
-        if (options_.use_weights) {
+        if (params.use_weights) {
           for (const size_t m : full[b]) mass += weights[m];
         } else {
           mass = static_cast<double>(full[b].size());
         }
-        st.core[border[b]] = mass >= options_.min_lns ? 1 : 0;
+        st.core[border[b]] = mass >= params.min_lns ? 1 : 0;
       }
     }
 
@@ -309,8 +270,6 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
         st.local.labels[i] = cluster::kNoise;
       }
     }
-
-    send_all(/*empty_only=*/false);
   });
 
   for (size_t s = 0; s < S; ++s) {
@@ -327,29 +286,24 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   }
   const size_t total_provisional = offset[S];
 
-  // --- Superstep 2: receive halo records, emit merge edges + attaches. ---
+  // --- Superstep 2: read the ghosts' owner-side state, emit merge edges
+  // and attaches. Each ghost's post-dissolution label and exact core flag
+  // come from its owner's superstep-1 slot, which nothing writes any more.
   pool.ParallelFor(0, S, [&](size_t s) {
     ShardState& st = states[s];
-    ShardCommunicator& comm = comm_group.comm(static_cast<int>(s));
     struct GhostInfo {
-      int64_t label = -1;
+      int label = cluster::kNoise;
       char core = 0;
       size_t owner = 0;
     };
     const std::vector<size_t>& ghost = ghosts[s];
     std::vector<GhostInfo> info(ghost.size());
-    for (size_t r = 0; r < S; ++r) {
-      if (r == s) continue;
-      const std::vector<uint64_t> payload =
-          comm.Recv(static_cast<int>(r), kBorderTag);
-      TRACLUS_CHECK(payload.size() % kRecordWords == 0);
-      for (size_t k = 0; k < payload.size(); k += kRecordWords) {
-        const size_t global = static_cast<size_t>(payload[k]);
-        const size_t pos = LocalIndexOf(ghost, global);
-        info[pos].label = static_cast<int64_t>(payload[k + 1]);
-        info[pos].core = payload[k + 2] != 0 ? 1 : 0;
-        info[pos].owner = r;
-      }
+    for (size_t pos = 0; pos < ghost.size(); ++pos) {
+      const size_t j = ghost[pos];
+      const size_t r = grid.owner_of(j);
+      const ShardState& owner = states[r];
+      const size_t li = LocalIndexOf(grid.owned()[r], j);
+      info[pos] = GhostInfo{owner.local.labels[li], owner.core[li], r};
     }
 
     // Owned members in ascending local (= global) order; each ghost
@@ -435,34 +389,10 @@ common::Result<cluster::ClusteringResult> ShardedGroupStage::Run(
   }
 
   // Global trajectory-cardinality filter (Fig. 12 step 3), applied once on
-  // the merged clusters with the inner backends' exact semantics: negative
-  // threshold falls back to MinLns, 0 disables.
-  const double threshold = options_.min_trajectory_cardinality < 0.0
-                               ? options_.min_lns
-                               : options_.min_trajectory_cardinality;
-  const cluster::SegmentSetView view = cluster::SegmentSetView::Of(store);
-  cluster::ClusteringResult out;
-  out.labels.assign(n, cluster::kNoise);
-  std::vector<int> remap(merged.clusters.size(), -1);
-  for (cluster::Cluster& c : merged.clusters) {
-    const double cardinality =
-        static_cast<double>(cluster::TrajectoryCardinality(view, c));
-    if (cardinality < threshold) continue;  // Removed; members become noise.
-    const int dense = static_cast<int>(out.clusters.size());
-    remap[static_cast<size_t>(c.id)] = dense;
-    c.id = dense;
-    out.clusters.push_back(std::move(c));
-  }
-  out.num_noise = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int label = merged.labels[i];
-    const int dense = label >= 0 ? remap[static_cast<size_t>(label)] : -1;
-    if (dense >= 0) {
-      out.labels[i] = dense;
-    } else {
-      ++out.num_noise;
-    }
-  }
+  // the merged clusters with the inner backends' exact semantics.
+  cluster::ClusteringResult out = cluster::FilterByTrajectoryCardinality(
+      cluster::SegmentSetView::Of(store), params.min_trajectory_cardinality,
+      params.min_lns, std::move(merged));
 
   if (options_.stats != nullptr) {
     ShardedRunStats stats;

@@ -6,9 +6,15 @@
 // independently per shard on a shard-local store (owned segments plus the
 // halo of ghost segments within ε-reach of the shard's region), then merge
 // clusters across shard borders with a union-find pass over ghost-confirmed
-// ε-pairs. All inter-shard traffic flows through the communicator seam
-// (core/shard_comm.h), so a process-parallel (MPI-shaped) backend can
-// replace the in-process one without touching the stage.
+// ε-pairs. The shards run in one process: after the superstep-1 barrier
+// each shard reads its ghosts' labels and core flags straight from their
+// owners' slots.
+//
+// Parameters: ε, MinLns, the weights flag, the cardinality threshold and the
+// distance are the inner stage's (GroupStage::density()), so the halo, the
+// border core re-check and the global filter describe the clustering the
+// shards run; Validate refuses an inner stage that reports none. The grid's
+// cell size is ShardGrid's automatic heuristic.
 //
 // Cost model: the inner backend's quadratic pairwise work drops from O(n²)
 // to O(Σ_s (n_s + g_s)²) ≈ O(n²/S) for S balanced shards with small halos,
@@ -43,9 +49,9 @@
 // other inner backends (OPTICS, custom) the merge is the same density-style
 // heuristic but carries no exactness proof.
 //
-// Determinism: the grid, halos, per-shard runs, exchanged records, and the
-// rank-ordered union-find are each pure functions of (store, options, shard
-// count) — thread scheduling only changes when shards run, never what they
+// Determinism: the grid, halos, per-shard runs, ghost reads, and the
+// rank-ordered union-find are each pure functions of (store, inner stage,
+// shard count) — thread scheduling only changes when shards run, never what they
 // compute — so labels are byte-identical across thread counts and
 // scalar/SIMD kernels for a fixed shard count.
 //
@@ -55,20 +61,21 @@
 // merge.
 //
 // Thread-safety: the stage itself is immutable (inner pointer + options); a
-// run's mutable state is per-shard slots written by the owning pool task
-// plus the communicator mailboxes, which are TRACLUS_GUARDED_BY their
-// common::Mutex. The optional stats sink is written by the driver thread
-// only, after the barrier — but distinct concurrent runs must not share one
-// sink.
+// run's mutable state is per-shard slots written only by the owning pool
+// task. Superstep 2 reads peers' superstep-1 labels and core flags, which
+// nothing writes after the superstep-1 ParallelFor returns (the barrier),
+// so no slot needs a lock. The optional stats sink is written by the calling
+// thread only, after the barrier — but distinct concurrent runs must not
+// share one sink.
 //
 // Out-of-core: RunChunked inherits the kUnimplemented default, so a capped
 // streaming run with sharded grouping is refused rather than merged.
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/stages.h"
-#include "distance/segment_distance.h"
 
 namespace traclus::core {
 
@@ -93,34 +100,12 @@ struct ShardedRunStats {
   size_t attached_segments = 0;
 };
 
-/// Configuration of the sharded grouping driver. eps / min_lns / weights /
-/// distance describe the SAME clustering the inner stage runs (like the
-/// sieve stage, the decorator cannot read an arbitrary inner stage's
-/// configuration, so the caller states it twice); results are only exact
-/// when they match the inner backend's.
+/// Configuration of the sharded grouping stage: the shard count and a
+/// stats sink. Everything about the clustering itself is read from the inner
+/// stage (GroupStage::density()).
 struct ShardedGroupOptions {
   /// Shard count S of the cell-grid decomposition. Must be set, ≥ 2.
   size_t shards = 0;
-  /// Neighborhood radius ε (Definition 4) of the inner clustering — drives
-  /// the halo width, the border tiles, and the merge predicate. Must be
-  /// positive and finite.
-  double eps = 25.0;
-  /// Core-density threshold MinLns (Definition 5) of the inner clustering —
-  /// drives the border core re-check. Must be finite and ≥ 1.
-  double min_lns = 5.0;
-  /// Global trajectory-cardinality threshold, applied once after the merge
-  /// (negative: use min_lns; 0: disabled) — the same semantics as
-  /// DbscanGroupOptions::min_trajectory_cardinality.
-  double min_trajectory_cardinality = -1.0;
-  /// Weighted-trajectory extension (§4.2): border neighborhood mass sums
-  /// segment weights instead of counting.
-  bool use_weights = false;
-  /// Grid cell size of the shard decomposition; ≤ 0 selects ShardGrid's
-  /// automatic heuristic.
-  double cell_size = 0.0;
-  /// Distance function (§2.3) of the inner clustering. Weights must be
-  /// finite and non-negative.
-  distance::SegmentDistanceConfig distance;
   /// Optional counters sink (caller-owned, may be null). Written once per
   /// sharded Run by the driver thread; do not share one sink between
   /// concurrent runs.
@@ -131,16 +116,18 @@ struct ShardedGroupOptions {
 /// backend into options().shards shards.
 class ShardedGroupStage : public GroupStage {
  public:
-  /// `inner` must be non-null (checked in Validate).
+  /// `inner` must be non-null and report density() (checked in Validate).
   explicit ShardedGroupStage(std::shared_ptr<const GroupStage> inner,
                              const ShardedGroupOptions& options = {});
 
   const char* name() const override;
   common::Status Validate() const override;
+  /// The inner stage's parameters: the merge describes its clustering.
+  std::optional<DensityParams> density() const override;
   /// An empty store delegates to the inner stage unchanged. Otherwise runs
-  /// the three-superstep sharded pipeline:
-  /// shard-local clustering + border analysis, halo record exchange over the
-  /// communicator, and the cross-border union-find merge + global filter.
+  /// the sharded pipeline: shard-local clustering + border analysis, the
+  /// ghosts' owner-side labels and core flags turned into merge edges and
+  /// attaches, and the cross-border union-find merge + global filter.
   common::Result<cluster::ClusteringResult> Run(
       const traj::SegmentStore& store, const RunContext& ctx) const override;
 

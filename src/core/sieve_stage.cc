@@ -1,7 +1,6 @@
 #include "core/sieve_stage.h"
 
-#include <cmath>
-#include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,29 +35,30 @@ common::Status SieveGroupStage::Validate() const {
         "SieveGroupStage requires a non-null inner group stage");
   }
   TRACLUS_RETURN_NOT_OK(inner_->Validate());
+  if (!inner_->density()) {
+    return common::Status::InvalidArgument(
+        std::string("SieveGroupStage needs an inner group stage that reports "
+                    "GroupStage::density(); '") +
+        inner_->name() + "' reports none");
+  }
   if (options_.k < 2) {
     return common::Status::OutOfRange(
         "sieve stride k must be >= 2 (without a sieve, use the inner group "
         "stage directly)");
   }
-  if (!(options_.eps > 0.0) || !std::isfinite(options_.eps)) {
-    return common::Status::OutOfRange(
-        "sieve assignment eps must be positive and finite");
-  }
-  const distance::SegmentDistanceConfig& d = options_.distance;
-  if (!std::isfinite(d.w_perpendicular) || d.w_perpendicular < 0.0 ||
-      !std::isfinite(d.w_parallel) || d.w_parallel < 0.0 ||
-      !std::isfinite(d.w_angle) || d.w_angle < 0.0) {
-    return common::Status::InvalidArgument(
-        "sieve distance weights must be finite and non-negative");
-  }
   return common::Status::OK();
+}
+
+std::optional<DensityParams> SieveGroupStage::density() const {
+  return inner_ != nullptr ? inner_->density() : std::nullopt;
 }
 
 common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
     const traj::SegmentStore& store, const RunContext& ctx) const {
   const size_t n = store.size();
   const size_t k = options_.k;
+  // Validate refuses an inner stage without density parameters.
+  const DensityParams params = inner_->density().value();
 
   // Sampling unit is the trajectory: a trajectory's segments stay together so
   // the sample preserves within-trajectory density (a segment's ε-neighbors
@@ -123,7 +123,7 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
   }();
 
   if (!anchor_idx.empty() && !queries.empty()) {
-    const distance::SegmentDistance dist(options_.distance);
+    const distance::SegmentDistance dist(params.distance);
     distance::BatchOptions options;
     options.kernel = ctx.distance_kernel;
     const common::Span<const size_t> anchors(anchor_idx.data(),
@@ -137,7 +137,7 @@ common::Result<cluster::ClusteringResult> SieveGroupStage::Run(
           distance::NearestWithinEps(
               store, dist,
               common::Span<const size_t>(queries.data() + lo, hi - lo),
-              store, anchors, options_.eps,
+              store, anchors, params.eps,
               common::Span<size_t>(nearest.data() + lo, hi - lo),
               common::Span<double>(nearest_dist.data() + lo, hi - lo),
               options);

@@ -25,6 +25,9 @@
 // in ascending global index order. Labels are therefore byte-identical
 // across thread counts and scalar/SIMD kernels.
 //
+// Parameters: the assignment reads ε and the distance from the inner stage
+// (GroupStage::density()); Validate refuses an inner stage that reports none.
+//
 // Thread-safety: the stage holds no mutable state (immutable inner pointer +
 // options), so it needs no mutex and no capability annotations; the parallel
 // assignment writes index-addressed slots only. Any future mutable caching
@@ -35,14 +38,17 @@
 // chunk-resident many-vs-many path is future work — see ROADMAP).
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/stages.h"
 
 namespace traclus::core {
 
-/// Configuration of sieve-sampled grouping: the sampling knobs and the
-/// assignment phase.
+/// Configuration of sieve-sampled grouping: the sampling knobs only. The
+/// assignment radius and distance are the inner stage's ε and distance
+/// (GroupStage::density()), so membership means the same thing on both
+/// sides of the sieve.
 struct SieveGroupOptions {
   /// Sieve stride: only every k-th trajectory (by first-appearance rank in
   /// store order) is grouped through the inner backend. Must be set, ≥ 2.
@@ -50,32 +56,25 @@ struct SieveGroupOptions {
   /// Which residue class of the trajectory rank is sampled (taken modulo
   /// k); lets repeated engines sample disjoint subsets.
   size_t offset = 0;
-  /// Assignment radius: a sieved-out segment farther than `eps` from every
-  /// sampled cluster member is labelled noise. Use the inner stage's ε so
-  /// membership means the same thing on both sides of the sieve. Must be
-  /// positive and finite.
-  double eps = 25.0;
-  /// Distance function of the assignment sweep (§2.3). Must match the inner
-  /// stage's configuration for the cost model to make sense. Weights must be
-  /// finite and non-negative.
-  distance::SegmentDistanceConfig distance;
 };
 
 /// Decorator GroupStage implementing sieve-sampled grouping over any inner
 /// backend (DBSCAN, OPTICS, or a custom stage).
 class SieveGroupStage : public GroupStage {
  public:
-  /// `inner` must be non-null (checked in Validate).
+  /// `inner` must be non-null and report density() (checked in Validate).
   explicit SieveGroupStage(std::shared_ptr<const GroupStage> inner,
                            const SieveGroupOptions& options = {});
 
   const char* name() const override;
   common::Status Validate() const override;
+  /// The inner stage's parameters: the sieve groups with them.
+  std::optional<DensityParams> density() const override;
   /// Samples trajectories whose first-appearance rank ≡ options().offset
   /// (mod options().k), groups the sampled segments through the inner
   /// stage, maps the sample's labels back to global indices, and assigns
   /// each sieved-out segment to the cluster of its nearest sampled member
-  /// within options().eps (distance::NearestWithinEps), or noise.
+  /// within the inner stage's ε (distance::NearestWithinEps), or noise.
   common::Result<cluster::ClusteringResult> Run(
       const traj::SegmentStore& store, const RunContext& ctx) const override;
 

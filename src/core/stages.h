@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,13 @@ using ProgressFn =
 /// many concurrent runs, each with its own threads, progress sink, and
 /// cancellation token. What a run computes is fixed at Build(): the sieve
 /// stride and offset and the shard count are options of their decorator
-/// stages (SieveGroupOptions, ShardedGroupOptions), never per-run knobs.
+/// stages (SieveGroupOptions, ShardedGroupOptions), which read everything
+/// else from the stage they wrap (GroupStage::density()), never per-run
+/// knobs.
 ///
-/// Three fields below still steer only some stages, each for a stated
-/// reason: `shard_local` is the sharded stage's only channel to its opaque
-/// inner stage (replacing it would need a new stage interface), and
+/// Some fields below steer only some stages, each for a stated reason:
+/// `shard_local` is how the sharded stage asks its inner stage to leave the
+/// whole-database cardinality filter to the merge, and
 /// `neighbor_cache_dir`, `chunk_capacity` and `max_resident_chunks` are the
 /// run-level knobs the benchmark harness (perfbench/) sets.
 struct RunContext {
@@ -146,6 +149,18 @@ class PartitionStage {
       const traj::TrajectoryDatabase& db, const RunContext& ctx) const = 0;
 };
 
+/// The density clustering a group stage computes: ε and MinLns
+/// (Definitions 4–5), the trajectory-cardinality threshold of Fig. 12 step 3
+/// (negative: MinLns; 0: disabled), the weighted density of §4.2, all over
+/// one §2.3 distance.
+struct DensityParams {
+  double eps = 25.0;
+  double min_lns = 5.0;
+  double min_trajectory_cardinality = -1.0;
+  bool use_weights = false;
+  distance::SegmentDistanceConfig distance;
+};
+
 /// Stage 2: segment database → clusters (§4). The store hands
 /// implementations both the invariant cache (for the distance fast path) and
 /// the AoS segment view.
@@ -154,6 +169,15 @@ class GroupStage {
   virtual ~GroupStage() = default;
   virtual const char* name() const = 0;
   virtual common::Status Validate() const { return common::Status::OK(); }
+
+  /// The density parameters this stage clusters with, or nothing (the
+  /// default) for a stage that states none. The sieve and sharded
+  /// decorators take their ε, MinLns, weights, filter and distance from the
+  /// stage they wrap through this accessor, and their Validate refuses an
+  /// inner stage that reports nothing.
+  virtual std::optional<DensityParams> density() const {
+    return std::nullopt;
+  }
   virtual common::Result<cluster::ClusteringResult> Run(
       const traj::SegmentStore& store, const RunContext& ctx) const = 0;
 
@@ -255,6 +279,8 @@ class DbscanGroupStage : public GroupStage {
   common::Result<cluster::ClusteringResult> RunChunked(
       const traj::ChunkedSegmentStore& store,
       const RunContext& ctx) const override;
+  /// The options' ε, MinLns, threshold, weights flag and distance.
+  std::optional<DensityParams> density() const override;
 
   const DbscanGroupOptions& options() const { return options_; }
 
@@ -290,6 +316,9 @@ class OpticsGroupStage : public GroupStage {
   common::Status Validate() const override;
   common::Result<cluster::ClusteringResult> Run(
       const traj::SegmentStore& store, const RunContext& ctx) const override;
+  /// The generating ε (not the extraction cut), MinLns, threshold and
+  /// distance; OPTICS counts segments, so use_weights is false.
+  std::optional<DensityParams> density() const override;
 
   const OpticsGroupOptions& options() const { return options_; }
 

@@ -307,14 +307,6 @@ std::unique_ptr<traj::ChunkedSegmentStore> Chunked(
   return store;
 }
 
-SegmentSetView CatalogView(const traj::ChunkedSegmentStore& store) {
-  SegmentSetView view;
-  view.count = store.size();
-  view.weights = store.weights();
-  view.trajectory_ids = store.trajectory_ids();
-  return view;
-}
-
 std::vector<distance::BatchKernel> AvailableKernels() {
   std::vector<distance::BatchKernel> kernels = {
       distance::BatchKernel::kScalar};
@@ -480,7 +472,7 @@ TEST(ChunkedNeighborhoodTest, CappedDbscanBuildsTheGraphOnceWithFewFaults) {
                               distance::BatchKernel::kAuto);
       options.num_threads = threads;
       const ClusteringResult capped =
-          DbscanSegments(CatalogView(*store), provider, options);
+          DbscanSegments(SegmentSetView::Of(*store), provider, options);
       EXPECT_EQ(capped.labels, eager.labels);
       EXPECT_EQ(capped.num_noise, eager.num_noise);
 

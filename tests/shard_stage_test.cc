@@ -2,8 +2,8 @@
 // Validate rejection, equivalence to the unsharded backend modulo the
 // documented contested-border deviation, byte-determinism across thread
 // counts and kernels for a fixed shard count, the halo merge on an
-// adversarial border-spanning chain, the stats sink, the communicator's
-// concurrent mailbox discipline, and the Validate error surface.
+// adversarial border-spanning chain, the stats sink, the density parameters
+// read from the inner stage, and the Validate error surface.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +11,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
-#include "core/shard_comm.h"
 #include "core/sharded_stage.h"
+#include "core/sieve_stage.h"
 #include "datagen/hurricane_generator.h"
 #include "distance/batch_kernels.h"
 #include "distance/segment_distance.h"
@@ -55,26 +56,50 @@ DbscanGroupOptions HurricaneGroupOptions() {
   return options;
 }
 
-ShardedGroupOptions MakeShardedOptions(const DbscanGroupOptions& group,
-                                       size_t shards) {
+ShardedGroupOptions ShardedOptions(size_t shards,
+                                   ShardedRunStats* stats = nullptr) {
   ShardedGroupOptions sharded;
   sharded.shards = shards;
-  sharded.eps = group.eps;
-  sharded.min_lns = group.min_lns;
-  sharded.min_trajectory_cardinality = group.min_trajectory_cardinality;
-  sharded.use_weights = group.use_weights;
-  sharded.distance = group.distance;
+  sharded.stats = stats;
   return sharded;
 }
 
 ShardedGroupStage MakeShardedStage(const DbscanGroupOptions& group,
                                    size_t shards,
                                    ShardedRunStats* stats = nullptr) {
-  ShardedGroupOptions sharded = MakeShardedOptions(group, shards);
-  sharded.stats = stats;
   return ShardedGroupStage(std::make_shared<DbscanGroupStage>(group),
-                           sharded);
+                           ShardedOptions(shards, stats));
 }
+
+void ExpectSameDensity(const std::optional<DensityParams>& got,
+                       const std::optional<DensityParams>& want) {
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(got->eps, want->eps);
+  EXPECT_EQ(got->min_lns, want->min_lns);
+  EXPECT_EQ(got->min_trajectory_cardinality,
+            want->min_trajectory_cardinality);
+  EXPECT_EQ(got->use_weights, want->use_weights);
+  EXPECT_EQ(got->distance.w_perpendicular, want->distance.w_perpendicular);
+  EXPECT_EQ(got->distance.w_parallel, want->distance.w_parallel);
+  EXPECT_EQ(got->distance.w_angle, want->distance.w_angle);
+  EXPECT_EQ(got->distance.directed, want->distance.directed);
+}
+
+// A custom group stage that states no density parameters (the default
+// GroupStage::density()): neither decorator can wrap it.
+class NoDensityGroupStage : public GroupStage {
+ public:
+  const char* name() const override { return "group/no-density"; }
+  common::Result<cluster::ClusteringResult> Run(
+      const traj::SegmentStore& store,
+      const RunContext& /*ctx*/) const override {
+    cluster::ClusteringResult result;
+    result.labels.assign(store.size(), cluster::kNoise);
+    result.num_noise = store.size();
+    return result;
+  }
+};
 
 void ExpectSameClustering(const cluster::ClusteringResult& a,
                           const cluster::ClusteringResult& b) {
@@ -174,8 +199,7 @@ TEST(ShardStageTest, ShardCountBelowTwoFailsValidate) {
         << "shards " << shards;
     const auto engine = TraclusEngine::Builder()
                             .UseDbscanGrouping(group)
-                            .WithShardedGrouping(
-                                MakeShardedOptions(group, shards))
+                            .WithShardedGrouping(ShardedOptions(shards))
                             .Build();
     EXPECT_EQ(engine.status().code(), common::StatusCode::kOutOfRange);
   }
@@ -225,45 +249,56 @@ TEST(ShardStageTest, EquivalentToUnshardedAndDeterministic) {
 // Adversarial border corpus: one dense collinear chain spanning many grid
 // cells, so every shard cuts through it and the chain is far longer than one
 // halo width. The halo merge must reassemble it into a single cluster —
-// losing any border edge would leave ≥ 2 clusters.
+// losing any border edge would leave ≥ 2 clusters. The second chain runs
+// every other segment backwards under an undirected inner distance, with a
+// MinLns that only the undirected neighborhoods reach (a middle segment has
+// 13 directed ε-neighbors, itself included): a border core re-check that
+// did not use the inner stage's distance and MinLns finds no cross-border
+// core and leaves the chain split.
 TEST(ShardStageTest, BorderSpanningChainMergesIntoOneCluster) {
-  std::vector<Segment> segments;
   const size_t kChain = 60;
-  for (size_t i = 0; i < kChain; ++i) {
-    const double x = static_cast<double>(i) * 0.5;
-    segments.emplace_back(Point(x, 0.0), Point(x + 10.0, 0.0),
-                          static_cast<geom::SegmentId>(i),
-                          static_cast<geom::TrajectoryId>(i));
-  }
-  const traj::SegmentStore store(std::move(segments));
+  for (const bool mixed_directions : {false, true}) {
+    SCOPED_TRACE(mixed_directions ? "undirected chain" : "directed chain");
+    std::vector<Segment> segments;
+    for (size_t i = 0; i < kChain; ++i) {
+      const double x = static_cast<double>(i) * 0.5;
+      Point from(x, 0.0);
+      Point to(x + 10.0, 0.0);
+      if (mixed_directions && i % 2 == 1) std::swap(from, to);
+      segments.emplace_back(from, to, static_cast<geom::SegmentId>(i),
+                            static_cast<geom::TrajectoryId>(i));
+    }
+    const traj::SegmentStore store(std::move(segments));
 
-  DbscanGroupOptions group;
-  group.eps = 2.0;
-  group.min_lns = 5.0;
-  const DbscanGroupStage inner(group);
-  const auto golden = inner.Run(store, RunContext{});
-  ASSERT_TRUE(golden.ok());
-  ASSERT_EQ(golden->clusters.size(), 1u);
-  ASSERT_EQ(golden->num_noise, 0u);
+    DbscanGroupOptions group;
+    group.eps = 2.0;
+    group.min_lns = mixed_directions ? 16.0 : 5.0;
+    group.distance.directed = !mixed_directions;
+    const DbscanGroupStage inner(group);
+    const auto golden = inner.Run(store, RunContext{});
+    ASSERT_TRUE(golden.ok());
+    ASSERT_EQ(golden->clusters.size(), 1u);
+    ASSERT_EQ(golden->num_noise, 0u);
 
-  ShardedRunStats stats;
-  for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
-    const auto got =
-        MakeShardedStage(group, shards, &stats).Run(store, RunContext{});
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    // Labels must match outright (one cluster, no numbering freedom); member
-    // lists are not compared because DBSCAN emits expansion order while the
-    // sharded driver emits ascending order.
-    EXPECT_EQ(got->labels, golden->labels);
-    EXPECT_EQ(got->num_noise, golden->num_noise);
-    ASSERT_EQ(got->clusters.size(), 1u);
-    EXPECT_EQ(got->clusters[0].member_indices.size(), kChain);
-    // The chain crosses every shard border, so clusters really merged and
-    // the halo machinery saw traffic.
-    EXPECT_GE(stats.border_merges, shards - 1);
-    EXPECT_GT(stats.ghost_segments, 0u);
-    EXPECT_GT(stats.border_pairs, 0u);
-    EXPECT_EQ(stats.shards_run, shards);
+    ShardedRunStats stats;
+    for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
+      const auto got =
+          MakeShardedStage(group, shards, &stats).Run(store, RunContext{});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // Labels must match outright (one cluster, no numbering freedom);
+      // member lists are not compared because DBSCAN emits expansion order
+      // while the sharded stage emits ascending order.
+      EXPECT_EQ(got->labels, golden->labels);
+      EXPECT_EQ(got->num_noise, golden->num_noise);
+      ASSERT_EQ(got->clusters.size(), 1u);
+      EXPECT_EQ(got->clusters[0].member_indices.size(), kChain);
+      // The chain crosses every shard border, so clusters really merged and
+      // the halo machinery saw traffic.
+      EXPECT_GE(stats.border_merges, shards - 1);
+      EXPECT_GT(stats.ghost_segments, 0u);
+      EXPECT_GT(stats.border_pairs, 0u);
+      EXPECT_EQ(stats.shards_run, shards);
+    }
   }
 }
 
@@ -294,20 +329,40 @@ TEST(ShardStageTest, RandomizedCorpusMatchesUnshardedModuloBorders) {
   }
   const traj::SegmentStore store(std::move(segments));
 
-  DbscanGroupOptions group;
-  group.eps = 2.5;
-  group.min_lns = 4.0;
-  const DbscanGroupStage inner(group);
-  const auto golden = inner.Run(store, RunContext{});
-  ASSERT_TRUE(golden.ok());
-  for (const size_t shards : {size_t{2}, size_t{5}}) {
-    const ShardedGroupStage stage = MakeShardedStage(group, shards);
-    for (const int threads : {1, 4}) {
-      RunContext ctx;
-      ctx.num_threads = threads;
-      const auto got = stage.Run(store, ctx);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectEquivalentModuloContestedBorders(store, group, *golden, *got);
+  // The default distance, and a non-default inner configuration that the
+  // decorator must read rather than assume: a different MinLns and
+  // threshold, the weights flag, w⊥ = 2 (which narrows the halo reach) and
+  // the undirected angle term.
+  DbscanGroupOptions plain;
+  plain.eps = 2.5;
+  plain.min_lns = 4.0;
+  DbscanGroupOptions custom = plain;
+  custom.min_lns = 3.0;
+  custom.min_trajectory_cardinality = 2.0;
+  custom.use_weights = true;
+  custom.distance.w_perpendicular = 2.0;
+  custom.distance.directed = false;
+  for (const DbscanGroupOptions& group : {plain, custom}) {
+    const auto inner = std::make_shared<DbscanGroupStage>(group);
+    const auto golden = inner->Run(store, RunContext{});
+    ASSERT_TRUE(golden.ok());
+    for (const size_t shards : {size_t{2}, size_t{5}}) {
+      const ShardedGroupStage stage(inner, ShardedOptions(shards));
+      ExpectSameDensity(stage.density(), inner->density());
+      // Nested decorators report the innermost stage's parameters.
+      SieveGroupOptions sieve;
+      sieve.k = 2;
+      const SieveGroupStage nested(
+          std::make_shared<ShardedGroupStage>(inner, ShardedOptions(shards)),
+          sieve);
+      ExpectSameDensity(nested.density(), inner->density());
+      for (const int threads : {1, 4}) {
+        RunContext ctx;
+        ctx.num_threads = threads;
+        const auto got = stage.Run(store, ctx);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectEquivalentModuloContestedBorders(store, group, *golden, *got);
+      }
     }
   }
 }
@@ -329,54 +384,49 @@ TEST(ShardStageTest, ValidateRejectsBadConfigurations) {
   const ShardedGroupStage null_inner(nullptr);
   EXPECT_EQ(null_inner.Validate().code(),
             common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(null_inner.density().has_value());
 
-  // Non-positive ε.
-  ShardedGroupOptions bad_eps =
-      MakeShardedOptions(HurricaneGroupOptions(), 4);
-  bad_eps.eps = 0.0;
-  const ShardedGroupStage zero_eps(
-      std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()), bad_eps);
-  EXPECT_EQ(zero_eps.Validate().code(), common::StatusCode::kOutOfRange);
-
-  // MinLns below 1.
-  ShardedGroupOptions bad_min =
-      MakeShardedOptions(HurricaneGroupOptions(), 4);
-  bad_min.min_lns = 0.5;
-  const ShardedGroupStage low_min(
-      std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()), bad_min);
-  EXPECT_EQ(low_min.Validate().code(), common::StatusCode::kOutOfRange);
-
-  // Negative distance weight.
-  ShardedGroupOptions bad_weight =
-      MakeShardedOptions(HurricaneGroupOptions(), 4);
+  // An invalid inner configuration propagates through the decorator: the
+  // inner stage's Validate is the one check of ε, MinLns and the weights.
+  DbscanGroupOptions bad_eps = HurricaneGroupOptions();
+  bad_eps.eps = -1.0;
+  const ShardedGroupStage wraps_bad(
+      std::make_shared<DbscanGroupStage>(bad_eps), ShardedOptions(4));
+  EXPECT_EQ(wraps_bad.Validate().code(), common::StatusCode::kOutOfRange);
+  DbscanGroupOptions bad_weight = HurricaneGroupOptions();
   bad_weight.distance.w_perpendicular = -1.0;
-  const ShardedGroupStage neg_weight(
-      std::make_shared<DbscanGroupStage>(HurricaneGroupOptions()),
-      bad_weight);
-  EXPECT_EQ(neg_weight.Validate().code(),
+  const ShardedGroupStage wraps_bad_weight(
+      std::make_shared<DbscanGroupStage>(bad_weight), ShardedOptions(4));
+  EXPECT_EQ(wraps_bad_weight.Validate().code(),
             common::StatusCode::kInvalidArgument);
 
-  // An invalid inner configuration propagates through the decorator.
-  DbscanGroupOptions bad_inner = HurricaneGroupOptions();
-  bad_inner.eps = -1.0;
-  const ShardedGroupStage wraps_bad(
-      std::make_shared<DbscanGroupStage>(bad_inner),
-      MakeShardedOptions(HurricaneGroupOptions(), 4));
-  EXPECT_FALSE(wraps_bad.Validate().ok());
+  // An inner stage without density parameters: refused by Validate and by
+  // Build(), naming the decorator and the accessor.
+  const ShardedGroupStage no_density(std::make_shared<NoDensityGroupStage>(),
+                                     ShardedOptions(4));
+  const common::Status status = no_density.Validate();
+  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("ShardedGroupStage"), std::string::npos);
+  EXPECT_NE(status.message().find("GroupStage::density()"),
+            std::string::npos);
+  const auto engine = TraclusEngine::Builder()
+                          .SetGroupStage(std::make_shared<NoDensityGroupStage>())
+                          .WithShardedGrouping(ShardedOptions(4))
+                          .Build();
+  EXPECT_EQ(engine.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
   const traj::TrajectoryDatabase db =
       datagen::GenerateHurricanes(datagen::HurricaneConfig{});
   const DbscanGroupOptions group = HurricaneGroupOptions();
-  const ShardedGroupOptions sharded = MakeShardedOptions(group, 4);
   SweepRepresentativeOptions reps;
   reps.min_lns = group.min_lns;
   const auto wrapped = TraclusEngine::Builder()
                            .UseMdlPartitioning()
                            .UseDbscanGrouping(group)
                            .UseSweepRepresentatives(reps)
-                           .WithShardedGrouping(sharded)
+                           .WithShardedGrouping(ShardedOptions(4))
                            .Build();
   ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
 
@@ -399,39 +449,6 @@ TEST(ShardStageTest, BuilderWiresShardedGroupingThroughThePipeline) {
   }
   EXPECT_EQ(noise, got->clustering.num_noise);
   EXPECT_EQ(got->representatives.size(), got->clustering.clusters.size());
-}
-
-// Concurrency hammer for the in-process communicator (the TSan lane runs
-// this test): every rank sends tagged payloads to every peer from pool
-// threads, a barrier ends the superstep, then every rank drains and checks.
-TEST(ShardStageTest, InProcessShardGroupExchangesUnderConcurrency) {
-  const int kRanks = 8;
-  const int kRounds = 3;
-  InProcessShardGroup group(kRanks);
-  common::ThreadPool& pool = common::SharedPool(4);
-  for (int round = 0; round < kRounds; ++round) {
-    pool.ParallelFor(0, static_cast<size_t>(kRanks), [&](size_t s) {
-      ShardCommunicator& comm = group.comm(static_cast<int>(s));
-      EXPECT_EQ(comm.rank(), static_cast<int>(s));
-      EXPECT_EQ(comm.size(), kRanks);
-      for (int dest = 0; dest < kRanks; ++dest) {
-        std::vector<uint64_t> payload = {
-            static_cast<uint64_t>(s), static_cast<uint64_t>(dest),
-            static_cast<uint64_t>(round)};
-        comm.Send(dest, /*tag=*/round, std::move(payload));
-      }
-    });
-    pool.ParallelFor(0, static_cast<size_t>(kRanks), [&](size_t s) {
-      ShardCommunicator& comm = group.comm(static_cast<int>(s));
-      for (int src = 0; src < kRanks; ++src) {
-        const std::vector<uint64_t> payload = comm.Recv(src, /*tag=*/round);
-        ASSERT_EQ(payload.size(), 3u);
-        EXPECT_EQ(payload[0], static_cast<uint64_t>(src));
-        EXPECT_EQ(payload[1], static_cast<uint64_t>(s));
-        EXPECT_EQ(payload[2], static_cast<uint64_t>(round));
-      }
-    });
-  }
 }
 
 }  // namespace

@@ -489,11 +489,8 @@ TEST(StreamingRunTest, CappedRunRejectsStagesWithoutACappedPath) {
   optics.min_lns = 5;
   SieveGroupOptions sieve;
   sieve.k = 4;
-  sieve.eps = 0.94;
   ShardedGroupOptions sharded;
   sharded.shards = 4;
-  sharded.eps = 0.94;
-  sharded.min_lns = 5;
   const std::vector<std::pair<std::string, common::Result<TraclusEngine>>>
       engines = {
           {"group/optics",

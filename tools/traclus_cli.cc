@@ -481,27 +481,19 @@ int CmdCluster(const Args& args) {
       .SetDefaultNumThreads(static_cast<int>(args.GetCount("threads", 0)));
   if (shards >= 2) {
     // Sharded grouping: cell-grid decomposition, per-shard DBSCAN, halo
-    // merge. Applied before the sieve wrap so a combined run shards the
-    // sieve's sampled sub-database. Same ε/MinLns/distance as the DBSCAN
-    // backend — the merge must describe the same clustering.
+    // merge, all with the DBSCAN backend's parameters. Applied before the
+    // sieve wrap so a combined run shards the sieve's sampled sub-database.
     core::ShardedGroupOptions shard_options;
     shard_options.shards = shards;
-    shard_options.eps = group.eps;
-    shard_options.min_lns = group.min_lns;
-    shard_options.use_weights = group.use_weights;
-    shard_options.distance = group.distance;
     builder.WithShardedGrouping(shard_options);
   }
   if (sieve >= 2) {
     // Sieve-sampled grouping: cluster 1-in-k trajectories, assign the rest
-    // to the nearest cluster. Same ε and distance as the DBSCAN backend so
-    // membership means the same thing on both sides of the sieve.
+    // to the nearest cluster within the DBSCAN backend's ε.
     core::SieveGroupOptions sieve_options;
     sieve_options.k = sieve;
     sieve_options.offset =
         static_cast<size_t>(args.GetCount("sieve-offset", 0));
-    sieve_options.eps = group.eps;
-    sieve_options.distance = group.distance;
     builder.WithSieveGrouping(sieve_options);
   }
   const auto engine = builder.Build();
@@ -549,14 +541,9 @@ int CmdCluster(const Args& args) {
   const bool capped = result.store.size() == 0 && result.chunked_store;
   const size_t num_segments =
       capped ? result.chunked_store->size() : result.store.size();
-  cluster::SegmentSetView view;
-  if (capped) {
-    view.count = result.chunked_store->size();
-    view.weights = result.chunked_store->weights();
-    view.trajectory_ids = result.chunked_store->trajectory_ids();
-  } else {
-    view = cluster::SegmentSetView::Of(result.store);
-  }
+  const cluster::SegmentSetView view =
+      capped ? cluster::SegmentSetView::Of(*result.chunked_store)
+             : cluster::SegmentSetView::Of(result.store);
 
   std::printf("%zu partitions -> %zu clusters, %zu noise segments\n",
               num_segments, result.clustering.clusters.size(),
